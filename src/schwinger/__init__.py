@@ -43,6 +43,7 @@ from .spectra import (
     ConvergenceError,
     SpectrumReport,
     analyze_block,
+    block_report,
     cos_theta,
     jacobi_eigen,
     limit_scan,
@@ -68,6 +69,7 @@ __all__ = [
     "adjoint",
     "analyze_block",
     "annihilation",
+    "block_report",
     "build_basis",
     "build_set",
     "casimir",

@@ -17,9 +17,8 @@ import csv
 import dataclasses
 import io
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -32,8 +31,8 @@ from .fock import build_basis
 from .operators import SparseOperator, add, adjoint, commutator, from_entries, scale
 from .spectra import (
     analyze_block,
+    block_report,
     cos_theta,
-    jacobi_eigen,
     limit_scan,
     mean_square_from_spectrum,
     sum_rule_check,
@@ -66,6 +65,11 @@ class RunConfig:
     force: bool = False
 
 
+def _require_positive(flag: str, value: float):
+    if not (math.isfinite(value) and value > 0):
+        raise UsageError(f"{flag} must be positive and finite, got {value}")
+
+
 def _validate(config: RunConfig):
     if config.n_max < 0:
         raise UsageError(f"--nmax must be non-negative, got {config.n_max}")
@@ -74,10 +78,8 @@ def _validate(config: RunConfig):
             f"--nmax {config.n_max} exceeds the safety limit {N_MAX_LIMIT} "
             f"(pass --force to override)"
         )
-    if config.tol <= 0:
-        raise UsageError(f"--tol must be positive, got {config.tol}")
-    if config.hbar <= 0:
-        raise UsageError(f"--hbar must be positive, got {config.hbar}")
+    _require_positive("--tol", config.tol)
+    _require_positive("--hbar", config.hbar)
     if config.format not in ("csv", "json"):
         raise UsageError(f"unknown format {config.format!r}")
 
@@ -105,6 +107,12 @@ def _csv_text(header: list[str], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _json_rows(rows: list[dict], record: str = "row") -> list[dict]:
+    """The rows tagged ``record``, without the CSV-only record column."""
+    return [{k: v for k, v in r.items() if k != "record"}
+            for r in rows if r["record"] == record]
+
+
 def _emit(config: RunConfig, command: str, json_doc: dict,
           csv_header: list[str], csv_rows: list[dict]):
     if config.format == "json":
@@ -124,83 +132,29 @@ def _emit(config: RunConfig, command: str, json_doc: dict,
 # ---------------------------------------------------------------------------
 # verify battery
 
-def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get("SCHWINGER_THREADS", "")
-    try:
-        workers = int(raw) if raw else 1
-    except ValueError:
-        workers = 1
-    return max(1, min(workers, n_jobs))
-
-
-def _map_ordered(fn, items):
-    workers = _worker_count(len(items))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _hermiticity_residual(op: SparseOperator) -> float:
     return add(op, scale(adjoint(op), -1.0), prune_tol=0.0).max_abs()
 
 
 def _block_leak_residual(amset: AngularMomentumSet) -> float:
     """Largest entry connecting different constant-n blocks (should be 0)."""
-    totals = np.array([p.total for p in amset.basis.states])
+    _, _, totals = amset.basis.occupations()
     worst = 0.0
     for op in (amset.jx, amset.jy, amset.jz, amset.jtot):
-        if not op.nnz:
-            continue
-        leaking = totals[op.rows] != totals[op.cols]
-        if leaking.any():
-            worst = max(worst, float(np.max(np.abs(op.vals[leaking]))))
+        leaking = op.vals[totals[op.rows] != totals[op.cols]]
+        if leaking.size:
+            worst = max(worst, float(np.max(np.abs(leaking))))
     return worst
 
 
 def _total_momentum_residual(amset: AngularMomentumSet) -> float:
     """jtot must be diagonal with entry hbar*n/2 at every state."""
-    dense_diag = np.zeros(amset.basis.size, dtype=np.complex128)
-    off = 0.0
     jt = amset.jtot
-    on_diag = jt.rows == jt.cols
-    dense_diag[jt.rows[on_diag]] = jt.vals[on_diag]
-    if (~on_diag).any():
-        off = float(np.max(np.abs(jt.vals[~on_diag])))
-    expected = np.array(
-        [0.5 * amset.hbar * p.total for p in amset.basis.states]
-    )
-    return max(off, float(np.max(np.abs(dense_diag - expected))))
-
-
-def _analyze_one_block(args) -> dict:
-    amset, n, tol = args
-    block = extract_block(amset, n)
-    jz_levels = np.sort(np.diag(block.jz).real)[::-1]
-    cas = block.jx @ block.jx + block.jy @ block.jy + block.jz @ block.jz
-    # hermitize so a corrupted operator degrades residuals instead of
-    # raising inside the eigensolver; the hermiticity checks report the
-    # corruption itself
-    cas = 0.5 * (cas + cas.conj().T)
-    eigvals, _ = jacobi_eigen(cas, tol)
-    j = 0.5 * n
-    hbar = amset.hbar
-    grid = np.array([(j - k) * hbar for k in range(n + 1)])
-    lhs, rhs = sum_rule_check(n)
-    value = float(np.mean(eigvals))
-    mean_square = float(3.0 * np.sum(jz_levels * jz_levels) / len(jz_levels))
-    return {
-        "two_j": n,
-        "casimir": value,
-        "jz_spectrum": [float(x) for x in jz_levels],
-        "sum_rule_pass": lhs == rhs,
-        "_spread": float(eigvals[-1] - eigvals[0]),
-        "_value_dev": abs(value - j * (j + 1) * hbar * hbar),
-        "_grid_dev": float(np.max(np.abs(jz_levels - grid))),
-        "_mean_square_dev": abs(mean_square - value),
-        "_sum_rule_dev": float(abs(lhs - rhs)),
-        "_dim_dev": float(abs(len(jz_levels) - (n + 1))),
-    }
+    off_diag = jt.vals[jt.rows != jt.cols]
+    off = float(np.max(np.abs(off_diag))) if off_diag.size else 0.0
+    _, _, totals = amset.basis.occupations()
+    expected = 0.5 * amset.hbar * totals
+    return max(off, float(np.max(np.abs(jt.to_csr().diagonal() - expected))))
 
 
 def run_battery(config: RunConfig, amset: AngularMomentumSet):
@@ -244,27 +198,26 @@ def run_battery(config: RunConfig, amset: AngularMomentumSet):
     )
     checks.append(("quadratic_identity_classical_form", classical_form.max_abs()))
 
-    block_rows = _map_ordered(
-        _analyze_one_block,
-        [(amset, n, tol) for n in range(config.n_max + 1)],
-    )
-    for name, key in (
-        ("block_dimension", "_dim_dev"),
-        ("jz_spectrum_grid", "_grid_dev"),
-        ("casimir_block_value", "_value_dev"),
-        ("casimir_block_spread", "_spread"),
-        ("mean_square_consistency", "_mean_square_dev"),
-        ("sum_rule_blocks", "_sum_rule_dev"),
+    reports = [block_report(extract_block(amset, n), tol)
+               for n in range(config.n_max + 1)]
+    for name, field in (
+        ("block_dimension", "dim_dev"),
+        ("jz_spectrum_grid", "grid_dev"),
+        ("casimir_block_value", "value_dev"),
+        ("casimir_block_spread", "spread"),
+        ("mean_square_consistency", "mean_square_dev"),
+        ("sum_rule_blocks", "sum_rule_dev"),
     ):
-        checks.append((name, max(row[key] for row in block_rows)))
+        checks.append((name, max(getattr(r, field) for r in reports)))
 
     check_records = [
         {"name": name, "max_residual": float(residual), "pass": residual <= tol}
         for name, residual in checks
     ]
     block_records = [
-        {k: v for k, v in row.items() if not k.startswith("_")}
-        for row in block_rows
+        {"two_j": r.two_j, "casimir": r.casimir_value,
+         "jz_spectrum": list(r.jz_eigenvalues), "sum_rule_pass": r.sum_rule_dev == 0}
+        for r in reports
     ]
     return check_records, block_records
 
@@ -281,6 +234,8 @@ def _apply_corruption(amset: AngularMomentumSet, directive: str) -> AngularMomen
         raise UsageError(
             f"bad --corrupt value {directive!r}; expected OP,ROW,COL,DELTA"
         ) from None
+    if not math.isfinite(delta):
+        raise UsageError(f"--corrupt DELTA must be finite, got {delta_s!r}")
     if name not in ("jx", "jy", "jz", "jtot"):
         raise UsageError(f"--corrupt operator must be jx|jy|jz|jtot, not {name!r}")
     op: SparseOperator = getattr(amset, name)
@@ -385,8 +340,7 @@ def cmd_sumrule(config: RunConfig, two_j_max: int) -> int:
     json_doc = {
         "command": "sumrule",
         "two_j_max": two_j_max,
-        "rows": [{k: v for k, v in r.items() if k != "record"}
-                 for r in rows if r["record"] == "row"],
+        "rows": _json_rows(rows),
         "all_pass": all_pass,
     }
     header = ["record", "two_j", "lhs_quarters", "rhs_quarters", "pass"]
@@ -397,8 +351,8 @@ def cmd_sumrule(config: RunConfig, two_j_max: int) -> int:
 def cmd_angle(config: RunConfig, two_j: int, epsilon: float) -> int:
     if two_j < 1:
         raise UsageError(f"angle undefined at two_j={two_j}: |J| = 0 there")
-    if epsilon < 0:
-        raise UsageError(f"--epsilon must be non-negative, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise UsageError(f"--epsilon must be non-negative and finite, got {epsilon}")
     rows = [
         {"record": "row", "two_j": two_j, "two_mj": two_mj, "epsilon": epsilon,
          "cos_theta": cos_theta(two_j, two_mj, epsilon)}
@@ -408,7 +362,7 @@ def cmd_angle(config: RunConfig, two_j: int, epsilon: float) -> int:
         "command": "angle",
         "two_j": two_j,
         "epsilon": epsilon,
-        "rows": [{k: v for k, v in r.items() if k != "record"} for r in rows],
+        "rows": _json_rows(rows),
     }
     header = ["record", "two_j", "two_mj", "epsilon", "cos_theta"]
     _emit(config, "angle", json_doc, header, rows)
@@ -418,8 +372,8 @@ def cmd_angle(config: RunConfig, two_j: int, epsilon: float) -> int:
 def cmd_limit(config: RunConfig, two_j_max: int, epsilon: float) -> int:
     if two_j_max < 1:
         raise UsageError(f"--two-j-max must be at least 1, got {two_j_max}")
-    if epsilon < 0:
-        raise UsageError(f"--epsilon must be non-negative, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise UsageError(f"--epsilon must be non-negative and finite, got {epsilon}")
     results = limit_scan(two_j_max, epsilon)
     values = [r.cos_theta for r in results]
     monotonic = all(b > a for a, b in zip(values, values[1:]))
@@ -433,8 +387,7 @@ def cmd_limit(config: RunConfig, two_j_max: int, epsilon: float) -> int:
         "command": "limit",
         "two_j_max": two_j_max,
         "epsilon": epsilon,
-        "rows": [{k: v for k, v in r.items() if k != "record"}
-                 for r in rows if r["record"] == "row"],
+        "rows": _json_rows(rows),
         "monotonic": monotonic,
     }
     header = ["record", "two_j", "epsilon", "cos_theta", "gap_bound", "monotonic"]
@@ -445,15 +398,11 @@ def cmd_limit(config: RunConfig, two_j_max: int, epsilon: float) -> int:
 def cmd_classical(config: RunConfig, count: int, bound: float) -> int:
     if count < 1:
         raise UsageError(f"--count must be at least 1, got {count}")
-    if bound <= 0:
-        raise UsageError(f"--bound must be positive, got {bound}")
-    if config.tol <= 0:
-        raise UsageError(f"--tol must be positive, got {config.tol}")
-    if config.hbar <= 0:
-        raise UsageError(f"--hbar must be positive, got {config.hbar}")
+    _require_positive("--bound", bound)
+    _validate(config)
     states = sample_states(count, bound, config.seed, config.hbar)
     tiny = float(np.finfo(float).tiny)
-    sample_rows = []
+    rows = []
     max_rel = 0.0
     jtots = []
     for idx, state in enumerate(states):
@@ -463,21 +412,19 @@ def cmd_classical(config: RunConfig, count: int, bound: float) -> int:
         rel = abs(lhs - comps.jtot ** 2) / denom
         max_rel = max(max_rel, rel)
         jtots.append(comps.jtot)
-        sample_rows.append(
+        rows.append(
             {"record": "sample", "index": idx, "jx": comps.jx, "jy": comps.jy,
              "jz": comps.jz, "jtot": comps.jtot, "rel_residual": rel}
         )
     top = config.hbar * bound * bound  # jtot <= hbar * bound^2
     counts, edges = np.histogram(jtots, bins=HIST_BINS, range=(0.0, top))
-    hist_rows = [
+    rows += [
         {"record": "hist", "bin_lo": float(edges[i]), "bin_hi": float(edges[i + 1]),
          "count": int(counts[i])}
         for i in range(HIST_BINS)
     ]
     ok = max_rel < config.tol
-    rows = sample_rows + hist_rows + [
-        {"record": "summary", "max_rel_residual": max_rel, "pass": ok}
-    ]
+    rows.append({"record": "summary", "max_rel_residual": max_rel, "pass": ok})
     json_doc = {
         "command": "classical",
         "count": count,
@@ -485,10 +432,8 @@ def cmd_classical(config: RunConfig, count: int, bound: float) -> int:
         "seed": config.seed,
         "hbar": config.hbar,
         "tol": config.tol,
-        "samples": [{k: v for k, v in r.items() if k != "record"}
-                    for r in sample_rows],
-        "histogram": [{k: v for k, v in r.items() if k != "record"}
-                      for r in hist_rows],
+        "samples": _json_rows(rows, "sample"),
+        "histogram": _json_rows(rows, "hist"),
         "max_rel_residual": max_rel,
         "pass": ok,
     }
@@ -503,7 +448,7 @@ def cmd_classical(config: RunConfig, count: int, bound: float) -> int:
 
 def _two_j_from_decimal(j: float) -> int:
     two_j = 2.0 * j
-    if two_j != round(two_j):
+    if not (math.isfinite(two_j) and two_j == round(two_j)):
         raise UsageError(f"--j must end in .0 or .5, got {j}")
     return int(round(two_j))
 

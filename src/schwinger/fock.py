@@ -9,8 +9,10 @@ m = n/2, n/2 - 1, ..., -n/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 
 class OccupationPair(NamedTuple):
@@ -26,11 +28,10 @@ class OccupationPair(NamedTuple):
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Immutable, indexed enumeration of all pairs with n1 + n2 <= n_max."""
+    """Immutable enumeration of all pairs with n1 + n2 <= n_max."""
 
     n_max: int
     states: tuple[OccupationPair, ...]
-    _index: dict[OccupationPair, int] = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -42,14 +43,20 @@ class FockBasis:
         Raises ValueError for pairs outside the cutoff (or with negative
         occupations).
         """
-        key = OccupationPair(*pair)
-        try:
-            return self._index[key]
-        except KeyError:
+        n1, n2 = OccupationPair(*pair)
+        if n1 < 0 or n2 < 0 or n1 + n2 > self.n_max:
             raise ValueError(
-                f"occupation pair {tuple(key)} is outside the basis "
+                f"occupation pair {(n1, n2)} is outside the basis "
                 f"(need n1, n2 >= 0 and n1 + n2 <= {self.n_max})"
-            ) from None
+            )
+        return position(n1, n2)
+
+    def occupations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """n1, n2 and n1 + n2 of every state in basis order, as int64 arrays."""
+        counts = np.arange(1, self.n_max + 2)
+        total = np.repeat(np.arange(self.n_max + 1, dtype=np.int64), counts)
+        n2 = np.arange(self.size, dtype=np.int64) - position(total, 0)
+        return total - n2, n2, total
 
     def block_range(self, n: int) -> range:
         """Contiguous positions of the block with total occupation n.
@@ -58,8 +65,18 @@ class FockBasis:
         """
         if not 0 <= n <= self.n_max:
             raise ValueError(f"block index n={n} not in 0..{self.n_max}")
-        start = n * (n + 1) // 2
+        start = position(n, 0)
         return range(start, start + n + 1)
+
+
+def position(n1, n2):
+    """Basis position of |n1, n2>: n(n+1)/2 + n2 with n = n1 + n2.
+
+    Elementwise on integer arrays, with no range check; ``index_of`` is
+    the checked form.
+    """
+    n = n1 + n2
+    return n * (n + 1) // 2 + n2
 
 
 def build_basis(n_max: int) -> FockBasis:
@@ -71,5 +88,4 @@ def build_basis(n_max: int) -> FockBasis:
         for n in range(n_max + 1)
         for n1 in range(n, -1, -1)
     ]
-    index = {pair: pos for pos, pair in enumerate(states)}
-    return FockBasis(n_max=n_max, states=tuple(states), _index=index)
+    return FockBasis(n_max=n_max, states=tuple(states))

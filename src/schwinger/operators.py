@@ -1,13 +1,13 @@
 """Sparse complex operator algebra over a truncated two-mode Fock basis.
 
-Operators are stored as canonical triplets (row, col, value): sorted by
-row then column, duplicate positions merged, and entries of magnitude
-at most ``PRUNE_TOL`` dropped.  Products and sums are delegated to
-scipy.sparse CSR kernels; the canonical triplet form is restored after
-every operation so that equality comparison stays well defined.
+Each operator holds one canonical CSR matrix: column indices sorted
+within each row, duplicate positions merged, and entries of magnitude at
+most ``PRUNE_TOL`` dropped.  Every operation builds its result with a
+scipy.sparse kernel and passes it through the same canonicalizing step,
+so equality comparison stays well defined.
 
-All operations are pure and every SparseOperator is immutable, so values
-can be shared freely across threads.
+All operations are pure and every SparseOperator is immutable: the
+arrays of its matrix are read-only.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockBasis
+from .fock import FockBasis, position
 
 # Absolute magnitude at or below which entries are dropped.  Small enough
 # not to touch genuine sqrt(n) matrix elements at any sane hbar.
@@ -26,32 +26,42 @@ PRUNE_TOL = 1e-15
 
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
-    """Complex matrix in canonical sparse triplet form."""
+    """Complex square matrix held as one canonical, read-only CSR matrix.
 
-    dim: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+    Build it with ``from_entries`` or the operations below; they are the
+    only places that establish the canonical form.
+    """
 
-    def __post_init__(self):
-        for arr in (self.rows, self.cols, self.vals):
-            arr.flags.writeable = False
+    _csr: sp.csr_matrix
+
+    @property
+    def dim(self) -> int:
+        return self._csr.shape[0]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Row index of every stored entry, in row-major order."""
+        rows = np.repeat(np.arange(self.dim, dtype=np.int64), np.diff(self._csr.indptr))
+        rows.flags.writeable = False
+        return rows
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self._csr.indices
+
+    @property
+    def vals(self) -> np.ndarray:
+        return self._csr.data
 
     @property
     def nnz(self) -> int:
-        return len(self.vals)
+        return self._csr.nnz
 
     def to_csr(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.vals, (self.rows, self.cols)),
-            shape=(self.dim, self.dim),
-            dtype=np.complex128,
-        )
+        return self._csr
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        out[self.rows, self.cols] = self.vals
-        return out
+        return self._csr.toarray()
 
     def max_abs(self) -> float:
         """Largest entry magnitude (0 for the zero operator)."""
@@ -64,11 +74,12 @@ class SparseOperator:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseOperator):
             return NotImplemented
+        a, b = self._csr, other._csr
         return (
-            self.dim == other.dim
-            and np.array_equal(self.rows, other.rows)
-            and np.array_equal(self.cols, other.cols)
-            and np.array_equal(self.vals, other.vals)
+            a.shape == b.shape
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data)
         )
 
     # light sugar; the canonical API is the module-level functions
@@ -90,6 +101,22 @@ class SparseOperator:
         return multiply(self, other)
 
 
+def _canonical(m: sp.spmatrix, prune_tol: float) -> SparseOperator:
+    """Sort, merge duplicates, prune and freeze a freshly built matrix.
+
+    ``m`` must not be shared with any other operator: it is modified in
+    place.
+    """
+    m = m.tocsr()
+    m.sum_duplicates()
+    # NaN entries fail the comparison and are dropped as well
+    m.data[~(np.abs(m.data) > prune_tol)] = 0.0
+    m.eliminate_zeros()
+    for arr in (m.data, m.indices, m.indptr):
+        arr.flags.writeable = False
+    return SparseOperator(m)
+
+
 def from_entries(
     dim: int,
     rows,
@@ -107,24 +134,8 @@ def from_entries(
         rows.min() < 0 or cols.min() < 0 or rows.max() >= dim or cols.max() >= dim
     ):
         raise ValueError(f"triplet index outside a {dim}x{dim} matrix")
-    if len(rows):
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        # merge runs of identical (row, col)
-        new_run = np.empty(len(rows), dtype=bool)
-        new_run[0] = True
-        new_run[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.flatnonzero(new_run)
-        rows, cols = rows[starts], cols[starts]
-        vals = np.add.reduceat(vals, starts)
-        keep = np.abs(vals) > prune_tol
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    return SparseOperator(dim=int(dim), rows=rows, cols=cols, vals=vals)
-
-
-def _from_csr(m: sp.spmatrix, prune_tol: float = PRUNE_TOL) -> SparseOperator:
-    coo = m.tocoo()
-    return from_entries(m.shape[0], coo.row, coo.col, coo.data, prune_tol)
+    m = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=np.complex128)
+    return _canonical(m, prune_tol)
 
 
 def identity(dim: int) -> SparseOperator:
@@ -145,32 +156,25 @@ def annihilation(basis: FockBasis, mode: int) -> SparseOperator:
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
-    rows, cols, vals = [], [], []
-    for pos, (n1, n2) in enumerate(basis.states):
-        nk = n1 if mode == 1 else n2
-        if nk == 0:
-            continue
-        lowered = (n1 - 1, n2) if mode == 1 else (n1, n2 - 1)
-        rows.append(basis.index_of(lowered))
-        cols.append(pos)
-        vals.append(np.sqrt(nk))
-    return from_entries(basis.size, rows, cols, vals)
+    n1, n2, _ = basis.occupations()
+    nk = n1 if mode == 1 else n2
+    cols = np.flatnonzero(nk)
+    lowered = (n1[cols] - 1, n2[cols]) if mode == 1 else (n1[cols], n2[cols] - 1)
+    return from_entries(basis.size, position(*lowered), cols, np.sqrt(nk[cols]))
 
 
 def number_operator(basis: FockBasis, mode: int) -> SparseOperator:
     """Diagonal occupation operator n_k; equals adjoint(a_k) @ a_k exactly."""
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
-    occ = np.array(
-        [(n1 if mode == 1 else n2) for n1, n2 in basis.states], dtype=np.complex128
-    )
+    n1, n2, _ = basis.occupations()
     idx = np.arange(basis.size, dtype=np.int64)
-    return from_entries(basis.size, idx, idx, occ)
+    return from_entries(basis.size, idx, idx, n1 if mode == 1 else n2)
 
 
 def adjoint(op: SparseOperator, prune_tol: float = PRUNE_TOL) -> SparseOperator:
     """Conjugate transpose.  In the truncated space a_k^dag = adjoint(a_k)."""
-    return from_entries(op.dim, op.cols, op.rows, np.conj(op.vals), prune_tol)
+    return _canonical(op._csr.conj().T, prune_tol)
 
 
 def _check_dims(a: SparseOperator, b: SparseOperator):
@@ -182,26 +186,20 @@ def multiply(
     a: SparseOperator, b: SparseOperator, prune_tol: float = PRUNE_TOL
 ) -> SparseOperator:
     _check_dims(a, b)
-    return _from_csr(a.to_csr() @ b.to_csr(), prune_tol)
+    return _canonical(a._csr @ b._csr, prune_tol)
 
 
 def add(
     a: SparseOperator, b: SparseOperator, prune_tol: float = PRUNE_TOL
 ) -> SparseOperator:
     _check_dims(a, b)
-    return from_entries(
-        a.dim,
-        np.concatenate([a.rows, b.rows]),
-        np.concatenate([a.cols, b.cols]),
-        np.concatenate([a.vals, b.vals]),
-        prune_tol,
-    )
+    return _canonical(a._csr + b._csr, prune_tol)
 
 
 def scale(
     a: SparseOperator, c: complex, prune_tol: float = PRUNE_TOL
 ) -> SparseOperator:
-    return from_entries(a.dim, a.rows, a.cols, a.vals * complex(c), prune_tol)
+    return _canonical(a._csr * complex(c), prune_tol)
 
 
 def commutator(

@@ -28,18 +28,26 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenstructure of one constant-j block.
+    """Eigenstructure of one constant-j block, with every block residual.
 
     jz_eigenvalues are in absolute units (hbar times m), sorted
     descending; casimir_value is the block's J^2 eigenvalue;
     max_residual combines the casimir spread with the deviation of the
-    J_z spectrum from the exact grid {j, j-1, ..., -j} hbar.
+    J_z spectrum from the exact grid {j, j-1, ..., -j} hbar.  The other
+    residuals each measure one property of a correct spin-j block and
+    vanish on it (up to rounding).
     """
 
     two_j: int
     jz_eigenvalues: tuple[float, ...]
     casimir_value: float
     max_residual: float
+    spread: float           # largest minus smallest J^2 eigenvalue
+    value_dev: float        # |casimir - j(j+1) hbar^2|
+    grid_dev: float         # largest |J_z level - grid level|
+    mean_square_dev: float  # |3 <J_z^2> - casimir|
+    sum_rule_dev: float     # |lhs - rhs| of the sum rule, in quarters
+    dim_dev: float          # |number of J_z levels - (2j + 1)|
 
 
 @dataclass(frozen=True)
@@ -129,6 +137,36 @@ def jacobi_eigen(
     return eigvals[order], v[:, order]
 
 
+def block_report(block: Block, tol: float = 1e-12) -> SpectrumReport:
+    """Spectrum report for one block, with every residual filled in.
+
+    Never raises on an inconsistent block: J^2 is Hermitized before the
+    eigensolve, so corrupted operators show up as residuals instead.
+    """
+    n = block.two_j
+    jz_levels = np.sort(np.diag(block.jz).real)[::-1]
+    cas = block.jx @ block.jx + block.jy @ block.jy + block.jz @ block.jz
+    eigvals, _ = jacobi_eigen(0.5 * (cas + cas.conj().T), tol)
+    value = float(np.mean(eigvals))
+    spread = float(eigvals[-1] - eigvals[0])
+    j = 0.5 * n
+    grid = (j - np.arange(n + 1)) * block.hbar
+    grid_dev = float(np.max(np.abs(jz_levels - grid)))
+    lhs, rhs = sum_rule_check(n)
+    return SpectrumReport(
+        two_j=n,
+        jz_eigenvalues=tuple(float(x) for x in jz_levels),
+        casimir_value=value,
+        max_residual=spread + grid_dev,
+        spread=spread,
+        value_dev=abs(value - j * (j + 1) * block.hbar * block.hbar),
+        grid_dev=grid_dev,
+        mean_square_dev=abs(_mean_square(jz_levels) - value),
+        sum_rule_dev=float(abs(lhs - rhs)),
+        dim_dev=float(abs(len(jz_levels) - (n + 1))),
+    )
+
+
 def analyze_block(block: Block, tol: float = 1e-12) -> SpectrumReport:
     """Spectrum report for one block: J_z levels and the casimir value.
 
@@ -136,24 +174,13 @@ def analyze_block(block: Block, tol: float = 1e-12) -> SpectrumReport:
     more than ``tol``: that never happens for a correctly built block and
     signals a construction bug upstream.
     """
-    jz_diag = np.sort(np.diag(block.jz).real)[::-1]
-    cas = block.jx @ block.jx + block.jy @ block.jy + block.jz @ block.jz
-    eigvals, _ = jacobi_eigen(cas, tol)
-    spread = float(eigvals[-1] - eigvals[0])
-    if spread > tol:
+    report = block_report(block, tol)
+    if report.spread > tol:
         raise ValueError(
             f"casimir eigenvalues on block two_j={block.two_j} spread by "
-            f"{spread:.3e} (> {tol:.3e}); the block operators are inconsistent"
+            f"{report.spread:.3e} (> {tol:.3e}); the block operators are inconsistent"
         )
-    j = 0.5 * block.two_j
-    grid = np.array([(j - k) * block.hbar for k in range(block.two_j + 1)])
-    grid_dev = float(np.max(np.abs(jz_diag - grid)))
-    return SpectrumReport(
-        two_j=block.two_j,
-        jz_eigenvalues=tuple(float(x) for x in jz_diag),
-        casimir_value=float(np.mean(eigvals)),
-        max_residual=spread + grid_dev,
-    )
+    return report
 
 
 # int64 stays exact for the quarter sums up to well beyond this bound
@@ -185,7 +212,10 @@ def mean_square_from_spectrum(report: SpectrumReport) -> float:
     Isotropy forces <J^2> = 3 <J_z^2>, and the sum rule turns the level
     average into j(j+1) hbar^2, matching the operator eigenvalue.
     """
-    levels = np.asarray(report.jz_eigenvalues)
+    return _mean_square(np.asarray(report.jz_eigenvalues))
+
+
+def _mean_square(levels: np.ndarray) -> float:
     return float(3.0 * np.sum(levels * levels) / len(levels))
 
 

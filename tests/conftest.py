@@ -5,9 +5,18 @@ ladder-operator rule, independently of the sparse algebra under test, so
 the two routes can be compared entrywise.
 """
 
+import os
+
 import numpy as np
 
 from schwinger import FockBasis
+
+# pytest puts src/ on sys.path (pyproject.toml); the tests that run
+# ``python -m schwinger`` in a child process need it there too.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 def dense_annihilation(basis: FockBasis, mode: int) -> np.ndarray:

@@ -351,6 +351,26 @@ class TestParser:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["verify", "--nmax", "5", "--corrupt", "jx,1,3,1", "--tol", "inf"], "--tol"),
+            (["verify", "--nmax", "3", "--corrupt", "jx,1,3,nan"], "--corrupt"),
+            (["verify", "--nmax", "3", "--corrupt", "jx,1,3,inf"], "--corrupt"),
+            (["verify", "--nmax", "2", "--tol", "nan"], "--tol"),
+            (["spectrum", "--n", "2", "--hbar", "nan"], "--hbar"),
+            (["classical", "--count", "3", "--hbar", "inf"], "--hbar"),
+            (["classical", "--count", "3", "--bound", "nan"], "--bound"),
+            (["angle", "--two-j", "2", "--epsilon", "nan"], "--epsilon"),
+            (["angle", "--j", "inf"], "--j"),
+            (["limit", "--two-j-max", "3", "--epsilon", "inf"], "--epsilon"),
+        ],
+    )
+    def test_non_finite_input_rejected(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv, "--no-meta")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag}")
+
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "schwinger", "sumrule", "--two-j-max", "2",

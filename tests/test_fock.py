@@ -45,6 +45,14 @@ def test_index_roundtrip(n_max):
         assert basis.index_of(pair) == pos
 
 
+@given(st.integers(min_value=0, max_value=25))
+def test_occupations_match_states(n_max):
+    basis = build_basis(n_max)
+    n1, n2, total = basis.occupations()
+    assert [tuple(s) for s in basis.states] == list(zip(n1.tolist(), n2.tolist()))
+    assert total.tolist() == [s.total for s in basis.states]
+
+
 def test_block_ranges_nmax2():
     basis = build_basis(2)
     assert basis.block_range(1) == range(1, 3)

@@ -203,6 +203,8 @@ class TestCanonicalForm:
         op = annihilation(build_basis(2), 1)
         with pytest.raises(ValueError):
             op.vals[0] = 7.0
+        with pytest.raises(ValueError):
+            op.to_csr().data[0] = 7.0
 
 
 class TestDenseOracle:

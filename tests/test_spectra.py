@@ -6,6 +6,7 @@ import pytest
 
 from schwinger import (
     analyze_block,
+    block_report,
     build_basis,
     build_set,
     cos_theta,
@@ -114,6 +115,16 @@ class TestAnalyzeBlock:
         broken = dataclasses.replace(block, jx=jx)
         with pytest.raises(ValueError, match="spread"):
             analyze_block(broken)
+
+    def test_report_records_inconsistency_without_raising(self):
+        block = extract_block(build_set(build_basis(2), 1.0), 2)
+        jx = block.jx.copy()
+        jx[0, 1] += 1e-3
+        jx[1, 0] += 1e-3
+        report = block_report(dataclasses.replace(block, jx=jx))
+        assert report.spread > 1e-6
+        assert report.max_residual == report.spread + report.grid_dev
+        assert report.grid_dev == report.sum_rule_dev == report.dim_dev == 0.0
 
 
 class TestSumRule:
