@@ -48,7 +48,10 @@ class Block:
     """Dense restriction of the J operators to one constant-n block.
 
     two_j equals the total occupation n of the block; the matrices have
-    dimension two_j + 1 and are Hermitian by construction.
+    dimension two_j + 1 and are Hermitian by construction.  Used by the
+    single-block ``spectrum`` command and as the small-block oracle in
+    the tests; ``verify`` reads every block off the global sparse
+    operators instead and never builds one.
     """
 
     two_j: int

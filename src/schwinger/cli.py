@@ -31,8 +31,9 @@ from .fock import build_basis
 from .operators import SparseOperator, add, adjoint, commutator, from_entries, scale
 from .spectra import (
     analyze_block,
-    block_report,
     cos_theta,
+    diagonal_report,
+    gershgorin_discs,
     limit_scan,
     mean_square_from_spectrum,
     sum_rule_check,
@@ -88,9 +89,14 @@ def _validate(config: RunConfig):
 # output plumbing
 
 def _fmt(value) -> str:
-    """One fixed text form per cell type; floats use 17 significant digits."""
+    """One fixed text form per cell type; floats use 17 significant digits.
+
+    A list becomes its items' cells joined by ``;``.
+    """
     if value is None:
         return ""
+    if isinstance(value, list):
+        return ";".join(_fmt(x) for x in value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -198,8 +204,15 @@ def run_battery(config: RunConfig, amset: AngularMomentumSet):
     )
     checks.append(("quadratic_identity_classical_form", classical_form.max_abs()))
 
-    reports = [block_report(extract_block(amset, n), tol)
-               for n in range(config.n_max + 1)]
+    # every block is read off its rows of the global J_z and J^2; a
+    # radius also counts J^2 entries that leak into other blocks
+    centres, radii = gershgorin_discs(cas.to_csr())
+    jz_diag = jz.to_csr().diagonal()
+    reports = []
+    for n in range(config.n_max + 1):
+        rows = amset.basis.block_range(n)
+        sl = slice(rows.start, rows.stop)
+        reports.append(diagonal_report(n, hbar, jz_diag[sl], centres[sl], radii[sl]))
     for name, field in (
         ("block_dimension", "dim_dev"),
         ("jz_spectrum_grid", "grid_dev"),
@@ -273,7 +286,7 @@ def cmd_verify(config: RunConfig, corrupt: str | None = None) -> int:
     ]
     rows += [
         {"record": "block", "two_j": b["two_j"], "casimir": b["casimir"],
-         "jz_spectrum": ";".join(_fmt(x) for x in b["jz_spectrum"]),
+         "jz_spectrum": b["jz_spectrum"],
          "sum_rule_pass": b["sum_rule_pass"]}
         for b in blocks
     ]

@@ -1,9 +1,11 @@
 """Spectral analysis of the angular-momentum blocks.
 
-Contains the dense Hermitian eigensolver (cyclic Jacobi with complex
-plane rotations), per-block spectrum reports, the exact half-integer sum
-rule, and the alignment angle between J_z and the total J together with
-its classical limits.
+Contains the per-block spectrum reports, read off the J_z diagonal and
+the Gershgorin discs of J^2 with no eigensolve; the dense Hermitian
+eigensolver (cyclic Jacobi with complex plane rotations), kept as the
+small-block oracle the tests compare those reports against; the exact
+half-integer sum rule; and the alignment angle between J_z and the total
+J together with its classical limits.
 
 Half integers are carried as integers scaled by two (two_j, two_mj), so
 j = 3/2 etc. stay exact; the sum rule works in quarters (4 m^2) so both
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .angular import Block
 
@@ -30,24 +33,29 @@ class ConvergenceError(RuntimeError):
 class SpectrumReport:
     """Eigenstructure of one constant-j block, with every block residual.
 
-    jz_eigenvalues are in absolute units (hbar times m), sorted
-    descending; casimir_value is the block's J^2 eigenvalue;
-    max_residual combines the casimir spread with the deviation of the
-    J_z spectrum from the exact grid {j, j-1, ..., -j} hbar.  The other
-    residuals each measure one property of a correct spin-j block and
-    vanish on it (up to rounding).
+    Built by ``diagonal_report`` from the J_z diagonal and the
+    Gershgorin discs of the Hermitized J^2, with no eigensolve.
+    jz_eigenvalues are the J_z diagonal in absolute units (hbar times
+    m), sorted descending; casimir_value is the J^2 trace over the block
+    dimension, which is the mean J^2 eigenvalue exactly; max_residual
+    combines the casimir spread with the deviation of the J_z spectrum
+    from the exact grid {j, j-1, ..., -j} hbar.  The other residuals
+    each measure one property of a correct spin-j block and vanish on it
+    (up to rounding).
     """
 
     two_j: int
     jz_eigenvalues: tuple[float, ...]
     casimir_value: float
     max_residual: float
-    spread: float           # largest minus smallest J^2 eigenvalue
+    # Gershgorin bound max(d + r) - min(d - r) on the spread of the J^2
+    # eigenvalues; equal to the spread when J^2 is diagonal (r = 0)
+    spread: float
     value_dev: float        # |casimir - j(j+1) hbar^2|
     grid_dev: float         # largest |J_z level - grid level|
     mean_square_dev: float  # |3 <J_z^2> - casimir|
     sum_rule_dev: float     # |lhs - rhs| of the sum rule, in quarters
-    dim_dev: float          # |number of J_z levels - (2j + 1)|
+    dim_dev: float          # |number of distinct J_z levels - (2j + 1)|
 
 
 @dataclass(frozen=True)
@@ -137,48 +145,81 @@ def jacobi_eigen(
     return eigvals[order], v[:, order]
 
 
-def block_report(block: Block, tol: float = 1e-12) -> SpectrumReport:
-    """Spectrum report for one block, with every residual filled in.
+def gershgorin_discs(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Centres and radii of the Gershgorin discs of the Hermitian part.
 
-    Never raises on an inconsistent block: J^2 is Hermitized before the
-    eigensolve, so corrupted operators show up as residuals instead.
+    ``matrix`` is a square numpy array or scipy sparse matrix M.  The
+    centres are the (real) diagonal of H = (M + M^H)/2 and the radii its
+    off-diagonal absolute row sums, so every eigenvalue of H lies in some
+    [centre - radius, centre + radius].  A radius is exactly 0 on a row
+    where H has no off-diagonal entry.
     """
-    n = block.two_j
-    jz_levels = np.sort(np.diag(block.jz).real)[::-1]
-    cas = block.jx @ block.jx + block.jy @ block.jy + block.jz @ block.jz
-    eigvals, _ = jacobi_eigen(0.5 * (cas + cas.conj().T), tol)
-    value = float(np.mean(eigvals))
-    spread = float(eigvals[-1] - eigvals[0])
+    m = sp.csr_matrix(matrix)
+    h = ((m + m.conj().T) * 0.5).tocoo()
+    off = h.row != h.col
+    radii = np.bincount(h.row[off], weights=np.abs(h.data[off]), minlength=h.shape[0])
+    return h.diagonal().real, radii
+
+
+def diagonal_report(
+    two_j: int, hbar: float, jz_diag, cas_centres, cas_radii
+) -> SpectrumReport:
+    """Every report field of one block, read off three 1-D arrays.
+
+    ``jz_diag`` is the J_z diagonal on the block's rows; ``cas_centres``
+    and ``cas_radii`` are the block's rows of ``gershgorin_discs`` of
+    J^2.  Never raises: an inconsistent block shows up as residuals.
+    J_z levels closer than hbar/2 count as one level.
+    """
+    n = two_j
+    jz_levels = np.sort(np.real(jz_diag))[::-1]
+    value = float(np.mean(cas_centres))
+    spread = float(np.max(cas_centres + cas_radii) - np.min(cas_centres - cas_radii))
     j = 0.5 * n
-    grid = (j - np.arange(n + 1)) * block.hbar
+    grid = (j - np.arange(n + 1)) * hbar
     grid_dev = float(np.max(np.abs(jz_levels - grid)))
+    distinct = 1 + np.count_nonzero(jz_levels[:-1] - jz_levels[1:] >= 0.5 * hbar)
     lhs, rhs = sum_rule_check(n)
     return SpectrumReport(
         two_j=n,
-        jz_eigenvalues=tuple(float(x) for x in jz_levels),
+        jz_eigenvalues=tuple(jz_levels.tolist()),
         casimir_value=value,
         max_residual=spread + grid_dev,
         spread=spread,
-        value_dev=abs(value - j * (j + 1) * block.hbar * block.hbar),
+        value_dev=abs(value - j * (j + 1) * hbar * hbar),
         grid_dev=grid_dev,
         mean_square_dev=abs(_mean_square(jz_levels) - value),
         sum_rule_dev=float(abs(lhs - rhs)),
-        dim_dev=float(abs(len(jz_levels) - (n + 1))),
+        dim_dev=float(abs(distinct - (n + 1))),
+    )
+
+
+def block_report(block: Block) -> SpectrumReport:
+    """Spectrum report for one dense block, with every residual filled in.
+
+    Forms J^2 densely and passes its Gershgorin discs to
+    ``diagonal_report``, the same analysis ``verify`` runs on rows of the
+    global sparse J^2.  Never raises on an inconsistent block: J^2 is
+    Hermitized first, and corrupted operators show up as residuals.
+    """
+    cas = block.jx @ block.jx + block.jy @ block.jy + block.jz @ block.jz
+    return diagonal_report(
+        block.two_j, block.hbar, np.diag(block.jz), *gershgorin_discs(cas)
     )
 
 
 def analyze_block(block: Block, tol: float = 1e-12) -> SpectrumReport:
     """Spectrum report for one block: J_z levels and the casimir value.
 
-    Raises ValueError when the casimir eigenvalues on the block spread by
-    more than ``tol``: that never happens for a correctly built block and
-    signals a construction bug upstream.
+    Raises ValueError when the Gershgorin bound on the spread of the
+    casimir eigenvalues exceeds ``tol``: that never happens for a
+    correctly built block and signals a construction bug upstream.
     """
-    report = block_report(block, tol)
+    report = block_report(block)
     if report.spread > tol:
         raise ValueError(
-            f"casimir eigenvalues on block two_j={block.two_j} spread by "
-            f"{report.spread:.3e} (> {tol:.3e}); the block operators are inconsistent"
+            f"casimir eigenvalues on block two_j={block.two_j} spread by up "
+            f"to {report.spread:.3e} (> {tol:.3e}); the block operators are inconsistent"
         )
     return report
 

@@ -4,8 +4,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import schwinger.cli as cli
+import schwinger.spectra as spectra
+from schwinger import analyze_block, build_basis, build_set, extract_block
 from schwinger.cli import N_MAX_LIMIT, RunConfig, UsageError, _validate, main
 
 
@@ -67,6 +71,42 @@ class TestVerify:
         assert failed
         for name in failed:
             assert f"FAILED {name}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # state 3 is |2,0>, m = 1: the bump moves it onto the m = 0 level
+            ["--nmax", "4", "--corrupt", "jz,3,3,-1"],
+            # every J_z entry is pruned to 0, so each block has one level
+            ["--nmax", "3", "--hbar", "1e-16"],
+        ],
+    )
+    def test_collapsed_jz_levels_fail_block_dimension(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", "--no-meta", *argv)
+        assert code == 1
+        failed = {c["name"] for c in json.loads(out)["checks"] if not c["pass"]}
+        assert "block_dimension" in failed
+        assert "FAILED block_dimension" in err
+
+    @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
+    def test_blocks_read_off_sparse_operators(self, capsys, monkeypatch, hbar):
+        amset = build_set(build_basis(12), hbar)
+        dense = [analyze_block(extract_block(amset, n)) for n in range(13)]
+
+        def dense_path(*args, **kwargs):
+            raise AssertionError("verify took the dense block path")
+
+        monkeypatch.setattr(cli, "extract_block", dense_path)
+        monkeypatch.setattr(spectra, "jacobi_eigen", dense_path)
+        # absolute residuals grow like hbar^3: 1e-12 is too tight at hbar 2
+        code, out, _ = run_cli(capsys, "verify", "--nmax", "12", "--hbar", repr(hbar),
+                               "--tol", "1e-10", "--no-meta")
+        assert code == 0
+        blocks = json.loads(out)["blocks"]
+        assert len(blocks) == len(dense)
+        for b, r in zip(blocks, dense):
+            assert b["jz_spectrum"] == list(r.jz_eigenvalues)
+            assert abs(b["casimir"] - r.casimir_value) <= 8 * np.spacing(r.casimir_value)
 
     def test_bad_corrupt_spec(self, capsys):
         code, _, err = run_cli(

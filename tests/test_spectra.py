@@ -127,6 +127,44 @@ class TestAnalyzeBlock:
         assert report.grid_dev == report.sum_rule_dev == report.dim_dev == 0.0
 
 
+class TestSpreadAgainstJacobiOracle:
+    """block_report reads J^2 off its Gershgorin discs; Jacobi is the oracle."""
+
+    @staticmethod
+    def oracle_eigenvalues(block):
+        cas = block.jx @ block.jx + block.jy @ block.jy + block.jz @ block.jz
+        vals, _ = jacobi_eigen(0.5 * (cas + cas.conj().T))
+        return vals
+
+    @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
+    def test_exact_on_unperturbed_blocks(self, hbar):
+        amset = build_set(build_basis(6), hbar)
+        for n in range(7):
+            block = extract_block(amset, n)
+            vals = self.oracle_eigenvalues(block)
+            report = block_report(block)
+            assert abs(report.spread - (vals[-1] - vals[0])) <= 1e-12
+            assert abs(report.casimir_value - np.mean(vals)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(14))
+    def test_bounds_spread_of_perturbed_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        n = seed % 7
+        size = 10.0 ** -rng.integers(1, 7)
+        block = extract_block(build_set(build_basis(n), 1.0), n)
+        perturbed = {}
+        for name in ("jx", "jy", "jz"):
+            shape = (n + 1, n + 1)
+            m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            # Hermitian and dense: entries far off the tridiagonal band too
+            perturbed[name] = getattr(block, name) + size * (m + m.conj().T)
+        broken = dataclasses.replace(block, **perturbed)
+        vals = self.oracle_eigenvalues(broken)
+        report = block_report(broken)
+        assert report.spread >= vals[-1] - vals[0] - 1e-12
+        assert abs(report.casimir_value - np.mean(vals)) <= 1e-12
+
+
 class TestSumRule:
     @pytest.mark.parametrize(
         "two_j, quarters",
