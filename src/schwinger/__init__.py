@@ -25,7 +25,6 @@ from .classical import (
 )
 from .fock import FockBasis, OccupationPair, build_basis
 from .operators import (
-    PRUNE_TOL,
     SparseOperator,
     add,
     adjoint,
@@ -62,7 +61,6 @@ __all__ = [
     "ConvergenceError",
     "FockBasis",
     "OccupationPair",
-    "PRUNE_TOL",
     "SparseOperator",
     "SpectrumReport",
     "add",

@@ -110,15 +110,20 @@ def casimir(amset: AngularMomentumSet) -> SparseOperator:
     )
 
 
-def casimir_residual(amset: AngularMomentumSet, epsilon: float) -> SparseOperator:
+def casimir_residual(
+    amset: AngularMomentumSet, epsilon: float, *, cas: SparseOperator | None = None
+) -> SparseOperator:
     """J^2 - J (J + epsilon hbar 1).
 
     With epsilon = 1 (boson commutators) this vanishes identically on the
     whole truncated space: the square of the angular momentum is
     j(j+1) hbar^2, not j^2 hbar^2.  With epsilon = 0 it reduces to
     hbar J, the gap between the quantum and the classical square.
-    Intermediate epsilon just evaluates the same formula.
+    Intermediate epsilon just evaluates the same formula.  ``cas`` is
+    J^2 when the caller already holds it; by default it is built here.
     """
+    if cas is None:
+        cas = casimir(amset)
     jt = amset.jtot
     quad = add(multiply(jt, jt), scale(jt, epsilon * amset.hbar))
-    return add(casimir(amset), scale(quad, -1.0))
+    return add(cas, scale(quad, -1.0))

@@ -28,14 +28,26 @@ class OccupationPair(NamedTuple):
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Immutable enumeration of all pairs with n1 + n2 <= n_max."""
+    """Immutable enumeration of all pairs with n1 + n2 <= n_max.
+
+    Every position follows in closed form from ``position``; ``states``
+    enumerates the pairs on demand.
+    """
 
     n_max: int
-    states: tuple[OccupationPair, ...]
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return position(self.n_max + 1, 0)
+
+    @property
+    def states(self) -> tuple[OccupationPair, ...]:
+        """Every pair in basis order, built by direct enumeration."""
+        return tuple(
+            OccupationPair(n1, n - n1)
+            for n in range(self.n_max + 1)
+            for n1 in range(n, -1, -1)
+        )
 
     def index_of(self, pair: OccupationPair | tuple[int, int]) -> int:
         """Position of ``pair`` in the basis ordering.
@@ -80,12 +92,7 @@ def position(n1, n2):
 
 
 def build_basis(n_max: int) -> FockBasis:
-    """Enumerate the truncated basis; size is (n_max+1)(n_max+2)/2."""
+    """The truncated basis; size is (n_max+1)(n_max+2)/2."""
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    states = [
-        OccupationPair(n1, n - n1)
-        for n in range(n_max + 1)
-        for n1 in range(n, -1, -1)
-    ]
-    return FockBasis(n_max=n_max, states=tuple(states))
+    return FockBasis(n_max=n_max)

@@ -1,10 +1,11 @@
 """Sparse complex operator algebra over a truncated two-mode Fock basis.
 
 Each operator holds one canonical CSR matrix: column indices sorted
-within each row, duplicate positions merged, and entries of magnitude at
-most ``PRUNE_TOL`` dropped.  Every operation builds its result with a
-scipy.sparse kernel and passes it through the same canonicalizing step,
-so equality comparison stays well defined.
+within each row, duplicate positions merged, and exact zeros dropped.
+NaN and inf entries stay, so a check that meets one fails.  Every
+operation builds its result with a scipy.sparse kernel and passes it
+through the same canonicalizing step, so equality comparison stays well
+defined.
 
 All operations are pure and every SparseOperator is immutable: the
 arrays of its matrix are read-only.
@@ -18,10 +19,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fock import FockBasis, position
-
-# Absolute magnitude at or below which entries are dropped.  Small enough
-# not to touch genuine sqrt(n) matrix elements at any sane hbar.
-PRUNE_TOL = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,30 +98,22 @@ class SparseOperator:
         return multiply(self, other)
 
 
-def _canonical(m: sp.spmatrix, prune_tol: float) -> SparseOperator:
-    """Sort, merge duplicates, prune and freeze a freshly built matrix.
+def _canonical(m: sp.spmatrix) -> SparseOperator:
+    """Sort, merge duplicates, drop exact zeros and freeze a fresh matrix.
 
     ``m`` must not be shared with any other operator: it is modified in
     place.
     """
     m = m.tocsr()
     m.sum_duplicates()
-    # NaN entries fail the comparison and are dropped as well
-    m.data[~(np.abs(m.data) > prune_tol)] = 0.0
     m.eliminate_zeros()
     for arr in (m.data, m.indices, m.indptr):
         arr.flags.writeable = False
     return SparseOperator(m)
 
 
-def from_entries(
-    dim: int,
-    rows,
-    cols,
-    vals,
-    prune_tol: float = PRUNE_TOL,
-) -> SparseOperator:
-    """Canonicalize raw triplets: sort, merge duplicates, prune."""
+def from_entries(dim: int, rows, cols, vals) -> SparseOperator:
+    """Canonicalize raw triplets: sort, merge duplicates, drop exact zeros."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=np.complex128)
@@ -135,7 +124,7 @@ def from_entries(
     ):
         raise ValueError(f"triplet index outside a {dim}x{dim} matrix")
     m = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=np.complex128)
-    return _canonical(m, prune_tol)
+    return _canonical(m)
 
 
 def identity(dim: int) -> SparseOperator:
@@ -172,9 +161,9 @@ def number_operator(basis: FockBasis, mode: int) -> SparseOperator:
     return from_entries(basis.size, idx, idx, n1 if mode == 1 else n2)
 
 
-def adjoint(op: SparseOperator, prune_tol: float = PRUNE_TOL) -> SparseOperator:
+def adjoint(op: SparseOperator) -> SparseOperator:
     """Conjugate transpose.  In the truncated space a_k^dag = adjoint(a_k)."""
-    return _canonical(op._csr.conj().T, prune_tol)
+    return _canonical(op._csr.conj().T)
 
 
 def _check_dims(a: SparseOperator, b: SparseOperator):
@@ -182,32 +171,23 @@ def _check_dims(a: SparseOperator, b: SparseOperator):
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def multiply(
-    a: SparseOperator, b: SparseOperator, prune_tol: float = PRUNE_TOL
-) -> SparseOperator:
+def multiply(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     _check_dims(a, b)
-    return _canonical(a._csr @ b._csr, prune_tol)
+    return _canonical(a._csr @ b._csr)
 
 
-def add(
-    a: SparseOperator, b: SparseOperator, prune_tol: float = PRUNE_TOL
-) -> SparseOperator:
+def add(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     _check_dims(a, b)
-    return _canonical(a._csr + b._csr, prune_tol)
+    return _canonical(a._csr + b._csr)
 
 
-def scale(
-    a: SparseOperator, c: complex, prune_tol: float = PRUNE_TOL
-) -> SparseOperator:
-    return _canonical(a._csr * complex(c), prune_tol)
+def scale(a: SparseOperator, c: complex) -> SparseOperator:
+    return _canonical(a._csr * complex(c))
 
 
-def commutator(
-    a: SparseOperator, b: SparseOperator, prune_tol: float = PRUNE_TOL
-) -> SparseOperator:
+def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     """ab - ba.  For the truncated ladder operators [a_k, a_k^dag] equals
     the identity only below the top shell n1 + n2 = n_max; the deviation
     there is real and expected, not a bug."""
     _check_dims(a, b)
-    return add(multiply(a, b, prune_tol), scale(multiply(b, a, prune_tol), -1.0),
-               prune_tol)
+    return add(multiply(a, b), scale(multiply(b, a), -1.0))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -7,9 +8,17 @@ import sys
 import numpy as np
 import pytest
 
+import schwinger.angular as angular
 import schwinger.cli as cli
 import schwinger.spectra as spectra
-from schwinger import analyze_block, build_basis, build_set, extract_block
+from schwinger import (
+    add,
+    analyze_block,
+    build_basis,
+    build_set,
+    extract_block,
+    from_entries,
+)
 from schwinger.cli import N_MAX_LIMIT, RunConfig, UsageError, _validate, main
 
 
@@ -77,8 +86,6 @@ class TestVerify:
         [
             # state 3 is |2,0>, m = 1: the bump moves it onto the m = 0 level
             ["--nmax", "4", "--corrupt", "jz,3,3,-1"],
-            # every J_z entry is pruned to 0, so each block has one level
-            ["--nmax", "3", "--hbar", "1e-16"],
         ],
     )
     def test_collapsed_jz_levels_fail_block_dimension(self, capsys, argv):
@@ -107,6 +114,56 @@ class TestVerify:
         for b, r in zip(blocks, dense):
             assert b["jz_spectrum"] == list(r.jz_eigenvalues)
             assert abs(b["casimir"] - r.casimir_value) <= 8 * np.spacing(r.casimir_value)
+
+    @pytest.mark.parametrize("hbar", ["1e-10", "1e-16", "1.054571817e-34"])
+    def test_tiny_hbar_gives_exact_casimir(self, capsys, hbar):
+        code, out, _ = run_cli(capsys, "verify", "--nmax", "6", "--hbar", hbar,
+                               "--no-meta")
+        assert code == 0
+        h = float(hbar)
+        for b in json.loads(out)["blocks"]:
+            j = 0.5 * b["two_j"]
+            expected = j * (j + 1) * h * h
+            assert abs(b["casimir"] - expected) <= 8 * np.spacing(expected)
+        code, _, err = run_cli(capsys, "verify", "--nmax", "6", "--hbar", hbar,
+                               "--no-meta", "--corrupt", "jx,1,3,1e-6")
+        assert code == 1 and "FAILED hermitian_jx" in err
+
+    def test_small_corruption_applied(self):
+        amset = build_set(build_basis(4), 1.0)
+        bumped = cli._apply_corruption(amset, "jx,1,3,1e-17")
+        assert bumped.jx != amset.jx
+        assert bumped.jx.to_dense()[1, 3] == 1e-17
+
+    @pytest.mark.parametrize(
+        "name, row, col, expected",
+        [
+            # (1, 3) links blocks 1 and 2 with block 0 clean, so a maximum
+            # that drops NaN would pass block_structure and the block spread
+            ("jx", 1, 3, {"hermitian_jx", "block_structure", "casimir_block_spread"}),
+            ("jtot", 2, 2, {"total_momentum_diagonal"}),
+        ],
+    )
+    def test_nan_entry_fails_checks(self, name, row, col, expected):
+        amset = build_set(build_basis(3), 1.0)
+        op = getattr(amset, name)
+        nan = from_entries(op.dim, [row], [col], [np.nan])
+        bad = dataclasses.replace(amset, **{name: add(op, nan)})
+        checks, _ = cli.run_battery(RunConfig(n_max=3), bad)
+        assert expected <= {c["name"] for c in checks if not c["pass"]}
+
+    def test_casimir_built_once(self, capsys, monkeypatch):
+        calls = []
+        real = angular.casimir
+
+        def counting(amset):
+            calls.append(amset)
+            return real(amset)
+
+        monkeypatch.setattr(angular, "casimir", counting)
+        monkeypatch.setattr(cli, "casimir", counting)
+        code, _, _ = run_cli(capsys, "verify", "--nmax", "6", "--no-meta")
+        assert code == 0 and len(calls) == 1
 
     def test_bad_corrupt_spec(self, capsys):
         code, _, err = run_cli(
@@ -200,6 +257,13 @@ class TestSpectrum:
         rows = parse_csv(out)
         assert len(rows) == 4
         assert [int(r["two_mj"]) for r in rows] == [3, 1, -1, -3]
+
+    def test_tiny_hbar_casimir(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "--n", "3", "--hbar", "1e-16",
+                               "--no-meta")
+        assert code == 0
+        casimir = json.loads(out)["casimir"]
+        assert abs(casimir - 3.75e-32) <= 8 * np.spacing(3.75e-32)
 
     def test_block_must_fit_cutoff(self, capsys):
         code, _, err = run_cli(
@@ -410,6 +474,21 @@ class TestParser:
         code, out, err = run_cli(capsys, *argv, "--no-meta")
         assert code == 2 and out == ""
         assert err.startswith(f"error: {flag}")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--nmax", "3"],
+            ["spectrum", "--n", "3"],
+            ["classical", "--count", "3"],
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_hbar_rejected(self, capsys, argv, fmt):
+        code, out, err = run_cli(capsys, *argv, "--hbar", "1e200", "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --hbar") and err.count("\n") == 1
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

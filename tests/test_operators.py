@@ -182,9 +182,16 @@ class TestCanonicalForm:
         assert op.nnz == 2
         assert entry(op, 0, 1) == 3.0
 
-    def test_prune_small_entries(self):
+    def test_small_entries_kept(self):
         op = from_entries(2, [0, 1], [0, 1], [1e-16, 1.0])
-        assert op.nnz == 1
+        assert op.nnz == 2
+        assert entry(op, 0, 0) == 1e-16
+
+    def test_non_finite_entries_kept(self):
+        op = from_entries(3, [0, 1, 2], [0, 1, 2], [np.nan, np.inf, 0.0])
+        assert op.nnz == 2
+        assert np.isnan(entry(op, 0, 0)) and entry(op, 1, 1) == np.inf
+        assert np.isnan(op.max_abs())
 
     def test_exact_cancellation_pruned(self):
         op = from_entries(2, [0, 0], [0, 0], [1.0, -1.0])
