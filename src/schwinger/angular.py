@@ -48,10 +48,9 @@ class Block:
     """Dense restriction of the J operators to one constant-n block.
 
     two_j equals the total occupation n of the block; the matrices have
-    dimension two_j + 1 and are Hermitian by construction.  Used by the
-    single-block ``spectrum`` command and as the small-block oracle in
-    the tests; ``verify`` reads every block off the global sparse
-    operators instead and never builds one.
+    dimension two_j + 1 and are Hermitian by construction.  The
+    small-block oracle of the tests; every command reads its blocks off
+    the global sparse operators instead and never builds one.
     """
 
     two_j: int

@@ -25,12 +25,11 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .angular import AngularMomentumSet, build_set, casimir, casimir_residual, extract_block
+from .angular import AngularMomentumSet, build_set, casimir, casimir_residual
 from .classical import classical_components, sample_states
 from .fock import build_basis
 from .operators import SparseOperator, add, adjoint, commutator, from_entries, scale
 from .spectra import (
-    analyze_block,
     cos_theta,
     diagonal_report,
     gershgorin_discs,
@@ -42,6 +41,16 @@ from .spectra import (
 # Guard against accidental quadratic blowup: n_max = 500 is dimension
 # 125751 already.  Override with --force.
 N_MAX_LIMIT = 500
+
+# Caps on the table commands, each about where a run takes 1-2 s and
+# writes some 4-14 MB of JSON: angle and limit build one row per level,
+# sumrule does O(two_j) work per row.
+TWO_J_LIMIT = 100_000
+SUM_RULE_TWO_J_LIMIT = 30_000
+
+# below this hbar, hbar^2 underflows the smallest normal double and every
+# casimir would read 0 against an expected 0
+HBAR_FLOOR = math.sqrt(np.finfo(float).tiny)
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -71,6 +80,11 @@ def _require_positive(flag: str, value: float):
         raise UsageError(f"{flag} must be positive and finite, got {value}")
 
 
+def _require_at_most(flag: str, value: float, limit: float):
+    if value > limit:
+        raise UsageError(f"{flag} {value} exceeds the limit {limit}")
+
+
 def _validate(config: RunConfig):
     if config.n_max < 0:
         raise UsageError(f"--nmax must be non-negative, got {config.n_max}")
@@ -81,6 +95,10 @@ def _validate(config: RunConfig):
         )
     _require_positive("--tol", config.tol)
     _require_positive("--hbar", config.hbar)
+    if config.hbar < HBAR_FLOOR:
+        raise UsageError(
+            f"--hbar {config.hbar} is below {HBAR_FLOOR:.4g}, where hbar^2 underflows"
+        )
     if config.format not in ("csv", "json"):
         raise UsageError(f"unknown format {config.format!r}")
 
@@ -166,6 +184,35 @@ def _total_momentum_residual(amset: AngularMomentumSet) -> float:
     return float(np.max(np.abs(np.concatenate(deviations))))
 
 
+def _block_reports(amset: AngularMomentumSet, cas: SparseOperator, ns) -> list:
+    """The ``SpectrumReport`` of each block n in ``ns``.
+
+    Every block is read off its rows of the global J_z and of ``cas``,
+    the global J^2; a radius also counts J^2 entries that leak into
+    other blocks.
+    """
+    centres, radii = gershgorin_discs(cas.to_csr())
+    jz_diag = amset.jz.to_csr().diagonal()
+    reports = []
+    for n in ns:
+        rows = amset.basis.block_range(n)
+        sl = slice(rows.start, rows.stop)
+        reports.append(diagonal_report(n, amset.hbar, jz_diag[sl], centres[sl], radii[sl]))
+    return reports
+
+
+def _verdict(checks: list[dict], tol: float) -> int:
+    """Print one FAILED line per failed check to stderr; the exit code."""
+    failed = [c for c in checks if not c["pass"]]
+    for c in failed:
+        print(
+            f"FAILED {c['name']}: max_residual {_fmt(c['max_residual'])} "
+            f"> tol {_fmt(tol)}",
+            file=sys.stderr,
+        )
+    return EXIT_FAILED if failed else EXIT_OK
+
+
 def run_battery(config: RunConfig, amset: AngularMomentumSet):
     """Run every verification check; returns (checks, blocks).
 
@@ -204,15 +251,7 @@ def run_battery(config: RunConfig, amset: AngularMomentumSet):
     classical_form = add(casimir_residual(amset, 0.0, cas=cas), scale(jt, -hbar))
     checks.append(("quadratic_identity_classical_form", classical_form.max_abs()))
 
-    # every block is read off its rows of the global J_z and J^2; a
-    # radius also counts J^2 entries that leak into other blocks
-    centres, radii = gershgorin_discs(cas.to_csr())
-    jz_diag = jz.to_csr().diagonal()
-    reports = []
-    for n in range(config.n_max + 1):
-        rows = amset.basis.block_range(n)
-        sl = slice(rows.start, rows.stop)
-        reports.append(diagonal_report(n, hbar, jz_diag[sl], centres[sl], radii[sl]))
+    reports = _block_reports(amset, cas, range(config.n_max + 1))
     for name, field in (
         ("block_dimension", "dim_dev"),
         ("jz_spectrum_grid", "grid_dev"),
@@ -291,15 +330,7 @@ def cmd_verify(config: RunConfig, corrupt: str | None = None) -> int:
         for b in blocks
     ]
     _emit(config, "verify", json_doc, header, rows)
-
-    failed = [c for c in checks if not c["pass"]]
-    for c in failed:
-        print(
-            f"FAILED {c['name']}: max_residual {_fmt(c['max_residual'])} "
-            f"> tol {_fmt(config.tol)}",
-            file=sys.stderr,
-        )
-    return EXIT_FAILED if failed else EXIT_OK
+    return _verdict(checks, config.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +343,7 @@ def cmd_spectrum(config: RunConfig, n: int) -> int:
     if n > config.n_max:
         raise UsageError(f"--n {n} exceeds --nmax {config.n_max}")
     amset = build_set(build_basis(config.n_max), config.hbar)
-    report = analyze_block(extract_block(amset, n), config.tol)
+    (report,) = _block_reports(amset, casimir(amset), [n])
     mean_square = mean_square_from_spectrum(report)
     rows = [
         {"record": "row", "two_j": n, "two_mj": n - 2 * k,
@@ -335,12 +366,15 @@ def cmd_spectrum(config: RunConfig, n: int) -> int:
     }
     header = ["record", "two_j", "two_mj", "jz", "casimir", "mean_square"]
     _emit(config, "spectrum", json_doc, header, rows)
-    return EXIT_OK
+    check = {"name": "casimir_block_spread", "max_residual": report.spread,
+             "pass": report.spread <= config.tol}
+    return _verdict([check], config.tol)
 
 
 def cmd_sumrule(config: RunConfig, two_j_max: int) -> int:
     if two_j_max < 0:
         raise UsageError(f"--two-j-max must be non-negative, got {two_j_max}")
+    _require_at_most("--two-j-max", two_j_max, SUM_RULE_TWO_J_LIMIT)
     rows = []
     all_pass = True
     for k in range(two_j_max + 1):
@@ -364,6 +398,7 @@ def cmd_sumrule(config: RunConfig, two_j_max: int) -> int:
 def cmd_angle(config: RunConfig, two_j: int, epsilon: float) -> int:
     if two_j < 1:
         raise UsageError(f"angle undefined at two_j={two_j}: |J| = 0 there")
+    _require_at_most("--two-j", two_j, TWO_J_LIMIT)
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise UsageError(f"--epsilon must be non-negative and finite, got {epsilon}")
     rows = [
@@ -385,6 +420,7 @@ def cmd_angle(config: RunConfig, two_j: int, epsilon: float) -> int:
 def cmd_limit(config: RunConfig, two_j_max: int, epsilon: float) -> int:
     if two_j_max < 1:
         raise UsageError(f"--two-j-max must be at least 1, got {two_j_max}")
+    _require_at_most("--two-j-max", two_j_max, TWO_J_LIMIT)
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise UsageError(f"--epsilon must be non-negative and finite, got {epsilon}")
     results = limit_scan(two_j_max, epsilon)
@@ -413,6 +449,11 @@ def cmd_classical(config: RunConfig, count: int, bound: float) -> int:
         raise UsageError(f"--count must be at least 1, got {count}")
     _require_positive("--bound", bound)
     _validate(config)
+    top = config.hbar * bound * bound  # jtot <= hbar * bound^2
+    # the squares below reach top^2 up to rounding; the factor 2 is headroom
+    if not math.isfinite(2.0 * top * top):
+        raise UsageError(f"--hbar {config.hbar} with --bound {bound}: a result "
+                         "overflows to a non-finite value")
     states = sample_states(count, bound, config.seed, config.hbar)
     tiny = float(np.finfo(float).tiny)
     rows = []
@@ -420,12 +461,8 @@ def cmd_classical(config: RunConfig, count: int, bound: float) -> int:
     jtots = []
     for idx, state in enumerate(states):
         comps = classical_components(state)
-        try:
-            lhs = comps.jx ** 2 + comps.jy ** 2 + comps.jz ** 2
-            denom = max(comps.jtot ** 2, tiny)
-        except OverflowError:
-            raise UsageError(f"--hbar {config.hbar} with --bound {bound}: a result "
-                             "overflows to a non-finite value") from None
+        lhs = comps.jx ** 2 + comps.jy ** 2 + comps.jz ** 2
+        denom = max(comps.jtot ** 2, tiny)
         rel = abs(lhs - comps.jtot ** 2) / denom
         max_rel = max(max_rel, rel)
         jtots.append(comps.jtot)
@@ -433,7 +470,6 @@ def cmd_classical(config: RunConfig, count: int, bound: float) -> int:
             {"record": "sample", "index": idx, "jx": comps.jx, "jy": comps.jy,
              "jz": comps.jz, "jtot": comps.jtot, "rel_residual": rel}
         )
-    top = config.hbar * bound * bound  # jtot <= hbar * bound^2
     counts, edges = np.histogram(jtots, bins=HIST_BINS, range=(0.0, top))
     rows += [
         {"record": "hist", "bin_lo": float(edges[i]), "bin_hi": float(edges[i + 1]),
@@ -467,6 +503,7 @@ def _two_j_from_decimal(j: float) -> int:
     two_j = 2.0 * j
     if not (math.isfinite(two_j) and two_j == round(two_j)):
         raise UsageError(f"--j must end in .0 or .5, got {j}")
+    _require_at_most("--j", j, TWO_J_LIMIT / 2)
     return int(round(two_j))
 
 
@@ -572,9 +609,6 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             return _dispatch(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -65,8 +65,19 @@ class SparseOperator:
         return float(np.max(np.abs(self.vals))) if self.nnz else 0.0
 
     def fro_norm(self) -> float:
-        """Frobenius norm over the stored entries."""
-        return float(np.sqrt(np.sum(np.abs(self.vals) ** 2)))
+        """Frobenius norm over the stored entries.
+
+        sqrt(sum |v|^2), except when that sum overflows: then the entries
+        are first scaled by the largest magnitude, so a norm that fits in
+        a double comes out finite.
+        """
+        mags = np.abs(self.vals)
+        with np.errstate(over="ignore"):
+            total = np.sum(mags ** 2)
+        if np.isinf(total) and np.isfinite(mags.max()):
+            big = mags.max()
+            return float(big * np.sqrt(np.sum((mags / big) ** 2)))
+        return float(np.sqrt(total))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseOperator):
@@ -78,24 +89,6 @@ class SparseOperator:
             and np.array_equal(a.indices, b.indices)
             and np.array_equal(a.data, b.data)
         )
-
-    # light sugar; the canonical API is the module-level functions
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        return add(self, other)
-
-    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return add(self, scale(other, -1.0))
-
-    def __neg__(self) -> "SparseOperator":
-        return scale(self, -1.0)
-
-    def __mul__(self, c: complex) -> "SparseOperator":
-        return scale(self, c)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
-        return multiply(self, other)
 
 
 def _canonical(m: sp.spmatrix) -> SparseOperator:

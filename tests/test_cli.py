@@ -19,7 +19,16 @@ from schwinger import (
     extract_block,
     from_entries,
 )
-from schwinger.cli import N_MAX_LIMIT, RunConfig, UsageError, _validate, main
+from schwinger.cli import (
+    HBAR_FLOOR,
+    N_MAX_LIMIT,
+    SUM_RULE_TWO_J_LIMIT,
+    TWO_J_LIMIT,
+    RunConfig,
+    UsageError,
+    _validate,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -103,7 +112,7 @@ class TestVerify:
         def dense_path(*args, **kwargs):
             raise AssertionError("verify took the dense block path")
 
-        monkeypatch.setattr(cli, "extract_block", dense_path)
+        monkeypatch.setattr(angular, "extract_block", dense_path)
         monkeypatch.setattr(spectra, "jacobi_eigen", dense_path)
         # absolute residuals grow like hbar^3: 1e-12 is too tight at hbar 2
         code, out, _ = run_cli(capsys, "verify", "--nmax", "12", "--hbar", repr(hbar),
@@ -128,6 +137,23 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--nmax", "6", "--hbar", hbar,
                                "--no-meta", "--corrupt", "jx,1,3,1e-6")
         assert code == 1 and "FAILED hermitian_jx" in err
+
+    def test_hbar_near_floor_gives_exact_casimir(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--nmax", "6", "--hbar", "1e-150",
+                               "--no-meta")
+        assert code == 0
+        for b in json.loads(out)["blocks"]:
+            j = 0.5 * b["two_j"]
+            expected = j * (j + 1) * 1e-300
+            assert abs(b["casimir"] - expected) <= 8 * np.spacing(expected)
+
+    def test_large_hbar_residuals_finite(self, capsys):
+        # the casimir commutator entries reach about 1e300 here; their
+        # squares overflow, the Frobenius norms must not
+        code, out, err = run_cli(capsys, "verify", "--nmax", "3", "--hbar", "1e100",
+                                 "--no-meta")
+        assert code == 1 and "FAILED casimir_commutes_x" in err
+        assert all(np.isfinite(c["max_residual"]) for c in json.loads(out)["checks"])
 
     def test_small_corruption_applied(self):
         amset = build_set(build_basis(4), 1.0)
@@ -283,6 +309,35 @@ class TestSpectrum:
         assert all(float(r["casimir"]) == doc["casimir"] for r in rows)
         assert all(float(r["mean_square"]) == doc["mean_square"] for r in rows)
 
+    @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
+    def test_block_read_off_sparse_operators(self, capsys, monkeypatch, hbar):
+        amset = build_set(build_basis(8), hbar)
+        dense = [analyze_block(extract_block(amset, n)) for n in range(9)]
+
+        def dense_path(*args, **kwargs):
+            raise AssertionError("spectrum took the dense block path")
+
+        monkeypatch.setattr(angular, "extract_block", dense_path)
+        monkeypatch.setattr(spectra, "block_report", dense_path)
+        for n, r in enumerate(dense):
+            code, out, _ = run_cli(capsys, "spectrum", "--n", str(n), "--nmax", "8",
+                                   "--hbar", repr(hbar), "--no-meta")
+            assert code == 0
+            doc = json.loads(out)
+            assert [row["jz"] for row in doc["rows"]] == list(r.jz_eigenvalues)
+            assert abs(doc["casimir"] - r.casimir_value) <= 8 * np.spacing(r.casimir_value)
+
+    @pytest.mark.parametrize("flags", [["--tol", "1e-100"], ["--hbar", "1e120"]])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_spread_above_tol_fails(self, capsys, flags, fmt):
+        code, out, err = run_cli(capsys, "spectrum", "--n", "3", *flags,
+                                 "--format", fmt, "--no-meta")
+        assert code == 1
+        assert err.startswith("FAILED casimir_block_spread: max_residual ")
+        assert err.count("\n") == 1
+        rows = json.loads(out)["rows"] if fmt == "json" else parse_csv(out)
+        assert [int(r["two_mj"]) for r in rows] == [3, 1, -1, -3]
+
 
 class TestSumrule:
     def test_table(self, capsys):
@@ -427,6 +482,13 @@ class TestClassical:
         code, _, _ = run_cli(capsys, "classical", "--count", "0", "--no-meta")
         assert code == 2
 
+    def test_overflowing_bound_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "classical", "--count", "3", "--bound",
+                                 "1e160", "--no-meta")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --hbar 1.0 with --bound 1e+160")
+        assert err.count("\n") == 1
+
     def test_csv_json_parity(self, capsys):
         args = ("classical", "--count", "25", "--seed", "4", "--no-meta")
         _, json_out, _ = run_cli(capsys, *args)
@@ -489,6 +551,54 @@ class TestParser:
         code, out, err = run_cli(capsys, *argv, "--hbar", "1e200", "--format", fmt)
         assert code == 2 and out == ""
         assert err.startswith("error: --hbar") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--nmax", "3"],
+            ["spectrum", "--n", "3"],
+            ["classical", "--count", "3"],
+        ],
+    )
+    def test_hbar_below_floor_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--hbar", "1e-200", "--no-meta")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --hbar 1e-200") and err.count("\n") == 1
+        code, _, _ = run_cli(capsys, *argv, "--hbar", "1e-150", "--no-meta")
+        assert code == 0
+
+    def test_hbar_floor_is_where_the_square_underflows(self):
+        tiny = np.finfo(float).tiny
+        assert HBAR_FLOOR * HBAR_FLOOR >= tiny
+        below = np.nextafter(HBAR_FLOOR, 0.0)
+        assert below * below < tiny
+        _validate(RunConfig(n_max=1, hbar=HBAR_FLOOR))
+        with pytest.raises(UsageError):
+            _validate(RunConfig(n_max=1, hbar=float(below)))
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["angle", "--two-j", str(TWO_J_LIMIT + 1)], "--two-j"),
+            (["angle", "--two-j", "1" + "0" * 400], "--two-j"),
+            (["angle", "--j", "1e300"], "--j"),
+            (["angle", "--j", repr(TWO_J_LIMIT / 2 + 0.5)], "--j"),
+            (["limit", "--two-j-max", str(TWO_J_LIMIT + 1)], "--two-j-max"),
+            (["sumrule", "--two-j-max", str(SUM_RULE_TWO_J_LIMIT + 1)], "--two-j-max"),
+        ],
+    )
+    def test_table_size_capped(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv, "--no-meta")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(two_j):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "sum_rule_check", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["sumrule", "--two-j-max", "2", "--no-meta"])
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

@@ -206,6 +206,13 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             from_entries(2, [0], [2], [1.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fro_norm_survives_overflowing_squares(self):
+        op = from_entries(2, [0, 1], [0, 1], [3e200, 4e200])
+        assert abs(op.fro_norm() - 5e200) <= np.spacing(5e200)
+        assert from_entries(2, [0], [0], [np.inf]).fro_norm() == np.inf
+        assert from_entries(2, [0, 1], [0, 1], [3.0, 4.0]).fro_norm() == 5.0
+
     def test_values_immutable(self):
         op = annihilation(build_basis(2), 1)
         with pytest.raises(ValueError):
