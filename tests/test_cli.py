@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -10,13 +11,10 @@ import pytest
 
 import schwinger.angular as angular
 import schwinger.cli as cli
-import schwinger.spectra as spectra
 from schwinger import (
     add,
-    analyze_block,
     build_basis,
     build_set,
-    extract_block,
     from_entries,
 )
 from schwinger.cli import (
@@ -30,6 +28,8 @@ from schwinger.cli import (
     main,
 )
 
+from oracles import analyze_block, extract_block
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -39,6 +39,43 @@ def run_cli(capsys, *argv):
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def _smallest_unindexable_nmax():
+    """Least n_max whose basis, at 16 bytes a state, overflows np.intp."""
+    limit = np.iinfo(np.intp).max
+    n = math.isqrt(limit // 8) - 2  # 8 (n + 1)(n + 2) < limit here
+    while (n + 1) * (n + 2) // 2 * 16 <= limit:
+        n += 1
+    return n
+
+
+# one --corrupt directive at --nmax 4 that fails each verify check
+CHECK_BREAKERS = {
+    "hermitian_jx": "jx,1,3,1e-6",
+    "hermitian_jy": "jy,3,5,-1e-6",
+    "hermitian_jz": "jz,1,2,1e-3",
+    "hermitian_jtot": "jtot,1,2,1e-3",
+    "block_structure": "jtot,0,1,1e-3",
+    "total_momentum_diagonal": "jtot,2,2,1e-3",
+    "commutator_xy_z": "jz,4,4,1e-6",
+    "commutator_yz_x": "jz,4,4,1e-6",
+    "commutator_zx_y": "jz,4,4,1e-6",
+    "casimir_commutes_x": "jz,4,4,1e-6",
+    "casimir_commutes_y": "jz,4,4,1e-6",
+    "casimir_commutes_z": "jy,3,5,-1e-6",
+    "total_commutes_x": "jtot,2,2,1e-3",
+    "total_commutes_y": "jtot,2,2,1e-3",
+    "total_commutes_z": "jtot,1,2,1e-3",
+    "quadratic_identity_quantum": "jtot,2,2,1e-3",
+    "quadratic_identity_classical_form": "jtot,2,2,1e-3",
+    "block_dimension": "jz,3,3,-1",
+    "jz_spectrum_grid": "jz,4,4,1e-6",
+    "casimir_block_value": "jx,1,2,1e-3",
+    "casimir_block_spread": "jx,1,3,1e-6",
+    "mean_square_consistency": "jx,1,2,1e-3",
+    "sum_rule_blocks": "jz,3,3,-1",
+}
 
 
 class TestVerify:
@@ -90,6 +127,16 @@ class TestVerify:
         for name in failed:
             assert f"FAILED {name}" in err
 
+    @pytest.mark.parametrize("name, directive", sorted(CHECK_BREAKERS.items()))
+    def test_every_check_can_fail(self, capsys, name, directive):
+        code, out, err = run_cli(
+            capsys, "verify", "--nmax", "4", "--no-meta", "--corrupt", directive
+        )
+        checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+        assert set(checks) == set(CHECK_BREAKERS)
+        assert code == 1 and not checks[name]
+        assert f"FAILED {name}:" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -105,15 +152,9 @@ class TestVerify:
         assert "FAILED block_dimension" in err
 
     @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
-    def test_blocks_read_off_sparse_operators(self, capsys, monkeypatch, hbar):
+    def test_blocks_read_off_sparse_operators(self, capsys, hbar):
         amset = build_set(build_basis(12), hbar)
         dense = [analyze_block(extract_block(amset, n)) for n in range(13)]
-
-        def dense_path(*args, **kwargs):
-            raise AssertionError("verify took the dense block path")
-
-        monkeypatch.setattr(angular, "extract_block", dense_path)
-        monkeypatch.setattr(spectra, "jacobi_eigen", dense_path)
         # absolute residuals grow like hbar^3: 1e-12 is too tight at hbar 2
         code, out, _ = run_cli(capsys, "verify", "--nmax", "12", "--hbar", repr(hbar),
                                "--tol", "1e-10", "--no-meta")
@@ -155,6 +196,13 @@ class TestVerify:
         assert code == 1 and "FAILED casimir_commutes_x" in err
         assert all(np.isfinite(c["max_residual"]) for c in json.loads(out)["checks"])
 
+    def test_far_corrupted_level_fails_sum_rule_finitely(self, capsys):
+        # the level sits at 2m = 2e160, whose square overflows
+        code, out, err = run_cli(capsys, "verify", "--nmax", "4", "--hbar", "1e-100",
+                                 "--corrupt", "jz,0,0,1e60", "--no-meta")
+        assert code == 1 and "FAILED sum_rule_blocks" in err
+        assert all(np.isfinite(c["max_residual"]) for c in json.loads(out)["checks"])
+
     def test_small_corruption_applied(self):
         amset = build_set(build_basis(4), 1.0)
         bumped = cli._apply_corruption(amset, "jx,1,3,1e-17")
@@ -168,6 +216,7 @@ class TestVerify:
             # that drops NaN would pass block_structure and the block spread
             ("jx", 1, 3, {"hermitian_jx", "block_structure", "casimir_block_spread"}),
             ("jtot", 2, 2, {"total_momentum_diagonal"}),
+            ("jz", 3, 3, {"jz_spectrum_grid", "sum_rule_blocks"}),
         ],
     )
     def test_nan_entry_fails_checks(self, name, row, col, expected):
@@ -310,15 +359,9 @@ class TestSpectrum:
         assert all(float(r["mean_square"]) == doc["mean_square"] for r in rows)
 
     @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
-    def test_block_read_off_sparse_operators(self, capsys, monkeypatch, hbar):
+    def test_block_read_off_sparse_operators(self, capsys, hbar):
         amset = build_set(build_basis(8), hbar)
         dense = [analyze_block(extract_block(amset, n)) for n in range(9)]
-
-        def dense_path(*args, **kwargs):
-            raise AssertionError("spectrum took the dense block path")
-
-        monkeypatch.setattr(angular, "extract_block", dense_path)
-        monkeypatch.setattr(spectra, "block_report", dense_path)
         for n, r in enumerate(dense):
             code, out, _ = run_cli(capsys, "spectrum", "--n", str(n), "--nmax", "8",
                                    "--hbar", repr(hbar), "--no-meta")
@@ -585,12 +628,24 @@ class TestParser:
             (["angle", "--j", repr(TWO_J_LIMIT / 2 + 0.5)], "--j"),
             (["limit", "--two-j-max", str(TWO_J_LIMIT + 1)], "--two-j-max"),
             (["sumrule", "--two-j-max", str(SUM_RULE_TWO_J_LIMIT + 1)], "--two-j-max"),
+            (["angle", "--two-j", "-3"], "--two-j"),
+            (["angle", "--j", "-1.5"], "--j"),
+            (["spectrum", "--n", "600"], "--n"),
+            (["verify", "--nmax", str(10**30), "--force"], "--nmax"),
+            (["verify", "--nmax", str(_smallest_unindexable_nmax()), "--force"], "--nmax"),
+            (["spectrum", "--n", str(_smallest_unindexable_nmax()), "--force"], "--n"),
         ],
     )
     def test_table_size_capped(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv, "--no-meta")
         assert code == 2 and out == ""
         assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+    def test_nmax_bound_is_where_indexing_overflows(self):
+        n = _smallest_unindexable_nmax()
+        _validate(RunConfig(n_max=n - 1, force=True))
+        with pytest.raises(UsageError, match="cannot be indexed"):
+            _validate(RunConfig(n_max=n, force=True))
 
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         def broken(two_j):

@@ -4,18 +4,19 @@ import dataclasses
 import numpy as np
 import pytest
 
+import schwinger
+import schwinger.angular as angular
+import schwinger.spectra as spectra
 from schwinger import (
-    analyze_block,
-    block_report,
     build_basis,
     build_set,
     cos_theta,
-    extract_block,
-    jacobi_eigen,
     limit_scan,
     mean_square_from_spectrum,
     sum_rule_check,
 )
+
+from oracles import analyze_block, block_report, extract_block, jacobi_eigen
 
 
 class TestJacobiEigen:
@@ -70,7 +71,7 @@ class TestJacobiEigen:
             jacobi_eigen([[0.0, 1.0], [0.0, 0.0]])
 
     def test_sweep_cap_raises(self):
-        from schwinger import ConvergenceError
+        from oracles import ConvergenceError
 
         with pytest.raises(ConvergenceError):
             jacobi_eigen([[0.0, 0.5], [0.5, 0.0]], max_sweeps=0)
@@ -279,3 +280,13 @@ class TestHbarIndependence:
                     table.append((n, two_mj, cos_theta(n, two_mj, 1.0)))
             tables.append(table)
         assert tables[0] == tables[1]
+
+
+def test_dense_oracles_not_in_package():
+    oracles = {"Block", "extract_block", "ConvergenceError", "jacobi_eigen",
+               "block_report", "analyze_block"}
+    assert not oracles & set(schwinger.__all__)
+    for module in (schwinger, angular, spectra):
+        assert not oracles & set(vars(module))
+    assert not any(getattr(v, "__module__", None) == angular.__name__
+                   for v in vars(spectra).values())
