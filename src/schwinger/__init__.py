@@ -18,6 +18,7 @@ from .classical import (
     ClassicalJ,
     ClassicalState,
     classical_components,
+    sample_amplitudes,
     sample_states,
     state_with_j,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "mean_square_from_spectrum",
     "multiply",
     "number_operator",
+    "sample_amplitudes",
     "sample_states",
     "scale",
     "state_with_j",

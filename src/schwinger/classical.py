@@ -5,7 +5,8 @@ amplitudes (alpha1, alpha2).  The angular-momentum components become
 real-valued functions and satisfy jx^2 + jy^2 + jz^2 = jtot^2 exactly:
 the square of a classical angular momentum is j^2, with no j(j+1)
 correction, and j ranges over a continuum instead of half integers.
-No matrices appear anywhere in this module.
+No matrices appear anywhere in this module; the sampler works on
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -88,34 +90,57 @@ _LCG_MASK = (1 << 64) - 1
 _TWO53 = float(1 << 53)
 
 
-def _uniforms(seed: int) -> Iterator[float]:
-    state = seed & _LCG_MASK
-    while True:
-        state = (state * _LCG_A + _LCG_C) & _LCG_MASK
-        yield (state >> 11) / _TWO53
+def _lcg_states(seed: int, count: int) -> np.ndarray:
+    """x_1 ... x_count of the generator started at x_0 = seed mod 2^64.
+
+    Jumps ahead by doubling (F. B. Brown, "Random number generation with
+    arbitrary strides", 1994): once x_1 ... x_L are known, the affine map
+    x_{k+L} = A_L x_k + C_L mod 2^64 fills the next L states at once, and
+    (A_{2L}, C_{2L}) = (A_L^2, A_L C_L + C_L).  The map is composed in
+    Python integers and applied in uint64, whose products wrap mod 2^64.
+    """
+    states = np.empty(count, dtype=np.uint64)
+    states[0] = ((seed & _LCG_MASK) * _LCG_A + _LCG_C) & _LCG_MASK
+    a, c, filled = _LCG_A, _LCG_C, 1
+    while filled < count:
+        step = min(filled, count - filled)
+        block = states[filled:filled + step]
+        np.multiply(states[:step], np.uint64(a), out=block)
+        block += np.uint64(c)
+        a, c, filled = (a * a) & _LCG_MASK, (a * c + c) & _LCG_MASK, filled + step
+    return states
 
 
-def sample_states(
-    count: int, amplitude_bound: float, seed: int, hbar: float = 1.0
-) -> list[ClassicalState]:
-    """Deterministic pseudo-random states, |alpha_k| <= amplitude_bound.
+def sample_amplitudes(
+    count: int, amplitude_bound: float, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Deterministic pseudo-random amplitudes, |alpha_k| <= amplitude_bound.
 
-    Each amplitude is drawn uniformly from the complex disc of the given
-    radius (radius = bound * sqrt(u), uniform phase).  The same seed
-    always reproduces the same sequence.
+    Returns (Re alpha1, Im alpha1, Re alpha2, Im alpha2), one float64
+    array each.  Sample i uses the uniforms u_{4i} ... u_{4i+3}: each
+    amplitude is drawn uniformly from the complex disc of the given
+    radius as (r cos t, r sin t) with r = bound * sqrt(u) and t = 2 pi u.
+    The same seed always reproduces the same sequence.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if amplitude_bound <= 0:
         raise ValueError(f"amplitude_bound must be positive, got {amplitude_bound}")
-    u = _uniforms(seed)
-    states = []
-    for _ in range(count):
-        r1 = amplitude_bound * math.sqrt(next(u))
-        t1 = 2.0 * math.pi * next(u)
-        r2 = amplitude_bound * math.sqrt(next(u))
-        t2 = 2.0 * math.pi * next(u)
-        states.append(
-            ClassicalState(cmath.rect(r1, t1), cmath.rect(r2, t2), hbar)
-        )
-    return states
+    u = (_lcg_states(seed, 4 * count) >> np.uint64(11)).astype(np.float64) / _TWO53
+    u_r1, u_t1, u_r2, u_t2 = u.reshape(count, 4).T
+    r1 = amplitude_bound * np.sqrt(u_r1)
+    r2 = amplitude_bound * np.sqrt(u_r2)
+    t1 = (2.0 * math.pi) * u_t1
+    t2 = (2.0 * math.pi) * u_t2
+    return r1 * np.cos(t1), r1 * np.sin(t1), r2 * np.cos(t2), r2 * np.sin(t2)
+
+
+def sample_states(
+    count: int, amplitude_bound: float, seed: int, hbar: float = 1.0
+) -> list[ClassicalState]:
+    """The samples of ``sample_amplitudes`` as ``ClassicalState`` objects."""
+    re1, im1, re2, im2 = sample_amplitudes(count, amplitude_bound, seed)
+    return [
+        ClassicalState(complex(x1, y1), complex(x2, y2), hbar)
+        for x1, y1, x2, y2 in zip(re1.tolist(), im1.tolist(), re2.tolist(), im2.tolist())
+    ]

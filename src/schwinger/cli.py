@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .angular import AngularMomentumSet, build_set, casimir, casimir_residual
-from .classical import classical_components, sample_states
+from .classical import sample_amplitudes
 from .fock import build_basis
 from .operators import SparseOperator, add, adjoint, commutator, from_entries, scale
 from .spectra import (
@@ -47,6 +47,8 @@ N_MAX_LIMIT = 500
 # sumrule does O(two_j) work per row.
 TWO_J_LIMIT = 100_000
 SUM_RULE_TWO_J_LIMIT = 30_000
+# classical writes about 200 bytes of JSON per sample
+COUNT_LIMIT = 1_000_000
 
 # below this hbar, hbar^2 underflows the smallest normal double and every
 # casimir would read 0 against an expected 0
@@ -118,6 +120,32 @@ def _validate(config: RunConfig, nmax_flag: str = "--nmax"):
 # ---------------------------------------------------------------------------
 # output plumbing
 
+# records rendered per piece of output, so no command holds its whole
+# document as text
+CHUNK_RECORDS = 8192
+
+
+@dataclass(frozen=True, eq=False)
+class Table:
+    """Records of one kind, held by column.
+
+    ``columns`` maps each field name to a list, range or 1-D numpy array
+    with one cell per record.  JSON writes the fields in this order; CSV
+    writes the columns its header names, tagged ``record``.
+    """
+
+    record: str
+    columns: dict
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+
+def _table(record: str, records: list[dict]) -> Table:
+    """The column form of a short list of dicts with the same keys."""
+    return Table(record, {k: [r[k] for r in records] for k in records[0]})
+
+
 def _fmt(value) -> str:
     """One fixed text form per cell type; floats use 17 significant digits.
 
@@ -136,40 +164,133 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_text(header: list[str], rows: list[dict]) -> str:
+def _json_value(value, depth: int) -> str:
+    """The text ``json.dumps(indent=2)`` writes for ``value`` at ``depth``."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        pad = "\n" + "  " * (depth + 1)
+        items = ("," + pad).join(_json_value(x, depth + 1) for x in value)
+        return "[" + pad + items + "\n" + "  " * depth + "]"
+    raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+def _json_cells(cells: list, depth: int) -> list[str]:
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        return list(map(float.__repr__, cells))
+    if kinds == {int}:
+        return list(map(int.__repr__, cells))
+    return [_json_value(v, depth) for v in cells]
+
+
+def _chunks(table: Table, names):
+    """(record count, cells of each named column) per chunk of ``table``."""
+    total = len(table)
+    for lo in range(0, total, CHUNK_RECORDS):
+        parts = [table.columns[name][lo:lo + CHUNK_RECORDS] for name in names]
+        yield min(CHUNK_RECORDS, total - lo), [
+            p.tolist() if isinstance(p, np.ndarray) else list(p) for p in parts
+        ]
+
+
+def _json_pieces(doc: dict):
+    """``json.dumps(doc, indent=2) + "\n"`` in pieces.
+
+    ``doc`` maps each top-level key to a scalar or a ``Table``, which is
+    written as a list of records through one per-record template.
+    """
+    text = "{"
+    for i, (key, value) in enumerate(doc.items()):
+        text += ("," if i else "") + "\n  " + json.dumps(key) + ": "
+        if not isinstance(value, Table):
+            text += _json_value(value, 1)
+            continue
+        if not len(value):
+            text += "[]"
+            continue
+        names = list(value.columns)
+        fields = ",\n      ".join(
+            json.dumps(name).replace("%", "%%") + ": %s" for name in names)
+        template = "    {\n      " + fields + "\n    }"
+        text += "[\n"
+        for _, cells in _chunks(value, names):
+            records = zip(*(_json_cells(c, 3) for c in cells))
+            yield text + ",\n".join(map(template.__mod__, records))
+            text = ",\n"
+        text = "\n  ]"
+    yield text + "\n}\n"
+
+
+def _csv_pieces(header: list[str], tables: list[Table]):
+    """The CSV document in pieces: ``header``, then each table's rows.
+
+    The ``record`` column holds the table's record tag; a column a table
+    does not have is left empty.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(row.get(col)) for col in header])
-    return buf.getvalue()
+    for table in tables:
+        names = [c for c in header if c in table.columns]
+        for n, cells in _chunks(table, names):
+            by_name = dict(zip(names, cells))
+            rows = [[table.record] * n if col == "record"
+                    else list(map(_fmt, by_name[col])) if col in by_name else [""] * n
+                    for col in header]
+            writer.writerows(zip(*rows))
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+    yield buf.getvalue()
 
 
-def _json_rows(rows: list[dict], record: str = "row") -> list[dict]:
-    """The rows tagged ``record``, without the CSV-only record column."""
-    return [{k: v for k, v in r.items() if k != "record"}
-            for r in rows if r["record"] == record]
+def _finite(cells) -> bool:
+    """False if a float among ``cells``, nested lists included, is NaN or inf."""
+    if isinstance(cells, np.ndarray):
+        return cells.dtype.kind != "f" or bool(np.isfinite(cells).all())
+    if isinstance(cells, range):
+        return True
+    return all(_finite(v) if isinstance(v, list)
+               else not isinstance(v, float) or math.isfinite(v) for v in cells)
 
 
 def _emit(config: RunConfig, command: str, json_doc: dict,
-          csv_header: list[str], csv_rows: list[dict]):
-    try:  # both encoders refuse NaN and inf
-        if config.format == "json":
-            text = json.dumps(json_doc, indent=2, allow_nan=False) + "\n"
-        else:
-            text = _csv_text(csv_header, csv_rows)
-    except ValueError:
+          csv_header: list[str], csv_tables: list[Table]):
+    """Write the JSON document or the CSV tables to stdout or --out.
+
+    Every float is checked to be finite before anything is written or
+    opened; the text then streams out ``CHUNK_RECORDS`` records at a time.
+    """
+    if config.format == "json":
+        pieces = _json_pieces(json_doc)
+        columns = [c for v in json_doc.values()
+                   for c in (v.columns.values() if isinstance(v, Table) else [[v]])]
+    else:
+        pieces = _csv_pieces(csv_header, csv_tables)
+        columns = [t.columns[c] for t in csv_tables for c in csv_header if c in t.columns]
+    if not all(map(_finite, columns)):
         raise UsageError(
             f"--hbar {config.hbar}: a result overflows to a non-finite value"
-        ) from None
+        )
     if not config.no_meta:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         print(f"# schwinger {__version__} | {command} | {stamp}", file=sys.stderr)
     if config.output_path:
         with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -316,32 +437,19 @@ def cmd_verify(config: RunConfig, corrupt: str | None = None) -> int:
         amset = _apply_corruption(amset, corrupt)
     checks, blocks = run_battery(config, amset)
 
+    check_table, block_table = _table("check", checks), _table("block", blocks)
     json_doc = {
         "n_max": config.n_max,
         "hbar": config.hbar,
         "tol": config.tol,
-        "checks": checks,
-        "blocks": blocks,
+        "checks": check_table,
+        "blocks": block_table,
     }
     header = ["record", "name", "value", "max_residual", "pass",
               "two_j", "casimir", "jz_spectrum", "sum_rule_pass"]
-    rows = [
-        {"record": "config", "name": "n_max", "value": config.n_max},
-        {"record": "config", "name": "hbar", "value": config.hbar},
-        {"record": "config", "name": "tol", "value": config.tol},
-    ]
-    rows += [
-        {"record": "check", "name": c["name"],
-         "max_residual": c["max_residual"], "pass": c["pass"]}
-        for c in checks
-    ]
-    rows += [
-        {"record": "block", "two_j": b["two_j"], "casimir": b["casimir"],
-         "jz_spectrum": b["jz_spectrum"],
-         "sum_rule_pass": b["sum_rule_pass"]}
-        for b in blocks
-    ]
-    _emit(config, "verify", json_doc, header, rows)
+    config_table = Table("config", {"name": ["n_max", "hbar", "tol"],
+                                    "value": [config.n_max, config.hbar, config.tol]})
+    _emit(config, "verify", json_doc, header, [config_table, check_table, block_table])
     return _verdict(checks, config.tol)
 
 
@@ -356,12 +464,7 @@ def cmd_spectrum(config: RunConfig, n: int, nmax_flag: str = "--nmax") -> int:
     amset = build_set(build_basis(config.n_max), config.hbar)
     (report,) = _block_reports(amset, casimir(amset), [n])
     mean_square = mean_square_from_spectrum(report)
-    rows = [
-        {"record": "row", "two_j": n, "two_mj": n - 2 * k,
-         "jz": report.jz_eigenvalues[k], "casimir": report.casimir_value,
-         "mean_square": mean_square}
-        for k in range(n + 1)
-    ]
+    levels = {"two_mj": range(n, -n - 1, -2), "jz": list(report.jz_eigenvalues)}
     json_doc = {
         "command": "spectrum",
         "n_max": config.n_max,
@@ -371,12 +474,13 @@ def cmd_spectrum(config: RunConfig, n: int, nmax_flag: str = "--nmax") -> int:
         "casimir": report.casimir_value,
         "mean_square": mean_square,
         "max_residual": report.max_residual,
-        "rows": [
-            {"two_mj": r["two_mj"], "jz": r["jz"]} for r in rows
-        ],
+        "rows": Table("row", levels),
     }
     header = ["record", "two_j", "two_mj", "jz", "casimir", "mean_square"]
-    _emit(config, "spectrum", json_doc, header, rows)
+    rows = Table("row", {"two_j": [n] * (n + 1), **levels,
+                         "casimir": [report.casimir_value] * (n + 1),
+                         "mean_square": [mean_square] * (n + 1)})
+    _emit(config, "spectrum", json_doc, header, [rows])
     check = {"name": "casimir_block_spread", "max_residual": report.spread,
              "pass": report.spread <= config.tol}
     return _verdict([check], config.tol)
@@ -385,45 +489,49 @@ def cmd_spectrum(config: RunConfig, n: int, nmax_flag: str = "--nmax") -> int:
 def cmd_sumrule(config: RunConfig, two_j_max: int) -> int:
     _require_non_negative("--two-j-max", two_j_max)
     _require_at_most("--two-j-max", two_j_max, SUM_RULE_TWO_J_LIMIT)
-    rows = []
-    all_pass = True
-    for k in range(two_j_max + 1):
-        lhs, rhs = sum_rule_check(k)
-        ok = lhs == rhs
-        all_pass = all_pass and ok
-        rows.append({"record": "row", "two_j": k, "lhs_quarters": lhs,
-                     "rhs_quarters": rhs, "pass": ok})
-    rows.append({"record": "summary", "pass": all_pass})
+    two_js = range(two_j_max + 1)
+    lhs, rhs = zip(*map(sum_rule_check, two_js))
+    passes = [a == b for a, b in zip(lhs, rhs)]
+    all_pass = all(passes)
+    rows = Table("row", {"two_j": two_js, "lhs_quarters": list(lhs),
+                         "rhs_quarters": list(rhs), "pass": passes})
     json_doc = {
         "command": "sumrule",
         "two_j_max": two_j_max,
-        "rows": _json_rows(rows),
+        "rows": rows,
         "all_pass": all_pass,
     }
     header = ["record", "two_j", "lhs_quarters", "rhs_quarters", "pass"]
-    _emit(config, "sumrule", json_doc, header, rows)
+    summary = Table("summary", {"pass": [all_pass]})
+    _emit(config, "sumrule", json_doc, header, [rows, summary])
     return EXIT_OK if all_pass else EXIT_FAILED
 
 
-def cmd_angle(config: RunConfig, two_j: int, epsilon: float) -> int:
+def cmd_angle(config: RunConfig, two_j: int, epsilon: float,
+              two_j_flag: str = "--two-j") -> int:
+    """``two_j_flag`` is the flag two_j came from (``--j`` gives j)."""
     if two_j < 1:
-        raise UsageError(f"angle undefined at two_j={two_j}: |J| = 0 there")
+        raise UsageError(
+            f"{two_j_flag} must be positive: the angle is undefined at j = 0, where |J| = 0"
+        )
     _require_at_most("--two-j", two_j, TWO_J_LIMIT)
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise UsageError(f"--epsilon must be non-negative and finite, got {epsilon}")
-    rows = [
-        {"record": "row", "two_j": two_j, "two_mj": two_mj, "epsilon": epsilon,
-         "cos_theta": cos_theta(two_j, two_mj, epsilon)}
-        for two_mj in range(two_j, -two_j - 1, -2)
-    ]
+    two_mjs = range(two_j, -two_j - 1, -2)
+    rows = Table("row", {
+        "two_j": [two_j] * len(two_mjs),
+        "two_mj": two_mjs,
+        "epsilon": [epsilon] * len(two_mjs),
+        "cos_theta": [cos_theta(two_j, two_mj, epsilon) for two_mj in two_mjs],
+    })
     json_doc = {
         "command": "angle",
         "two_j": two_j,
         "epsilon": epsilon,
-        "rows": _json_rows(rows),
+        "rows": rows,
     }
     header = ["record", "two_j", "two_mj", "epsilon", "cos_theta"]
-    _emit(config, "angle", json_doc, header, rows)
+    _emit(config, "angle", json_doc, header, [rows])
     return EXIT_OK
 
 
@@ -433,30 +541,32 @@ def cmd_limit(config: RunConfig, two_j_max: int, epsilon: float) -> int:
     _require_at_most("--two-j-max", two_j_max, TWO_J_LIMIT)
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise UsageError(f"--epsilon must be non-negative and finite, got {epsilon}")
-    results = limit_scan(two_j_max, epsilon)
-    values = [r.cos_theta for r in results]
+    values = [r.cos_theta for r in limit_scan(two_j_max, epsilon)]
     monotonic = all(b > a for a, b in zip(values, values[1:]))
-    rows = [
-        {"record": "row", "two_j": r.two_j, "epsilon": epsilon,
-         "cos_theta": r.cos_theta, "gap_bound": 1.0 / r.two_j}
-        for r in results
-    ]
-    rows.append({"record": "summary", "monotonic": monotonic})
+    two_js = range(1, two_j_max + 1)
+    rows = Table("row", {
+        "two_j": two_js,
+        "epsilon": [epsilon] * two_j_max,
+        "cos_theta": values,
+        "gap_bound": [1.0 / k for k in two_js],
+    })
     json_doc = {
         "command": "limit",
         "two_j_max": two_j_max,
         "epsilon": epsilon,
-        "rows": _json_rows(rows),
+        "rows": rows,
         "monotonic": monotonic,
     }
     header = ["record", "two_j", "epsilon", "cos_theta", "gap_bound", "monotonic"]
-    _emit(config, "limit", json_doc, header, rows)
+    summary = Table("summary", {"monotonic": [monotonic]})
+    _emit(config, "limit", json_doc, header, [rows, summary])
     return EXIT_OK
 
 
 def cmd_classical(config: RunConfig, count: int, bound: float) -> int:
     if count < 1:
         raise UsageError(f"--count must be at least 1, got {count}")
+    _require_at_most("--count", count, COUNT_LIMIT)
     _require_positive("--bound", bound)
     _validate(config)
     top = config.hbar * bound * bound  # jtot <= hbar * bound^2
@@ -464,30 +574,31 @@ def cmd_classical(config: RunConfig, count: int, bound: float) -> int:
     if not math.isfinite(2.0 * top * top):
         raise UsageError(f"--hbar {config.hbar} with --bound {bound}: a result "
                          "overflows to a non-finite value")
-    states = sample_states(count, bound, config.seed, config.hbar)
+    re1, im1, re2, im2 = sample_amplitudes(count, bound, config.seed)
+    # conj(a1) a2, |a1|^2 and |a2|^2 written out as Python's complex
+    # arithmetic evaluates them, so each value matches classical_components
+    h = config.hbar
+    jx = h * (re1 * re2 + im1 * im2)
+    jy = h * (re1 * im2 - im1 * re2)
+    m1 = re1 * re1 + im1 * im1
+    m2 = re2 * re2 + im2 * im2
+    jz = (0.5 * h) * (m1 - m2)
+    jtot = (0.5 * h) * (m1 + m2)
     tiny = float(np.finfo(float).tiny)
-    rows = []
-    max_rel = 0.0
-    jtots = []
-    for idx, state in enumerate(states):
-        comps = classical_components(state)
-        lhs = comps.jx ** 2 + comps.jy ** 2 + comps.jz ** 2
-        denom = max(comps.jtot ** 2, tiny)
-        rel = abs(lhs - comps.jtot ** 2) / denom
-        max_rel = max(max_rel, rel)
-        jtots.append(comps.jtot)
-        rows.append(
-            {"record": "sample", "index": idx, "jx": comps.jx, "jy": comps.jy,
-             "jz": comps.jz, "jtot": comps.jtot, "rel_residual": rel}
-        )
-    counts, edges = np.histogram(jtots, bins=HIST_BINS, range=(0.0, top))
-    rows += [
-        {"record": "hist", "bin_lo": float(edges[i]), "bin_hi": float(edges[i + 1]),
-         "count": int(counts[i])}
-        for i in range(HIST_BINS)
-    ]
+    rel = np.empty(count)
+    for lo in range(0, count, CHUNK_RECORDS):
+        part = slice(lo, lo + CHUNK_RECORDS)
+        # x ** 2 is libm pow, as in the scalar oracle; x * x can differ in the last bit
+        rel[part] = [abs(x ** 2 + y ** 2 + z ** 2 - t ** 2) / max(t ** 2, tiny)
+                     for x, y, z, t in zip(jx[part].tolist(), jy[part].tolist(),
+                                           jz[part].tolist(), jtot[part].tolist())]
+    max_rel = float(rel.max())
+    counts, edges = np.histogram(jtot, bins=HIST_BINS, range=(0.0, top))
+    samples = Table("sample", {"index": range(count), "jx": jx, "jy": jy, "jz": jz,
+                               "jtot": jtot, "rel_residual": rel})
+    histogram = Table("hist", {"bin_lo": edges[:-1], "bin_hi": edges[1:],
+                               "count": counts})
     ok = max_rel < config.tol
-    rows.append({"record": "summary", "max_rel_residual": max_rel, "pass": ok})
     json_doc = {
         "command": "classical",
         "count": count,
@@ -495,14 +606,15 @@ def cmd_classical(config: RunConfig, count: int, bound: float) -> int:
         "seed": config.seed,
         "hbar": config.hbar,
         "tol": config.tol,
-        "samples": _json_rows(rows, "sample"),
-        "histogram": _json_rows(rows, "hist"),
+        "samples": samples,
+        "histogram": histogram,
         "max_rel_residual": max_rel,
         "pass": ok,
     }
     header = ["record", "index", "jx", "jy", "jz", "jtot", "rel_residual",
               "bin_lo", "bin_hi", "count", "max_rel_residual", "pass"]
-    _emit(config, "classical", json_doc, header, rows)
+    summary = Table("summary", {"max_rel_residual": [max_rel], "pass": [ok]})
+    _emit(config, "classical", json_doc, header, [samples, histogram, summary])
     return EXIT_OK if ok else EXIT_FAILED
 
 
@@ -602,11 +714,10 @@ def _dispatch(args) -> int:
         return cmd_sumrule(_config_from(args, 0), args.two_j_max)
     if args.command == "angle":
         if args.two_j is None:
-            two_j = _two_j_from_decimal(args.j)
-        else:
-            two_j = args.two_j
-            _require_non_negative("--two-j", two_j)
-        return cmd_angle(_config_from(args, 0), two_j, args.epsilon)
+            return cmd_angle(_config_from(args, 0), _two_j_from_decimal(args.j),
+                             args.epsilon, "--j")
+        _require_non_negative("--two-j", args.two_j)
+        return cmd_angle(_config_from(args, 0), args.two_j, args.epsilon)
     if args.command == "limit":
         return cmd_limit(_config_from(args, 0), args.two_j_max, args.epsilon)
     if args.command == "classical":

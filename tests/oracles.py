@@ -1,20 +1,29 @@
-"""Dense small-block oracles the tests compare the package against.
+"""Oracles the tests compare the package against.
 
 ``extract_block`` densifies one constant-n block of the J operators and
 ``jacobi_eigen`` diagonalizes a dense Hermitian matrix with no help from
 the package; ``block_report`` and ``analyze_block`` feed a dense block to
 the same ``diagonal_report`` the commands run on the global sparse
-operators.  No command uses any of them.
+operators.  ``scalar_amplitudes`` is the sampler one state at a time,
+``classical_records`` the classical check one sample at a time, and
+``json_text`` and ``csv_text`` encode a command's document with the
+standard library.  No command uses any of them.
 """
 
 from __future__ import annotations
 
+import cmath
+import csv
+import io
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from schwinger.angular import AngularMomentumSet
+from schwinger.classical import classical_components, sample_states
+from schwinger.cli import Table, _fmt
 from schwinger.spectra import SpectrumReport, diagonal_report, gershgorin_discs
 
 
@@ -164,3 +173,75 @@ def analyze_block(block: Block, tol: float = 1e-12) -> SpectrumReport:
             f"to {report.spread:.3e} (> {tol:.3e}); the block operators are inconsistent"
         )
     return report
+
+
+# ---------------------------------------------------------------------------
+# the classical sampler and check, one sample at a time
+
+_LCG_A = 6364136223846793005
+_LCG_C = 1442695040888963407
+_LCG_MASK = (1 << 64) - 1
+_TWO53 = float(1 << 53)
+
+
+def _uniforms(seed: int):
+    state = seed & _LCG_MASK
+    while True:
+        state = (state * _LCG_A + _LCG_C) & _LCG_MASK
+        yield (state >> 11) / _TWO53
+
+
+def scalar_amplitudes(count: int, amplitude_bound: float, seed: int):
+    """(Re a1, Im a1, Re a2, Im a2) lists, one LCG step and one
+    ``cmath.rect`` at a time."""
+    u = _uniforms(seed)
+    out = ([], [], [], [])
+    for _ in range(count):
+        r1 = amplitude_bound * math.sqrt(next(u))
+        t1 = 2.0 * math.pi * next(u)
+        r2 = amplitude_bound * math.sqrt(next(u))
+        t2 = 2.0 * math.pi * next(u)
+        a1, a2 = cmath.rect(r1, t1), cmath.rect(r2, t2)
+        for column, value in zip(out, (a1.real, a1.imag, a2.real, a2.imag)):
+            column.append(value)
+    return out
+
+
+def classical_records(count: int, bound: float, seed: int, hbar: float) -> list[dict]:
+    """The ``classical`` sample records from ``classical_components``."""
+    tiny = float(np.finfo(float).tiny)
+    records = []
+    for idx, state in enumerate(sample_states(count, bound, seed, hbar)):
+        c = classical_components(state)
+        lhs = c.jx ** 2 + c.jy ** 2 + c.jz ** 2
+        rel = abs(lhs - c.jtot ** 2) / max(c.jtot ** 2, tiny)
+        records.append({"index": idx, "jx": c.jx, "jy": c.jy, "jz": c.jz,
+                        "jtot": c.jtot, "rel_residual": rel})
+    return records
+
+
+# ---------------------------------------------------------------------------
+# a command's document, encoded with the standard library
+
+def records(table: Table) -> list[dict]:
+    """One dict per record of ``table``."""
+    columns = {name: (col.tolist() if isinstance(col, np.ndarray) else list(col))
+               for name, col in table.columns.items()}
+    return [dict(zip(columns, cells)) for cells in zip(*columns.values())]
+
+
+def json_text(doc: dict) -> str:
+    """``json.dumps(indent=2)`` of ``doc`` with each table as a list of dicts."""
+    plain = {k: records(v) if isinstance(v, Table) else v for k, v in doc.items()}
+    return json.dumps(plain, indent=2, allow_nan=False) + "\n"
+
+
+def csv_text(header: list[str], tables: list[Table]) -> str:
+    """The CSV document, written one row dict at a time."""
+    rows = [{"record": t.record, **r} for t in tables for r in records(t)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(row.get(col)) for col in header])
+    return buf.getvalue()

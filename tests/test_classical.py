@@ -1,14 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from schwinger import (
     ClassicalState,
     classical_components,
+    sample_amplitudes,
     sample_states,
     state_with_j,
 )
+
+from oracles import scalar_amplitudes
 
 finite = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
 
@@ -125,3 +129,40 @@ class TestSampler:
             sample_states(0, 1.0, seed=0)
         with pytest.raises(ValueError):
             sample_states(1, 0.0, seed=0)
+
+
+class TestJumpedGenerator:
+    """``sample_amplitudes`` against the LCG stepped one state at a time."""
+
+    @pytest.mark.filterwarnings("error")
+    @given(
+        st.sampled_from([1, 2, 3, 4, 5, 1023, 1024, 1025]),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.one_of(
+            st.integers(min_value=-(2**70), max_value=-1),
+            st.integers(min_value=0, max_value=2**64 - 1),
+            st.integers(min_value=2**64, max_value=2**70),
+        ),
+    )
+    def test_equals_scalar_loop_bit_for_bit(self, count, bound, seed):
+        got = [a.tolist() for a in sample_amplitudes(count, bound, seed)]
+        assert got == [list(c) for c in scalar_amplitudes(count, bound, seed)]
+
+    def test_arrays(self):
+        arrays = sample_amplitudes(7, 2.0, seed=5)
+        assert len(arrays) == 4
+        assert all(a.dtype == np.float64 and a.shape == (7,) for a in arrays)
+
+    @pytest.mark.parametrize("count, seed", [(1, 0), (1025, -3), (300, 2**64 + 9)])
+    def test_states_share_the_generator(self, count, seed):
+        re1, im1, re2, im2 = (a.tolist() for a in sample_amplitudes(count, 1.5, seed))
+        states = sample_states(count, 1.5, seed, hbar=2.0)
+        assert [s.alpha1 for s in states] == [complex(x, y) for x, y in zip(re1, im1)]
+        assert [s.alpha2 for s in states] == [complex(x, y) for x, y in zip(re2, im2)]
+        assert all(s.hbar == 2.0 for s in states)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            sample_amplitudes(0, 1.0, seed=0)
+        with pytest.raises(ValueError):
+            sample_amplitudes(1, -1.0, seed=0)

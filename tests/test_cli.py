@@ -18,6 +18,8 @@ from schwinger import (
     from_entries,
 )
 from schwinger.cli import (
+    CHUNK_RECORDS,
+    COUNT_LIMIT,
     HBAR_FLOOR,
     N_MAX_LIMIT,
     SUM_RULE_TWO_J_LIMIT,
@@ -28,7 +30,8 @@ from schwinger.cli import (
     main,
 )
 
-from oracles import analyze_block, extract_block
+import schwinger.classical as classical
+from oracles import analyze_block, classical_records, csv_text, extract_block, json_text
 
 
 def run_cli(capsys, *argv):
@@ -532,6 +535,26 @@ class TestClassical:
         assert err.startswith("error: --hbar 1.0 with --bound 1e+160")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("hbar, bound, seed", [("1.0", "2.0", "0"),
+                                                   ("0.3", "7.5", "-11"),
+                                                   ("2.0", "0.01", str(2**70))])
+    def test_samples_match_scalar_components(self, capsys, hbar, bound, seed):
+        code, out, _ = run_cli(capsys, "classical", "--count", "700", "--hbar", hbar,
+                               "--bound", bound, "--seed", seed, "--no-meta")
+        assert code == 0
+        doc = json.loads(out)
+        expected = classical_records(700, float(bound), int(seed), float(hbar))
+        assert doc["samples"] == expected
+        assert doc["max_rel_residual"] == max(r["rel_residual"] for r in expected)
+
+    def test_builds_no_state_objects(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("classical built a ClassicalState")
+
+        monkeypatch.setattr(classical.ClassicalState, "__init__", refuse)
+        code, _, _ = run_cli(capsys, "classical", "--count", "40", "--no-meta")
+        assert code == 0
+
     def test_csv_json_parity(self, capsys):
         args = ("classical", "--count", "25", "--seed", "4", "--no-meta")
         _, json_out, _ = run_cli(capsys, *args)
@@ -548,6 +571,69 @@ class TestClassical:
         ]
         summary = [r for r in rows if r["record"] == "summary"][0]
         assert float(summary["max_rel_residual"]) == doc["max_rel_residual"]
+
+
+def emitted(capsys, monkeypatch, *argv):
+    """Run the command; return its stdout and what it handed to ``_emit``."""
+    handed = []
+    real = cli._emit
+
+    def spy(config, command, json_doc, csv_header, csv_tables):
+        handed.append((json_doc, csv_header, csv_tables))
+        return real(config, command, json_doc, csv_header, csv_tables)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    code, out, _ = run_cli(capsys, *argv, "--no-meta")
+    assert code in (0, 1) and len(handed) == 1
+    return out, handed[0]
+
+
+WRITER_ARGV = [
+    ["verify", "--nmax", "6"],
+    ["verify", "--nmax", "4", "--corrupt", "jx,1,3,1e-6"],
+    ["spectrum", "--n", "5", "--hbar", "0.3"],
+    ["sumrule", "--two-j-max", "11"],
+    ["angle", "--two-j", "9", "--epsilon", "0.25"],
+    ["angle", "--j", "2.5", "--epsilon", "0"],
+    ["limit", "--two-j-max", "13", "--epsilon", "0"],
+    ["classical", "--count", "37", "--seed", "-8", "--hbar", "1e-100"],
+]
+
+
+class TestWriter:
+    """The streaming writer against ``json.dumps(indent=2)`` and the row-wise CSV."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("chunk", [CHUNK_RECORDS, 1, 3])
+    @pytest.mark.parametrize("argv", WRITER_ARGV, ids=" ".join)
+    def test_bytes_equal_oracle(self, capsys, monkeypatch, argv, chunk, fmt):
+        monkeypatch.setattr(cli, "CHUNK_RECORDS", chunk)
+        out, (doc, header, tables) = emitted(capsys, monkeypatch, *argv, "--format", fmt)
+        assert out == (json_text(doc) if fmt == "json" else csv_text(header, tables))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("count", [CHUNK_RECORDS - 1, CHUNK_RECORDS,
+                                       CHUNK_RECORDS + 1, 2 * CHUNK_RECORDS + 1])
+    def test_classical_at_chunk_boundaries(self, capsys, monkeypatch, count, fmt):
+        out, (doc, header, tables) = emitted(
+            capsys, monkeypatch, "classical", "--count", str(count), "--seed", "3",
+            "--format", fmt)
+        assert out == (json_text(doc) if fmt == "json" else csv_text(header, tables))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [["verify", "--nmax", "3", "--hbar", "1e103"],
+                                      ["classical", "--count", "3", "--hbar", "1e200"]])
+    def test_overflow_writes_nothing(self, capsys, tmp_path, argv, fmt):
+        path = tmp_path / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "--format", fmt, "--out", str(path),
+                                 "--no-meta")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --hbar") and err.count("\n") == 1
+        assert not path.exists()
+
+    def test_empty_table(self):
+        doc = {"command": "x", "rows": cli.Table("row", {"a": []}), "ok": True}
+        assert "".join(cli._json_pieces(doc)) == json_text(doc)
 
 
 class TestParser:
@@ -634,6 +720,10 @@ class TestParser:
             (["verify", "--nmax", str(10**30), "--force"], "--nmax"),
             (["verify", "--nmax", str(_smallest_unindexable_nmax()), "--force"], "--nmax"),
             (["spectrum", "--n", str(_smallest_unindexable_nmax()), "--force"], "--n"),
+            (["angle", "--j", "0"], "--j"),
+            (["angle", "--j", "-0.0"], "--j"),
+            (["angle", "--two-j", "0"], "--two-j"),
+            (["classical", "--count", str(COUNT_LIMIT + 1)], "--count"),
         ],
     )
     def test_table_size_capped(self, capsys, argv, flag):
