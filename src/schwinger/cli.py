@@ -38,9 +38,9 @@ from .spectra import (
     sum_rule_check,
 )
 
-# Guard against accidental quadratic blowup: n_max = 500 is dimension
-# 125751 already.  Override with --force.
-N_MAX_LIMIT = 500
+# verify at n_max 1000 (dimension 501501) takes about 4 s and 250 MB from
+# the shell, near classical at COUNT_LIMIT; at 1500 it takes 9 s and 500 MB
+N_MAX_LIMIT = 1000
 
 # Caps on the table commands, each about where a run takes 1-2 s and
 # writes some 4-14 MB of JSON: angle and limit build one row per level,
@@ -72,9 +72,7 @@ class RunConfig:
     tol: float = 1e-12
     format: str = "json"
     output_path: str | None = None
-    seed: int = 0
     no_meta: bool = False
-    force: bool = False
 
 
 def _require_positive(flag: str, value: float):
@@ -96,17 +94,7 @@ def _validate(config: RunConfig, nmax_flag: str = "--nmax"):
     """Reject a config no command can run; ``nmax_flag`` is the flag
     n_max came from."""
     _require_non_negative(nmax_flag, config.n_max)
-    if config.n_max > N_MAX_LIMIT and not config.force:
-        raise UsageError(
-            f"{nmax_flag} {config.n_max} exceeds the safety limit {N_MAX_LIMIT} "
-            f"(pass --force to override)"
-        )
-    # one complex128 (16 bytes) per basis state must be addressable
-    states = (config.n_max + 1) * (config.n_max + 2) // 2
-    if states * 16 > np.iinfo(np.intp).max:
-        raise UsageError(
-            f"{nmax_flag} {config.n_max}: a basis of {states} states cannot be indexed"
-        )
+    _require_at_most(nmax_flag, config.n_max, N_MAX_LIMIT)
     _require_positive("--tol", config.tol)
     _require_positive("--hbar", config.hbar)
     if config.hbar < HBAR_FLOOR:
@@ -194,6 +182,15 @@ def _json_cells(cells: list, depth: int) -> list[str]:
     return [_json_value(v, depth) for v in cells]
 
 
+def _csv_cells(cells: list) -> list[str]:
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        return [f"{v:.17g}" for v in cells]
+    if kinds == {int}:
+        return list(map(int.__repr__, cells))
+    return list(map(_fmt, cells))
+
+
 def _chunks(table: Table, names):
     """(record count, cells of each named column) per chunk of ``table``."""
     total = len(table)
@@ -246,7 +243,7 @@ def _csv_pieces(header: list[str], tables: list[Table]):
         for n, cells in _chunks(table, names):
             by_name = dict(zip(names, cells))
             rows = [[table.record] * n if col == "record"
-                    else list(map(_fmt, by_name[col])) if col in by_name else [""] * n
+                    else _csv_cells(by_name[col]) if col in by_name else [""] * n
                     for col in header]
             writer.writerows(zip(*rows))
             yield buf.getvalue()
@@ -563,7 +560,7 @@ def cmd_limit(config: RunConfig, two_j_max: int, epsilon: float) -> int:
     return EXIT_OK
 
 
-def cmd_classical(config: RunConfig, count: int, bound: float) -> int:
+def cmd_classical(config: RunConfig, count: int, bound: float, seed: int) -> int:
     if count < 1:
         raise UsageError(f"--count must be at least 1, got {count}")
     _require_at_most("--count", count, COUNT_LIMIT)
@@ -574,7 +571,11 @@ def cmd_classical(config: RunConfig, count: int, bound: float) -> int:
     if not math.isfinite(2.0 * top * top):
         raise UsageError(f"--hbar {config.hbar} with --bound {bound}: a result "
                          "overflows to a non-finite value")
-    re1, im1, re2, im2 = sample_amplitudes(count, bound, config.seed)
+    # below the floor every jtot^2 underflows and each residual would read 0
+    if top < HBAR_FLOOR:
+        raise UsageError(f"--hbar {config.hbar} with --bound {bound}: hbar*bound^2 "
+                         f"is below {HBAR_FLOOR:.4g}, where its square underflows")
+    re1, im1, re2, im2 = sample_amplitudes(count, bound, seed)
     # conj(a1) a2, |a1|^2 and |a2|^2 written out as Python's complex
     # arithmetic evaluates them, so each value matches classical_components
     h = config.hbar
@@ -603,7 +604,7 @@ def cmd_classical(config: RunConfig, count: int, bound: float) -> int:
         "command": "classical",
         "count": count,
         "amplitude_bound": bound,
-        "seed": config.seed,
+        "seed": seed,
         "hbar": config.hbar,
         "tol": config.tol,
         "samples": samples,
@@ -630,32 +631,18 @@ def _two_j_from_decimal(j: float) -> int:
     return int(round(two_j))
 
 
-def _config_from(args, n_max: int) -> RunConfig:
-    return RunConfig(
-        n_max=n_max,
-        hbar=args.hbar,
-        tol=args.tol,
-        format=args.format,
-        output_path=args.out,
-        seed=args.seed,
-        no_meta=args.no_meta,
-        force=args.force,
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--hbar", type=float, default=1.0, help="action scale (default 1.0)")
-    common.add_argument("--tol", type=float, default=1e-12, help="pass tolerance (default 1e-12)")
-    common.add_argument("--format", choices=("csv", "json"), default="json",
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("csv", "json"), default="json",
                         help="output encoding (default json)")
-    common.add_argument("--out", metavar="PATH", default=None,
+    output.add_argument("--out", metavar="PATH", default=None,
                         help="write data to PATH instead of stdout")
-    common.add_argument("--seed", type=int, default=0, help="sampler seed (default 0)")
-    common.add_argument("--no-meta", action="store_true",
+    output.add_argument("--no-meta", action="store_true",
                         help="suppress the stderr metadata header")
-    common.add_argument("--force", action="store_true",
-                        help=f"override the --nmax {N_MAX_LIMIT} safety limit")
+    # the flags of the commands that compute with hbar and judge against tol
+    physics = argparse.ArgumentParser(add_help=False, parents=[output])
+    physics.add_argument("--hbar", type=float, default=1.0, help="action scale (default 1.0)")
+    physics.add_argument("--tol", type=float, default=1e-12, help="pass tolerance (default 1e-12)")
 
     parser = argparse.ArgumentParser(
         prog="schwinger",
@@ -664,23 +651,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[physics],
                        help="run the full identity battery over a truncated basis")
     p.add_argument("--nmax", type=int, required=True, help="total-occupation cutoff")
     p.add_argument("--corrupt", metavar="OP,ROW,COL,DELTA", default=None,
                    help="test hook: perturb one operator entry before verifying")
 
-    p = sub.add_parser("spectrum", parents=[common],
+    p = sub.add_parser("spectrum", parents=[physics],
                        help="J_z levels and casimir value of one block")
     p.add_argument("--n", type=int, required=True, help="block total occupation (= 2j)")
     p.add_argument("--nmax", type=int, default=None,
                    help="basis cutoff (default: just large enough for --n)")
 
-    p = sub.add_parser("sumrule", parents=[common],
+    p = sub.add_parser("sumrule", parents=[output],
                        help="exact half-integer sum rule table")
     p.add_argument("--two-j-max", type=int, required=True)
 
-    p = sub.add_parser("angle", parents=[common],
+    p = sub.add_parser("angle", parents=[output],
                        help="cos(theta) between J_z and J for every m of one j")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--two-j", type=int, default=None)
@@ -689,39 +676,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1.0,
                    help="commutator strength: 1 quantum, 0 classical (default 1)")
 
-    p = sub.add_parser("limit", parents=[common],
+    p = sub.add_parser("limit", parents=[output],
                        help="extremal alignment scan toward the classical limit")
     p.add_argument("--two-j-max", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=1.0)
 
-    p = sub.add_parser("classical", parents=[common],
+    p = sub.add_parser("classical", parents=[physics],
                        help="sample commuting-amplitude states and check j^2 exactly")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--bound", type=float, default=2.0,
                    help="amplitude disc radius (default 2.0)")
+    p.add_argument("--seed", type=int, default=0, help="sampler seed (default 0)")
 
     return parser
 
 
 def _dispatch(args) -> int:
-    if args.command == "verify":
-        return cmd_verify(_config_from(args, args.nmax), corrupt=args.corrupt)
-    if args.command == "spectrum":
-        if args.nmax is None:
-            return cmd_spectrum(_config_from(args, args.n), args.n, "--n")
-        return cmd_spectrum(_config_from(args, args.nmax), args.n)
+    fields = {"format": args.format, "output_path": args.out, "no_meta": args.no_meta}
     if args.command == "sumrule":
-        return cmd_sumrule(_config_from(args, 0), args.two_j_max)
+        return cmd_sumrule(RunConfig(0, **fields), args.two_j_max)
     if args.command == "angle":
         if args.two_j is None:
-            return cmd_angle(_config_from(args, 0), _two_j_from_decimal(args.j),
+            return cmd_angle(RunConfig(0, **fields), _two_j_from_decimal(args.j),
                              args.epsilon, "--j")
         _require_non_negative("--two-j", args.two_j)
-        return cmd_angle(_config_from(args, 0), args.two_j, args.epsilon)
+        return cmd_angle(RunConfig(0, **fields), args.two_j, args.epsilon)
     if args.command == "limit":
-        return cmd_limit(_config_from(args, 0), args.two_j_max, args.epsilon)
+        return cmd_limit(RunConfig(0, **fields), args.two_j_max, args.epsilon)
+    # verify, spectrum and classical also take --hbar and --tol
+    fields.update(hbar=args.hbar, tol=args.tol)
+    if args.command == "verify":
+        return cmd_verify(RunConfig(args.nmax, **fields), corrupt=args.corrupt)
+    if args.command == "spectrum":
+        if args.nmax is None:
+            return cmd_spectrum(RunConfig(args.n, **fields), args.n, "--n")
+        return cmd_spectrum(RunConfig(args.nmax, **fields), args.n)
     if args.command == "classical":
-        return cmd_classical(_config_from(args, 0), args.count, args.bound)
+        return cmd_classical(RunConfig(0, **fields), args.count, args.bound, args.seed)
     raise UsageError(f"unknown command {args.command!r}")
 
 

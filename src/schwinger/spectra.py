@@ -143,7 +143,7 @@ def _quarter_sum(two_j: int) -> int:
 def mean_square_from_spectrum(report: SpectrumReport) -> float:
     """3 <J_z^2> averaged over the 2j+1 levels; reproduces the casimir.
 
-    Isotropy forces <J^2> = 3 <J_z^2>, and the sum rule turns the level
+    Isotropy requires <J^2> = 3 <J_z^2>, and the sum rule turns the level
     average into j(j+1) hbar^2, matching the operator eigenvalue.
     """
     return _mean_square(np.asarray(report.jz_eigenvalues))

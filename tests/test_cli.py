@@ -3,8 +3,10 @@ import dataclasses
 import io
 import json
 import math
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,15 +108,21 @@ class TestVerify:
         assert doc["blocks"][0]["jz_spectrum"] == [0.0]
 
     def test_limit_guard(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--nmax", "600", "--no-meta")
-        assert code == 2
-        assert "--force" in err
-        assert out == ""
+        code, out, err = run_cli(capsys, "verify", "--nmax", str(N_MAX_LIMIT + 1),
+                                 "--no-meta")
+        assert code == 2 and out == ""
+        assert err == f"error: --nmax {N_MAX_LIMIT + 1} exceeds the limit {N_MAX_LIMIT}\n"
 
-    def test_force_bypasses_guard(self):
-        _validate(RunConfig(n_max=N_MAX_LIMIT + 1, force=True))
-        with pytest.raises(UsageError):
-            _validate(RunConfig(n_max=N_MAX_LIMIT + 1))
+    def test_guard_admits_the_cap_without_allocating(self):
+        tracemalloc.start()
+        try:
+            _validate(RunConfig(n_max=N_MAX_LIMIT))
+            with pytest.raises(UsageError, match="exceeds the limit"):
+                _validate(RunConfig(n_max=N_MAX_LIMIT + 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # a basis at the cap would take megabytes
 
     @pytest.mark.parametrize(
         "directive", ["jx,1,3,1e-6", "jz,4,4,1e-6", "jtot,2,2,1e-6", "jy,3,5,-1e-6"]
@@ -535,6 +543,28 @@ class TestClassical:
         assert err.startswith("error: --hbar 1.0 with --bound 1e+160")
         assert err.count("\n") == 1
 
+    def test_underflowing_bound_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "classical", "--count", "3", "--bound",
+                                 "1e-160", "--no-meta")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --hbar 1.0 with --bound 1e-160: ")
+        assert err.count("\n") == 1
+
+    def test_bound_floor_is_where_the_square_underflows(self, capsys):
+        # hbar * bound^2 at HBAR_FLOOR runs; one bound step below it does not
+        bound = math.sqrt(HBAR_FLOOR)
+        while bound * bound < HBAR_FLOOR:
+            bound = float(np.nextafter(bound, math.inf))
+        below = float(np.nextafter(bound, 0.0))
+        assert below * below < HBAR_FLOOR
+        code, _, _ = run_cli(capsys, "classical", "--count", "3", "--bound", repr(bound),
+                             "--no-meta")
+        assert code == 0
+        code, out, err = run_cli(capsys, "classical", "--count", "3", "--bound",
+                                 repr(below), "--no-meta")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --hbar 1.0 with --bound {below!r}: ")
+
     @pytest.mark.parametrize("hbar, bound, seed", [("1.0", "2.0", "0"),
                                                    ("0.3", "7.5", "-11"),
                                                    ("2.0", "0.01", str(2**70))])
@@ -636,6 +666,37 @@ class TestWriter:
         assert "".join(cli._json_pieces(doc)) == json_text(doc)
 
 
+# the flags each command reads, the required one first
+OUTPUT_FLAGS = ["--format", "--out", "--no-meta"]
+PHYSICS_FLAGS = [*OUTPUT_FLAGS, "--hbar", "--tol"]
+KEPT_FLAGS = {
+    "verify": ["--nmax", *PHYSICS_FLAGS, "--corrupt"],
+    "spectrum": ["--n", *PHYSICS_FLAGS, "--nmax"],
+    "sumrule": ["--two-j-max", *OUTPUT_FLAGS],
+    "angle": ["--two-j", *OUTPUT_FLAGS, "--j", "--epsilon"],
+    "limit": ["--two-j-max", *OUTPUT_FLAGS, "--epsilon"],
+    "classical": ["--count", *PHYSICS_FLAGS, "--bound", "--seed"],
+}
+REQUIRED = {command: [flags[0], "1"] for command, flags in KEPT_FLAGS.items()}
+# the 17 (command, flag) pairs that the shared flag set once accepted and
+# the command ignored
+REMOVED_FLAGS = (
+    [(c, f) for c in ("sumrule", "angle", "limit")
+     for f in ("--hbar", "--tol", "--seed", "--force")]
+    + [(c, "--seed") for c in ("verify", "spectrum")]
+    + [(c, "--force") for c in ("verify", "spectrum", "classical")]
+)
+# flag -> (argv text or None for a switch, the parsed value)
+FLAG_VALUES = {
+    "--nmax": ("4", 4), "--n": ("3", 3), "--two-j-max": ("5", 5), "--two-j": ("3", 3),
+    "--j": ("1.5", 1.5), "--count": ("7", 7), "--format": ("csv", "csv"),
+    "--out": ("out.json", "out.json"), "--no-meta": (None, True), "--hbar": ("2.5", 2.5),
+    "--tol": ("1e-3", 1e-3), "--corrupt": ("jx,1,3,1e-6", "jx,1,3,1e-6"),
+    "--epsilon": ("0.5", 0.5), "--bound": ("1.5", 1.5), "--seed": ("9", 9),
+    "--force": (None, True),
+}
+
+
 class TestParser:
     def test_missing_command(self, capsys):
         assert main([]) == 2
@@ -716,10 +777,10 @@ class TestParser:
             (["sumrule", "--two-j-max", str(SUM_RULE_TWO_J_LIMIT + 1)], "--two-j-max"),
             (["angle", "--two-j", "-3"], "--two-j"),
             (["angle", "--j", "-1.5"], "--j"),
-            (["spectrum", "--n", "600"], "--n"),
-            (["verify", "--nmax", str(10**30), "--force"], "--nmax"),
-            (["verify", "--nmax", str(_smallest_unindexable_nmax()), "--force"], "--nmax"),
-            (["spectrum", "--n", str(_smallest_unindexable_nmax()), "--force"], "--n"),
+            (["spectrum", "--n", str(N_MAX_LIMIT + 1)], "--n"),
+            (["verify", "--nmax", str(10**30)], "--nmax"),
+            (["verify", "--nmax", str(_smallest_unindexable_nmax())], "--nmax"),
+            (["spectrum", "--n", str(_smallest_unindexable_nmax())], "--n"),
             (["angle", "--j", "0"], "--j"),
             (["angle", "--j", "-0.0"], "--j"),
             (["angle", "--two-j", "0"], "--two-j"),
@@ -731,11 +792,31 @@ class TestParser:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
 
-    def test_nmax_bound_is_where_indexing_overflows(self):
-        n = _smallest_unindexable_nmax()
-        _validate(RunConfig(n_max=n - 1, force=True))
-        with pytest.raises(UsageError, match="cannot be indexed"):
-            _validate(RunConfig(n_max=n, force=True))
+    def test_cap_basis_is_indexable(self):
+        assert N_MAX_LIMIT < _smallest_unindexable_nmax()
+
+    @pytest.mark.parametrize("command", list(KEPT_FLAGS))
+    def test_help_lists_only_the_flags_read(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == {"--help", *KEPT_FLAGS[command]}
+
+    @pytest.mark.parametrize("command, flag",
+                             [(c, f) for c, flags in KEPT_FLAGS.items() for f in flags])
+    def test_kept_flag_parses(self, command, flag):
+        text, value = FLAG_VALUES[flag]
+        required = [] if flag in ("--j", REQUIRED[command][0]) else REQUIRED[command]
+        argv = [command, *required, flag, *([text] if text else [])]
+        args = cli.build_parser().parse_args(argv)
+        assert getattr(args, flag[2:].replace("-", "_")) == value
+
+    @pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+    def test_removed_flag_rejected(self, capsys, command, flag):
+        text, _ = FLAG_VALUES[flag]
+        code, out, err = run_cli(capsys, command, *REQUIRED[command], flag,
+                                 *([text] if text else []), "--no-meta")
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {flag}" in err
 
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         def broken(two_j):
