@@ -13,9 +13,7 @@ Exit codes: 0 all checks passed, 1 a verification check failed,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import math
 import sys
@@ -119,7 +117,8 @@ class Table:
 
     ``columns`` maps each field name to a list, range or 1-D numpy array
     with one cell per record.  JSON writes the fields in this order; CSV
-    writes the columns its header names, tagged ``record``.
+    writes them in its columns, after the ``record`` column that holds
+    this table's tag.
     """
 
     record: str
@@ -134,71 +133,47 @@ def _table(record: str, records: list[dict]) -> Table:
     return Table(record, {k: [r[k] for r in records] for k in records[0]})
 
 
-def _fmt(value) -> str:
-    """One fixed text form per cell type; floats use 17 significant digits.
+def _cells(cells: list, fmt: str, depth: int) -> list[str]:
+    """The ``fmt`` text of each cell: a float with 17 significant digits
+    in CSV and as ``repr`` in JSON, a bool as ``true`` or ``false``, and
+    a list as its items' texts, ``;``-joined in CSV and laid out as
+    ``json.dumps(indent=2)`` lays them out at ``depth`` in JSON.
 
-    A list becomes its items' cells joined by ``;``.
+    A column of one kind is encoded in one pass; a mixed one, a cell at
+    a time.
     """
-    if value is None:
-        return ""
-    if isinstance(value, list):
-        return ";".join(_fmt(x) for x in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite value {value}")
-        return f"{value:.17g}"
-    return str(value)
-
-
-def _json_value(value, depth: int) -> str:
-    """The text ``json.dumps(indent=2)`` writes for ``value`` at ``depth``."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, float):
-        return float.__repr__(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        pad = "\n" + "  " * (depth + 1)
-        items = ("," + pad).join(_json_value(x, depth + 1) for x in value)
-        return "[" + pad + items + "\n" + "  " * depth + "]"
-    raise TypeError(f"no JSON form for {type(value).__name__}")
-
-
-def _json_cells(cells: list, depth: int) -> list[str]:
     kinds = set(map(type, cells))
-    if kinds == {float}:
+    if len(kinds) != 1:
+        return [text for cell in cells for text in _cells([cell], fmt, depth)]
+    (kind,) = kinds
+    if issubclass(kind, bool):
+        return ["true" if v else "false" for v in cells]
+    if issubclass(kind, float):
+        if fmt == "csv":
+            return [f"{v:.17g}" for v in cells]
         return list(map(float.__repr__, cells))
-    if kinds == {int}:
+    if issubclass(kind, int):
         return list(map(int.__repr__, cells))
-    return [_json_value(v, depth) for v in cells]
+    if issubclass(kind, str):
+        return cells if fmt == "csv" else list(map(json.dumps, cells))
+    if issubclass(kind, list):
+        if fmt == "csv":
+            return [";".join(_cells(v, fmt, depth)) for v in cells]
+        pad = "\n" + "  " * (depth + 1)
+        close = "\n" + "  " * depth + "]"
+        return ["[" + pad + ("," + pad).join(_cells(v, fmt, depth + 1)) + close if v
+                else "[]" for v in cells]
+    raise TypeError(f"no {fmt} form for {kind.__name__}")
 
 
-def _csv_cells(cells: list) -> list[str]:
-    kinds = set(map(type, cells))
-    if kinds == {float}:
-        return [f"{v:.17g}" for v in cells]
-    if kinds == {int}:
-        return list(map(int.__repr__, cells))
-    return list(map(_fmt, cells))
-
-
-def _chunks(table: Table, names):
-    """(record count, cells of each named column) per chunk of ``table``."""
-    total = len(table)
-    for lo in range(0, total, CHUNK_RECORDS):
+def _filled(template: str, table: Table, names: list, fmt: str, depth: int):
+    """``template`` filled with the cells of the ``names`` columns of each
+    record of ``table``, as one list of texts per ``CHUNK_RECORDS`` records."""
+    for lo in range(0, len(table), CHUNK_RECORDS):
         parts = [table.columns[name][lo:lo + CHUNK_RECORDS] for name in names]
-        yield min(CHUNK_RECORDS, total - lo), [
-            p.tolist() if isinstance(p, np.ndarray) else list(p) for p in parts
-        ]
+        cells = [_cells(p.tolist() if isinstance(p, np.ndarray) else list(p), fmt, depth)
+                 for p in parts]
+        yield list(map(template.__mod__, zip(*cells)))
 
 
 def _json_pieces(doc: dict):
@@ -211,7 +186,7 @@ def _json_pieces(doc: dict):
     for i, (key, value) in enumerate(doc.items()):
         text += ("," if i else "") + "\n  " + json.dumps(key) + ": "
         if not isinstance(value, Table):
-            text += _json_value(value, 1)
+            text += _cells([value], "json", 1)[0]
             continue
         if not len(value):
             text += "[]"
@@ -221,35 +196,28 @@ def _json_pieces(doc: dict):
             json.dumps(name).replace("%", "%%") + ": %s" for name in names)
         template = "    {\n      " + fields + "\n    }"
         text += "[\n"
-        for _, cells in _chunks(value, names):
-            records = zip(*(_json_cells(c, 3) for c in cells))
-            yield text + ",\n".join(map(template.__mod__, records))
+        for records in _filled(template, value, names, "json", 3):
+            yield text + ",\n".join(records)
             text = ",\n"
         text = "\n  ]"
     yield text + "\n}\n"
 
 
-def _csv_pieces(header: list[str], tables: list[Table]):
-    """The CSV document in pieces: ``header``, then each table's rows.
+def _csv_pieces(tables: list[Table]):
+    """The CSV document in pieces: a header of ``record`` and every
+    table's columns in order of first appearance, then each table's rows.
 
-    The ``record`` column holds the table's record tag; a column a table
-    does not have is left empty.
+    Each table's rows come from one template with its record tag and the
+    empty fields of the columns it lacks written in.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    header = ["record", *dict.fromkeys(c for t in tables for c in t.columns)]
+    yield ",".join(header) + "\n"
     for table in tables:
         names = [c for c in header if c in table.columns]
-        for n, cells in _chunks(table, names):
-            by_name = dict(zip(names, cells))
-            rows = [[table.record] * n if col == "record"
-                    else _csv_cells(by_name[col]) if col in by_name else [""] * n
-                    for col in header]
-            writer.writerows(zip(*rows))
-            yield buf.getvalue()
-            buf.seek(0)
-            buf.truncate()
-    yield buf.getvalue()
+        template = ",".join(table.record.replace("%", "%%") if c == "record"
+                            else "%s" if c in table.columns else "" for c in header)
+        for rows in _filled(template + "\n", table, names, "csv", 0):
+            yield "".join(rows)
 
 
 def _finite(cells) -> bool:
@@ -262,9 +230,9 @@ def _finite(cells) -> bool:
                else not isinstance(v, float) or math.isfinite(v) for v in cells)
 
 
-def _emit(config: RunConfig, command: str, json_doc: dict,
-          csv_header: list[str], csv_tables: list[Table]):
-    """Write the JSON document or the CSV tables to stdout or --out.
+def _emit(config: RunConfig, command: str, json_doc: dict, csv_tables: list[Table]):
+    """Write the JSON document, or the CSV document of ``csv_tables``
+    under a header derived from their columns, to stdout or --out.
 
     Every float is checked to be finite before anything is written or
     opened; the text then streams out ``CHUNK_RECORDS`` records at a time.
@@ -274,8 +242,8 @@ def _emit(config: RunConfig, command: str, json_doc: dict,
         columns = [c for v in json_doc.values()
                    for c in (v.columns.values() if isinstance(v, Table) else [[v]])]
     else:
-        pieces = _csv_pieces(csv_header, csv_tables)
-        columns = [t.columns[c] for t in csv_tables for c in csv_header if c in t.columns]
+        pieces = _csv_pieces(csv_tables)
+        columns = [c for t in csv_tables for c in t.columns.values()]
     if not all(map(_finite, columns)):
         raise UsageError(
             f"--hbar {config.hbar}: a result overflows to a non-finite value"
@@ -335,11 +303,8 @@ def _verdict(checks: list[dict], tol: float) -> int:
     """Print one FAILED line per failed check to stderr; the exit code."""
     failed = [c for c in checks if not c["pass"]]
     for c in failed:
-        print(
-            f"FAILED {c['name']}: max_residual {_fmt(c['max_residual'])} "
-            f"> tol {_fmt(tol)}",
-            file=sys.stderr,
-        )
+        residual, limit = _cells([c["max_residual"], tol], "csv", 0)
+        print(f"FAILED {c['name']}: max_residual {residual} > tol {limit}", file=sys.stderr)
     return EXIT_FAILED if failed else EXIT_OK
 
 
@@ -442,11 +407,9 @@ def cmd_verify(config: RunConfig, corrupt: str | None = None) -> int:
         "checks": check_table,
         "blocks": block_table,
     }
-    header = ["record", "name", "value", "max_residual", "pass",
-              "two_j", "casimir", "jz_spectrum", "sum_rule_pass"]
     config_table = Table("config", {"name": ["n_max", "hbar", "tol"],
                                     "value": [config.n_max, config.hbar, config.tol]})
-    _emit(config, "verify", json_doc, header, [config_table, check_table, block_table])
+    _emit(config, "verify", json_doc, [config_table, check_table, block_table])
     return _verdict(checks, config.tol)
 
 
@@ -473,11 +436,10 @@ def cmd_spectrum(config: RunConfig, n: int, nmax_flag: str = "--nmax") -> int:
         "max_residual": report.max_residual,
         "rows": Table("row", levels),
     }
-    header = ["record", "two_j", "two_mj", "jz", "casimir", "mean_square"]
     rows = Table("row", {"two_j": [n] * (n + 1), **levels,
                          "casimir": [report.casimir_value] * (n + 1),
                          "mean_square": [mean_square] * (n + 1)})
-    _emit(config, "spectrum", json_doc, header, [rows])
+    _emit(config, "spectrum", json_doc, [rows])
     check = {"name": "casimir_block_spread", "max_residual": report.spread,
              "pass": report.spread <= config.tol}
     return _verdict([check], config.tol)
@@ -498,9 +460,8 @@ def cmd_sumrule(config: RunConfig, two_j_max: int) -> int:
         "rows": rows,
         "all_pass": all_pass,
     }
-    header = ["record", "two_j", "lhs_quarters", "rhs_quarters", "pass"]
     summary = Table("summary", {"pass": [all_pass]})
-    _emit(config, "sumrule", json_doc, header, [rows, summary])
+    _emit(config, "sumrule", json_doc, [rows, summary])
     return EXIT_OK if all_pass else EXIT_FAILED
 
 
@@ -527,8 +488,7 @@ def cmd_angle(config: RunConfig, two_j: int, epsilon: float,
         "epsilon": epsilon,
         "rows": rows,
     }
-    header = ["record", "two_j", "two_mj", "epsilon", "cos_theta"]
-    _emit(config, "angle", json_doc, header, [rows])
+    _emit(config, "angle", json_doc, [rows])
     return EXIT_OK
 
 
@@ -554,9 +514,8 @@ def cmd_limit(config: RunConfig, two_j_max: int, epsilon: float) -> int:
         "rows": rows,
         "monotonic": monotonic,
     }
-    header = ["record", "two_j", "epsilon", "cos_theta", "gap_bound", "monotonic"]
     summary = Table("summary", {"monotonic": [monotonic]})
-    _emit(config, "limit", json_doc, header, [rows, summary])
+    _emit(config, "limit", json_doc, [rows, summary])
     return EXIT_OK
 
 
@@ -586,13 +545,7 @@ def cmd_classical(config: RunConfig, count: int, bound: float, seed: int) -> int
     jz = (0.5 * h) * (m1 - m2)
     jtot = (0.5 * h) * (m1 + m2)
     tiny = float(np.finfo(float).tiny)
-    rel = np.empty(count)
-    for lo in range(0, count, CHUNK_RECORDS):
-        part = slice(lo, lo + CHUNK_RECORDS)
-        # x ** 2 is libm pow, as in the scalar oracle; x * x can differ in the last bit
-        rel[part] = [abs(x ** 2 + y ** 2 + z ** 2 - t ** 2) / max(t ** 2, tiny)
-                     for x, y, z, t in zip(jx[part].tolist(), jy[part].tolist(),
-                                           jz[part].tolist(), jtot[part].tolist())]
+    rel = np.abs(jx * jx + jy * jy + jz * jz - jtot * jtot) / np.maximum(jtot * jtot, tiny)
     max_rel = float(rel.max())
     counts, edges = np.histogram(jtot, bins=HIST_BINS, range=(0.0, top))
     samples = Table("sample", {"index": range(count), "jx": jx, "jy": jy, "jz": jz,
@@ -612,10 +565,8 @@ def cmd_classical(config: RunConfig, count: int, bound: float, seed: int) -> int
         "max_rel_residual": max_rel,
         "pass": ok,
     }
-    header = ["record", "index", "jx", "jy", "jz", "jtot", "rel_residual",
-              "bin_lo", "bin_hi", "count", "max_rel_residual", "pass"]
     summary = Table("summary", {"max_rel_residual": [max_rel], "pass": [ok]})
-    _emit(config, "classical", json_doc, header, [samples, histogram, summary])
+    _emit(config, "classical", json_doc, [samples, histogram, summary])
     return EXIT_OK if ok else EXIT_FAILED
 
 

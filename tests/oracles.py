@@ -23,7 +23,7 @@ import numpy as np
 
 from schwinger.angular import AngularMomentumSet
 from schwinger.classical import classical_components, sample_states
-from schwinger.cli import Table, _fmt
+from schwinger.cli import Table
 from schwinger.spectra import SpectrumReport, diagonal_report, gershgorin_discs
 
 
@@ -213,8 +213,8 @@ def classical_records(count: int, bound: float, seed: int, hbar: float) -> list[
     records = []
     for idx, state in enumerate(sample_states(count, bound, seed, hbar)):
         c = classical_components(state)
-        lhs = c.jx ** 2 + c.jy ** 2 + c.jz ** 2
-        rel = abs(lhs - c.jtot ** 2) / max(c.jtot ** 2, tiny)
+        lhs = c.jx * c.jx + c.jy * c.jy + c.jz * c.jz
+        rel = abs(lhs - c.jtot * c.jtot) / max(c.jtot * c.jtot, tiny)
         records.append({"index": idx, "jx": c.jx, "jy": c.jy, "jz": c.jz,
                         "jtot": c.jtot, "rel_residual": rel})
     return records
@@ -236,12 +236,30 @@ def json_text(doc: dict) -> str:
     return json.dumps(plain, indent=2, allow_nan=False) + "\n"
 
 
-def csv_text(header: list[str], tables: list[Table]) -> str:
-    """The CSV document, written one row dict at a time."""
-    rows = [{"record": t.record, **r} for t in tables for r in records(t)]
+def csv_field(value) -> str:
+    """One CSV field as the README specifies it; ``None`` is an absent column."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.17g" % value
+    if isinstance(value, list):
+        return ";".join(map(csv_field, value))
+    return str(value)
+
+
+def csv_text(tables: list[Table]) -> str:
+    """The CSV document, written one row dict at a time under a header of
+    ``record`` and the tables' columns in order of first appearance."""
+    header = ["record"]
+    for table in tables:
+        header += [name for name in table.columns if name not in header]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(row.get(col)) for col in header])
+    for table in tables:
+        for row in records(table):
+            row["record"] = table.record
+            writer.writerow([csv_field(row.get(name)) for name in header])
     return buf.getvalue()

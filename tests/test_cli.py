@@ -608,9 +608,9 @@ def emitted(capsys, monkeypatch, *argv):
     handed = []
     real = cli._emit
 
-    def spy(config, command, json_doc, csv_header, csv_tables):
-        handed.append((json_doc, csv_header, csv_tables))
-        return real(config, command, json_doc, csv_header, csv_tables)
+    def spy(config, command, json_doc, csv_tables):
+        handed.append((json_doc, csv_tables))
+        return real(config, command, json_doc, csv_tables)
 
     monkeypatch.setattr(cli, "_emit", spy)
     code, out, _ = run_cli(capsys, *argv, "--no-meta")
@@ -629,6 +629,18 @@ WRITER_ARGV = [
     ["classical", "--count", "37", "--seed", "-8", "--hbar", "1e-100"],
 ]
 
+# record, then the command's table columns in order of first appearance
+CSV_HEADERS = {
+    "verify": ["record", "name", "value", "max_residual", "pass",
+               "two_j", "casimir", "jz_spectrum", "sum_rule_pass"],
+    "spectrum": ["record", "two_j", "two_mj", "jz", "casimir", "mean_square"],
+    "sumrule": ["record", "two_j", "lhs_quarters", "rhs_quarters", "pass"],
+    "angle": ["record", "two_j", "two_mj", "epsilon", "cos_theta"],
+    "limit": ["record", "two_j", "epsilon", "cos_theta", "gap_bound", "monotonic"],
+    "classical": ["record", "index", "jx", "jy", "jz", "jtot", "rel_residual",
+                  "bin_lo", "bin_hi", "count", "max_rel_residual", "pass"],
+}
+
 
 class TestWriter:
     """The streaming writer against ``json.dumps(indent=2)`` and the row-wise CSV."""
@@ -638,17 +650,17 @@ class TestWriter:
     @pytest.mark.parametrize("argv", WRITER_ARGV, ids=" ".join)
     def test_bytes_equal_oracle(self, capsys, monkeypatch, argv, chunk, fmt):
         monkeypatch.setattr(cli, "CHUNK_RECORDS", chunk)
-        out, (doc, header, tables) = emitted(capsys, monkeypatch, *argv, "--format", fmt)
-        assert out == (json_text(doc) if fmt == "json" else csv_text(header, tables))
+        out, (doc, tables) = emitted(capsys, monkeypatch, *argv, "--format", fmt)
+        assert out == (json_text(doc) if fmt == "json" else csv_text(tables))
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("count", [CHUNK_RECORDS - 1, CHUNK_RECORDS,
                                        CHUNK_RECORDS + 1, 2 * CHUNK_RECORDS + 1])
     def test_classical_at_chunk_boundaries(self, capsys, monkeypatch, count, fmt):
-        out, (doc, header, tables) = emitted(
+        out, (doc, tables) = emitted(
             capsys, monkeypatch, "classical", "--count", str(count), "--seed", "3",
             "--format", fmt)
-        assert out == (json_text(doc) if fmt == "json" else csv_text(header, tables))
+        assert out == (json_text(doc) if fmt == "json" else csv_text(tables))
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", [["verify", "--nmax", "3", "--hbar", "1e103"],
@@ -664,6 +676,13 @@ class TestWriter:
     def test_empty_table(self):
         doc = {"command": "x", "rows": cli.Table("row", {"a": []}), "ok": True}
         assert "".join(cli._json_pieces(doc)) == json_text(doc)
+
+    @pytest.mark.parametrize("command, header", CSV_HEADERS.items())
+    def test_csv_header(self, capsys, command, header):
+        code, out, _ = run_cli(capsys, command, *REQUIRED[command], "--format", "csv",
+                               "--no-meta")
+        assert code == 0
+        assert out.split("\n", 1)[0] == ",".join(header)
 
 
 # the flags each command reads, the required one first
