@@ -6,6 +6,11 @@ an optional metadata header with a timestamp goes to stderr and is the
 only place a timestamp ever appears, so data output is byte identical
 across reruns with the same flags.
 
+``main`` checks the flags and hands the checked values to one ``cmd_*``
+function, which returns its JSON document, its CSV tables and its
+checks; ``_emit`` writes the document and ``_verdict`` turns the checks
+into the exit code.
+
 Exit codes: 0 all checks passed, 1 a verification check failed,
 2 usage or I/O error.
 """
@@ -65,9 +70,8 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    n_max: int
-    hbar: float = 1.0
-    tol: float = 1e-12
+    """The output settings every command reads."""
+
     format: str = "json"
     output_path: str | None = None
     no_meta: bool = False
@@ -78,29 +82,29 @@ def _require_positive(flag: str, value: float):
         raise UsageError(f"{flag} must be positive and finite, got {value}")
 
 
-def _require_non_negative(flag: str, value: float):
-    if value < 0:
-        raise UsageError(f"{flag} must be non-negative, got {value}")
-
-
-def _require_at_most(flag: str, value: float, limit: float):
+def _require_in_range(flag: str, value: float, limit: float, least: int = 0):
+    """Reject a ``flag`` value below ``least`` or above ``limit``."""
+    if value < least:
+        floor = f"at least {least}" if least else "non-negative"
+        raise UsageError(f"{flag} must be {floor}, got {value}")
     if value > limit:
         raise UsageError(f"{flag} {value} exceeds the limit {limit}")
 
 
-def _validate(config: RunConfig, nmax_flag: str = "--nmax"):
-    """Reject a config no command can run; ``nmax_flag`` is the flag
-    n_max came from."""
-    _require_non_negative(nmax_flag, config.n_max)
-    _require_at_most(nmax_flag, config.n_max, N_MAX_LIMIT)
-    _require_positive("--tol", config.tol)
-    _require_positive("--hbar", config.hbar)
-    if config.hbar < HBAR_FLOOR:
-        raise UsageError(
-            f"--hbar {config.hbar} is below {HBAR_FLOOR:.4g}, where hbar^2 underflows"
-        )
-    if config.format not in ("csv", "json"):
-        raise UsageError(f"unknown format {config.format!r}")
+def _require_hbar_tol(hbar: float, tol: float):
+    _require_positive("--tol", tol)
+    _require_positive("--hbar", hbar)
+    if hbar < HBAR_FLOOR:
+        raise UsageError(f"--hbar {hbar} is below {HBAR_FLOOR:.4g}, where hbar^2 underflows")
+
+
+def _require_epsilon(epsilon: float):
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise UsageError(f"--epsilon must be non-negative and finite, got {epsilon}")
+
+
+def _overflow(flags: str) -> UsageError:
+    return UsageError(f"{flags}: a result overflows to a non-finite value")
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +234,15 @@ def _finite(cells) -> bool:
                else not isinstance(v, float) or math.isfinite(v) for v in cells)
 
 
-def _emit(config: RunConfig, command: str, json_doc: dict, csv_tables: list[Table]):
+def _emit(config: RunConfig, command: str, json_doc: dict, csv_tables: list[Table],
+          flags: str):
     """Write the JSON document, or the CSV document of ``csv_tables``
     under a header derived from their columns, to stdout or --out.
 
     Every float is checked to be finite before anything is written or
-    opened; the text then streams out ``CHUNK_RECORDS`` records at a time.
+    opened; a non-finite one is blamed on ``flags``, the flags the
+    values came from.  The text then streams out ``CHUNK_RECORDS``
+    records at a time.
     """
     if config.format == "json":
         pieces = _json_pieces(json_doc)
@@ -245,9 +252,7 @@ def _emit(config: RunConfig, command: str, json_doc: dict, csv_tables: list[Tabl
         pieces = _csv_pieces(csv_tables)
         columns = [c for t in csv_tables for c in t.columns.values()]
     if not all(map(_finite, columns)):
-        raise UsageError(
-            f"--hbar {config.hbar}: a result overflows to a non-finite value"
-        )
+        raise _overflow(flags)
     if not config.no_meta:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         print(f"# schwinger {__version__} | {command} | {stamp}", file=sys.stderr)
@@ -308,14 +313,13 @@ def _verdict(checks: list[dict], tol: float) -> int:
     return EXIT_FAILED if failed else EXIT_OK
 
 
-def run_battery(config: RunConfig, amset: AngularMomentumSet):
+def run_battery(amset: AngularMomentumSet, tol: float):
     """Run every verification check; returns (checks, blocks).
 
     Each check is {"name", "max_residual", "pass"}; pass means the
-    residual is within config.tol.  Block records follow the fixed
+    residual is within tol.  Block records follow the fixed
     report schema.
     """
-    tol = config.tol
     hbar = amset.hbar
     jx, jy, jz, jt = amset.jx, amset.jy, amset.jz, amset.jtot
     checks: list[tuple[str, float]] = []
@@ -346,7 +350,7 @@ def run_battery(config: RunConfig, amset: AngularMomentumSet):
     classical_form = add(casimir_residual(amset, 0.0, cas=cas), scale(jt, -hbar))
     checks.append(("quadratic_identity_classical_form", classical_form.max_abs()))
 
-    reports = _block_reports(amset, cas, range(config.n_max + 1))
+    reports = _block_reports(amset, cas, range(amset.basis.n_max + 1))
     for name, field in (
         ("block_dimension", "dim_dev"),
         ("jz_spectrum_grid", "grid_dev"),
@@ -369,11 +373,9 @@ def run_battery(config: RunConfig, amset: AngularMomentumSet):
     return check_records, block_records
 
 
-def _apply_corruption(amset: AngularMomentumSet, directive: str) -> AngularMomentumSet:
-    """Test hook: add a delta to one entry of one operator.
-
-    Format: OP,ROW,COL,DELTA with OP in {jx, jy, jz, jtot}.
-    """
+def _parse_corruption(directive: str, dim: int) -> tuple[str, int, int, float]:
+    """The ``verify --corrupt`` test hook OP,ROW,COL,DELTA, with OP in
+    {jx, jy, jz, jtot}, checked against a basis of ``dim`` states."""
     try:
         name, row_s, col_s, delta_s = directive.split(",")
         row, col, delta = int(row_s), int(col_s), float(delta_s)
@@ -385,96 +387,68 @@ def _apply_corruption(amset: AngularMomentumSet, directive: str) -> AngularMomen
         raise UsageError(f"--corrupt DELTA must be finite, got {delta_s!r}")
     if name not in ("jx", "jy", "jz", "jtot"):
         raise UsageError(f"--corrupt operator must be jx|jy|jz|jtot, not {name!r}")
+    if not (0 <= row < dim and 0 <= col < dim):
+        raise UsageError(f"--corrupt entry ({row},{col}) outside dimension {dim}")
+    return name, row, col, delta
+
+
+def _apply_corruption(amset: AngularMomentumSet, corruption) -> AngularMomentumSet:
+    """Test hook: add DELTA to entry (ROW, COL) of operator OP."""
+    name, row, col, delta = corruption
     op: SparseOperator = getattr(amset, name)
-    if not (0 <= row < op.dim and 0 <= col < op.dim):
-        raise UsageError(f"--corrupt entry ({row},{col}) outside dimension {op.dim}")
     bump = from_entries(op.dim, [row], [col], [delta])
     return dataclasses.replace(amset, **{name: add(op, bump)})
 
 
-def cmd_verify(config: RunConfig, corrupt: str | None = None) -> int:
-    _validate(config)
-    amset = build_set(build_basis(config.n_max), config.hbar)
-    if corrupt:
-        amset = _apply_corruption(amset, corrupt)
-    checks, blocks = run_battery(config, amset)
+def cmd_verify(n_max: int, hbar: float, tol: float, corruption: tuple | None = None):
+    amset = build_set(build_basis(n_max), hbar)
+    if corruption:
+        amset = _apply_corruption(amset, corruption)
+    checks, blocks = run_battery(amset, tol)
 
     check_table, block_table = _table("check", checks), _table("block", blocks)
-    json_doc = {
-        "n_max": config.n_max,
-        "hbar": config.hbar,
-        "tol": config.tol,
-        "checks": check_table,
-        "blocks": block_table,
-    }
+    json_doc = {"n_max": n_max, "hbar": hbar, "tol": tol,
+                "checks": check_table, "blocks": block_table}
     config_table = Table("config", {"name": ["n_max", "hbar", "tol"],
-                                    "value": [config.n_max, config.hbar, config.tol]})
-    _emit(config, "verify", json_doc, [config_table, check_table, block_table])
-    return _verdict(checks, config.tol)
+                                    "value": [n_max, hbar, tol]})
+    return json_doc, [config_table, check_table, block_table], checks
 
 
 # ---------------------------------------------------------------------------
 # table commands
 
-def cmd_spectrum(config: RunConfig, n: int, nmax_flag: str = "--nmax") -> int:
-    _validate(config, nmax_flag)
-    _require_non_negative("--n", n)
-    if n > config.n_max:
-        raise UsageError(f"--n {n} exceeds --nmax {config.n_max}")
-    amset = build_set(build_basis(config.n_max), config.hbar)
+def cmd_spectrum(n: int, n_max: int, hbar: float, tol: float):
+    amset = build_set(build_basis(n_max), hbar)
     (report,) = _block_reports(amset, casimir(amset), [n])
     mean_square = mean_square_from_spectrum(report)
     levels = {"two_mj": range(n, -n - 1, -2), "jz": list(report.jz_eigenvalues)}
-    json_doc = {
-        "command": "spectrum",
-        "n_max": config.n_max,
-        "hbar": config.hbar,
-        "tol": config.tol,
-        "two_j": n,
-        "casimir": report.casimir_value,
-        "mean_square": mean_square,
-        "max_residual": report.max_residual,
-        "rows": Table("row", levels),
-    }
+    json_doc = {"command": "spectrum", "n_max": n_max, "hbar": hbar, "tol": tol,
+                "two_j": n, "casimir": report.casimir_value, "mean_square": mean_square,
+                "max_residual": report.max_residual, "rows": Table("row", levels)}
     rows = Table("row", {"two_j": [n] * (n + 1), **levels,
                          "casimir": [report.casimir_value] * (n + 1),
                          "mean_square": [mean_square] * (n + 1)})
-    _emit(config, "spectrum", json_doc, [rows])
     check = {"name": "casimir_block_spread", "max_residual": report.spread,
-             "pass": report.spread <= config.tol}
-    return _verdict([check], config.tol)
+             "pass": report.spread <= tol}
+    return json_doc, [rows], [check]
 
 
-def cmd_sumrule(config: RunConfig, two_j_max: int) -> int:
-    _require_non_negative("--two-j-max", two_j_max)
-    _require_at_most("--two-j-max", two_j_max, SUM_RULE_TWO_J_LIMIT)
+def cmd_sumrule(two_j_max: int):
     two_js = range(two_j_max + 1)
     lhs, rhs = zip(*map(sum_rule_check, two_js))
-    passes = [a == b for a, b in zip(lhs, rhs)]
+    deviations = [abs(a - b) for a, b in zip(lhs, rhs)]
+    passes = [d == 0 for d in deviations]
     all_pass = all(passes)
     rows = Table("row", {"two_j": two_js, "lhs_quarters": list(lhs),
                          "rhs_quarters": list(rhs), "pass": passes})
-    json_doc = {
-        "command": "sumrule",
-        "two_j_max": two_j_max,
-        "rows": rows,
-        "all_pass": all_pass,
-    }
+    json_doc = {"command": "sumrule", "two_j_max": two_j_max, "rows": rows,
+                "all_pass": all_pass}
     summary = Table("summary", {"pass": [all_pass]})
-    _emit(config, "sumrule", json_doc, [rows, summary])
-    return EXIT_OK if all_pass else EXIT_FAILED
+    check = {"name": "sum_rule", "max_residual": max(deviations), "pass": all_pass}
+    return json_doc, [rows, summary], [check]
 
 
-def cmd_angle(config: RunConfig, two_j: int, epsilon: float,
-              two_j_flag: str = "--two-j") -> int:
-    """``two_j_flag`` is the flag two_j came from (``--j`` gives j)."""
-    if two_j < 1:
-        raise UsageError(
-            f"{two_j_flag} must be positive: the angle is undefined at j = 0, where |J| = 0"
-        )
-    _require_at_most("--two-j", two_j, TWO_J_LIMIT)
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise UsageError(f"--epsilon must be non-negative and finite, got {epsilon}")
+def cmd_angle(two_j: int, epsilon: float):
     two_mjs = range(two_j, -two_j - 1, -2)
     rows = Table("row", {
         "two_j": [two_j] * len(two_mjs),
@@ -482,22 +456,11 @@ def cmd_angle(config: RunConfig, two_j: int, epsilon: float,
         "epsilon": [epsilon] * len(two_mjs),
         "cos_theta": [cos_theta(two_j, two_mj, epsilon) for two_mj in two_mjs],
     })
-    json_doc = {
-        "command": "angle",
-        "two_j": two_j,
-        "epsilon": epsilon,
-        "rows": rows,
-    }
-    _emit(config, "angle", json_doc, [rows])
-    return EXIT_OK
+    json_doc = {"command": "angle", "two_j": two_j, "epsilon": epsilon, "rows": rows}
+    return json_doc, [rows], []
 
 
-def cmd_limit(config: RunConfig, two_j_max: int, epsilon: float) -> int:
-    if two_j_max < 1:
-        raise UsageError(f"--two-j-max must be at least 1, got {two_j_max}")
-    _require_at_most("--two-j-max", two_j_max, TWO_J_LIMIT)
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise UsageError(f"--epsilon must be non-negative and finite, got {epsilon}")
+def cmd_limit(two_j_max: int, epsilon: float):
     values = [r.cos_theta for r in limit_scan(two_j_max, epsilon)]
     monotonic = all(b > a for a, b in zip(values, values[1:]))
     two_js = range(1, two_j_max + 1)
@@ -507,43 +470,23 @@ def cmd_limit(config: RunConfig, two_j_max: int, epsilon: float) -> int:
         "cos_theta": values,
         "gap_bound": [1.0 / k for k in two_js],
     })
-    json_doc = {
-        "command": "limit",
-        "two_j_max": two_j_max,
-        "epsilon": epsilon,
-        "rows": rows,
-        "monotonic": monotonic,
-    }
+    json_doc = {"command": "limit", "two_j_max": two_j_max, "epsilon": epsilon,
+                "rows": rows, "monotonic": monotonic}
     summary = Table("summary", {"monotonic": [monotonic]})
-    _emit(config, "limit", json_doc, [rows, summary])
-    return EXIT_OK
+    return json_doc, [rows, summary], []
 
 
-def cmd_classical(config: RunConfig, count: int, bound: float, seed: int) -> int:
-    if count < 1:
-        raise UsageError(f"--count must be at least 1, got {count}")
-    _require_at_most("--count", count, COUNT_LIMIT)
-    _require_positive("--bound", bound)
-    _validate(config)
-    top = config.hbar * bound * bound  # jtot <= hbar * bound^2
-    # the squares below reach top^2 up to rounding; the factor 2 is headroom
-    if not math.isfinite(2.0 * top * top):
-        raise UsageError(f"--hbar {config.hbar} with --bound {bound}: a result "
-                         "overflows to a non-finite value")
-    # below the floor every jtot^2 underflows and each residual would read 0
-    if top < HBAR_FLOOR:
-        raise UsageError(f"--hbar {config.hbar} with --bound {bound}: hbar*bound^2 "
-                         f"is below {HBAR_FLOOR:.4g}, where its square underflows")
+def cmd_classical(count: int, bound: float, seed: int, hbar: float, tol: float):
+    top = hbar * bound * bound  # jtot <= hbar * bound^2
     re1, im1, re2, im2 = sample_amplitudes(count, bound, seed)
     # conj(a1) a2, |a1|^2 and |a2|^2 written out as Python's complex
     # arithmetic evaluates them, so each value matches classical_components
-    h = config.hbar
-    jx = h * (re1 * re2 + im1 * im2)
-    jy = h * (re1 * im2 - im1 * re2)
+    jx = hbar * (re1 * re2 + im1 * im2)
+    jy = hbar * (re1 * im2 - im1 * re2)
     m1 = re1 * re1 + im1 * im1
     m2 = re2 * re2 + im2 * im2
-    jz = (0.5 * h) * (m1 - m2)
-    jtot = (0.5 * h) * (m1 + m2)
+    jz = (0.5 * hbar) * (m1 - m2)
+    jtot = (0.5 * hbar) * (m1 + m2)
     tiny = float(np.finfo(float).tiny)
     rel = np.abs(jx * jx + jy * jy + jz * jz - jtot * jtot) / np.maximum(jtot * jtot, tiny)
     max_rel = float(rel.max())
@@ -552,22 +495,13 @@ def cmd_classical(config: RunConfig, count: int, bound: float, seed: int) -> int
                                "jtot": jtot, "rel_residual": rel})
     histogram = Table("hist", {"bin_lo": edges[:-1], "bin_hi": edges[1:],
                                "count": counts})
-    ok = max_rel < config.tol
-    json_doc = {
-        "command": "classical",
-        "count": count,
-        "amplitude_bound": bound,
-        "seed": seed,
-        "hbar": config.hbar,
-        "tol": config.tol,
-        "samples": samples,
-        "histogram": histogram,
-        "max_rel_residual": max_rel,
-        "pass": ok,
-    }
+    ok = max_rel <= tol
+    json_doc = {"command": "classical", "count": count, "amplitude_bound": bound,
+                "seed": seed, "hbar": hbar, "tol": tol, "samples": samples,
+                "histogram": histogram, "max_rel_residual": max_rel, "pass": ok}
     summary = Table("summary", {"max_rel_residual": [max_rel], "pass": [ok]})
-    _emit(config, "classical", json_doc, [samples, histogram, summary])
-    return EXIT_OK if ok else EXIT_FAILED
+    check = {"name": "classical_square_identity", "max_residual": max_rel, "pass": ok}
+    return json_doc, [samples, histogram, summary], [check]
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +511,7 @@ def _two_j_from_decimal(j: float) -> int:
     two_j = 2.0 * j
     if not (math.isfinite(two_j) and two_j == round(two_j)):
         raise UsageError(f"--j must end in .0 or .5, got {j}")
-    _require_non_negative("--j", j)
-    _require_at_most("--j", j, TWO_J_LIMIT / 2)
+    _require_in_range("--j", j, TWO_J_LIMIT / 2)
     return int(round(two_j))
 
 
@@ -642,29 +575,69 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args) -> int:
-    fields = {"format": args.format, "output_path": args.out, "no_meta": args.no_meta}
+def _dispatch(args):
+    """Check each flag the command reads, once and in a fixed order,
+    then run the command on the checked values.
+
+    Returns the command's (json_doc, csv_tables, checks), the tol its
+    checks are judged against, and the flags its values come from.
+    """
     if args.command == "sumrule":
-        return cmd_sumrule(RunConfig(0, **fields), args.two_j_max)
+        _require_in_range("--two-j-max", args.two_j_max, SUM_RULE_TWO_J_LIMIT)
+        # both sides are integers, so the check is exact
+        return cmd_sumrule(args.two_j_max), 0, f"--two-j-max {args.two_j_max}"
     if args.command == "angle":
         if args.two_j is None:
-            return cmd_angle(RunConfig(0, **fields), _two_j_from_decimal(args.j),
-                             args.epsilon, "--j")
-        _require_non_negative("--two-j", args.two_j)
-        return cmd_angle(RunConfig(0, **fields), args.two_j, args.epsilon)
+            flag, two_j = "--j", _two_j_from_decimal(args.j)
+        else:
+            flag, two_j = "--two-j", args.two_j
+            _require_in_range(flag, two_j, TWO_J_LIMIT)
+        if two_j < 1:
+            raise UsageError(
+                f"{flag} must be positive: the angle is undefined at j = 0, where |J| = 0"
+            )
+        _require_epsilon(args.epsilon)
+        return cmd_angle(two_j, args.epsilon), None, f"--epsilon {args.epsilon}"
     if args.command == "limit":
-        return cmd_limit(RunConfig(0, **fields), args.two_j_max, args.epsilon)
+        _require_in_range("--two-j-max", args.two_j_max, TWO_J_LIMIT, least=1)
+        _require_epsilon(args.epsilon)
+        return cmd_limit(args.two_j_max, args.epsilon), None, f"--epsilon {args.epsilon}"
+
     # verify, spectrum and classical also take --hbar and --tol
-    fields.update(hbar=args.hbar, tol=args.tol)
+    hbar, tol = args.hbar, args.tol
     if args.command == "verify":
-        return cmd_verify(RunConfig(args.nmax, **fields), corrupt=args.corrupt)
+        _require_in_range("--nmax", args.nmax, N_MAX_LIMIT)
+        _require_hbar_tol(hbar, tol)
+        if not args.corrupt:
+            return cmd_verify(args.nmax, hbar, tol), tol, f"--hbar {hbar}"
+        corruption = _parse_corruption(args.corrupt, build_basis(args.nmax).size)
+        flags = f"--hbar {hbar} with --corrupt {args.corrupt}"
+        return cmd_verify(args.nmax, hbar, tol, corruption), tol, flags
     if args.command == "spectrum":
-        if args.nmax is None:
-            return cmd_spectrum(RunConfig(args.n, **fields), args.n, "--n")
-        return cmd_spectrum(RunConfig(args.nmax, **fields), args.n)
-    if args.command == "classical":
-        return cmd_classical(RunConfig(0, **fields), args.count, args.bound, args.seed)
-    raise UsageError(f"unknown command {args.command!r}")
+        # without --nmax the basis is just large enough for --n
+        n_max = args.n if args.nmax is None else args.nmax
+        _require_in_range("--n" if args.nmax is None else "--nmax", n_max, N_MAX_LIMIT)
+        _require_hbar_tol(hbar, tol)
+        if args.n < 0:
+            raise UsageError(f"--n must be non-negative, got {args.n}")
+        if args.n > n_max:
+            raise UsageError(f"--n {args.n} exceeds --nmax {n_max}")
+        return cmd_spectrum(args.n, n_max, hbar, tol), tol, f"--hbar {hbar}"
+
+    # classical: the subparsers are required, so no other command is left
+    _require_in_range("--count", args.count, COUNT_LIMIT, least=1)
+    _require_positive("--bound", args.bound)
+    _require_hbar_tol(hbar, tol)
+    flags = f"--hbar {hbar} with --bound {args.bound}"
+    top = hbar * args.bound * args.bound  # jtot <= hbar * bound^2
+    # the squares reach top^2 up to rounding; the factor 2 is headroom
+    if not math.isfinite(2.0 * top * top):
+        raise _overflow(flags)
+    # below the floor every jtot^2 underflows and each residual would read 0
+    if top < HBAR_FLOOR:
+        raise UsageError(f"{flags}: hbar*bound^2 is below {HBAR_FLOOR:.4g}, "
+                         "where its square underflows")
+    return cmd_classical(args.count, args.bound, args.seed, hbar, tol), tol, flags
 
 
 def main(argv=None) -> int:
@@ -673,16 +646,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
+    config = RunConfig(args.format, args.out, args.no_meta)
     try:
         # overflow shows up as a non-finite result, reported by _emit
         with np.errstate(all="ignore"):
-            return _dispatch(args)
+            (json_doc, csv_tables, checks), tol, flags = _dispatch(args)
+            _emit(config, args.command, json_doc, csv_tables, flags)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return _verdict(checks, tol)
 
 
 if __name__ == "__main__":

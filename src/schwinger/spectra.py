@@ -113,7 +113,8 @@ def diagonal_report(
     )
 
 
-# int64 stays exact for the quarter sums up to well beyond this bound
+# the largest two_j sum_rule_check takes: its int64 sum, about
+# two_j^3 / 3 = 3.3e17 here, stays well inside 2^63
 _SUM_RULE_VECTOR_LIMIT = 1_000_000
 
 
@@ -123,16 +124,16 @@ def sum_rule_check(two_j: int) -> tuple[int, int]:
     Scaling by 4 makes both sides integers for every half-integer j:
     lhs = sum of (2m)^2 over the 2j+1 values of m, rhs = 2j(2j+1)(2j+2)/3.
     Returned as exact integers so the equality can be asserted with no
-    floating point involved.
+    floating point involved.  Raises ValueError for two_j outside
+    0.._SUM_RULE_VECTOR_LIMIT.
     """
     if two_j < 0:
         raise ValueError(f"two_j must be non-negative, got {two_j}")
-    if two_j <= _SUM_RULE_VECTOR_LIMIT:
-        two_m = np.arange(-two_j, two_j + 1, 2, dtype=np.int64)
-        lhs = int(np.sum(two_m * two_m))
-    else:
-        lhs = sum(m * m for m in range(-two_j, two_j + 1, 2))
-    return lhs, _quarter_sum(two_j)
+    if two_j > _SUM_RULE_VECTOR_LIMIT:
+        raise ValueError(f"two_j {two_j} exceeds {_SUM_RULE_VECTOR_LIMIT}, "
+                         "the largest value summed exactly in int64")
+    two_m = np.arange(-two_j, two_j + 1, 2, dtype=np.int64)
+    return int(np.sum(two_m * two_m)), _quarter_sum(two_j)
 
 
 def _quarter_sum(two_j: int) -> int:

@@ -26,9 +26,9 @@ from schwinger.cli import (
     N_MAX_LIMIT,
     SUM_RULE_TWO_J_LIMIT,
     TWO_J_LIMIT,
-    RunConfig,
     UsageError,
-    _validate,
+    _require_hbar_tol,
+    _require_in_range,
     main,
 )
 
@@ -116,9 +116,9 @@ class TestVerify:
     def test_guard_admits_the_cap_without_allocating(self):
         tracemalloc.start()
         try:
-            _validate(RunConfig(n_max=N_MAX_LIMIT))
+            _require_in_range("--nmax", N_MAX_LIMIT, N_MAX_LIMIT)
             with pytest.raises(UsageError, match="exceeds the limit"):
-                _validate(RunConfig(n_max=N_MAX_LIMIT + 1))
+                _require_in_range("--nmax", N_MAX_LIMIT + 1, N_MAX_LIMIT)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -216,7 +216,7 @@ class TestVerify:
 
     def test_small_corruption_applied(self):
         amset = build_set(build_basis(4), 1.0)
-        bumped = cli._apply_corruption(amset, "jx,1,3,1e-17")
+        bumped = cli._apply_corruption(amset, ("jx", 1, 3, 1e-17))
         assert bumped.jx != amset.jx
         assert bumped.jx.to_dense()[1, 3] == 1e-17
 
@@ -235,7 +235,7 @@ class TestVerify:
         op = getattr(amset, name)
         nan = from_entries(op.dim, [row], [col], [np.nan])
         bad = dataclasses.replace(amset, **{name: add(op, nan)})
-        checks, _ = cli.run_battery(RunConfig(n_max=3), bad)
+        checks, _ = cli.run_battery(bad, 1e-12)
         assert expected <= {c["name"] for c in checks if not c["pass"]}
 
     def test_casimir_built_once(self, capsys, monkeypatch):
@@ -577,6 +577,16 @@ class TestClassical:
         assert doc["samples"] == expected
         assert doc["max_rel_residual"] == max(r["rel_residual"] for r in expected)
 
+    def test_tol_equal_to_residual_passes(self, capsys):
+        # pass means max_rel_residual <= tol, as for every other check
+        _, out, _ = run_cli(capsys, "classical", "--count", "50", "--no-meta")
+        max_rel = json.loads(out)["max_rel_residual"]
+        assert max_rel > 0
+        code, out, err = run_cli(capsys, "classical", "--count", "50", "--tol",
+                                 repr(max_rel), "--no-meta")
+        assert code == 0 and err == ""
+        assert json.loads(out)["pass"] is True
+
     def test_builds_no_state_objects(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("classical built a ClassicalState")
@@ -608,9 +618,9 @@ def emitted(capsys, monkeypatch, *argv):
     handed = []
     real = cli._emit
 
-    def spy(config, command, json_doc, csv_tables):
+    def spy(config, command, json_doc, csv_tables, flags):
         handed.append((json_doc, csv_tables))
-        return real(config, command, json_doc, csv_tables)
+        return real(config, command, json_doc, csv_tables, flags)
 
     monkeypatch.setattr(cli, "_emit", spy)
     code, out, _ = run_cli(capsys, *argv, "--no-meta")
@@ -673,6 +683,14 @@ class TestWriter:
         assert err.startswith("error: --hbar") and err.count("\n") == 1
         assert not path.exists()
 
+    @pytest.mark.parametrize("directive", ["jz,0,0,1e308", "jx,1,2,1e200"])
+    def test_corrupt_overflow_names_corrupt(self, capsys, directive):
+        code, out, err = run_cli(capsys, "verify", "--nmax", "3", "--corrupt", directive,
+                                 "--no-meta")
+        assert code == 2 and out == ""
+        assert err == (f"error: --hbar 1.0 with --corrupt {directive}: "
+                       "a result overflows to a non-finite value\n")
+
     def test_empty_table(self):
         doc = {"command": "x", "rows": cli.Table("row", {"a": []}), "ok": True}
         assert "".join(cli._json_pieces(doc)) == json_text(doc)
@@ -683,6 +701,42 @@ class TestWriter:
                                "--no-meta")
         assert code == 0
         assert out.split("\n", 1)[0] == ",".join(header)
+
+
+class TestExitCodes:
+    """Exit 1 comes with a FAILED line on stderr for each failed check, exit 0 with none."""
+
+    @pytest.mark.parametrize(
+        "argv, unequal_sides, failed",
+        [
+            (["verify", "--nmax", "4"], False, None),
+            (["verify", "--nmax", "4", "--corrupt", "jx,1,3,1e-6"], False, "hermitian_jx"),
+            (["spectrum", "--n", "3"], False, None),
+            (["spectrum", "--n", "3", "--tol", "1e-100"], False, "casimir_block_spread"),
+            (["sumrule", "--two-j-max", "6"], False, None),
+            (["sumrule", "--two-j-max", "6"], True, "sum_rule"),
+            (["angle", "--two-j", "3"], False, None),
+            (["limit", "--two-j-max", "5"], False, None),
+            (["classical", "--count", "50"], False, None),
+            (["classical", "--count", "50", "--tol", "1e-30"], False,
+             "classical_square_identity"),
+        ],
+    )
+    def test_exit_code_matches_failed_lines(self, capsys, monkeypatch, argv,
+                                            unequal_sides, failed):
+        if unequal_sides:
+            monkeypatch.setattr(cli, "sum_rule_check", lambda two_j: (two_j, two_j + 1))
+        code, _, err = run_cli(capsys, *argv, "--no-meta")
+        names = [line.split(":")[0][len("FAILED "):] for line in err.splitlines()
+                 if line.startswith("FAILED ")]
+        assert code == (1 if failed else 0)
+        assert (failed in names) if failed else names == []
+
+    def test_sum_rule_failure_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "sum_rule_check", lambda two_j: (two_j, two_j + 1))
+        code, out, err = run_cli(capsys, "sumrule", "--two-j-max", "6", "--no-meta")
+        assert code == 1 and json.loads(out)["all_pass"] is False
+        assert err == "FAILED sum_rule: max_residual 1 > tol 0\n"
 
 
 # the flags each command reads, the required one first
@@ -781,9 +835,9 @@ class TestParser:
         assert HBAR_FLOOR * HBAR_FLOOR >= tiny
         below = np.nextafter(HBAR_FLOOR, 0.0)
         assert below * below < tiny
-        _validate(RunConfig(n_max=1, hbar=HBAR_FLOOR))
+        _require_hbar_tol(HBAR_FLOOR, 1e-12)
         with pytest.raises(UsageError):
-            _validate(RunConfig(n_max=1, hbar=float(below)))
+            _require_hbar_tol(float(below), 1e-12)
 
     @pytest.mark.parametrize(
         "argv, flag",

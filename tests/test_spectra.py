@@ -193,6 +193,13 @@ class TestSumRule:
         with pytest.raises(ValueError):
             sum_rule_check(-1)
 
+    def test_above_exact_limit_rejected(self):
+        limit = spectra._SUM_RULE_VECTOR_LIMIT
+        lhs, rhs = sum_rule_check(limit)
+        assert lhs == rhs < np.iinfo(np.int64).max
+        with pytest.raises(ValueError, match="exceeds"):
+            sum_rule_check(limit + 1)
+
 
 class TestMeanSquare:
     def test_examples(self):
