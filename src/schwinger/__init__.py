@@ -38,10 +38,8 @@ from .operators import (
 )
 from .spectra import (
     AngleResult,
-    SpectrumReport,
     cos_theta,
     limit_scan,
-    mean_square_from_spectrum,
     sum_rule_check,
 )
 
@@ -55,7 +53,6 @@ __all__ = [
     "FockBasis",
     "OccupationPair",
     "SparseOperator",
-    "SpectrumReport",
     "add",
     "adjoint",
     "annihilation",
@@ -69,7 +66,6 @@ __all__ = [
     "from_entries",
     "identity",
     "limit_scan",
-    "mean_square_from_spectrum",
     "multiply",
     "number_operator",
     "sample_amplitudes",

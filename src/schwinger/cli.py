@@ -32,14 +32,7 @@ from .angular import AngularMomentumSet, build_set, casimir, casimir_residual
 from .classical import sample_amplitudes
 from .fock import build_basis
 from .operators import SparseOperator, add, adjoint, commutator, from_entries, scale
-from .spectra import (
-    cos_theta,
-    diagonal_report,
-    gershgorin_discs,
-    limit_scan,
-    mean_square_from_spectrum,
-    sum_rule_check,
-)
+from .spectra import block_table, cos_theta, gershgorin_discs, limit_scan, sum_rule_check
 
 # verify at n_max 1000 (dimension 501501) takes about 4 s and 250 MB from
 # the shell, near classical at COUNT_LIMIT; at 1500 it takes 9 s and 500 MB
@@ -101,6 +94,9 @@ def _require_hbar_tol(hbar: float, tol: float):
 def _require_epsilon(epsilon: float):
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise UsageError(f"--epsilon must be non-negative and finite, got {epsilon}")
+    # cos theta divides by sqrt(1 + 2 epsilon / two_j)
+    if not math.isfinite(2.0 * epsilon):
+        raise UsageError(f"--epsilon {epsilon} is too large: 2 * epsilon overflows")
 
 
 def _overflow(flags: str) -> UsageError:
@@ -287,21 +283,18 @@ def _total_momentum_residual(amset: AngularMomentumSet) -> float:
     return float(np.max(np.abs(np.concatenate(deviations))))
 
 
-def _block_reports(amset: AngularMomentumSet, cas: SparseOperator, ns) -> list:
-    """The ``SpectrumReport`` of each block n in ``ns``.
+def _blocks(amset: AngularMomentumSet, cas: SparseOperator, first: int) -> dict:
+    """The ``block_table`` of blocks ``first`` .. n_max.
 
     Every block is read off its rows of the global J_z and of ``cas``,
     the global J^2; a radius also counts J^2 entries that leak into
     other blocks.
     """
     centres, radii = gershgorin_discs(cas.to_csr())
-    jz_diag = amset.jz.to_csr().diagonal()
-    reports = []
-    for n in ns:
-        rows = amset.basis.block_range(n)
-        sl = slice(rows.start, rows.stop)
-        reports.append(diagonal_report(n, amset.hbar, jz_diag[sl], centres[sl], radii[sl]))
-    return reports
+    rows = slice(amset.basis.block_range(first).start, None)
+    jz_diag = amset.jz.to_csr().diagonal()[rows]
+    return block_table(range(first, amset.basis.n_max + 1), amset.hbar, jz_diag,
+                       centres[rows], radii[rows])
 
 
 def _verdict(checks: list[dict], tol: float) -> int:
@@ -317,8 +310,8 @@ def run_battery(amset: AngularMomentumSet, tol: float):
     """Run every verification check; returns (checks, blocks).
 
     Each check is {"name", "max_residual", "pass"}; pass means the
-    residual is within tol.  Block records follow the fixed
-    report schema.
+    residual is within tol.  ``blocks`` is the ``block`` Table, one
+    record per block in the fixed report schema.
     """
     hbar = amset.hbar
     jx, jy, jz, jt = amset.jx, amset.jy, amset.jz, amset.jtot
@@ -350,8 +343,8 @@ def run_battery(amset: AngularMomentumSet, tol: float):
     classical_form = add(casimir_residual(amset, 0.0, cas=cas), scale(jt, -hbar))
     checks.append(("quadratic_identity_classical_form", classical_form.max_abs()))
 
-    reports = _block_reports(amset, cas, range(amset.basis.n_max + 1))
-    for name, field in (
+    blocks = _blocks(amset, cas, 0)
+    for name, column in (
         ("block_dimension", "dim_dev"),
         ("jz_spectrum_grid", "grid_dev"),
         ("casimir_block_value", "value_dev"),
@@ -359,18 +352,18 @@ def run_battery(amset: AngularMomentumSet, tol: float):
         ("mean_square_consistency", "mean_square_dev"),
         ("sum_rule_blocks", "sum_rule_dev"),
     ):
-        checks.append((name, float(np.max([getattr(r, field) for r in reports]))))
+        checks.append((name, float(np.max(blocks[column]))))
 
     check_records = [
         {"name": name, "max_residual": float(residual), "pass": residual <= tol}
         for name, residual in checks
     ]
-    block_records = [
-        {"two_j": r.two_j, "casimir": r.casimir_value,
-         "jz_spectrum": list(r.jz_eigenvalues), "sum_rule_pass": r.sum_rule_dev == 0}
-        for r in reports
-    ]
-    return check_records, block_records
+    two_js = range(amset.basis.n_max + 1)
+    levels, starts = blocks["levels"].tolist(), blocks["starts"].tolist()
+    return check_records, Table("block", {
+        "two_j": two_js, "casimir": blocks["casimir"],
+        "jz_spectrum": [levels[a:a + n + 1] for a, n in zip(starts, two_js)],
+        "sum_rule_pass": blocks["sum_rule_dev"] == 0})
 
 
 def _parse_corruption(directive: str, dim: int) -> tuple[str, int, int, float]:
@@ -406,30 +399,32 @@ def cmd_verify(n_max: int, hbar: float, tol: float, corruption: tuple | None = N
         amset = _apply_corruption(amset, corruption)
     checks, blocks = run_battery(amset, tol)
 
-    check_table, block_table = _table("check", checks), _table("block", blocks)
+    check_table = _table("check", checks)
     json_doc = {"n_max": n_max, "hbar": hbar, "tol": tol,
-                "checks": check_table, "blocks": block_table}
+                "checks": check_table, "blocks": blocks}
     config_table = Table("config", {"name": ["n_max", "hbar", "tol"],
                                     "value": [n_max, hbar, tol]})
-    return json_doc, [config_table, check_table, block_table], checks
+    return json_doc, [config_table, check_table, blocks], checks
 
 
 # ---------------------------------------------------------------------------
 # table commands
 
 def cmd_spectrum(n: int, n_max: int, hbar: float, tol: float):
-    amset = build_set(build_basis(n_max), hbar)
-    (report,) = _block_reports(amset, casimir(amset), [n])
-    mean_square = mean_square_from_spectrum(report)
-    levels = {"two_mj": range(n, -n - 1, -2), "jz": list(report.jz_eigenvalues)}
+    # block n is exact in any basis that holds it, so the basis stops at n;
+    # n_max is only echoed
+    amset = build_set(build_basis(n), hbar)
+    block = _blocks(amset, casimir(amset), n)
+    value, mean_square, spread, grid_dev = (
+        float(block[c][0]) for c in ("casimir", "mean_square", "spread", "grid_dev"))
+    levels = {"two_mj": range(n, -n - 1, -2), "jz": block["levels"]}
     json_doc = {"command": "spectrum", "n_max": n_max, "hbar": hbar, "tol": tol,
-                "two_j": n, "casimir": report.casimir_value, "mean_square": mean_square,
-                "max_residual": report.max_residual, "rows": Table("row", levels)}
+                "two_j": n, "casimir": value, "mean_square": mean_square,
+                "max_residual": spread + grid_dev, "rows": Table("row", levels)}
     rows = Table("row", {"two_j": [n] * (n + 1), **levels,
-                         "casimir": [report.casimir_value] * (n + 1),
+                         "casimir": [value] * (n + 1),
                          "mean_square": [mean_square] * (n + 1)})
-    check = {"name": "casimir_block_spread", "max_residual": report.spread,
-             "pass": report.spread <= tol}
+    check = {"name": "casimir_block_spread", "max_residual": spread, "pass": spread <= tol}
     return json_doc, [rows], [check]
 
 

