@@ -18,15 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fock import FockBasis
-from .operators import (
-    SparseOperator,
-    add,
-    adjoint,
-    annihilation,
-    multiply,
-    number_operator,
-    scale,
-)
+from .operators import SparseOperator, _canonical, annihilation, number_operator
 
 
 @dataclass(frozen=True)
@@ -48,29 +40,28 @@ def build_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
     than as a product of single-mode matrices: the product would pass
     through states above the cutoff and silently corrupt the top shell,
     while the adjoint is exact there and keeps J_x, J_y Hermitian to the
-    last bit.
+    last bit.  Each operator is one scipy expression over the mode
+    matrices, canonicalized once.
     """
     if hbar <= 0:
         raise ValueError(f"hbar must be positive, got {hbar}")
-    a1 = annihilation(basis, 1)
-    a2 = annihilation(basis, 2)
-    up_down = multiply(adjoint(a1), a2)  # a1^dag a2, block preserving
-    down_up = adjoint(up_down)           # a1 a2^dag, exact on the top shell
-    n1 = number_operator(basis, 1)
-    n2 = number_operator(basis, 2)
-    jx = scale(add(up_down, down_up), 0.5 * hbar)
-    jy = scale(add(up_down, scale(down_up, -1.0)), -0.5j * hbar)
-    jz = scale(add(n1, scale(n2, -1.0)), 0.5 * hbar)
-    jtot = scale(add(n1, n2), 0.5 * hbar)
+    a1 = annihilation(basis, 1).to_csr()
+    a2 = annihilation(basis, 2).to_csr()
+    up_down = a1.conj().T @ a2    # a1^dag a2, block preserving
+    down_up = up_down.conj().T    # a1 a2^dag, exact on the top shell
+    n1 = number_operator(basis, 1).to_csr()
+    n2 = number_operator(basis, 2).to_csr()
+    jx = _canonical((up_down + down_up) * (0.5 * hbar))
+    jy = _canonical((up_down - down_up) * (-0.5j * hbar))
+    jz = _canonical((n1 - n2) * (0.5 * hbar))
+    jtot = _canonical((n1 + n2) * (0.5 * hbar))
     return AngularMomentumSet(jx=jx, jy=jy, jz=jz, jtot=jtot, hbar=hbar, basis=basis)
 
 
 def casimir(amset: AngularMomentumSet) -> SparseOperator:
     """J^2 = J_x^2 + J_y^2 + J_z^2; block diagonal and Hermitian."""
-    return add(
-        add(multiply(amset.jx, amset.jx), multiply(amset.jy, amset.jy)),
-        multiply(amset.jz, amset.jz),
-    )
+    jx, jy, jz = amset.jx.to_csr(), amset.jy.to_csr(), amset.jz.to_csr()
+    return _canonical(jx @ jx + jy @ jy + jz @ jz)
 
 
 def casimir_residual(
@@ -87,6 +78,5 @@ def casimir_residual(
     """
     if cas is None:
         cas = casimir(amset)
-    jt = amset.jtot
-    quad = add(multiply(jt, jt), scale(jt, epsilon * amset.hbar))
-    return add(cas, scale(quad, -1.0))
+    jt = amset.jtot.to_csr()
+    return _canonical(cas.to_csr() - (jt @ jt + jt * (epsilon * amset.hbar)))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -31,11 +32,18 @@ from . import __version__
 from .angular import AngularMomentumSet, build_set, casimir, casimir_residual
 from .classical import sample_amplitudes
 from .fock import build_basis
-from .operators import SparseOperator, add, adjoint, commutator, from_entries, scale
+from .operators import (
+    SparseOperator,
+    add,
+    diagonal_commutator,
+    fro_norm,
+    from_entries,
+    max_abs,
+)
 from .spectra import block_table, cos_theta, gershgorin_discs, limit_scan, sum_rule_check
 
-# verify at n_max 1000 (dimension 501501) takes about 4 s and 250 MB from
-# the shell, near classical at COUNT_LIMIT; at 1500 it takes 9 s and 500 MB
+# verify at n_max 1000 (dimension 501501) takes about 2 s and 235 MB from
+# the shell, below classical at COUNT_LIMIT; at 1500 it took 9 s and 500 MB
 N_MAX_LIMIT = 1000
 
 # Caps on the table commands, each about where a run takes 1-2 s and
@@ -263,7 +271,8 @@ def _emit(config: RunConfig, command: str, json_doc: dict, csv_tables: list[Tabl
 # verify battery
 
 def _hermiticity_residual(op: SparseOperator) -> float:
-    return add(op, scale(adjoint(op), -1.0)).max_abs()
+    m = op.to_csr()
+    return max_abs(m - m.conj().T)
 
 
 def _block_leak_residual(amset: AngularMomentumSet) -> float:
@@ -324,24 +333,26 @@ def run_battery(amset: AngularMomentumSet, tol: float):
     checks.append(("block_structure", _block_leak_residual(amset)))
     checks.append(("total_momentum_diagonal", _total_momentum_residual(amset)))
 
-    pairs = [("commutator_xy_z", jx, jy, jz), ("commutator_yz_x", jy, jz, jx),
-             ("commutator_zx_y", jz, jx, jy)]
-    for name, a, b, c in pairs:
-        resid = add(commutator(a, b), scale(c, -1j * hbar))
-        checks.append((name, resid.fro_norm()))
+    # each residual is one scipy expression, read straight into its norm
+    x, y, z = jx.to_csr(), jy.to_csr(), jz.to_csr()
+    for name, a, b, c in (("commutator_xy_z", x, y, z), ("commutator_yz_x", y, z, x),
+                          ("commutator_zx_y", z, x, y)):
+        checks.append((name, fro_norm(a @ b - b @ a + c * (-1j * hbar))))
 
+    # J^2 and J are diagonal on a clean set, so their commutators scale
+    # entries instead of multiplying; |[J^2, J_i]| = |[J_i, J^2]|
     cas = casimir(amset)
     for name, op in (("casimir_commutes_x", jx), ("casimir_commutes_y", jy),
                      ("casimir_commutes_z", jz)):
-        checks.append((name, commutator(cas, op).fro_norm()))
+        checks.append((name, fro_norm(diagonal_commutator(op, cas))))
     for name, op in (("total_commutes_x", jx), ("total_commutes_y", jy),
                      ("total_commutes_z", jz)):
-        checks.append((name, commutator(op, jt).fro_norm()))
+        checks.append((name, fro_norm(diagonal_commutator(op, jt))))
 
     quantum = casimir_residual(amset, 1.0, cas=cas)
     checks.append(("quadratic_identity_quantum", quantum.max_abs()))
-    classical_form = add(casimir_residual(amset, 0.0, cas=cas), scale(jt, -hbar))
-    checks.append(("quadratic_identity_classical_form", classical_form.max_abs()))
+    classical_form = casimir_residual(amset, 0.0, cas=cas).to_csr() - jt.to_csr() * hbar
+    checks.append(("quadratic_identity_classical_form", max_abs(classical_form)))
 
     blocks = _blocks(amset, cas, 0)
     for name, column in (
@@ -635,10 +646,16 @@ def _dispatch(args):
     return cmd_classical(args.count, args.bound, args.seed, hbar, tol), tol, flags
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: parsing
+    leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     config = RunConfig(args.format, args.out, args.no_meta)

@@ -5,7 +5,9 @@ within each row, duplicate positions merged, and exact zeros dropped.
 NaN and inf entries stay, so a check that meets one fails.  Every
 operation builds its result with a scipy.sparse kernel and passes it
 through the same canonicalizing step, so equality comparison stays well
-defined.
+defined.  ``diagonal_commutator`` is the exception: it returns a fresh
+scipy matrix that no operator holds, for ``max_abs`` or ``fro_norm`` to
+read.
 
 All operations are pure and every SparseOperator is immutable: the
 arrays of its matrix are read-only.
@@ -61,23 +63,10 @@ class SparseOperator:
         return self._csr.toarray()
 
     def max_abs(self) -> float:
-        """Largest entry magnitude (0 for the zero operator)."""
-        return float(np.max(np.abs(self.vals))) if self.nnz else 0.0
+        return max_abs(self._csr)
 
     def fro_norm(self) -> float:
-        """Frobenius norm over the stored entries.
-
-        sqrt(sum |v|^2), except when that sum overflows: then the entries
-        are first scaled by the largest magnitude, so a norm that fits in
-        a double comes out finite.
-        """
-        mags = np.abs(self.vals)
-        with np.errstate(over="ignore"):
-            total = np.sum(mags ** 2)
-        if np.isinf(total) and np.isfinite(mags.max()):
-            big = mags.max()
-            return float(big * np.sqrt(np.sum((mags / big) ** 2)))
-        return float(np.sqrt(total))
+        return fro_norm(self._csr)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseOperator):
@@ -89,6 +78,29 @@ class SparseOperator:
             and np.array_equal(a.indices, b.indices)
             and np.array_equal(a.data, b.data)
         )
+
+
+def max_abs(m: sp.spmatrix) -> float:
+    """Largest stored-entry magnitude of ``m`` (0 when it stores none)."""
+    return float(np.max(np.abs(m.data))) if m.nnz else 0.0
+
+
+def fro_norm(m: sp.csr_matrix) -> float:
+    """Frobenius norm over the stored entries of ``m``, summed in row-major
+    order: the column indices of each row are sorted in place first.
+
+    sqrt(sum |v|^2), except when that sum overflows: then the entries
+    are first scaled by the largest magnitude, so a norm that fits in
+    a double comes out finite.
+    """
+    m.sort_indices()
+    mags = np.abs(m.data)
+    with np.errstate(over="ignore"):
+        total = np.sum(mags ** 2)
+    if np.isinf(total) and np.isfinite(mags.max()):
+        big = mags.max()
+        return float(big * np.sqrt(np.sum((mags / big) ** 2)))
+    return float(np.sqrt(total))
 
 
 def _canonical(m: sp.spmatrix) -> SparseOperator:
@@ -184,3 +196,25 @@ def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     there is real and expected, not a bug."""
     _check_dims(a, b)
     return add(multiply(a, b), scale(multiply(b, a), -1.0))
+
+
+def diagonal_commutator(a: SparseOperator, d: SparseOperator) -> sp.csr_matrix:
+    """ad - da as a fresh scipy matrix, for a ``d`` that is (nearly) diagonal.
+
+    ``d`` splits into diag(delta) + o.  The diagonal part gives
+    a_ij delta_j - delta_i a_ij on the index arrays of ``a``, each term
+    rounded as the products ad and da round it; o adds ao - oa only
+    when ``d`` stores an entry off its diagonal.  Exact zeros are
+    dropped; NaN and inf entries stay.
+    """
+    _check_dims(a, d)
+    m, delta = a._csr, d._csr.diagonal()
+    vals = m.data * delta[m.indices] - delta[a.rows] * m.data
+    out = sp.csr_matrix((vals, m.indices, m.indptr), shape=m.shape, copy=True)
+    out.eliminate_zeros()
+    d_rows = d.rows
+    off = d_rows != d.cols
+    if off.any():
+        o = sp.csr_matrix((d.vals[off], (d_rows[off], d.cols[off])), shape=m.shape)
+        out = out + (m @ o - o @ m)
+    return out

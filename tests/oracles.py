@@ -11,7 +11,12 @@ global sparse operators in one pass.  ``block_report`` and
 ``scalar_amplitudes`` is the sampler one state at a time,
 ``classical_records`` the classical check one sample at a time, and
 ``json_text`` and ``csv_text`` encode a command's document with the
-standard library.  No command uses any of them.
+standard library.  ``algebra_set``, ``algebra_casimir``,
+``algebra_casimir_residual`` and ``algebra_residuals`` build the J
+operators, J^2 and the verify residuals through the SparseOperator
+algebra, canonicalizing every intermediate: the reference for the
+one-expression forms the commands evaluate.  No command uses any of
+them.
 """
 
 from __future__ import annotations
@@ -26,6 +31,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from schwinger.angular import AngularMomentumSet
+from schwinger.fock import FockBasis
+from schwinger.operators import (
+    SparseOperator,
+    add,
+    adjoint,
+    annihilation,
+    commutator,
+    multiply,
+    number_operator,
+    scale,
+)
 from schwinger.classical import classical_components, sample_states
 from schwinger.cli import Table
 from schwinger.spectra import _quarter_sum, gershgorin_discs
@@ -351,3 +367,79 @@ def csv_text(tables: list[Table]) -> str:
             row["record"] = table.record
             writer.writerow([csv_field(row.get(name)) for name in header])
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the J operators, J^2 and the verify residuals through the operator algebra
+
+def algebra_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
+    """The four operators, every intermediate canonicalized."""
+    if hbar <= 0:
+        raise ValueError(f"hbar must be positive, got {hbar}")
+    a1 = annihilation(basis, 1)
+    a2 = annihilation(basis, 2)
+    up_down = multiply(adjoint(a1), a2)  # a1^dag a2, block preserving
+    down_up = adjoint(up_down)           # a1 a2^dag, exact on the top shell
+    n1 = number_operator(basis, 1)
+    n2 = number_operator(basis, 2)
+    jx = scale(add(up_down, down_up), 0.5 * hbar)
+    jy = scale(add(up_down, scale(down_up, -1.0)), -0.5j * hbar)
+    jz = scale(add(n1, scale(n2, -1.0)), 0.5 * hbar)
+    jtot = scale(add(n1, n2), 0.5 * hbar)
+    return AngularMomentumSet(jx=jx, jy=jy, jz=jz, jtot=jtot, hbar=hbar, basis=basis)
+
+
+def algebra_casimir(amset: AngularMomentumSet) -> SparseOperator:
+    """J^2 = J_x^2 + J_y^2 + J_z^2."""
+    return add(
+        add(multiply(amset.jx, amset.jx), multiply(amset.jy, amset.jy)),
+        multiply(amset.jz, amset.jz),
+    )
+
+
+def algebra_casimir_residual(
+    amset: AngularMomentumSet, epsilon: float, *, cas: SparseOperator | None = None
+) -> SparseOperator:
+    """J^2 - J (J + epsilon hbar 1)."""
+    if cas is None:
+        cas = algebra_casimir(amset)
+    jt = amset.jtot
+    quad = add(multiply(jt, jt), scale(jt, epsilon * amset.hbar))
+    return add(cas, scale(quad, -1.0))
+
+
+def _hermiticity_residual(op: SparseOperator) -> float:
+    return add(op, scale(adjoint(op), -1.0)).max_abs()
+
+
+def algebra_residuals(amset: AngularMomentumSet) -> dict[str, float]:
+    """The Hermiticity, commutator and quadratic-identity residuals of the
+    verify battery, by check name."""
+    hbar = amset.hbar
+    jx, jy, jz, jt = amset.jx, amset.jy, amset.jz, amset.jtot
+    checks: list[tuple[str, float]] = []
+
+    checks.append(("hermitian_jx", _hermiticity_residual(jx)))
+    checks.append(("hermitian_jy", _hermiticity_residual(jy)))
+    checks.append(("hermitian_jz", _hermiticity_residual(jz)))
+    checks.append(("hermitian_jtot", _hermiticity_residual(jt)))
+
+    pairs = [("commutator_xy_z", jx, jy, jz), ("commutator_yz_x", jy, jz, jx),
+             ("commutator_zx_y", jz, jx, jy)]
+    for name, a, b, c in pairs:
+        resid = add(commutator(a, b), scale(c, -1j * hbar))
+        checks.append((name, resid.fro_norm()))
+
+    cas = algebra_casimir(amset)
+    for name, op in (("casimir_commutes_x", jx), ("casimir_commutes_y", jy),
+                     ("casimir_commutes_z", jz)):
+        checks.append((name, commutator(cas, op).fro_norm()))
+    for name, op in (("total_commutes_x", jx), ("total_commutes_y", jy),
+                     ("total_commutes_z", jz)):
+        checks.append((name, commutator(op, jt).fro_norm()))
+
+    quantum = algebra_casimir_residual(amset, 1.0, cas=cas)
+    checks.append(("quadratic_identity_quantum", quantum.max_abs()))
+    classical_form = add(algebra_casimir_residual(amset, 0.0, cas=cas), scale(jt, -hbar))
+    checks.append(("quadratic_identity_classical_form", classical_form.max_abs()))
+    return dict(checks)

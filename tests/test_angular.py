@@ -13,7 +13,12 @@ from schwinger import (
 )
 
 from conftest import dense_angular_momentum, max_entry_diff
-from oracles import extract_block
+from oracles import (
+    algebra_casimir,
+    algebra_casimir_residual,
+    algebra_set,
+    extract_block,
+)
 
 
 @pytest.fixture(scope="module")
@@ -177,3 +182,21 @@ class TestCasimir:
         assert casimir_residual(amset, 1.0).max_abs() < 1e-12
         diff = add(casimir_residual(amset, 0.0), scale(amset.jtot, -2.0))
         assert diff.max_abs() < 1e-12
+
+
+class TestOneExpression:
+    """Each operator, built as one scipy expression, equals the operator
+    algebra's, which canonicalizes every intermediate, to the bit."""
+
+    @pytest.mark.parametrize("hbar", [0.3, 1.0, 2.0, 1e-30])
+    @pytest.mark.parametrize("n_max", [0, 1, 7, 40])
+    def test_matches_operator_algebra(self, n_max, hbar):
+        basis = build_basis(n_max)
+        amset, reference = build_set(basis, hbar), algebra_set(basis, hbar)
+        for name in ("jx", "jy", "jz", "jtot"):
+            assert getattr(amset, name) == getattr(reference, name), name
+        cas = casimir(amset)
+        assert cas == algebra_casimir(reference)
+        for epsilon in (0.0, 0.25, 1.0):
+            assert (casimir_residual(amset, epsilon, cas=cas)
+                    == algebra_casimir_residual(reference, epsilon))

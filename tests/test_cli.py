@@ -13,6 +13,7 @@ import pytest
 
 import schwinger.angular as angular
 import schwinger.cli as cli
+import schwinger.operators as operators
 import schwinger.spectra as spectra
 from schwinger import (
     add,
@@ -34,7 +35,14 @@ from schwinger.cli import (
 )
 
 import schwinger.classical as classical
-from oracles import analyze_block, classical_records, csv_text, extract_block, json_text
+from oracles import (
+    algebra_residuals,
+    analyze_block,
+    classical_records,
+    csv_text,
+    extract_block,
+    json_text,
+)
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +90,31 @@ CHECK_BREAKERS = {
     "mean_square_consistency": "jx,1,2,1e-3",
     "sum_rule_blocks": "jz,3,3,-1",
 }
+
+
+# --corrupt directives at --nmax 4 that put an entry off the diagonal of J
+# or of J_z, and so of J^2, each with a check it fails: they reach the
+# off-diagonal term of the diagonal-split commutators
+OFF_DIAGONAL_BREAKERS = {
+    "total_commutes_x": "jtot,3,4,1e-3",
+    "casimir_commutes_z": "jz,5,6,1e-3",
+}
+
+
+def counting_canonical(monkeypatch) -> list:
+    """Patch every module binding of ``operators._canonical`` to record
+    the shape of each matrix it canonicalizes."""
+    calls = []
+    real = operators._canonical
+
+    def counting(m):
+        calls.append(m.shape)
+        return real(m)
+
+    for module in (operators, angular, cli):
+        if vars(module).get("_canonical") is real:
+            monkeypatch.setattr(module, "_canonical", counting)
+    return calls
 
 
 def counting_block_table(monkeypatch) -> list:
@@ -271,6 +304,47 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--nmax", "6", "--no-meta")
         assert code == 0 and calls == [list(range(7))]
 
+    def test_canonicalizations_counted(self, capsys, monkeypatch):
+        # the mode operators, the four J, J^2 and the two quadratic
+        # residuals; the other residuals go straight to their norms
+        calls = counting_canonical(monkeypatch)
+        code, _, _ = run_cli(capsys, "verify", "--nmax", "4", "--no-meta")
+        assert code == 0 and 0 < len(calls) <= 12
+
+    @pytest.mark.parametrize("hbar", [0.3, 1.0, 2.0, 1e-30])
+    @pytest.mark.parametrize("n_max", [0, 1, 7, 40])
+    def test_residuals_match_operator_algebra(self, n_max, hbar):
+        amset = build_set(build_basis(n_max), hbar)
+        checks, _ = cli.run_battery(amset, 1e-12)
+        got = {c["name"]: c["max_residual"] for c in checks}
+        for name, want in algebra_residuals(amset).items():
+            assert got[name] == want, name
+
+    @pytest.mark.parametrize(
+        "n_max, directive",
+        [(4, d) for d in sorted({*CHECK_BREAKERS.values(), *OFF_DIAGONAL_BREAKERS.values()})]
+        # far off the band: scipy returns the products' entries out of order
+        + [(23, "jy,80,8,1e-3")],
+    )
+    def test_corrupted_residuals_match_operator_algebra(self, n_max, directive):
+        amset = build_set(build_basis(n_max), 1.0)
+        bad = cli._apply_corruption(amset, cli._parse_corruption(directive, amset.basis.size))
+        checks, _ = cli.run_battery(bad, 1e-12)
+        got = {c["name"]: c["max_residual"] for c in checks}
+        for name, want in algebra_residuals(bad).items():
+            if "_commutes_" in name:
+                # the diagonal split adds an entry off the diagonal of J or
+                # J^2 in another order than the full products do
+                assert abs(got[name] - want) <= 4 * np.spacing(want), name
+            else:
+                assert got[name] == want, name
+
+    @pytest.mark.parametrize("name, directive", sorted(OFF_DIAGONAL_BREAKERS.items()))
+    def test_off_diagonal_operand_fails(self, capsys, name, directive):
+        code, _, err = run_cli(capsys, "verify", "--nmax", "4", "--no-meta",
+                               "--corrupt", directive)
+        assert code == 1 and f"FAILED {name}:" in err
+
     def test_bad_corrupt_spec(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--nmax", "2", "--no-meta", "--corrupt", "bogus"
@@ -418,6 +492,11 @@ class TestSpectrum:
         calls = counting_block_table(monkeypatch)
         code, _, _ = run_cli(capsys, "spectrum", "--n", "5", "--nmax", "9", "--no-meta")
         assert code == 0 and calls == [[5]]
+
+    def test_canonicalizations_counted(self, capsys, monkeypatch):
+        calls = counting_canonical(monkeypatch)
+        code, _, _ = run_cli(capsys, "spectrum", "--n", "5", "--no-meta")
+        assert code == 0 and 0 < len(calls) <= 10
 
     @pytest.mark.parametrize("flags", [["--tol", "1e-100"], ["--hbar", "1e120"]])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -938,6 +1017,22 @@ class TestParser:
                                  *([text] if text else []), "--no-meta")
         assert code == 2 and out == ""
         assert f"unrecognized arguments: {flag}" in err
+
+    def test_shared_parser_keeps_no_state(self, capsys, monkeypatch):
+        argvs = [
+            ["verify", "--nmax", "2", "--format", "csv"],
+            ["verify", "--nmax", "2", "--corrupt", "jx,1,2,1e-3"],
+            ["verify", "--help"],
+            ["verify", "--nmax", "2", "--bogus"],
+            ["verify", "--nmax", "2"],
+        ]
+        shared = [run_cli(capsys, *argv, "--no-meta") for argv in argvs]
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run_cli(capsys, *argv, "--no-meta") for argv in argvs]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 1, 0, 2, 0]
+        assert json.loads(shared[-1][1])["n_max"] == 2
 
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         def broken(two_j):

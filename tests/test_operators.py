@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schwinger import (
     add,
     adjoint,
     annihilation,
     build_basis,
+    build_set,
+    casimir,
     commutator,
     from_entries,
     identity,
@@ -14,6 +17,7 @@ from schwinger import (
     scale,
     zero,
 )
+from schwinger.operators import diagonal_commutator
 
 from conftest import dense_annihilation, dense_number, max_entry_diff
 
@@ -119,7 +123,7 @@ class TestAlgebra:
     def test_dimension_mismatch(self):
         a = annihilation(build_basis(2), 1)
         b = annihilation(build_basis(3), 1)
-        for op in (multiply, add, commutator):
+        for op in (multiply, add, commutator, diagonal_commutator):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 op(a, b)
 
@@ -165,6 +169,69 @@ class TestCommutator:
             n1, n2 = basis.states[col]
             assert basis.states[row] == (n1 - 1, n2 + 1)
             assert val == pytest.approx(-np.sqrt(n1 * (n2 + 1)), abs=1e-13)
+
+
+# Gaussian integers in -4..4: every product and sum of them below is exact,
+# so the split and the full products agree to the bit in any order
+SMALL = st.builds(complex, st.integers(-4, 4), st.integers(-4, 4))
+NON_FINITE = st.sampled_from([complex(np.nan, 0), complex(np.inf, 0),
+                              complex(-np.inf, 1), complex(0, np.inf)])
+
+
+@st.composite
+def split_operands(draw, off_diagonal: int, non_finite: bool):
+    """(A, D): a random sparse A and a D with a random diagonal, up to
+    ``off_diagonal`` entries off it, and with ``non_finite`` one entry of
+    D, on or off its diagonal, NaN or infinite."""
+    dim = draw(st.integers(1, 7))
+    index = st.integers(0, dim - 1)
+    a = draw(st.lists(st.tuples(index, index, SMALL), max_size=3 * dim))
+    d = [(i, i, draw(SMALL)) for i in range(dim)]
+    if dim > 1:
+        shifted = st.tuples(index, st.integers(1, dim - 1), SMALL)
+        d += [(i, (i + shift) % dim, v)
+              for i, shift, v in draw(st.lists(shifted, max_size=off_diagonal))]
+    if non_finite:
+        d.append((draw(index), draw(index), draw(NON_FINITE)))
+    return tuple(from_entries(dim, *zip(*entries)) if entries else zero(dim)
+                 for entries in (a, d))
+
+
+class TestDiagonalCommutator:
+    """``diagonal_commutator(a, d)`` is ``commutator(a, d)`` entry for entry."""
+
+    @staticmethod
+    def assert_matches(a, d):
+        with np.errstate(invalid="ignore"):
+            got = diagonal_commutator(a, d)
+            want = commutator(a, d)
+        assert got.nnz == want.nnz and np.all(got.data != 0)
+        g, w = got.toarray(), want.to_dense()
+        finite = np.isfinite(w)
+        assert np.array_equal(np.isfinite(g), finite)
+        assert np.array_equal(g[finite], w[finite])
+
+    @settings(deadline=None)
+    @given(split_operands(off_diagonal=0, non_finite=False))
+    def test_diagonal(self, operands):
+        self.assert_matches(*operands)
+
+    @settings(deadline=None)
+    @given(split_operands(off_diagonal=3, non_finite=False))
+    def test_few_off_diagonal_entries(self, operands):
+        self.assert_matches(*operands)
+
+    @settings(deadline=None)
+    @given(split_operands(off_diagonal=2, non_finite=True))
+    def test_non_finite_entries_kept(self, operands):
+        self.assert_matches(*operands)
+
+    def test_angular_momentum_operands(self):
+        amset = build_set(build_basis(6), 0.3)
+        cas = casimir(amset)
+        for op in (amset.jx, amset.jy, amset.jz):
+            for d in (cas, amset.jtot):
+                self.assert_matches(op, d)
 
 
 class TestBlockConservation:
