@@ -14,65 +14,26 @@ from .angular import (
     casimir,
     casimir_residual,
 )
-from .classical import (
-    ClassicalJ,
-    ClassicalState,
-    classical_components,
-    sample_amplitudes,
-    sample_states,
-    state_with_j,
-)
-from .fock import FockBasis, OccupationPair, build_basis
-from .operators import (
-    SparseOperator,
-    add,
-    adjoint,
-    annihilation,
-    commutator,
-    from_entries,
-    identity,
-    multiply,
-    number_operator,
-    scale,
-    zero,
-)
-from .spectra import (
-    AngleResult,
-    cos_theta,
-    limit_scan,
-    sum_rule_check,
-)
+from .classical import sample_amplitudes
+from .fock import FockBasis, build_basis
+from .operators import annihilation, from_entries, number_operator
+from .spectra import cos_theta, limit_scan, sum_rule_check
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AngularMomentumSet",
-    "AngleResult",
-    "ClassicalJ",
-    "ClassicalState",
     "FockBasis",
-    "OccupationPair",
-    "SparseOperator",
-    "add",
-    "adjoint",
     "annihilation",
     "build_basis",
     "build_set",
     "casimir",
     "casimir_residual",
-    "classical_components",
-    "commutator",
     "cos_theta",
     "from_entries",
-    "identity",
     "limit_scan",
-    "multiply",
     "number_operator",
     "sample_amplitudes",
-    "sample_states",
-    "scale",
-    "state_with_j",
     "sum_rule_check",
-    "zero",
     "__version__",
 ]

@@ -17,18 +17,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import scipy.sparse as sp
+
 from .fock import FockBasis
-from .operators import SparseOperator, _canonical, annihilation, number_operator
+from .operators import annihilation, canonical, number_operator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngularMomentumSet:
-    """The operators J_x, J_y, J_z and the total J over one basis."""
+    """The operators J_x, J_y, J_z and the total J over one basis, each a
+    canonical read-only CSR matrix."""
 
-    jx: SparseOperator
-    jy: SparseOperator
-    jz: SparseOperator
-    jtot: SparseOperator
+    jx: sp.csr_matrix
+    jy: sp.csr_matrix
+    jz: sp.csr_matrix
+    jtot: sp.csr_matrix
     hbar: float
     basis: FockBasis
 
@@ -45,28 +48,28 @@ def build_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
     """
     if hbar <= 0:
         raise ValueError(f"hbar must be positive, got {hbar}")
-    a1 = annihilation(basis, 1).to_csr()
-    a2 = annihilation(basis, 2).to_csr()
+    a1 = annihilation(basis, 1)
+    a2 = annihilation(basis, 2)
     up_down = a1.conj().T @ a2    # a1^dag a2, block preserving
     down_up = up_down.conj().T    # a1 a2^dag, exact on the top shell
-    n1 = number_operator(basis, 1).to_csr()
-    n2 = number_operator(basis, 2).to_csr()
-    jx = _canonical((up_down + down_up) * (0.5 * hbar))
-    jy = _canonical((up_down - down_up) * (-0.5j * hbar))
-    jz = _canonical((n1 - n2) * (0.5 * hbar))
-    jtot = _canonical((n1 + n2) * (0.5 * hbar))
+    n1 = number_operator(basis, 1)
+    n2 = number_operator(basis, 2)
+    jx = canonical((up_down + down_up) * (0.5 * hbar))
+    jy = canonical((up_down - down_up) * (-0.5j * hbar))
+    jz = canonical((n1 - n2) * (0.5 * hbar))
+    jtot = canonical((n1 + n2) * (0.5 * hbar))
     return AngularMomentumSet(jx=jx, jy=jy, jz=jz, jtot=jtot, hbar=hbar, basis=basis)
 
 
-def casimir(amset: AngularMomentumSet) -> SparseOperator:
+def casimir(amset: AngularMomentumSet) -> sp.csr_matrix:
     """J^2 = J_x^2 + J_y^2 + J_z^2; block diagonal and Hermitian."""
-    jx, jy, jz = amset.jx.to_csr(), amset.jy.to_csr(), amset.jz.to_csr()
-    return _canonical(jx @ jx + jy @ jy + jz @ jz)
+    jx, jy, jz = amset.jx, amset.jy, amset.jz
+    return canonical(jx @ jx + jy @ jy + jz @ jz)
 
 
 def casimir_residual(
-    amset: AngularMomentumSet, epsilon: float, *, cas: SparseOperator | None = None
-) -> SparseOperator:
+    amset: AngularMomentumSet, epsilon: float, *, cas: sp.csr_matrix | None = None
+) -> sp.csr_matrix:
     """J^2 - J (J + epsilon hbar 1).
 
     With epsilon = 1 (boson commutators) this vanishes identically on the
@@ -78,5 +81,5 @@ def casimir_residual(
     """
     if cas is None:
         cas = casimir(amset)
-    jt = amset.jtot.to_csr()
-    return _canonical(cas.to_csr() - (jt @ jt + jt * (epsilon * amset.hbar)))
+    jt = amset.jtot
+    return canonical(cas - (jt @ jt + jt * (epsilon * amset.hbar)))

@@ -5,80 +5,15 @@ amplitudes (alpha1, alpha2).  The angular-momentum components become
 real-valued functions and satisfy jx^2 + jy^2 + jz^2 = jtot^2 exactly:
 the square of a classical angular momentum is j^2, with no j(j+1)
 correction, and j ranges over a continuum instead of half integers.
-No matrices appear anywhere in this module; the sampler works on
-numpy arrays.
+This module draws the amplitudes as numpy arrays from a seeded
+generator; the ``classical`` command evaluates the components on them.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ClassicalState:
-    """A pair of complex mode amplitudes with an action scale hbar."""
-
-    alpha1: complex
-    alpha2: complex
-    hbar: float = 1.0
-
-
-@dataclass(frozen=True)
-class ClassicalJ:
-    """Real angular-momentum components of one classical state."""
-
-    jx: float
-    jy: float
-    jz: float
-    jtot: float
-
-
-def classical_components(state: ClassicalState) -> ClassicalJ:
-    """Evaluate (jx, jy, jz, jtot) from the amplitudes.
-
-    jx = hbar Re(conj(a1) a2), jy = hbar Im(conj(a1) a2),
-    jz = (hbar/2)(|a1|^2 - |a2|^2), jtot = (hbar/2)(|a1|^2 + |a2|^2).
-    """
-    a1, a2 = complex(state.alpha1), complex(state.alpha2)
-    if not all(
-        math.isfinite(x) for x in (a1.real, a1.imag, a2.real, a2.imag)
-    ):
-        raise ValueError(f"non-finite amplitude in ({a1}, {a2})")
-    cross = a1.conjugate() * a2
-    m1 = a1.real * a1.real + a1.imag * a1.imag
-    m2 = a2.real * a2.real + a2.imag * a2.imag
-    h = state.hbar
-    return ClassicalJ(
-        jx=h * cross.real,
-        jy=h * cross.imag,
-        jz=0.5 * h * (m1 - m2),
-        jtot=0.5 * h * (m1 + m2),
-    )
-
-
-def state_with_j(
-    j: float, theta: float, phi: float, hbar: float = 1.0
-) -> ClassicalState:
-    """State whose components have magnitude hbar*j along (theta, phi).
-
-    alpha1 = sqrt(2j) cos(theta/2), alpha2 = sqrt(2j) sin(theta/2) e^{i phi}.
-    Any real j >= 0 is allowed; classically nothing restricts j to half
-    integers.
-    """
-    if j < 0:
-        raise ValueError(f"j must be non-negative, got {j}")
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
-    r = math.sqrt(2.0 * j)
-    return ClassicalState(
-        alpha1=complex(r * math.cos(0.5 * theta)),
-        alpha2=r * math.sin(0.5 * theta) * cmath.exp(1j * phi),
-        hbar=hbar,
-    )
 
 
 # 64-bit linear congruential generator (Knuth's MMIX constants).  Fixed
@@ -134,13 +69,3 @@ def sample_amplitudes(
     t2 = (2.0 * math.pi) * u_t2
     return r1 * np.cos(t1), r1 * np.sin(t1), r2 * np.cos(t2), r2 * np.sin(t2)
 
-
-def sample_states(
-    count: int, amplitude_bound: float, seed: int, hbar: float = 1.0
-) -> list[ClassicalState]:
-    """The samples of ``sample_amplitudes`` as ``ClassicalState`` objects."""
-    re1, im1, re2, im2 = sample_amplitudes(count, amplitude_bound, seed)
-    return [
-        ClassicalState(complex(x1, y1), complex(x2, y2), hbar)
-        for x1, y1, x2, y2 in zip(re1.tolist(), im1.tolist(), re2.tolist(), im2.tolist())
-    ]

@@ -18,6 +18,7 @@ Exit codes: 0 all checks passed, 1 a verification check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -27,18 +28,19 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import __version__
 from .angular import AngularMomentumSet, build_set, casimir, casimir_residual
 from .classical import sample_amplitudes
 from .fock import build_basis
 from .operators import (
-    SparseOperator,
-    add,
+    canonical,
     diagonal_commutator,
     fro_norm,
     from_entries,
     max_abs,
+    row_indices,
 )
 from .spectra import block_table, cos_theta, gershgorin_discs, limit_scan, sum_rule_check
 
@@ -245,8 +247,9 @@ def _emit(config: RunConfig, command: str, json_doc: dict, csv_tables: list[Tabl
 
     Every float is checked to be finite before anything is written or
     opened; a non-finite one is blamed on ``flags``, the flags the
-    values came from.  The text then streams out ``CHUNK_RECORDS``
-    records at a time.
+    values came from.  The output is opened before the metadata header
+    is printed, so an I/O error leaves only its own line on stderr.  The
+    text then streams out ``CHUNK_RECORDS`` records at a time.
     """
     if config.format == "json":
         pieces = _json_pieces(json_doc)
@@ -257,28 +260,25 @@ def _emit(config: RunConfig, command: str, json_doc: dict, csv_tables: list[Tabl
         columns = [c for t in csv_tables for c in t.columns.values()]
     if not all(map(_finite, columns)):
         raise _overflow(flags)
-    if not config.no_meta:
-        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        print(f"# schwinger {__version__} | {command} | {stamp}", file=sys.stderr)
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(pieces)
-    else:
-        sys.stdout.writelines(pieces)
+    with (open(config.output_path, "w", encoding="utf-8", newline="")
+          if config.output_path else contextlib.nullcontext(sys.stdout)) as fh:
+        if not config.no_meta:
+            stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+            print(f"# schwinger {__version__} | {command} | {stamp}", file=sys.stderr)
+        fh.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------
 # verify battery
 
-def _hermiticity_residual(op: SparseOperator) -> float:
-    m = op.to_csr()
-    return max_abs(m - m.conj().T)
+def _hermiticity_residual(op: sp.csr_matrix) -> float:
+    return max_abs(op - op.conj().T)
 
 
 def _block_leak_residual(amset: AngularMomentumSet) -> float:
     """Largest entry connecting different constant-n blocks (should be 0)."""
     _, _, totals = amset.basis.occupations()
-    leaking = [op.vals[totals[op.rows] != totals[op.cols]]
+    leaking = [op.data[totals[row_indices(op)] != totals[op.indices]]
                for op in (amset.jx, amset.jy, amset.jz, amset.jtot)]
     return float(np.max(np.abs(np.concatenate(leaking)), initial=0.0))
 
@@ -287,21 +287,21 @@ def _total_momentum_residual(amset: AngularMomentumSet) -> float:
     """jtot must be diagonal with entry hbar*n/2 at every state."""
     jt = amset.jtot
     _, _, totals = amset.basis.occupations()
-    deviations = (jt.vals[jt.rows != jt.cols],
-                  jt.to_csr().diagonal() - 0.5 * amset.hbar * totals)
+    deviations = (jt.data[row_indices(jt) != jt.indices],
+                  jt.diagonal() - 0.5 * amset.hbar * totals)
     return float(np.max(np.abs(np.concatenate(deviations))))
 
 
-def _blocks(amset: AngularMomentumSet, cas: SparseOperator, first: int) -> dict:
+def _blocks(amset: AngularMomentumSet, cas: sp.csr_matrix, first: int) -> dict:
     """The ``block_table`` of blocks ``first`` .. n_max.
 
     Every block is read off its rows of the global J_z and of ``cas``,
     the global J^2; a radius also counts J^2 entries that leak into
     other blocks.
     """
-    centres, radii = gershgorin_discs(cas.to_csr())
+    centres, radii = gershgorin_discs(cas)
     rows = slice(amset.basis.block_range(first).start, None)
-    jz_diag = amset.jz.to_csr().diagonal()[rows]
+    jz_diag = amset.jz.diagonal()[rows]
     return block_table(range(first, amset.basis.n_max + 1), amset.hbar, jz_diag,
                        centres[rows], radii[rows])
 
@@ -333,14 +333,17 @@ def run_battery(amset: AngularMomentumSet, tol: float):
     checks.append(("block_structure", _block_leak_residual(amset)))
     checks.append(("total_momentum_diagonal", _total_momentum_residual(amset)))
 
-    # each residual is one scipy expression, read straight into its norm
-    x, y, z = jx.to_csr(), jy.to_csr(), jz.to_csr()
-    for name, a, b, c in (("commutator_xy_z", x, y, z), ("commutator_yz_x", y, z, x),
-                          ("commutator_zx_y", z, x, y)):
-        checks.append((name, fro_norm(a @ b - b @ a + c * (-1j * hbar))))
+    # each residual is one scipy expression, read straight into its norm.
+    # J_z, J^2 and J are diagonal on a clean set, so a commutator with one
+    # of them scales entries instead of multiplying; only [J_x, J_y] is
+    # a product
+    checks.append(("commutator_xy_z", fro_norm(jx @ jy - jy @ jx + jz * (-1j * hbar))))
+    checks.append(("commutator_yz_x",
+                   fro_norm(diagonal_commutator(jy, jz) + jx * (-1j * hbar))))
+    checks.append(("commutator_zx_y",
+                   fro_norm(jy * (-1j * hbar) - diagonal_commutator(jx, jz))))
 
-    # J^2 and J are diagonal on a clean set, so their commutators scale
-    # entries instead of multiplying; |[J^2, J_i]| = |[J_i, J^2]|
+    # |[J^2, J_i]| = |[J_i, J^2]|
     cas = casimir(amset)
     for name, op in (("casimir_commutes_x", jx), ("casimir_commutes_y", jy),
                      ("casimir_commutes_z", jz)):
@@ -350,8 +353,8 @@ def run_battery(amset: AngularMomentumSet, tol: float):
         checks.append((name, fro_norm(diagonal_commutator(op, jt))))
 
     quantum = casimir_residual(amset, 1.0, cas=cas)
-    checks.append(("quadratic_identity_quantum", quantum.max_abs()))
-    classical_form = casimir_residual(amset, 0.0, cas=cas).to_csr() - jt.to_csr() * hbar
+    checks.append(("quadratic_identity_quantum", max_abs(quantum)))
+    classical_form = casimir_residual(amset, 0.0, cas=cas) - jt * hbar
     checks.append(("quadratic_identity_classical_form", max_abs(classical_form)))
 
     blocks = _blocks(amset, cas, 0)
@@ -399,9 +402,9 @@ def _parse_corruption(directive: str, dim: int) -> tuple[str, int, int, float]:
 def _apply_corruption(amset: AngularMomentumSet, corruption) -> AngularMomentumSet:
     """Test hook: add DELTA to entry (ROW, COL) of operator OP."""
     name, row, col, delta = corruption
-    op: SparseOperator = getattr(amset, name)
-    bump = from_entries(op.dim, [row], [col], [delta])
-    return dataclasses.replace(amset, **{name: add(op, bump)})
+    op = getattr(amset, name)
+    bump = from_entries(op.shape[0], [row], [col], [delta])
+    return dataclasses.replace(amset, **{name: canonical(op + bump)})
 
 
 def cmd_verify(n_max: int, hbar: float, tol: float, corruption: tuple | None = None):
@@ -467,7 +470,7 @@ def cmd_angle(two_j: int, epsilon: float):
 
 
 def cmd_limit(two_j_max: int, epsilon: float):
-    values = [r.cos_theta for r in limit_scan(two_j_max, epsilon)]
+    values = limit_scan(two_j_max, epsilon)
     monotonic = all(b > a for a, b in zip(values, values[1:]))
     two_js = range(1, two_j_max + 1)
     rows = Table("row", {
@@ -486,7 +489,7 @@ def cmd_classical(count: int, bound: float, seed: int, hbar: float, tol: float):
     top = hbar * bound * bound  # jtot <= hbar * bound^2
     re1, im1, re2, im2 = sample_amplitudes(count, bound, seed)
     # conj(a1) a2, |a1|^2 and |a2|^2 written out as Python's complex
-    # arithmetic evaluates them, so each value matches classical_components
+    # arithmetic evaluates them, so each value matches a scalar evaluation
     jx = hbar * (re1 * re2 + im1 * im2)
     jy = hbar * (re1 * im2 - im1 * re2)
     m1 = re1 * re1 + im1 * im1

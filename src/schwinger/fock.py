@@ -10,28 +10,15 @@ m = n/2, n/2 - 1, ..., -n/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-
-
-class OccupationPair(NamedTuple):
-    """Occupation numbers (n1, n2) of the two oscillator modes."""
-
-    n1: int
-    n2: int
-
-    @property
-    def total(self) -> int:
-        return self.n1 + self.n2
 
 
 @dataclass(frozen=True)
 class FockBasis:
     """Immutable enumeration of all pairs with n1 + n2 <= n_max.
 
-    Every position follows in closed form from ``position``; ``states``
-    enumerates the pairs on demand.
+    Every position follows in closed form from ``position``.
     """
 
     n_max: int
@@ -39,29 +26,6 @@ class FockBasis:
     @property
     def size(self) -> int:
         return position(self.n_max + 1, 0)
-
-    @property
-    def states(self) -> tuple[OccupationPair, ...]:
-        """Every pair in basis order, built by direct enumeration."""
-        return tuple(
-            OccupationPair(n1, n - n1)
-            for n in range(self.n_max + 1)
-            for n1 in range(n, -1, -1)
-        )
-
-    def index_of(self, pair: OccupationPair | tuple[int, int]) -> int:
-        """Position of ``pair`` in the basis ordering.
-
-        Raises ValueError for pairs outside the cutoff (or with negative
-        occupations).
-        """
-        n1, n2 = OccupationPair(*pair)
-        if n1 < 0 or n2 < 0 or n1 + n2 > self.n_max:
-            raise ValueError(
-                f"occupation pair {(n1, n2)} is outside the basis "
-                f"(need n1, n2 >= 0 and n1 + n2 <= {self.n_max})"
-            )
-        return position(n1, n2)
 
     def occupations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """n1, n2 and n1 + n2 of every state in basis order, as int64 arrays."""
@@ -84,8 +48,7 @@ class FockBasis:
 def position(n1, n2):
     """Basis position of |n1, n2>: n(n+1)/2 + n2 with n = n1 + n2.
 
-    Elementwise on integer arrays, with no range check; ``index_of`` is
-    the checked form.
+    Elementwise on integer arrays, with no range check.
     """
     n = n1 + n2
     return n * (n + 1) // 2 + n2

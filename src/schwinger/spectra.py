@@ -13,20 +13,9 @@ sides are plain integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-
-
-@dataclass(frozen=True)
-class AngleResult:
-    """cos of the angle between J_z (at m = two_mj/2) and the total J."""
-
-    two_j: int
-    two_mj: int
-    epsilon: float
-    cos_theta: float
 
 
 def gershgorin_discs(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -163,7 +152,7 @@ def cos_theta(two_j: int, two_mj: int, epsilon: float) -> float:
     return (two_mj / two_j) / math.sqrt(1.0 + 2.0 * epsilon / two_j)
 
 
-def limit_scan(two_j_max: int, epsilon: float) -> list[AngleResult]:
+def limit_scan(two_j_max: int, epsilon: float) -> list[float]:
     """Extremal alignment cos(theta) at m = j for two_j = 1 .. two_j_max.
 
     For eps > 0 the values increase strictly with j and stay below 1,
@@ -171,9 +160,4 @@ def limit_scan(two_j_max: int, epsilon: float) -> list[AngleResult]:
     """
     if two_j_max < 1:
         raise ValueError(f"two_j_max must be at least 1, got {two_j_max}")
-    return [
-        AngleResult(
-            two_j=k, two_mj=k, epsilon=epsilon, cos_theta=cos_theta(k, k, epsilon)
-        )
-        for k in range(1, two_j_max + 1)
-    ]
+    return [cos_theta(k, k, epsilon) for k in range(1, two_j_max + 1)]

@@ -11,6 +11,8 @@ import numpy as np
 
 from schwinger import FockBasis
 
+from oracles import index_of, states
+
 # pytest puts src/ on sys.path (pyproject.toml); the tests that run
 # ``python -m schwinger`` in a child process need it there too.
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -21,17 +23,17 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 def dense_annihilation(basis: FockBasis, mode: int) -> np.ndarray:
     out = np.zeros((basis.size, basis.size), dtype=complex)
-    for col, (n1, n2) in enumerate(basis.states):
+    for col, (n1, n2) in enumerate(states(basis)):
         nk = n1 if mode == 1 else n2
         if nk == 0:
             continue
         lowered = (n1 - 1, n2) if mode == 1 else (n1, n2 - 1)
-        out[basis.index_of(lowered), col] = np.sqrt(nk)
+        out[index_of(basis, lowered), col] = np.sqrt(nk)
     return out
 
 
 def dense_number(basis: FockBasis, mode: int) -> np.ndarray:
-    occ = [(n1 if mode == 1 else n2) for n1, n2 in basis.states]
+    occ = [(n1 if mode == 1 else n2) for n1, n2 in states(basis)]
     return np.diag(np.array(occ, dtype=complex))
 
 
@@ -50,5 +52,5 @@ def dense_angular_momentum(basis: FockBasis, hbar: float = 1.0):
 
 
 def max_entry_diff(dense: np.ndarray, op) -> float:
-    """Largest entrywise gap between a dense matrix and a SparseOperator."""
-    return float(np.max(np.abs(dense - op.to_dense()))) if dense.size else 0.0
+    """Largest entrywise gap between a dense matrix and a sparse operator."""
+    return float(np.max(np.abs(dense - op.toarray()))) if dense.size else 0.0

@@ -11,12 +11,22 @@ global sparse operators in one pass.  ``block_report`` and
 ``scalar_amplitudes`` is the sampler one state at a time,
 ``classical_records`` the classical check one sample at a time, and
 ``json_text`` and ``csv_text`` encode a command's document with the
-standard library.  ``algebra_set``, ``algebra_casimir``,
-``algebra_casimir_residual`` and ``algebra_residuals`` build the J
-operators, J^2 and the verify residuals through the SparseOperator
-algebra, canonicalizing every intermediate: the reference for the
-one-expression forms the commands evaluate.  No command uses any of
-them.
+standard library.
+
+``identity``, ``zero``, ``adjoint``, ``multiply``, ``add``, ``scale``
+and ``commutator`` are an operator algebra over canonical CSR matrices
+that passes every result through ``operators.canonical``, and ``equal``
+compares two such matrices array for array.  ``algebra_set``,
+``algebra_casimir``, ``algebra_casimir_residual`` and
+``algebra_residuals`` build the J operators, J^2 and the verify
+residuals through that algebra, canonicalizing every intermediate: the
+reference for the one-expression forms the commands evaluate.
+
+``OccupationPair``, ``states`` and ``index_of`` enumerate the Fock basis
+one pair at a time, against the closed-form positions the package uses.
+``ClassicalState``, ``ClassicalJ``, ``classical_components``,
+``state_with_j`` and ``sample_states`` evaluate the classical backend
+one state at a time.  No command uses any of them.
 """
 
 from __future__ import annotations
@@ -27,22 +37,23 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from schwinger.angular import AngularMomentumSet
-from schwinger.fock import FockBasis
+from schwinger.fock import FockBasis, position
 from schwinger.operators import (
-    SparseOperator,
-    add,
-    adjoint,
+    _check_dims,
     annihilation,
-    commutator,
-    multiply,
+    canonical,
+    fro_norm,
+    from_entries,
+    max_abs,
     number_operator,
-    scale,
 )
-from schwinger.classical import classical_components, sample_states
+from schwinger.classical import sample_amplitudes
 from schwinger.cli import Table
 from schwinger.spectra import _quarter_sum, gershgorin_discs
 
@@ -74,9 +85,9 @@ def extract_block(amset: AngularMomentumSet, n: int) -> Block:
     sl = slice(rng.start, rng.stop)
     return Block(
         two_j=n,
-        jx=amset.jx.to_csr()[sl, sl].toarray(),
-        jy=amset.jy.to_csr()[sl, sl].toarray(),
-        jz=amset.jz.to_csr()[sl, sl].toarray(),
+        jx=amset.jx[sl, sl].toarray(),
+        jy=amset.jy[sl, sl].toarray(),
+        jz=amset.jz[sl, sl].toarray(),
         hbar=amset.hbar,
     )
 
@@ -280,7 +291,81 @@ def analyze_block(block: Block, tol: float = 1e-12) -> SpectrumReport:
 
 
 # ---------------------------------------------------------------------------
-# the classical sampler and check, one sample at a time
+# the classical backend and its sampler, one state at a time
+
+@dataclass(frozen=True)
+class ClassicalState:
+    """A pair of complex mode amplitudes with an action scale hbar."""
+
+    alpha1: complex
+    alpha2: complex
+    hbar: float = 1.0
+
+
+@dataclass(frozen=True)
+class ClassicalJ:
+    """Real angular-momentum components of one classical state."""
+
+    jx: float
+    jy: float
+    jz: float
+    jtot: float
+
+
+def classical_components(state: ClassicalState) -> ClassicalJ:
+    """Evaluate (jx, jy, jz, jtot) from the amplitudes.
+
+    jx = hbar Re(conj(a1) a2), jy = hbar Im(conj(a1) a2),
+    jz = (hbar/2)(|a1|^2 - |a2|^2), jtot = (hbar/2)(|a1|^2 + |a2|^2).
+    """
+    a1, a2 = complex(state.alpha1), complex(state.alpha2)
+    if not all(
+        math.isfinite(x) for x in (a1.real, a1.imag, a2.real, a2.imag)
+    ):
+        raise ValueError(f"non-finite amplitude in ({a1}, {a2})")
+    cross = a1.conjugate() * a2
+    m1 = a1.real * a1.real + a1.imag * a1.imag
+    m2 = a2.real * a2.real + a2.imag * a2.imag
+    h = state.hbar
+    return ClassicalJ(
+        jx=h * cross.real,
+        jy=h * cross.imag,
+        jz=0.5 * h * (m1 - m2),
+        jtot=0.5 * h * (m1 + m2),
+    )
+
+
+def state_with_j(
+    j: float, theta: float, phi: float, hbar: float = 1.0
+) -> ClassicalState:
+    """State whose components have magnitude hbar*j along (theta, phi).
+
+    alpha1 = sqrt(2j) cos(theta/2), alpha2 = sqrt(2j) sin(theta/2) e^{i phi}.
+    Any real j >= 0 is allowed; classically nothing restricts j to half
+    integers.
+    """
+    if j < 0:
+        raise ValueError(f"j must be non-negative, got {j}")
+    if hbar <= 0:
+        raise ValueError(f"hbar must be positive, got {hbar}")
+    r = math.sqrt(2.0 * j)
+    return ClassicalState(
+        alpha1=complex(r * math.cos(0.5 * theta)),
+        alpha2=r * math.sin(0.5 * theta) * cmath.exp(1j * phi),
+        hbar=hbar,
+    )
+
+
+def sample_states(
+    count: int, amplitude_bound: float, seed: int, hbar: float = 1.0
+) -> list[ClassicalState]:
+    """The samples of ``sample_amplitudes`` as ``ClassicalState`` objects."""
+    re1, im1, re2, im2 = sample_amplitudes(count, amplitude_bound, seed)
+    return [
+        ClassicalState(complex(x1, y1), complex(x2, y2), hbar)
+        for x1, y1, x2, y2 in zip(re1.tolist(), im1.tolist(), re2.tolist(), im2.tolist())
+    ]
+
 
 _LCG_A = 6364136223846793005
 _LCG_C = 1442695040888963407
@@ -370,6 +455,93 @@ def csv_text(tables: list[Table]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the Fock basis, one pair at a time
+
+class OccupationPair(NamedTuple):
+    """Occupation numbers (n1, n2) of the two oscillator modes."""
+
+    n1: int
+    n2: int
+
+    @property
+    def total(self) -> int:
+        return self.n1 + self.n2
+
+
+def states(basis: FockBasis) -> tuple[OccupationPair, ...]:
+    """Every pair in basis order, built by direct enumeration."""
+    return tuple(
+        OccupationPair(n1, n - n1)
+        for n in range(basis.n_max + 1)
+        for n1 in range(n, -1, -1)
+    )
+
+
+def index_of(basis: FockBasis, pair: OccupationPair | tuple[int, int]) -> int:
+    """Position of ``pair`` in the basis ordering.
+
+    Raises ValueError for pairs outside the cutoff (or with negative
+    occupations).
+    """
+    n1, n2 = OccupationPair(*pair)
+    if n1 < 0 or n2 < 0 or n1 + n2 > basis.n_max:
+        raise ValueError(
+            f"occupation pair {(n1, n2)} is outside the basis "
+            f"(need n1, n2 >= 0 and n1 + n2 <= {basis.n_max})"
+        )
+    return position(n1, n2)
+
+
+# ---------------------------------------------------------------------------
+# an operator algebra over canonical CSR matrices
+
+def equal(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    """True when two canonical matrices hold the same arrays."""
+    return (
+        a.shape == b.shape
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.data, b.data)
+    )
+
+
+def identity(dim: int) -> sp.csr_matrix:
+    idx = np.arange(dim, dtype=np.int64)
+    return from_entries(dim, idx, idx, np.ones(dim, dtype=np.complex128))
+
+
+def zero(dim: int) -> sp.csr_matrix:
+    return from_entries(dim, [], [], [])
+
+
+def adjoint(op: sp.csr_matrix) -> sp.csr_matrix:
+    """Conjugate transpose.  In the truncated space a_k^dag = adjoint(a_k)."""
+    return canonical(op.conj().T)
+
+
+def multiply(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    _check_dims(a, b)
+    return canonical(a @ b)
+
+
+def add(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    _check_dims(a, b)
+    return canonical(a + b)
+
+
+def scale(a: sp.csr_matrix, c: complex) -> sp.csr_matrix:
+    return canonical(a * complex(c))
+
+
+def commutator(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    """ab - ba.  For the truncated ladder operators [a_k, a_k^dag] equals
+    the identity only below the top shell n1 + n2 = n_max; the deviation
+    there is real and expected, not a bug."""
+    _check_dims(a, b)
+    return add(multiply(a, b), scale(multiply(b, a), -1.0))
+
+
+# ---------------------------------------------------------------------------
 # the J operators, J^2 and the verify residuals through the operator algebra
 
 def algebra_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
@@ -389,7 +561,7 @@ def algebra_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
     return AngularMomentumSet(jx=jx, jy=jy, jz=jz, jtot=jtot, hbar=hbar, basis=basis)
 
 
-def algebra_casimir(amset: AngularMomentumSet) -> SparseOperator:
+def algebra_casimir(amset: AngularMomentumSet) -> sp.csr_matrix:
     """J^2 = J_x^2 + J_y^2 + J_z^2."""
     return add(
         add(multiply(amset.jx, amset.jx), multiply(amset.jy, amset.jy)),
@@ -398,8 +570,8 @@ def algebra_casimir(amset: AngularMomentumSet) -> SparseOperator:
 
 
 def algebra_casimir_residual(
-    amset: AngularMomentumSet, epsilon: float, *, cas: SparseOperator | None = None
-) -> SparseOperator:
+    amset: AngularMomentumSet, epsilon: float, *, cas: sp.csr_matrix | None = None
+) -> sp.csr_matrix:
     """J^2 - J (J + epsilon hbar 1)."""
     if cas is None:
         cas = algebra_casimir(amset)
@@ -408,8 +580,8 @@ def algebra_casimir_residual(
     return add(cas, scale(quad, -1.0))
 
 
-def _hermiticity_residual(op: SparseOperator) -> float:
-    return add(op, scale(adjoint(op), -1.0)).max_abs()
+def _hermiticity_residual(op: sp.csr_matrix) -> float:
+    return max_abs(add(op, scale(adjoint(op), -1.0)))
 
 
 def algebra_residuals(amset: AngularMomentumSet) -> dict[str, float]:
@@ -428,18 +600,18 @@ def algebra_residuals(amset: AngularMomentumSet) -> dict[str, float]:
              ("commutator_zx_y", jz, jx, jy)]
     for name, a, b, c in pairs:
         resid = add(commutator(a, b), scale(c, -1j * hbar))
-        checks.append((name, resid.fro_norm()))
+        checks.append((name, fro_norm(resid)))
 
     cas = algebra_casimir(amset)
     for name, op in (("casimir_commutes_x", jx), ("casimir_commutes_y", jy),
                      ("casimir_commutes_z", jz)):
-        checks.append((name, commutator(cas, op).fro_norm()))
+        checks.append((name, fro_norm(commutator(cas, op))))
     for name, op in (("total_commutes_x", jx), ("total_commutes_y", jy),
                      ("total_commutes_z", jz)):
-        checks.append((name, commutator(op, jt).fro_norm()))
+        checks.append((name, fro_norm(commutator(op, jt))))
 
     quantum = algebra_casimir_residual(amset, 1.0, cas=cas)
-    checks.append(("quadratic_identity_quantum", quantum.max_abs()))
+    checks.append(("quadratic_identity_quantum", max_abs(quantum)))
     classical_form = add(algebra_casimir_residual(amset, 0.0, cas=cas), scale(jt, -hbar))
-    checks.append(("quadratic_identity_classical_form", classical_form.max_abs()))
+    checks.append(("quadratic_identity_classical_form", max_abs(classical_form)))
     return dict(checks)

@@ -16,8 +16,23 @@ import pytest
 import schwinger as sw
 from schwinger.cli import main as cli_main
 
+from schwinger.operators import fro_norm, max_abs
+
 from conftest import dense_annihilation, dense_number, max_entry_diff
-from oracles import analyze_block, extract_block, mean_square_from_spectrum
+from oracles import (
+    add,
+    adjoint,
+    analyze_block,
+    classical_components,
+    commutator,
+    extract_block,
+    mean_square_from_spectrum,
+    multiply,
+    sample_states,
+    scale,
+    state_with_j,
+    states,
+)
 
 N_MAX = 40
 
@@ -37,13 +52,13 @@ def test_criterion_1_commutation_relations():
     assert s.basis.size == 861
     worst = 0.0
     for a, b, c in ((s.jx, s.jy, s.jz), (s.jy, s.jz, s.jx), (s.jz, s.jx, s.jy)):
-        resid = sw.add(sw.commutator(a, b), sw.scale(c, -1j * s.hbar))
-        worst = max(worst, resid.fro_norm())
-        assert resid.fro_norm() < 1e-11
+        resid = add(commutator(a, b), scale(c, -1j * s.hbar))
+        worst = max(worst, fro_norm(resid))
+        assert fro_norm(resid) < 1e-11
     cas = sw.casimir(s)
-    assert sw.commutator(cas, s.jz).fro_norm() < 1e-11
+    assert fro_norm(commutator(cas, s.jz)) < 1e-11
     for op in (s.jx, s.jy, s.jz):
-        assert sw.commutator(op, s.jtot).fro_norm() < 1e-11
+        assert fro_norm(commutator(op, s.jtot)) < 1e-11
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     report(1, "commutation-relations",
@@ -51,11 +66,11 @@ def test_criterion_1_commutation_relations():
 
 
 def test_criterion_2_quadratic_identity(amset40):
-    quantum = sw.casimir_residual(amset40, 1.0).max_abs()
+    quantum = max_abs(sw.casimir_residual(amset40, 1.0))
     assert quantum < 1e-11
-    classical_form = sw.add(
-        sw.casimir_residual(amset40, 0.0), sw.scale(amset40.jtot, -amset40.hbar)
-    ).max_abs()
+    classical_form = max_abs(add(
+        sw.casimir_residual(amset40, 0.0), scale(amset40.jtot, -amset40.hbar)
+    ))
     assert classical_form < 1e-12
     report(2, "quadratic-identity",
            f"eps=1 max entry {quantum:.3e}, eps=0 form {classical_form:.3e}")
@@ -99,11 +114,10 @@ def test_criterion_4_sum_rule_and_average(amset40):
 
 def test_criterion_5_angles_and_limits():
     assert sw.cos_theta(1, 1, 1.0) == pytest.approx(0.5773503, abs=1e-6)
-    scan = sw.limit_scan(400, 1.0)
-    values = [r.cos_theta for r in scan]
+    values = sw.limit_scan(400, 1.0)
     assert all(b > a for a, b in zip(values, values[1:]))
-    for r in scan:
-        assert 1.0 - r.cos_theta <= 1.0 / r.two_j  # 1/(2j)
+    for two_j, value in enumerate(values, 1):
+        assert 1.0 - value <= 1.0 / two_j  # 1/(2j)
     for two_j in range(1, 30):
         assert sw.cos_theta(two_j, two_j, 0.0) == 1.0
         assert sw.cos_theta(two_j, -two_j, 0.0) == -1.0
@@ -124,11 +138,11 @@ def test_criterion_5_angles_and_limits():
 
 
 def test_criterion_6_classical_backend():
-    states = sw.sample_states(10_000, 5.0, seed=1)
+    states = sample_states(10_000, 5.0, seed=1)
     worst = 0.0
     continuous = False
     for state in states:
-        c = sw.classical_components(state)
+        c = classical_components(state)
         lhs = c.jx**2 + c.jy**2 + c.jz**2
         worst = max(worst, abs(lhs - c.jtot**2) / max(c.jtot**2, 1e-300))
         if abs(2 * c.jtot - round(2 * c.jtot)) > 1e-3:
@@ -138,7 +152,7 @@ def test_criterion_6_classical_backend():
     for j in (0.25, 0.7, 1.0, 3.5, 11.0):
         for theta in (0.3, 1.0, 2.5):
             for phi in (-2.0, 0.4, 3.0):
-                c = sw.classical_components(sw.state_with_j(j, theta, phi))
+                c = classical_components(state_with_j(j, theta, phi))
                 assert abs(c.jtot - j) < 1e-10 * max(1, j)
                 assert abs(math.acos(c.jz / c.jtot) - theta) < 1e-10
                 assert abs(math.atan2(c.jy, c.jx) - phi) < 1e-10
@@ -157,22 +171,22 @@ def test_criterion_7_dense_oracle():
         pairs = [
             (d1, a1),
             (d2, a2),
-            (d1.conj().T, sw.adjoint(a1)),
+            (d1.conj().T, adjoint(a1)),
             (dense_number(basis, 1), sw.number_operator(basis, 1)),
             (dense_number(basis, 2), sw.number_operator(basis, 2)),
-            (d1.conj().T @ d2, sw.multiply(sw.adjoint(a1), a2)),
-            (d1 + 2.0 * d2, sw.add(a1, sw.scale(a2, 2.0))),
-            (0.5j * d1, sw.scale(a1, 0.5j)),
+            (d1.conj().T @ d2, multiply(adjoint(a1), a2)),
+            (d1 + 2.0 * d2, add(a1, scale(a2, 2.0))),
+            (0.5j * d1, scale(a1, 0.5j)),
             (
                 d1 @ d1.conj().T - d1.conj().T @ d1,
-                sw.commutator(a1, sw.adjoint(a1)),
+                commutator(a1, adjoint(a1)),
             ),
         ]
         for dense, sparse in pairs:
             worst = max(worst, max_entry_diff(dense, sparse))
             assert max_entry_diff(dense, sparse) < 1e-13
-        comm = sw.commutator(a1, sw.adjoint(a1)).to_dense()
-        for pos, pair in enumerate(basis.states):
+        comm = commutator(a1, adjoint(a1)).toarray()
+        for pos, pair in enumerate(states(basis)):
             if pair.total < n_max:
                 assert comm[pos, pos] == pytest.approx(1.0, abs=1e-13)
             else:  # top shell: truncated creation operator annihilates

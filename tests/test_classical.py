@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from schwinger import (
+from schwinger import sample_amplitudes
+
+from oracles import (
     ClassicalState,
     classical_components,
-    sample_amplitudes,
     sample_states,
+    scalar_amplitudes,
     state_with_j,
 )
-
-from oracles import scalar_amplitudes
 
 finite = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
 

@@ -3,46 +3,51 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schwinger import (
-    add,
-    adjoint,
     annihilation,
     build_basis,
     build_set,
     casimir,
-    commutator,
     from_entries,
-    identity,
-    multiply,
     number_operator,
-    scale,
-    zero,
 )
-from schwinger.operators import diagonal_commutator
+from schwinger.operators import diagonal_commutator, fro_norm, max_abs, row_indices
 
 from conftest import dense_annihilation, dense_number, max_entry_diff
+from oracles import (
+    add,
+    adjoint,
+    commutator,
+    equal,
+    identity,
+    index_of,
+    multiply,
+    scale,
+    states,
+    zero,
+)
 
 
 def entry(op, i, j):
-    return op.to_dense()[i, j]
+    return op.toarray()[i, j]
 
 
 class TestLadder:
     def test_sqrt1_entry(self):
         basis = build_basis(1)
         a1 = annihilation(basis, 1)
-        assert entry(a1, basis.index_of((0, 0)), basis.index_of((1, 0))) == 1.0
+        assert entry(a1, index_of(basis, (0, 0)), index_of(basis, (1, 0))) == 1.0
         assert a1.nnz == 1
 
     def test_sqrt2_entry(self):
         basis = build_basis(2)
         a1 = annihilation(basis, 1)
-        got = entry(a1, basis.index_of((1, 0)), basis.index_of((2, 0)))
+        got = entry(a1, index_of(basis, (1, 0)), index_of(basis, (2, 0)))
         assert got == pytest.approx(np.sqrt(2), abs=1e-15)
 
     def test_mode2_entry(self):
         basis = build_basis(2)
         a2 = annihilation(basis, 2)
-        assert entry(a2, basis.index_of((1, 0)), basis.index_of((1, 1))) == 1.0
+        assert entry(a2, index_of(basis, (1, 0)), index_of(basis, (1, 1))) == 1.0
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -53,24 +58,24 @@ class TestAdjoint:
     def test_creation_entry(self):
         basis = build_basis(1)
         a1d = adjoint(annihilation(basis, 1))
-        assert entry(a1d, basis.index_of((1, 0)), basis.index_of((0, 0))) == 1.0
+        assert entry(a1d, index_of(basis, (1, 0)), index_of(basis, (0, 0))) == 1.0
 
     def test_involution(self):
         basis = build_basis(4)
         for op in (annihilation(basis, 1), annihilation(basis, 2),
                    number_operator(basis, 1)):
-            assert adjoint(adjoint(op)) == op
+            assert equal(adjoint(adjoint(op)), op)
 
     def test_real_diagonal_self_adjoint(self):
         n1 = number_operator(build_basis(3), 1)
-        assert adjoint(n1) == n1
+        assert equal(adjoint(n1), n1)
 
     def test_product_rule(self):
         basis = build_basis(4)
         a = annihilation(basis, 1)
         b = adjoint(annihilation(basis, 2))
-        lhs = adjoint(multiply(a, b)).to_dense()
-        rhs = multiply(adjoint(b), adjoint(a)).to_dense()
+        lhs = adjoint(multiply(a, b)).toarray()
+        rhs = multiply(adjoint(b), adjoint(a)).toarray()
         assert np.max(np.abs(lhs - rhs)) < 1e-14
 
 
@@ -78,7 +83,7 @@ class TestNumberOperator:
     def test_diagonal_values(self):
         basis = build_basis(2)
         n1 = number_operator(basis, 1)
-        assert np.allclose(np.diag(n1.to_dense()), [0, 1, 0, 2, 1, 0])
+        assert np.allclose(np.diag(n1.toarray()), [0, 1, 0, 2, 1, 0])
 
     def test_equals_adag_a(self):
         basis = build_basis(4)
@@ -91,34 +96,34 @@ class TestNumberOperator:
     def test_total_occupation_trace(self):
         basis = build_basis(2)
         total = add(number_operator(basis, 1), number_operator(basis, 2))
-        assert np.trace(total.to_dense()).real == pytest.approx(8.0)
+        assert np.trace(total.toarray()).real == pytest.approx(8.0)
 
 
 class TestAlgebra:
     def test_identity_law(self):
         basis = build_basis(3)
         a1 = annihilation(basis, 1)
-        assert multiply(identity(basis.size), a1) == a1
-        assert multiply(a1, identity(basis.size)) == a1
+        assert equal(multiply(identity(basis.size), a1), a1)
+        assert equal(multiply(a1, identity(basis.size)), a1)
 
     def test_additive_inverse(self):
         a1 = annihilation(build_basis(3), 1)
         diff = add(a1, scale(a1, -1.0))
         assert diff.nnz == 0
-        assert diff == zero(a1.dim)
+        assert equal(diff, zero(a1.shape[0]))
 
     def test_a_adag_interior_diagonal(self):
         basis = build_basis(4)
         a1 = annihilation(basis, 1)
         prod = multiply(a1, adjoint(a1))
-        pos = basis.index_of((2, 1))
+        pos = index_of(basis, (2, 1))
         # n1 + 1 with n1 = 2 on an interior state
         assert entry(prod, pos, pos) == pytest.approx(3.0, abs=1e-13)
 
     def test_scale_by_scalar(self):
         basis = build_basis(2)
         n1 = number_operator(basis, 1)
-        assert np.allclose(scale(n1, 2j).to_dense(), 2j * n1.to_dense())
+        assert np.allclose(scale(n1, 2j).toarray(), 2j * n1.toarray())
 
     def test_dimension_mismatch(self):
         a = annihilation(build_basis(2), 1)
@@ -136,8 +141,8 @@ class TestCommutator:
     def test_canonical_below_top_shell(self):
         basis = build_basis(4)
         a1 = annihilation(basis, 1)
-        comm = commutator(a1, adjoint(a1)).to_dense()
-        for pos, pair in enumerate(basis.states):
+        comm = commutator(a1, adjoint(a1)).toarray()
+        for pos, pair in enumerate(states(basis)):
             if pair.total <= basis.n_max - 1:
                 assert comm[pos, pos] == pytest.approx(1.0, abs=1e-13)
         # strictly off-diagonal entries vanish everywhere
@@ -150,8 +155,8 @@ class TestCommutator:
         # hide it
         basis = build_basis(4)
         a1 = annihilation(basis, 1)
-        comm = commutator(a1, adjoint(a1)).to_dense()
-        for pos, (n1, n2) in enumerate(basis.states):
+        comm = commutator(a1, adjoint(a1)).toarray()
+        for pos, (n1, n2) in enumerate(states(basis)):
             if n1 + n2 == basis.n_max:
                 assert comm[pos, pos] == pytest.approx(-n1, abs=1e-13)
 
@@ -162,12 +167,12 @@ class TestCommutator:
         a1 = annihilation(basis, 1)
         a2 = annihilation(basis, 2)
         comm = commutator(a1, adjoint(a2))
-        totals = np.array([p.total for p in basis.states])
+        totals = np.array([p.total for p in states(basis)])
         assert comm.nnz > 0
-        assert np.all(totals[comm.cols] == basis.n_max)
-        for row, col, val in zip(comm.rows, comm.cols, comm.vals):
-            n1, n2 = basis.states[col]
-            assert basis.states[row] == (n1 - 1, n2 + 1)
+        assert np.all(totals[comm.indices] == basis.n_max)
+        for row, col, val in zip(row_indices(comm), comm.indices, comm.data):
+            n1, n2 = states(basis)[col]
+            assert states(basis)[row] == (n1 - 1, n2 + 1)
             assert val == pytest.approx(-np.sqrt(n1 * (n2 + 1)), abs=1e-13)
 
 
@@ -206,7 +211,7 @@ class TestDiagonalCommutator:
             got = diagonal_commutator(a, d)
             want = commutator(a, d)
         assert got.nnz == want.nnz and np.all(got.data != 0)
-        g, w = got.toarray(), want.to_dense()
+        g, w = got.toarray(), want.toarray()
         finite = np.isfinite(w)
         assert np.array_equal(np.isfinite(g), finite)
         assert np.array_equal(g[finite], w[finite])
@@ -238,9 +243,9 @@ class TestBlockConservation:
     def test_hop_operator_preserves_blocks(self):
         basis = build_basis(6)
         hop = multiply(adjoint(annihilation(basis, 1)), annihilation(basis, 2))
-        totals = np.array([p.total for p in basis.states])
+        totals = np.array([p.total for p in states(basis)])
         assert hop.nnz > 0
-        assert np.array_equal(totals[hop.rows], totals[hop.cols])
+        assert np.array_equal(totals[row_indices(hop)], totals[hop.indices])
 
 
 class TestCanonicalForm:
@@ -258,7 +263,7 @@ class TestCanonicalForm:
         op = from_entries(3, [0, 1, 2], [0, 1, 2], [np.nan, np.inf, 0.0])
         assert op.nnz == 2
         assert np.isnan(entry(op, 0, 0)) and entry(op, 1, 1) == np.inf
-        assert np.isnan(op.max_abs())
+        assert np.isnan(max_abs(op))
 
     def test_exact_cancellation_pruned(self):
         op = from_entries(2, [0, 0], [0, 0], [1.0, -1.0])
@@ -266,8 +271,8 @@ class TestCanonicalForm:
 
     def test_triplets_sorted_row_major(self):
         op = from_entries(3, [2, 0, 1, 0], [0, 2, 1, 0], [1, 2, 3, 4])
-        assert list(op.rows) == [0, 0, 1, 2]
-        assert list(op.cols) == [0, 2, 1, 0]
+        assert list(row_indices(op)) == [0, 0, 1, 2]
+        assert list(op.indices) == [0, 2, 1, 0]
 
     def test_out_of_range_triplet(self):
         with pytest.raises(ValueError):
@@ -276,16 +281,20 @@ class TestCanonicalForm:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_fro_norm_survives_overflowing_squares(self):
         op = from_entries(2, [0, 1], [0, 1], [3e200, 4e200])
-        assert abs(op.fro_norm() - 5e200) <= np.spacing(5e200)
-        assert from_entries(2, [0], [0], [np.inf]).fro_norm() == np.inf
-        assert from_entries(2, [0, 1], [0, 1], [3.0, 4.0]).fro_norm() == 5.0
+        assert abs(fro_norm(op) - 5e200) <= np.spacing(5e200)
+        assert fro_norm(from_entries(2, [0], [0], [np.inf])) == np.inf
+        assert fro_norm(from_entries(2, [0, 1], [0, 1], [3.0, 4.0])) == 5.0
 
     def test_values_immutable(self):
         op = annihilation(build_basis(2), 1)
         with pytest.raises(ValueError):
-            op.vals[0] = 7.0
-        with pytest.raises(ValueError):
-            op.to_csr().data[0] = 7.0
+            op.data[0] = 7.0
+        amset = build_set(build_basis(2), 1.0)
+        for m in (op, amset.jx, amset.jy, amset.jz, amset.jtot, casimir(amset)):
+            for arr in (m.data, m.indices, m.indptr):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1
 
 
 class TestDenseOracle:
