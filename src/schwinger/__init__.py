@@ -17,7 +17,7 @@ from .angular import (
 from .classical import sample_amplitudes
 from .fock import FockBasis, build_basis
 from .operators import annihilation, from_entries, number_operator
-from .spectra import cos_theta, limit_scan, sum_rule_check
+from .spectra import cos_theta, sum_rule_check
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,6 @@ __all__ = [
     "casimir_residual",
     "cos_theta",
     "from_entries",
-    "limit_scan",
     "number_operator",
     "sample_amplitudes",
     "sum_rule_check",

@@ -42,7 +42,7 @@ from .operators import (
     max_abs,
     row_indices,
 )
-from .spectra import block_table, cos_theta, gershgorin_discs, limit_scan, sum_rule_check
+from .spectra import block_table, cos_theta, sum_rule_check
 
 # verify at n_max 1000 (dimension 501501) takes about 2 s and 235 MB from
 # the shell, below classical at COUNT_LIMIT; at 1500 it took 9 s and 500 MB
@@ -296,14 +296,19 @@ def _blocks(amset: AngularMomentumSet, cas: sp.csr_matrix, first: int) -> dict:
     """The ``block_table`` of blocks ``first`` .. n_max.
 
     Every block is read off its rows of the global J_z and of ``cas``,
-    the global J^2; a radius also counts J^2 entries that leak into
-    other blocks.
+    the global canonical J^2.  The Gershgorin discs of J^2 are read off
+    its stored entries: each centre is its real diagonal and each radius
+    sums the magnitudes it stores off the diagonal of that row, entries
+    that leak into other blocks included.  A clean J^2 stores none, so
+    every radius is 0.
     """
-    centres, radii = gershgorin_discs(cas)
+    entry_rows = row_indices(cas)
+    off = entry_rows != cas.indices
+    radii = np.bincount(entry_rows[off], weights=np.abs(cas.data[off]), minlength=cas.shape[0])
     rows = slice(amset.basis.block_range(first).start, None)
     jz_diag = amset.jz.diagonal()[rows]
     return block_table(range(first, amset.basis.n_max + 1), amset.hbar, jz_diag,
-                       centres[rows], radii[rows])
+                       cas.diagonal().real[rows], radii[rows])
 
 
 def _verdict(checks: list[dict], tol: float) -> int:
@@ -458,26 +463,26 @@ def cmd_sumrule(two_j_max: int):
 
 
 def cmd_angle(two_j: int, epsilon: float):
-    two_mjs = range(two_j, -two_j - 1, -2)
+    two_mjs = np.arange(two_j, -two_j - 1, -2)
     rows = Table("row", {
         "two_j": [two_j] * len(two_mjs),
         "two_mj": two_mjs,
         "epsilon": [epsilon] * len(two_mjs),
-        "cos_theta": [cos_theta(two_j, two_mj, epsilon) for two_mj in two_mjs],
+        "cos_theta": cos_theta(two_j, two_mjs, epsilon),
     })
     json_doc = {"command": "angle", "two_j": two_j, "epsilon": epsilon, "rows": rows}
     return json_doc, [rows], []
 
 
 def cmd_limit(two_j_max: int, epsilon: float):
-    values = limit_scan(two_j_max, epsilon)
-    monotonic = all(b > a for a, b in zip(values, values[1:]))
-    two_js = range(1, two_j_max + 1)
+    two_js = np.arange(1, two_j_max + 1)
+    values = cos_theta(two_js, two_js, epsilon)
+    monotonic = bool(np.all(values[1:] > values[:-1]))
     rows = Table("row", {
         "two_j": two_js,
         "epsilon": [epsilon] * two_j_max,
         "cos_theta": values,
-        "gap_bound": [1.0 / k for k in two_js],
+        "gap_bound": 1.0 / two_js,
     })
     json_doc = {"command": "limit", "two_j_max": two_j_max, "epsilon": epsilon,
                 "rows": rows, "monotonic": monotonic}

@@ -3,7 +3,8 @@
 Contains the table of every per-block value, read off the J_z diagonal
 and the Gershgorin discs of J^2 in one array pass with no eigensolve;
 the exact half-integer sum rule; and the alignment angle between J_z
-and the total J together with its classical limits.
+and the total J together with its classical limits, elementwise over
+arrays of levels.
 
 Half integers are carried as integers scaled by two (two_j, two_mj), so
 j = 3/2 etc. stay exact; the sum rule works in quarters (4 m^2) so both
@@ -15,23 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
-
-
-def gershgorin_discs(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Centres and radii of the Gershgorin discs of the Hermitian part.
-
-    ``matrix`` is a square numpy array or scipy sparse matrix M.  The
-    centres are the (real) diagonal of H = (M + M^H)/2 and the radii its
-    off-diagonal absolute row sums, so every eigenvalue of H lies in some
-    [centre - radius, centre + radius].  A radius is exactly 0 on a row
-    where H has no off-diagonal entry.
-    """
-    m = sp.csr_matrix(matrix)
-    h = ((m + m.conj().T) * 0.5).tocoo()
-    off = h.row != h.col
-    radii = np.bincount(h.row[off], weights=np.abs(h.data[off]), minlength=h.shape[0])
-    return h.diagonal().real, radii
 
 
 def block_table(two_js, hbar: float, jz_diag, cas_centres, cas_radii) -> dict:
@@ -39,9 +23,9 @@ def block_table(two_js, hbar: float, jz_diag, cas_centres, cas_radii) -> dict:
 
     ``two_js`` lists the blocks in row order, block two_j holding
     two_j + 1 rows; ``jz_diag`` is the J_z diagonal on those rows and
-    ``cas_centres`` and ``cas_radii`` are their rows of
-    ``gershgorin_discs`` of J^2.  Never raises: an inconsistent block
-    shows up as residuals.
+    ``cas_centres`` and ``cas_radii`` are the centres and radii of the
+    Gershgorin discs of J^2 on them.  Never raises: an inconsistent
+    block shows up as residuals.
 
     Returns a dict of arrays indexed by block, except ``levels``, which
     holds every block's J_z levels in absolute units (hbar times m),
@@ -133,31 +117,27 @@ def _quarter_sum(two_j):
     return two_j * (two_j + 1) * (two_j + 2) // 3
 
 
-def cos_theta(two_j: int, two_mj: int, epsilon: float) -> float:
+def cos_theta(two_j, two_mj, epsilon: float):
     """cos of the angle between J_z and the total J: (m/j)/sqrt(1 + eps/j).
 
-    Independent of hbar.  With eps = 1 the extremal m = +-j never reaches
-    cos = +-1; with eps = 0, or as j grows without bound, it does.
+    Elementwise on integers or integer arrays ``two_j`` and ``two_mj``,
+    which broadcast together; each value is rounded as the scalar formula
+    rounds it.  Independent of hbar.  With eps = 1 the extremal m = +-j
+    never reaches cos = +-1; with eps = 0, or as j grows without bound,
+    it does.  Raises ValueError if any element is out of its domain.
     """
-    if two_j < 1:
+    two_j, two_mj = np.broadcast_arrays(two_j, two_mj)
+    if np.any(two_j < 1):
         raise ValueError(
-            f"angle undefined for two_j={two_j}: zero-magnitude angular momentum"
+            f"angle undefined for two_j={two_j.min()}: zero-magnitude angular momentum"
         )
-    if abs(two_mj) > two_j:
-        raise ValueError(f"two_mj={two_mj} outside -two_j..two_j for two_j={two_j}")
+    outside = np.abs(two_mj) > two_j
+    if np.any(outside):
+        k = np.argmax(outside)
+        raise ValueError(f"two_mj={two_mj.flat[k]} outside -two_j..two_j "
+                         f"for two_j={two_j.flat[k]}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     if not math.isfinite(2.0 * epsilon):
         raise ValueError(f"epsilon {epsilon} is too large: 2 * epsilon overflows")
-    return (two_mj / two_j) / math.sqrt(1.0 + 2.0 * epsilon / two_j)
-
-
-def limit_scan(two_j_max: int, epsilon: float) -> list[float]:
-    """Extremal alignment cos(theta) at m = j for two_j = 1 .. two_j_max.
-
-    For eps > 0 the values increase strictly with j and stay below 1,
-    approaching it as j -> infinity; for eps = 0 every value is exactly 1.
-    """
-    if two_j_max < 1:
-        raise ValueError(f"two_j_max must be at least 1, got {two_j_max}")
-    return [cos_theta(k, k, epsilon) for k in range(1, two_j_max + 1)]
+    return (two_mj / two_j) / np.sqrt(1.0 + 2.0 * epsilon / two_j)

@@ -8,6 +8,8 @@ the package.  ``diagonal_report`` reads every value of one block into a
 global sparse operators in one pass.  ``block_report`` and
 ``analyze_block`` feed it a dense block, and
 ``mean_square_from_spectrum`` is 3 <J_z^2> of one report.
+``gershgorin_discs`` reads the discs of the Hermitian part of a matrix,
+the reference for the discs ``verify`` reads off J^2's stored entries.
 ``scalar_amplitudes`` is the sampler one state at a time,
 ``classical_records`` the classical check one sample at a time, and
 ``json_text`` and ``csv_text`` encode a command's document with the
@@ -55,7 +57,23 @@ from schwinger.operators import (
 )
 from schwinger.classical import sample_amplitudes
 from schwinger.cli import Table
-from schwinger.spectra import _quarter_sum, gershgorin_discs
+from schwinger.spectra import _quarter_sum
+
+
+def gershgorin_discs(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Centres and radii of the Gershgorin discs of the Hermitian part.
+
+    ``matrix`` is a square numpy array or scipy sparse matrix M.  The
+    centres are the (real) diagonal of H = (M + M^H)/2 and the radii its
+    off-diagonal absolute row sums, so every eigenvalue of H lies in some
+    [centre - radius, centre + radius].  A radius is exactly 0 on a row
+    where H has no off-diagonal entry.
+    """
+    m = sp.csr_matrix(matrix)
+    h = ((m + m.conj().T) * 0.5).tocoo()
+    off = h.row != h.col
+    radii = np.bincount(h.row[off], weights=np.abs(h.data[off]), minlength=h.shape[0])
+    return h.diagonal().real, radii
 
 
 @dataclass(frozen=True)

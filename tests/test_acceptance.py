@@ -114,7 +114,8 @@ def test_criterion_4_sum_rule_and_average(amset40):
 
 def test_criterion_5_angles_and_limits():
     assert sw.cos_theta(1, 1, 1.0) == pytest.approx(0.5773503, abs=1e-6)
-    values = sw.limit_scan(400, 1.0)
+    two_js = np.arange(1, 401)
+    values = sw.cos_theta(two_js, two_js, 1.0)
     assert all(b > a for a, b in zip(values, values[1:]))
     for two_j, value in enumerate(values, 1):
         assert 1.0 - value <= 1.0 / two_j  # 1/(2j)

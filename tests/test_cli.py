@@ -34,7 +34,6 @@ from schwinger.cli import (
 )
 
 from oracles import (
-    ClassicalState,
     add,
     algebra_residuals,
     analyze_block,
@@ -42,6 +41,7 @@ from oracles import (
     csv_text,
     equal,
     extract_block,
+    gershgorin_discs,
     json_text,
 )
 
@@ -372,6 +372,46 @@ class TestVerify:
         assert int(config_rows["n_max"]) == doc["n_max"]
         assert float(config_rows["hbar"]) == doc["hbar"]
         assert float(config_rows["tol"]) == doc["tol"]
+
+
+def spread_of_discs(amset, cas) -> np.ndarray:
+    """The per-block spread from the oracle's discs of the Hermitian part
+    of ``cas``."""
+    return spectra.block_table(range(amset.basis.n_max + 1), amset.hbar,
+                               amset.jz.diagonal(), *gershgorin_discs(cas))["spread"]
+
+
+class TestCasimirDiscs:
+    """verify reads J^2's Gershgorin discs off its stored entries."""
+
+    @pytest.mark.parametrize("hbar", [0.3, 1.0, 2.0, 1e-30, 1.054571817e-34])
+    def test_clean_casimir_stores_no_off_diagonal_entry(self, hbar):
+        for n_max in range(41):
+            cas = angular.casimir(build_set(build_basis(n_max), hbar))
+            assert np.array_equal(operators.row_indices(cas), cas.indices), n_max
+
+    @pytest.mark.parametrize("hbar", [0.5, 1.0, 0.3])
+    @pytest.mark.parametrize("row, col, delta", [(1, 2, 1e-6), (3, 5, -2.5e-3), (6, 14, 1e-9)])
+    def test_hermitian_pair_reads_hermitian_part_spread(self, hbar, row, col, delta):
+        amset = build_set(build_basis(5), hbar)
+        bad = cli._apply_corruption(amset, ("jx", row, col, delta))
+        bad = cli._apply_corruption(bad, ("jx", col, row, delta))
+        cas = angular.casimir(bad)
+        spread = cli._blocks(bad, cas, 0)["spread"]
+        assert spread.max() > 0
+        assert np.array_equal(spread, spread_of_discs(bad, cas))
+
+    def test_single_entry_bounds_hermitian_part_spread(self, capsys):
+        amset = build_set(build_basis(4), 1.0)
+        bad = cli._apply_corruption(amset, cli._parse_corruption("jx,1,3,1e-6", amset.basis.size))
+        cas = angular.casimir(bad)
+        # the check reads the largest spread; a block's own can fall, since
+        # the entry now widens only the disc of its row, not of its mirror
+        spread = cli._blocks(bad, cas, 0)["spread"]
+        assert spread.max() >= spread_of_discs(bad, cas).max() > 0
+        code, _, err = run_cli(capsys, "verify", "--nmax", "4", "--no-meta",
+                               "--corrupt", "jx,1,3,1e-6")
+        assert code == 1 and "FAILED casimir_block_spread:" in err
 
 
 class TestDeterminism:
@@ -715,13 +755,14 @@ class TestClassical:
         assert code == 0 and err == ""
         assert json.loads(out)["pass"] is True
 
-    def test_builds_no_state_objects(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("classical built a ClassicalState")
-
-        monkeypatch.setattr(ClassicalState, "__init__", refuse)
-        code, _, _ = run_cli(capsys, "classical", "--count", "40", "--no-meta")
-        assert code == 0
+    def test_builds_no_state_objects(self):
+        # every sampled column is one array, not a list of per-state values
+        json_doc, _, _ = cli.cmd_classical(1000, 2.0, 0, 1.0, 1e-9)
+        columns = json_doc["samples"].columns
+        for name in ("jx", "jy", "jz", "jtot", "rel_residual"):
+            assert isinstance(columns[name], np.ndarray), name
+            assert columns[name].dtype == np.float64 and columns[name].shape == (1000,), name
+        assert isinstance(columns["index"], range)
 
     def test_csv_json_parity(self, capsys):
         args = ("classical", "--count", "25", "--seed", "4", "--no-meta")

@@ -16,7 +16,6 @@ from schwinger import (
     build_basis,
     build_set,
     cos_theta,
-    limit_scan,
     sum_rule_check,
 )
 
@@ -25,6 +24,7 @@ from oracles import (
     block_report,
     diagonal_report,
     extract_block,
+    gershgorin_discs,
     jacobi_eigen,
     mean_square_from_spectrum,
 )
@@ -238,9 +238,15 @@ class TestBlockTable:
     @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0, 0.3])
     def test_sparse_operators_read_block_by_block(self, hbar):
         amset = build_set(build_basis(30), hbar)
-        centres, radii = spectra.gershgorin_discs(angular.casimir(amset))
+        cas = angular.casimir(amset)
+        centres, radii = gershgorin_discs(cas)
         jz = amset.jz.diagonal()
         table = spectra.block_table(range(31), hbar, jz, centres, radii)
+        # verify reads the same discs off the stored entries of J^2
+        read = cli._blocks(amset, cas, 0)
+        assert read.keys() == table.keys()
+        for field, column in table.items():
+            assert np.array_equal(read[field], column), field
         for n in range(31):
             rows = amset.basis.block_range(n)
             sl = slice(rows.start, rows.stop)
@@ -339,19 +345,27 @@ class TestCosTheta:
                 assert abs(cos_theta(two_j, two_mj, 0.0)) <= 1.0
 
 
+def extremal_cos(two_j_max: int, epsilon: float) -> np.ndarray:
+    """cos theta at m = j for two_j = 1 .. two_j_max, as ``limit`` reads it."""
+    two_js = np.arange(1, two_j_max + 1)
+    return cos_theta(two_js, two_js, epsilon)
+
+
 class TestLimitScan:
+    """The extremal alignment of every two_j, from one array call."""
+
     def test_quantum_values(self):
-        results = dict(enumerate(limit_scan(4, 1.0), 1))
+        results = dict(enumerate(extremal_cos(4, 1.0), 1))
         assert results[1] == pytest.approx(0.57735, abs=5e-6)
         assert results[2] == pytest.approx(0.70711, abs=5e-6)
         assert results[4] == pytest.approx(0.81650, abs=5e-6)
 
     def test_classical_all_ones(self):
-        assert all(value == 1.0 for value in limit_scan(12, 0.0))
+        assert all(value == 1.0 for value in extremal_cos(12, 0.0))
 
     @pytest.mark.parametrize("epsilon", [1.0, 0.5, 2.0])
     def test_strictly_increasing_and_bounded(self, epsilon):
-        values = limit_scan(400, epsilon)
+        values = extremal_cos(400, epsilon)
         assert all(b > a for a, b in zip(values, values[1:]))
         for value in values:
             assert value < 1.0
@@ -360,12 +374,34 @@ class TestLimitScan:
                 assert 1.0 - value <= 1.0 / two_j  # 1/(2j)
 
     def test_large_j_gap(self):
-        final = limit_scan(400, 1.0)[-1]
+        final = extremal_cos(400, 1.0)[-1]
         assert 1.0 - final < 0.0025
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            limit_scan(0, 1.0)
+            cos_theta(np.arange(0, 2), np.arange(0, 2), 1.0)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.25, 1.0, 3.5, 8.98e307])
+    def test_array_matches_scalar_bit_for_bit(self, epsilon):
+        for two_j in range(1, 401):
+            two_mjs = np.arange(-two_j, two_j + 1, 2)
+            values = cos_theta(two_j, two_mjs, epsilon)
+            # the scalar formula in Python floats, as the commands once ran it
+            scalar = [(m / two_j) / math.sqrt(1.0 + 2.0 * epsilon / two_j)
+                      for m in range(-two_j, two_j + 1, 2)]
+            assert values.tolist() == scalar
+            assert values.tolist() == [cos_theta(two_j, m, epsilon) for m in two_mjs.tolist()]
+
+    @pytest.mark.parametrize("where", [0, 57, 399])
+    def test_one_bad_element_raises(self, where):
+        two_js = np.arange(1, 401)
+        two_mjs = two_js.copy()
+        two_mjs[where] = two_js[where] + 2
+        with pytest.raises(ValueError, match=f"two_mj={two_mjs[where]} outside"):
+            cos_theta(two_js, two_mjs, 1.0)
+        two_js[where] = 0
+        with pytest.raises(ValueError, match="two_j=0"):
+            cos_theta(two_js, np.zeros_like(two_js), 1.0)
 
 
 class TestHbarIndependence:
@@ -390,7 +426,8 @@ def test_dense_oracles_not_in_package():
     # names no command runs, kept in the oracles of the tests
     moved = {"SparseOperator", "identity", "zero", "adjoint", "multiply", "add",
              "scale", "commutator", "OccupationPair", "ClassicalState", "ClassicalJ",
-             "classical_components", "state_with_j", "sample_states", "AngleResult"}
+             "classical_components", "state_with_j", "sample_states", "AngleResult",
+             "gershgorin_discs", "limit_scan"}
     modules = (schwinger, angular, spectra, operators, fock, classical, cli)
     for oracles in (dense, moved):
         assert not oracles & set(schwinger.__all__)
@@ -404,6 +441,13 @@ def test_dense_oracles_not_in_package():
 def test_public_names():
     assert sorted(schwinger.__all__) == sorted([
         "AngularMomentumSet", "FockBasis", "annihilation", "build_basis", "build_set",
-        "casimir", "casimir_residual", "cos_theta", "from_entries", "limit_scan",
+        "casimir", "casimir_residual", "cos_theta", "from_entries",
         "number_operator", "sample_amplitudes", "sum_rule_check", "__version__"])
     assert all(hasattr(schwinger, name) for name in schwinger.__all__)
+
+
+def test_spectra_uses_no_scipy():
+    # a module by its name, anything else by the module that defined it
+    for value in vars(spectra).values():
+        origin = getattr(value, "__module__", None) or getattr(value, "__name__", "")
+        assert not str(origin).startswith("scipy"), value
