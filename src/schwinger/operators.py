@@ -5,8 +5,8 @@ column indices sorted within each row, duplicate positions merged, exact
 zeros dropped, and its ``data``, ``indices`` and ``indptr`` frozen.
 ``canonical`` is the one place that establishes that form; the builders
 here and in ``angular`` pass each result through it.  NaN and inf
-entries stay, so a check that meets one fails.  ``diagonal_commutator``
-returns a fresh, writable matrix for ``max_abs`` or ``fro_norm`` to read.
+entries stay, so a check that meets one fails.  ``commutator`` returns
+a fresh, writable matrix for ``max_abs`` or ``fro_norm`` to read.
 """
 
 from __future__ import annotations
@@ -104,23 +104,20 @@ def _check_dims(a: sp.spmatrix, b: sp.spmatrix):
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
 
 
-def diagonal_commutator(a: sp.csr_matrix, d: sp.csr_matrix) -> sp.csr_matrix:
-    """ad - da as a fresh matrix, for a ``d`` that is (nearly) diagonal.
+def commutator(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    """ab - ba as a fresh matrix.
 
-    ``d`` splits into diag(delta) + o.  The diagonal part gives
+    When ``b`` stores no entry off its diagonal delta, the result is
     a_ij delta_j - delta_i a_ij on the index arrays of ``a``, each term
-    rounded as the products ad and da round it; o adds ao - oa only
-    when ``d`` stores an entry off its diagonal.  Exact zeros are
-    dropped; NaN and inf entries stay.
+    rounded as the products ab and ba round it, with exact zeros
+    dropped; otherwise it is the products themselves.  NaN and inf
+    entries stay.
     """
-    _check_dims(a, d)
-    delta = d.diagonal()
+    _check_dims(a, b)
+    if np.any(row_indices(b) != b.indices):
+        return a @ b - b @ a
+    delta = b.diagonal()
     vals = a.data * delta[a.indices] - delta[row_indices(a)] * a.data
     out = sp.csr_matrix((vals, a.indices, a.indptr), shape=a.shape, copy=True)
     out.eliminate_zeros()
-    d_rows = row_indices(d)
-    off = d_rows != d.indices
-    if off.any():
-        o = sp.csr_matrix((d.data[off], (d_rows[off], d.indices[off])), shape=a.shape)
-        out = out + (a @ o - o @ a)
     return out

@@ -91,22 +91,29 @@ def block_table(two_js, hbar: float, jz_diag, cas_centres, cas_radii) -> dict:
 _SUM_RULE_VECTOR_LIMIT = 1_000_000
 
 
-def sum_rule_check(two_j: int) -> tuple[int, int]:
+def sum_rule_check(two_j):
     """Both sides of sum_{m=-j}^{j} m^2 = (1/3) j (j+1) (2j+1), in quarters.
 
     Scaling by 4 makes both sides integers for every half-integer j:
     lhs = sum of (2m)^2 over the 2j+1 values of m, rhs = 2j(2j+1)(2j+2)/3.
-    Returned as exact integers so the equality can be asserted with no
-    floating point involved.  Raises ValueError for two_j outside
-    0.._SUM_RULE_VECTOR_LIMIT.
+    Elementwise on integers, as exact int64 values, so the equality can
+    be asserted with no floating point involved; the lhs is a running sum
+    of the terms, not the closed form.  Raises ValueError if any two_j
+    lies outside 0.._SUM_RULE_VECTOR_LIMIT.
     """
-    if two_j < 0:
-        raise ValueError(f"two_j must be non-negative, got {two_j}")
-    if two_j > _SUM_RULE_VECTOR_LIMIT:
-        raise ValueError(f"two_j {two_j} exceeds {_SUM_RULE_VECTOR_LIMIT}, "
+    two_j = np.asarray(two_j)
+    least, top = two_j.min(initial=0), two_j.max(initial=0)
+    if least < 0:
+        raise ValueError(f"two_j must be non-negative, got {least}")
+    if top > _SUM_RULE_VECTOR_LIMIT:
+        raise ValueError(f"two_j {top} exceeds {_SUM_RULE_VECTOR_LIMIT}, "
                          "the largest value summed exactly in int64")
-    two_m = np.arange(-two_j, two_j + 1, 2, dtype=np.int64)
-    return int(np.sum(two_m * two_m)), _quarter_sum(two_j)
+    two_j = two_j.astype(np.int64)
+    # row r holds the squares of k = 2r and 2r + 1; down each column, two_j = k
+    # adds the terms (2m)^2 = k^2 at 2m = +-k to the sum of two_j = k - 2
+    squares = np.arange(top // 2 * 2 + 2, dtype=np.int64).reshape(-1, 2) ** 2
+    halves = np.cumsum(squares, axis=0).ravel()
+    return 2 * halves[two_j], _quarter_sum(two_j)
 
 
 def _quarter_sum(two_j):

@@ -25,7 +25,6 @@ from schwinger.cli import (
     COUNT_LIMIT,
     HBAR_FLOOR,
     N_MAX_LIMIT,
-    SUM_RULE_TWO_J_LIMIT,
     TWO_J_LIMIT,
     UsageError,
     _require_hbar_tol,
@@ -94,8 +93,8 @@ CHECK_BREAKERS = {
 
 
 # --corrupt directives at --nmax 4 that put an entry off the diagonal of J
-# or of J_z, and so of J^2, each with a check it fails: they reach the
-# off-diagonal term of the diagonal-split commutators
+# or of J_z, and so of J^2, each with a check it fails: they send the
+# commutators with that operator through the plain products
 OFF_DIAGONAL_BREAKERS = {
     "total_commutes_x": "jtot,3,4,1e-3",
     "casimir_commutes_z": "jz,5,6,1e-3",
@@ -321,24 +320,27 @@ class TestVerify:
         for name, want in algebra_residuals(amset).items():
             assert got[name] == want, name
 
-    @pytest.mark.parametrize(
-        "n_max, directive",
-        [(4, d) for d in sorted({*CHECK_BREAKERS.values(), *OFF_DIAGONAL_BREAKERS.values()})]
-        # far off the band: scipy returns the products' entries out of order
-        + [(23, "jy,80,8,1e-3")],
-    )
-    def test_corrupted_residuals_match_operator_algebra(self, n_max, directive):
-        amset = build_set(build_basis(n_max), 1.0)
+    @pytest.mark.parametrize("n_max, directive, hbar", [
+        pytest.param(n_max, directive, hbar,
+                     id=f"{n_max}-{directive}" + ("" if hbar == 1.0 else f"-hbar{hbar}"))
+        for hbar in (1.0, 0.5, 2.0)
+        for n_max, directive in [
+            *((4, d) for d in sorted({*CHECK_BREAKERS.values(),
+                                      *OFF_DIAGONAL_BREAKERS.values()})),
+            # far off the band: scipy returns the products' entries out of order
+            (23, "jy,80,8,1e-3"),
+            # small_mix-style: +-1e-3 at an entry off the diagonal of J_z or J
+            (40, "jz,611,152,-0.001"),
+            (40, "jtot,377,378,0.001"),
+        ]
+    ])
+    def test_corrupted_residuals_match_operator_algebra(self, n_max, directive, hbar):
+        amset = build_set(build_basis(n_max), hbar)
         bad = cli._apply_corruption(amset, cli._parse_corruption(directive, amset.basis.size))
         checks, _ = cli.run_battery(bad, 1e-12)
         got = {c["name"]: c["max_residual"] for c in checks}
         for name, want in algebra_residuals(bad).items():
-            if "_commutes_" in name:
-                # the diagonal split adds an entry off the diagonal of J or
-                # J^2 in another order than the full products do
-                assert abs(got[name] - want) <= 4 * np.spacing(want), name
-            else:
-                assert got[name] == want, name
+            assert got[name] == want, name
 
     @pytest.mark.parametrize("name, directive", sorted(OFF_DIAGONAL_BREAKERS.items()))
     def test_off_diagonal_operand_fails(self, capsys, name, directive):
@@ -581,6 +583,23 @@ class TestSumrule:
         for jrow, crow in zip(doc["rows"], rows):
             assert int(crow["lhs_quarters"]) == jrow["lhs_quarters"]
             assert int(crow["rhs_quarters"]) == jrow["rhs_quarters"]
+
+    def test_at_the_cap(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(two_j):
+            calls.append(len(two_j))
+            return spectra.sum_rule_check(two_j)
+
+        monkeypatch.setattr(cli, "sum_rule_check", counting)
+        code, out, err = run_cli(capsys, "sumrule", "--two-j-max", str(TWO_J_LIMIT),
+                                 "--no-meta")
+        assert code == 0 and err == "" and calls == [TWO_J_LIMIT + 1]
+        doc = json.loads(out)
+        assert doc["all_pass"] is True and len(doc["rows"]) == TWO_J_LIMIT + 1
+        top = doc["rows"][-1]
+        assert top["two_j"] == TWO_J_LIMIT
+        assert top["lhs_quarters"] == sum(m * m for m in range(-TWO_J_LIMIT, TWO_J_LIMIT + 1, 2))
 
 
 class TestAngle:
@@ -1019,7 +1038,7 @@ class TestParser:
             (["angle", "--j", "1e300"], "--j"),
             (["angle", "--j", repr(TWO_J_LIMIT / 2 + 0.5)], "--j"),
             (["limit", "--two-j-max", str(TWO_J_LIMIT + 1)], "--two-j-max"),
-            (["sumrule", "--two-j-max", str(SUM_RULE_TWO_J_LIMIT + 1)], "--two-j-max"),
+            (["sumrule", "--two-j-max", str(TWO_J_LIMIT + 1)], "--two-j-max"),
             (["angle", "--two-j", "-3"], "--two-j"),
             (["angle", "--j", "-1.5"], "--j"),
             (["spectrum", "--n", str(N_MAX_LIMIT + 1)], "--n"),

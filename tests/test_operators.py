@@ -10,13 +10,13 @@ from schwinger import (
     from_entries,
     number_operator,
 )
-from schwinger.operators import diagonal_commutator, fro_norm, max_abs, row_indices
+from schwinger.operators import commutator, fro_norm, max_abs, row_indices
 
 from conftest import dense_annihilation, dense_number, max_entry_diff
 from oracles import (
     add,
     adjoint,
-    commutator,
+    commutator as algebra_commutator,
     equal,
     identity,
     index_of,
@@ -128,7 +128,7 @@ class TestAlgebra:
     def test_dimension_mismatch(self):
         a = annihilation(build_basis(2), 1)
         b = annihilation(build_basis(3), 1)
-        for op in (multiply, add, commutator, diagonal_commutator):
+        for op in (multiply, add, algebra_commutator, commutator):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 op(a, b)
 
@@ -136,12 +136,12 @@ class TestAlgebra:
 class TestCommutator:
     def test_self_commutator(self):
         a1 = annihilation(build_basis(3), 1)
-        assert commutator(a1, a1).nnz == 0
+        assert algebra_commutator(a1, a1).nnz == 0
 
     def test_canonical_below_top_shell(self):
         basis = build_basis(4)
         a1 = annihilation(basis, 1)
-        comm = commutator(a1, adjoint(a1)).toarray()
+        comm = algebra_commutator(a1, adjoint(a1)).toarray()
         for pos, pair in enumerate(states(basis)):
             if pair.total <= basis.n_max - 1:
                 assert comm[pos, pos] == pytest.approx(1.0, abs=1e-13)
@@ -155,7 +155,7 @@ class TestCommutator:
         # hide it
         basis = build_basis(4)
         a1 = annihilation(basis, 1)
-        comm = commutator(a1, adjoint(a1)).toarray()
+        comm = algebra_commutator(a1, adjoint(a1)).toarray()
         for pos, (n1, n2) in enumerate(states(basis)):
             if n1 + n2 == basis.n_max:
                 assert comm[pos, pos] == pytest.approx(-n1, abs=1e-13)
@@ -166,7 +166,7 @@ class TestCommutator:
         basis = build_basis(4)
         a1 = annihilation(basis, 1)
         a2 = annihilation(basis, 2)
-        comm = commutator(a1, adjoint(a2))
+        comm = algebra_commutator(a1, adjoint(a2))
         totals = np.array([p.total for p in states(basis)])
         assert comm.nnz > 0
         assert np.all(totals[comm.indices] == basis.n_max)
@@ -177,7 +177,7 @@ class TestCommutator:
 
 
 # Gaussian integers in -4..4: every product and sum of them below is exact,
-# so the split and the full products agree to the bit in any order
+# so scaled entries and the full products agree to the bit in any order
 SMALL = st.builds(complex, st.integers(-4, 4), st.integers(-4, 4))
 NON_FINITE = st.sampled_from([complex(np.nan, 0), complex(np.inf, 0),
                               complex(-np.inf, 1), complex(0, np.inf)])
@@ -202,14 +202,15 @@ def split_operands(draw, off_diagonal: int, non_finite: bool):
                  for entries in (a, d))
 
 
-class TestDiagonalCommutator:
-    """``diagonal_commutator(a, d)`` is ``commutator(a, d)`` entry for entry."""
+class TestCommutatorRule:
+    """``commutator(a, d)`` is the operator algebra's commutator entry for
+    entry, whether it scales entries (``d`` diagonal) or multiplies."""
 
     @staticmethod
     def assert_matches(a, d):
         with np.errstate(invalid="ignore"):
-            got = diagonal_commutator(a, d)
-            want = commutator(a, d)
+            got = commutator(a, d)
+            want = algebra_commutator(a, d)
         assert got.nnz == want.nnz and np.all(got.data != 0)
         g, w = got.toarray(), want.toarray()
         finite = np.isfinite(w)
@@ -237,6 +238,9 @@ class TestDiagonalCommutator:
         for op in (amset.jx, amset.jy, amset.jz):
             for d in (cas, amset.jtot):
                 self.assert_matches(op, d)
+        # J_y stores entries off its diagonal, so these two multiply
+        self.assert_matches(amset.jx, amset.jy)
+        self.assert_matches(amset.jy, amset.jx)
 
 
 class TestBlockConservation:
@@ -313,8 +317,8 @@ class TestDenseOracle:
             (d1.conj().T @ d2, multiply(adjoint(a1), a2)),
             (d1 + d2, add(a1, a2)),
             (2.5j * d1, scale(a1, 2.5j)),
-            (d1 @ d2 - d2 @ d1, commutator(a1, a2)),
-            (d1 @ d1.conj().T - d1.conj().T @ d1, commutator(a1, adjoint(a1))),
+            (d1 @ d2 - d2 @ d1, algebra_commutator(a1, a2)),
+            (d1 @ d1.conj().T - d1.conj().T @ d1, algebra_commutator(a1, adjoint(a1))),
         ]
         for dense, sparse in checks:
             assert max_entry_diff(dense, sparse) < 1e-13

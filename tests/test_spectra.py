@@ -272,9 +272,9 @@ class TestSumRule:
         assert lhs == rhs == quarters
 
     def test_exact_equality_sweep(self):
-        for two_j in range(0, 2001):
-            lhs, rhs = sum_rule_check(two_j)
-            assert lhs == rhs
+        lhs, rhs = sum_rule_check(np.arange(2001))
+        grid_sums = [int(np.sum(np.arange(-two_j, two_j + 1, 2) ** 2)) for two_j in range(2001)]
+        assert lhs.tolist() == rhs.tolist() == grid_sums
 
     def test_python_int_fallback_matches(self):
         import schwinger.spectra as spectra
@@ -288,6 +288,13 @@ class TestSumRule:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             sum_rule_check(-1)
+
+    @pytest.mark.parametrize("bad", [-1, spectra._SUM_RULE_VECTOR_LIMIT + 1])
+    def test_one_bad_element_raises(self, bad):
+        two_js = np.arange(50)
+        two_js[17] = bad
+        with pytest.raises(ValueError, match=str(bad)):
+            sum_rule_check(two_js)
 
     def test_above_exact_limit_rejected(self):
         limit = spectra._SUM_RULE_VECTOR_LIMIT
@@ -425,7 +432,7 @@ def test_dense_oracles_not_in_package():
              "mean_square_from_spectrum"}
     # names no command runs, kept in the oracles of the tests
     moved = {"SparseOperator", "identity", "zero", "adjoint", "multiply", "add",
-             "scale", "commutator", "OccupationPair", "ClassicalState", "ClassicalJ",
+             "scale", "OccupationPair", "ClassicalState", "ClassicalJ",
              "classical_components", "state_with_j", "sample_states", "AngleResult",
              "gershgorin_discs", "limit_scan"}
     modules = (schwinger, angular, spectra, operators, fock, classical, cli)
@@ -434,6 +441,9 @@ def test_dense_oracles_not_in_package():
         for module in modules:
             assert not oracles & set(vars(module))
     assert not {"states", "index_of"} & set(vars(schwinger.FockBasis))
+    # one commutator in the package, and not the operator algebra's
+    assert "diagonal_commutator" not in vars(operators)
+    assert operators.commutator.__module__ == operators.__name__
     assert not any(getattr(v, "__module__", None) == angular.__name__
                    for v in vars(spectra).values())
 
