@@ -37,6 +37,7 @@ from .fock import build_basis
 from .operators import (
     canonical,
     commutator,
+    commutator_norm,
     fro_norm,
     from_entries,
     max_abs,
@@ -44,7 +45,7 @@ from .operators import (
 )
 from .spectra import block_table, cos_theta, sum_rule_check
 
-# verify at n_max 1000 (dimension 501501) takes about 2 s and 235 MB from
+# verify at n_max 1000 (dimension 501501) takes about 1.8 s and 227 MB from
 # the shell, below classical at COUNT_LIMIT; at 1500 it took 9 s and 500 MB
 N_MAX_LIMIT = 1000
 
@@ -124,10 +125,10 @@ CHUNK_RECORDS = 8192
 class Table:
     """Records of one kind, held by column.
 
-    ``columns`` maps each field name to a list, range or 1-D numpy array
-    with one cell per record.  JSON writes the fields in this order; CSV
-    writes them in its columns, after the ``record`` column that holds
-    this table's tag.
+    ``columns`` maps each field name to a list, range, 1-D numpy array
+    or ``Segments`` with one cell per record.  JSON writes the fields in
+    this order; CSV writes them in its columns, after the ``record``
+    column that holds this table's tag.
     """
 
     record: str
@@ -137,20 +138,66 @@ class Table:
         return len(next(iter(self.columns.values())))
 
 
+@dataclass(frozen=True, eq=False)
+class Segments:
+    """A column whose cells are lists of floats, held flat: cell k is
+    ``values[bounds[k]:bounds[k + 1]]``."""
+
+    values: np.ndarray
+    bounds: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, cells: slice) -> Segments:
+        lo, hi, _ = cells.indices(len(self))
+        return Segments(self.values, self.bounds[lo:max(lo, hi) + 1])
+
+
 def _table(record: str, records: list[dict]) -> Table:
     """The column form of a short list of dicts with the same keys."""
     return Table(record, {k: [r[k] for r in records] for k in records[0]})
 
 
-def _cells(cells: list, fmt: str, depth: int) -> list[str]:
+def _float_texts(values: list, fmt: str) -> list[str]:
+    """Each float with 17 significant digits in CSV and as ``repr`` in JSON."""
+    if fmt == "csv":
+        return [f"{v:.17g}" for v in values]
+    return list(map(float.__repr__, values))
+
+
+def _segment_cells(column: Segments, fmt: str, depth: int) -> list[str]:
+    """The ``fmt`` text of each list of ``column``: its items ``;``-joined
+    in CSV and laid out as ``json.dumps(indent=2)`` lays them out at
+    ``depth`` in JSON.
+
+    Each distinct value is formatted once; values are told apart by
+    their bits, so -0.0 and 0.0 keep their own texts.
+    """
+    lo, hi = column.bounds[0], column.bounds[-1]
+    bits, inverse = np.unique(column.values[lo:hi].view(np.int64), return_inverse=True)
+    texts = np.array(_float_texts(bits.view(np.float64).tolist(), fmt), dtype=object)
+    items = texts[inverse.ravel()].tolist()
+    cuts = (column.bounds - lo).tolist()
+    if fmt == "csv":
+        return [";".join(items[a:b]) for a, b in zip(cuts, cuts[1:])]
+    pad = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth + "]"
+    return ["[" + pad + ("," + pad).join(items[a:b]) + close if b > a else "[]"
+            for a, b in zip(cuts, cuts[1:])]
+
+
+def _cells(cells, fmt: str, depth: int) -> list[str]:
     """The ``fmt`` text of each cell: a float with 17 significant digits
     in CSV and as ``repr`` in JSON, a bool as ``true`` or ``false``, and
-    a list as its items' texts, ``;``-joined in CSV and laid out as
-    ``json.dumps(indent=2)`` lays them out at ``depth`` in JSON.
+    each list of a ``Segments`` column as ``_segment_cells`` writes it.
 
     A column of one kind is encoded in one pass; a mixed one, a cell at
     a time.
     """
+    if isinstance(cells, Segments):
+        return _segment_cells(cells, fmt, depth)
+    cells = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
     kinds = set(map(type, cells))
     if len(kinds) != 1:
         return [text for cell in cells for text in _cells([cell], fmt, depth)]
@@ -158,20 +205,11 @@ def _cells(cells: list, fmt: str, depth: int) -> list[str]:
     if issubclass(kind, bool):
         return ["true" if v else "false" for v in cells]
     if issubclass(kind, float):
-        if fmt == "csv":
-            return [f"{v:.17g}" for v in cells]
-        return list(map(float.__repr__, cells))
+        return _float_texts(cells, fmt)
     if issubclass(kind, int):
         return list(map(int.__repr__, cells))
     if issubclass(kind, str):
         return cells if fmt == "csv" else list(map(json.dumps, cells))
-    if issubclass(kind, list):
-        if fmt == "csv":
-            return [";".join(_cells(v, fmt, depth)) for v in cells]
-        pad = "\n" + "  " * (depth + 1)
-        close = "\n" + "  " * depth + "]"
-        return ["[" + pad + ("," + pad).join(_cells(v, fmt, depth + 1)) + close if v
-                else "[]" for v in cells]
     raise TypeError(f"no {fmt} form for {kind.__name__}")
 
 
@@ -179,9 +217,8 @@ def _filled(template: str, table: Table, names: list, fmt: str, depth: int):
     """``template`` filled with the cells of the ``names`` columns of each
     record of ``table``, as one list of texts per ``CHUNK_RECORDS`` records."""
     for lo in range(0, len(table), CHUNK_RECORDS):
-        parts = [table.columns[name][lo:lo + CHUNK_RECORDS] for name in names]
-        cells = [_cells(p.tolist() if isinstance(p, np.ndarray) else list(p), fmt, depth)
-                 for p in parts]
+        cells = [_cells(table.columns[name][lo:lo + CHUNK_RECORDS], fmt, depth)
+                 for name in names]
         yield list(map(template.__mod__, zip(*cells)))
 
 
@@ -230,13 +267,14 @@ def _csv_pieces(tables: list[Table]):
 
 
 def _finite(cells) -> bool:
-    """False if a float among ``cells``, nested lists included, is NaN or inf."""
+    """False if a float among ``cells`` is NaN or inf."""
+    if isinstance(cells, Segments):
+        cells = cells.values
     if isinstance(cells, np.ndarray):
         return cells.dtype.kind != "f" or bool(np.isfinite(cells).all())
     if isinstance(cells, range):
         return True
-    return all(_finite(v) if isinstance(v, list)
-               else not isinstance(v, float) or math.isfinite(v) for v in cells)
+    return all(not isinstance(v, float) or math.isfinite(v) for v in cells)
 
 
 def _emit(config: RunConfig, command: str, json_doc: dict, csv_tables: list[Table],
@@ -344,14 +382,15 @@ def run_battery(amset: AngularMomentumSet, tol: float):
     checks.append(("commutator_yz_x", fro_norm(commutator(jy, jz) + jx * (-1j * hbar))))
     checks.append(("commutator_zx_y", fro_norm(jy * (-1j * hbar) - commutator(jx, jz))))
 
-    # |[J^2, J_i]| = |[J_i, J^2]|
+    # |[J^2, J_i]| = |[J_i, J^2]|; against a diagonal J^2 or J the norm
+    # is read off the scaled entries of J_i with no matrix built
     cas = casimir(amset)
     for name, op in (("casimir_commutes_x", jx), ("casimir_commutes_y", jy),
                      ("casimir_commutes_z", jz)):
-        checks.append((name, fro_norm(commutator(op, cas))))
+        checks.append((name, commutator_norm(op, cas)))
     for name, op in (("total_commutes_x", jx), ("total_commutes_y", jy),
                      ("total_commutes_z", jz)):
-        checks.append((name, fro_norm(commutator(op, jt))))
+        checks.append((name, commutator_norm(op, jt)))
 
     quantum = casimir_residual(amset, 1.0, cas=cas)
     checks.append(("quadratic_identity_quantum", max_abs(quantum)))
@@ -374,10 +413,10 @@ def run_battery(amset: AngularMomentumSet, tol: float):
         for name, residual in checks
     ]
     two_js = range(amset.basis.n_max + 1)
-    levels, starts = blocks["levels"].tolist(), blocks["starts"].tolist()
+    levels = blocks["levels"]
     return check_records, Table("block", {
         "two_j": two_js, "casimir": blocks["casimir"],
-        "jz_spectrum": [levels[a:a + n + 1] for a, n in zip(starts, two_js)],
+        "jz_spectrum": Segments(levels, np.append(blocks["starts"], len(levels))),
         "sum_rule_pass": blocks["sum_rule_dev"] == 0})
 
 

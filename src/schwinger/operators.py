@@ -6,7 +6,9 @@ zeros dropped, and its ``data``, ``indices`` and ``indptr`` frozen.
 ``canonical`` is the one place that establishes that form; the builders
 here and in ``angular`` pass each result through it.  NaN and inf
 entries stay, so a check that meets one fails.  ``commutator`` returns
-a fresh, writable matrix for ``max_abs`` or ``fro_norm`` to read.
+a fresh, writable matrix for ``max_abs`` or ``fro_norm`` to read;
+``commutator_norm`` is the ``fro_norm`` of it, read off the scaled
+entries without a matrix when the second operand is diagonal.
 """
 
 from __future__ import annotations
@@ -24,14 +26,16 @@ def max_abs(m: sp.spmatrix) -> float:
 
 def fro_norm(m: sp.csr_matrix) -> float:
     """Frobenius norm over the stored entries of ``m``, summed in row-major
-    order: the column indices of each row are sorted in place first.
-
-    sqrt(sum |v|^2), except when that sum overflows: then the entries
-    are first scaled by the largest magnitude, so a norm that fits in
-    a double comes out finite.
-    """
+    order: the column indices of each row are sorted in place first."""
     m.sort_indices()
-    mags = np.abs(m.data)
+    return _norm(m.data)
+
+
+def _norm(values: np.ndarray) -> float:
+    """sqrt(sum |v|^2) over ``values`` in their order, except when that sum
+    overflows: then the entries are first scaled by the largest
+    magnitude, so a norm that fits in a double comes out finite."""
+    mags = np.abs(values)
     with np.errstate(over="ignore"):
         total = np.sum(mags ** 2)
     if np.isinf(total) and np.isfinite(mags.max()):
@@ -104,6 +108,16 @@ def _check_dims(a: sp.spmatrix, b: sp.spmatrix):
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
 
 
+def _is_diagonal(m: sp.csr_matrix) -> bool:
+    """True when ``m`` stores no entry off its diagonal."""
+    return not np.any(row_indices(m) != m.indices)
+
+
+def _scaled_commutator(a: sp.csr_matrix, delta: np.ndarray) -> np.ndarray:
+    """a_ij delta_j - delta_i a_ij on the index arrays of ``a``."""
+    return a.data * delta[a.indices] - np.repeat(delta, np.diff(a.indptr)) * a.data
+
+
 def commutator(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
     """ab - ba as a fresh matrix.
 
@@ -114,10 +128,23 @@ def commutator(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
     entries stay.
     """
     _check_dims(a, b)
-    if np.any(row_indices(b) != b.indices):
+    if not _is_diagonal(b):
         return a @ b - b @ a
-    delta = b.diagonal()
-    vals = a.data * delta[a.indices] - delta[row_indices(a)] * a.data
+    vals = _scaled_commutator(a, b.diagonal())
     out = sp.csr_matrix((vals, a.indices, a.indptr), shape=a.shape, copy=True)
     out.eliminate_zeros()
     return out
+
+
+def commutator_norm(a: sp.csr_matrix, b: sp.csr_matrix) -> float:
+    """``fro_norm(commutator(a, b))`` for a canonical ``a``, bit for bit.
+
+    When ``b`` is diagonal the norm is taken straight from the scaled
+    entries, exact zeros dropped, in the row-major order the matrix
+    would hold them in; no matrix is built.
+    """
+    _check_dims(a, b)
+    if not _is_diagonal(b):
+        return fro_norm(commutator(a, b))
+    vals = _scaled_commutator(a, b.diagonal())
+    return _norm(vals[vals != 0])

@@ -56,7 +56,7 @@ from schwinger.operators import (
     number_operator,
 )
 from schwinger.classical import sample_amplitudes
-from schwinger.cli import Table
+from schwinger.cli import Segments, Table
 from schwinger.spectra import _quarter_sum
 
 
@@ -430,10 +430,19 @@ def classical_records(count: int, bound: float, seed: int, hbar: float) -> list[
 # ---------------------------------------------------------------------------
 # a command's document, encoded with the standard library
 
+def cell_list(column) -> list:
+    """The cells of one ``Table`` column as a list of Python values; a
+    ``Segments`` column expands to one list per cell by slicing its
+    values at its bounds."""
+    if isinstance(column, Segments):
+        bounds = column.bounds.tolist()
+        return [column.values[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
 def records(table: Table) -> list[dict]:
     """One dict per record of ``table``."""
-    columns = {name: (col.tolist() if isinstance(col, np.ndarray) else list(col))
-               for name, col in table.columns.items()}
+    columns = {name: cell_list(col) for name, col in table.columns.items()}
     return [dict(zip(columns, cells)) for cells in zip(*columns.values())]
 
 

@@ -819,6 +819,9 @@ def emitted(capsys, monkeypatch, *argv):
 WRITER_ARGV = [
     ["verify", "--nmax", "6"],
     ["verify", "--nmax", "4", "--corrupt", "jx,1,3,1e-6"],
+    # non-dyadic levels, and one level off the grid
+    ["verify", "--nmax", "40", "--hbar", "0.3"],
+    ["verify", "--nmax", "7", "--corrupt", "jz,4,4,1e-6"],
     ["spectrum", "--n", "5", "--hbar", "0.3"],
     ["sumrule", "--two-j-max", "11"],
     ["angle", "--two-j", "9", "--epsilon", "0.25"],
@@ -889,6 +892,49 @@ class TestWriter:
                                "--no-meta")
         assert code == 0
         assert out.split("\n", 1)[0] == ",".join(header)
+
+
+class TestSegments:
+    """A ``Segments`` column against the oracle, which slices its values
+    at its bounds itself."""
+
+    @staticmethod
+    def assert_written(values, sizes):
+        bounds = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        column = cli.Segments(np.array(values, dtype=np.float64), bounds)
+        table = cli.Table("row", {"k": range(len(sizes)), "levels": column})
+        doc = {"command": "x", "rows": table}
+        assert "".join(cli._json_pieces(doc)) == json_text(doc)
+        assert "".join(cli._csv_pieces([table])) == csv_text([table])
+
+    def test_signed_zeros_keep_their_texts(self):
+        self.assert_written([0.0, -0.0, -0.0, 0.0, 0.0], [2, 3])
+        text = "".join(cli._csv_pieces([cli.Table("row", {"levels": cli.Segments(
+            np.array([-0.0, 0.0]), np.array([0, 2]))})]))
+        assert text == "record,levels\nrow,-0;0\n"
+
+    @pytest.mark.parametrize("chunk", [CHUNK_RECORDS, 1, 3])
+    @pytest.mark.parametrize("values, sizes", [
+        ([0.5, -0.5, 0.5, -0.5, 0.5, -0.5, 1.5], [2, 2, 3]),
+        ([0.1, 0.2, 0.30000000000000004, -1e-300, 7e22, 3.0], [1, 2, 3]),
+        ([2.5], [1]),
+        ([1.0, 1.0, 1.0, 0.1, 0.1], [1, 1, 1, 1, 1]),
+    ])
+    def test_bytes_equal_oracle(self, monkeypatch, chunk, values, sizes):
+        monkeypatch.setattr(cli, "CHUNK_RECORDS", chunk)
+        self.assert_written(values, sizes)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level_writes_nothing(self, capsys, tmp_path, fmt, bad):
+        column = cli.Segments(np.array([1.0, bad, 0.0]), np.array([0, 1, 3]))
+        table = cli.Table("block", {"two_j": range(2), "jz_spectrum": column})
+        path = tmp_path / "out.txt"
+        config = cli.RunConfig(fmt, str(path), no_meta=False)
+        with pytest.raises(UsageError, match="^--hbar 1.0: a result overflows"):
+            cli._emit(config, "verify", {"blocks": table}, [table], "--hbar 1.0")
+        assert capsys.readouterr() == ("", "")
+        assert not path.exists()
 
 
 class TestExitCodes:
