@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import scipy.sparse as sp
 
 from .fock import FockBasis
-from .operators import annihilation, canonical, number_operator
+from .operators import annihilation, canonical, diagonal
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,21 +43,22 @@ def build_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
     than as a product of single-mode matrices: the product would pass
     through states above the cutoff and silently corrupt the top shell,
     while the adjoint is exact there and keeps J_x, J_y Hermitian to the
-    last bit.  Each operator is one scipy expression over the mode
-    matrices, canonicalized once.
+    last bit.  a1^dag and a1 a2^dag are turned into CSR once, so the
+    product and both sums stay in CSR; J_x and J_y are each one scipy
+    expression over them, canonicalized once.  J_z and J are diagonal,
+    written straight from the occupations as (n1 -+ n2) hbar/2.
     """
     if hbar <= 0:
         raise ValueError(f"hbar must be positive, got {hbar}")
     a1 = annihilation(basis, 1)
     a2 = annihilation(basis, 2)
-    up_down = a1.conj().T @ a2    # a1^dag a2, block preserving
-    down_up = up_down.conj().T    # a1 a2^dag, exact on the top shell
-    n1 = number_operator(basis, 1)
-    n2 = number_operator(basis, 2)
+    up_down = a1.conj().T.tocsr() @ a2    # a1^dag a2, block preserving
+    down_up = up_down.conj().T.tocsr()    # a1 a2^dag, exact on the top shell
     jx = canonical((up_down + down_up) * (0.5 * hbar))
     jy = canonical((up_down - down_up) * (-0.5j * hbar))
-    jz = canonical((n1 - n2) * (0.5 * hbar))
-    jtot = canonical((n1 + n2) * (0.5 * hbar))
+    n1, n2, total = basis.occupations()
+    jz = diagonal((n1 - n2) * (0.5 * hbar))
+    jtot = diagonal(total * (0.5 * hbar))
     return AngularMomentumSet(jx=jx, jy=jy, jz=jz, jtot=jtot, hbar=hbar, basis=basis)
 
 

@@ -4,7 +4,9 @@ Every operator is one canonical, read-only ``scipy.sparse.csr_matrix``:
 column indices sorted within each row, duplicate positions merged, exact
 zeros dropped, and its ``data``, ``indices`` and ``indptr`` frozen.
 ``canonical`` is the one place that establishes that form; the builders
-here and in ``angular`` pass each result through it.  NaN and inf
+here and in ``angular`` pass each result through it, and
+``annihilation``, ``number_operator`` and ``diagonal`` hand it arrays
+already written in that order.  NaN and inf
 entries stay, so a check that meets one fails.  ``commutator`` returns
 a fresh, writable matrix for ``max_abs`` or ``fro_norm`` to read;
 ``commutator_norm`` is the ``fro_norm`` of it, read off the scaled
@@ -78,20 +80,38 @@ def from_entries(dim: int, rows, cols, vals) -> sp.csr_matrix:
     return canonical(m)
 
 
+def _frozen(dim: int, data, indices, indptr) -> sp.csr_matrix:
+    """A canonical matrix from arrays already in canonical order."""
+    m = sp.csr_matrix((np.asarray(data, dtype=np.complex128), indices, indptr),
+                      shape=(dim, dim))
+    return canonical(m)
+
+
 def annihilation(basis: FockBasis, mode: int) -> sp.csr_matrix:
     """Lowering operator of one mode: a_k |..n_k..> = sqrt(n_k) |..n_k - 1..>.
 
     States with n_k = 0 are annihilated.  The matrix never connects
     different total-occupation blocks upward, so it is exact everywhere
-    in the truncated space.
+    in the truncated space.  Row r holds one entry, sqrt(n_k + 1) at the
+    state one quantum above r, for every r below the top shell, so the
+    arrays are written in canonical order directly.
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
     n1, n2, _ = basis.occupations()
-    nk = n1 if mode == 1 else n2
-    cols = np.flatnonzero(nk)
-    lowered = (n1[cols] - 1, n2[cols]) if mode == 1 else (n1[cols], n2[cols] - 1)
-    return from_entries(basis.size, position(*lowered), cols, np.sqrt(nk[cols]))
+    below = position(basis.n_max, 0)  # the states with n1 + n2 < n_max
+    n1, n2 = n1[:below], n2[:below]
+    raised = (n1 + 1, n2) if mode == 1 else (n1, n2 + 1)
+    nk = raised[mode - 1]
+    indptr = np.append(np.arange(below + 1), np.full(basis.size - below, below))
+    return _frozen(basis.size, np.sqrt(nk), position(*raised), indptr)
+
+
+def diagonal(values: np.ndarray) -> sp.csr_matrix:
+    """The canonical diagonal matrix of ``values``, exact zeros dropped."""
+    rows = np.flatnonzero(values)
+    indptr = np.append(0, np.cumsum(values != 0))
+    return _frozen(len(values), values[rows], rows, indptr)
 
 
 def number_operator(basis: FockBasis, mode: int) -> sp.csr_matrix:
@@ -99,8 +119,7 @@ def number_operator(basis: FockBasis, mode: int) -> sp.csr_matrix:
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
     n1, n2, _ = basis.occupations()
-    idx = np.arange(basis.size, dtype=np.int64)
-    return from_entries(basis.size, idx, idx, n1 if mode == 1 else n2)
+    return diagonal(n1 if mode == 1 else n2)
 
 
 def _check_dims(a: sp.spmatrix, b: sp.spmatrix):
@@ -109,8 +128,10 @@ def _check_dims(a: sp.spmatrix, b: sp.spmatrix):
 
 
 def _is_diagonal(m: sp.csr_matrix) -> bool:
-    """True when ``m`` stores no entry off its diagonal."""
-    return not np.any(row_indices(m) != m.indices)
+    """True when ``m`` stores no entry off its diagonal: the rows that
+    hold an entry are as many as its entries, so each holds one, and
+    they are its columns."""
+    return np.array_equal(np.flatnonzero(np.diff(m.indptr)), m.indices)
 
 
 def _scaled_commutator(a: sp.csr_matrix, delta: np.ndarray) -> np.ndarray:

@@ -15,6 +15,13 @@ the reference for the discs ``verify`` reads off J^2's stored entries.
 ``json_text`` and ``csv_text`` encode a command's document with the
 standard library.
 
+``triplet_annihilation`` and ``triplet_number_operator`` build the mode
+operators from (row, col, value) triplets through ``from_entries``, and
+``arithmetic_set`` the four J operators as sparse arithmetic over them:
+the references for the builders that write canonical CSR directly.
+``identical`` compares two matrices to the bit, index dtypes and
+read-only flags included.
+
 ``identity``, ``zero``, ``adjoint``, ``multiply``, ``add``, ``scale``
 and ``commutator`` are an operator algebra over canonical CSR matrices
 that passes every result through ``operators.canonical``, and ``equal``
@@ -48,12 +55,10 @@ from schwinger.angular import AngularMomentumSet
 from schwinger.fock import FockBasis, position
 from schwinger.operators import (
     _check_dims,
-    annihilation,
     canonical,
     fro_norm,
     from_entries,
     max_abs,
-    number_operator,
 )
 from schwinger.classical import sample_amplitudes
 from schwinger.cli import Segments, Table
@@ -520,6 +525,52 @@ def index_of(basis: FockBasis, pair: OccupationPair | tuple[int, int]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the mode operators from triplets, and J as sparse arithmetic over them
+
+def triplet_annihilation(basis: FockBasis, mode: int) -> sp.csr_matrix:
+    """a_k from one (row, col, sqrt(n_k)) triplet per state with n_k > 0."""
+    n1, n2, _ = basis.occupations()
+    nk = n1 if mode == 1 else n2
+    cols = np.flatnonzero(nk)
+    lowered = (n1[cols] - 1, n2[cols]) if mode == 1 else (n1[cols], n2[cols] - 1)
+    return from_entries(basis.size, position(*lowered), cols, np.sqrt(nk[cols]))
+
+
+def triplet_number_operator(basis: FockBasis, mode: int) -> sp.csr_matrix:
+    """n_k from one diagonal triplet per state."""
+    n1, n2, _ = basis.occupations()
+    idx = np.arange(basis.size, dtype=np.int64)
+    return from_entries(basis.size, idx, idx, n1 if mode == 1 else n2)
+
+
+def arithmetic_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
+    """The four operators as scipy expressions over the triplet-built mode
+    operators, a1^dag a2 taken through CSC, each canonicalized once."""
+    a1 = triplet_annihilation(basis, 1)
+    a2 = triplet_annihilation(basis, 2)
+    up_down = a1.conj().T @ a2
+    down_up = up_down.conj().T
+    n1 = triplet_number_operator(basis, 1)
+    n2 = triplet_number_operator(basis, 2)
+    jx = canonical((up_down + down_up) * (0.5 * hbar))
+    jy = canonical((up_down - down_up) * (-0.5j * hbar))
+    jz = canonical((n1 - n2) * (0.5 * hbar))
+    jtot = canonical((n1 + n2) * (0.5 * hbar))
+    return AngularMomentumSet(jx=jx, jy=jy, jz=jz, jtot=jtot, hbar=hbar, basis=basis)
+
+
+def identical(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    """True when two canonical matrices hold the same bits in arrays of the
+    same dtypes, all of them read-only."""
+    arrays = [(a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)]
+    return (
+        a.shape == b.shape
+        and all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in arrays)
+        and not any(x.flags.writeable for pair in arrays for x in pair)
+    )
+
+
+# ---------------------------------------------------------------------------
 # an operator algebra over canonical CSR matrices
 
 def equal(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
@@ -575,12 +626,12 @@ def algebra_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
     """The four operators, every intermediate canonicalized."""
     if hbar <= 0:
         raise ValueError(f"hbar must be positive, got {hbar}")
-    a1 = annihilation(basis, 1)
-    a2 = annihilation(basis, 2)
+    a1 = triplet_annihilation(basis, 1)
+    a2 = triplet_annihilation(basis, 2)
     up_down = multiply(adjoint(a1), a2)  # a1^dag a2, block preserving
     down_up = adjoint(up_down)           # a1 a2^dag, exact on the top shell
-    n1 = number_operator(basis, 1)
-    n2 = number_operator(basis, 2)
+    n1 = triplet_number_operator(basis, 1)
+    n2 = triplet_number_operator(basis, 2)
     jx = scale(add(up_down, down_up), 0.5 * hbar)
     jy = scale(add(up_down, scale(down_up, -1.0)), -0.5j * hbar)
     jz = scale(add(n1, scale(n2, -1.0)), 0.5 * hbar)

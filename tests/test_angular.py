@@ -16,9 +16,11 @@ from oracles import (
     algebra_casimir,
     algebra_casimir_residual,
     algebra_set,
+    arithmetic_set,
     commutator,
     equal,
     extract_block,
+    identical,
     scale,
     states,
 )
@@ -203,3 +205,13 @@ class TestOneExpression:
         for epsilon in (0.0, 0.25, 1.0):
             assert equal(casimir_residual(amset, epsilon, cas=cas),
                          algebra_casimir_residual(reference, epsilon))
+
+    @pytest.mark.parametrize("hbar", [0.3, 1.0, 2.0, 1e-30])
+    def test_matches_sparse_arithmetic(self, hbar):
+        # J_x and J_y through CSR only, J_z and J written from the
+        # occupations: the bits of the expressions over triplet-built modes
+        for n_max in range(41):
+            basis = build_basis(n_max)
+            amset, reference = build_set(basis, hbar), arithmetic_set(basis, hbar)
+            for name in ("jx", "jy", "jz", "jtot"):
+                assert identical(getattr(amset, name), getattr(reference, name)), (n_max, name)

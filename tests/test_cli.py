@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import schwinger.angular as angular
 import schwinger.cli as cli
@@ -114,6 +115,21 @@ def counting_canonical(monkeypatch) -> list:
     for module in (operators, angular, cli):
         if vars(module).get("canonical") is real:
             monkeypatch.setattr(module, "canonical", counting)
+    return calls
+
+
+def counting_constructions(monkeypatch) -> list:
+    """Patch ``csr_matrix`` and ``csc_matrix`` to record the class of each
+    compressed matrix constructed."""
+    calls = []
+    for cls in (sp.csr_matrix, sp.csc_matrix):
+        real = cls.__init__
+
+        def counting(self, *args, _real=real, _name=cls.__name__, **kwargs):
+            calls.append(_name)
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
     return calls
 
 
@@ -311,6 +327,14 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--nmax", "4", "--no-meta")
         assert code == 0 and 0 < len(calls) <= 12
 
+    def test_constructions_counted(self, capsys, monkeypatch):
+        # the mode operators and the diagonal J_z and J are written as
+        # CSR directly, Hermiticity takes one CSC copy of each operator,
+        # and the quadratic identities share J J and hbar J
+        calls = counting_constructions(monkeypatch)
+        code, _, _ = run_cli(capsys, "verify", "--nmax", "5", "--no-meta")
+        assert code == 0 and 0 < len(calls) <= 64
+
     @pytest.mark.parametrize("hbar", [0.3, 1.0, 2.0, 1e-30])
     @pytest.mark.parametrize("n_max", [0, 1, 7, 40])
     def test_residuals_match_operator_algebra(self, n_max, hbar):
@@ -381,6 +405,56 @@ def spread_of_discs(amset, cas) -> np.ndarray:
     of ``cas``."""
     return spectra.block_table(range(amset.basis.n_max + 1), amset.hbar,
                                amset.jz.diagonal(), *gershgorin_discs(cas))["spread"]
+
+
+class TestHermiticityResidual:
+    """``_hermiticity_residual`` is ``max_abs(op - op^dag)`` to the bit,
+    whether it reads the two data arrays (the transpose stores the same
+    pattern) or forms the difference matrix (it does not)."""
+
+    @staticmethod
+    def assert_same_bits(monkeypatch, op, same_pattern):
+        fallbacks = []
+        monkeypatch.setattr(cli, "max_abs", lambda m: fallbacks.append(m) or operators.max_abs(m))
+        with np.errstate(invalid="ignore"):
+            got = cli._hermiticity_residual(op)
+            want = operators.max_abs(op - op.conj().T)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert len(fallbacks) == (0 if same_pattern else 1)
+
+    @pytest.mark.parametrize("hbar", [0.3, 1.0, 2.0, 1e-30])
+    @pytest.mark.parametrize("n_max", [0, 1, 7, 40])
+    def test_clean_operators(self, monkeypatch, n_max, hbar):
+        amset = build_set(build_basis(n_max), hbar)
+        for op in (amset.jx, amset.jy, amset.jz, amset.jtot):
+            self.assert_same_bits(monkeypatch, op, True)
+
+    @pytest.mark.parametrize("name, row, col, delta, same_pattern", [
+        ("jx", 1, 2, 1e-3, True),      # on the band: J_x(2, 1) is stored too
+        ("jy", 4, 3, -1e-6, True),
+        ("jx", 1, 2, np.nan, True),
+        ("jy", 3, 4, np.inf, True),
+        ("jz", 2, 2, np.inf, True),
+        ("jx", 1, 3, 1e-3, False),     # off the band: J_x(3, 1) is not stored
+        ("jtot", 3, 4, 1e-3, False),
+    ])
+    def test_corrupted_operators(self, monkeypatch, name, row, col, delta, same_pattern):
+        amset = build_set(build_basis(4), 0.3)
+        op = getattr(amset, name)
+        self.assert_same_bits(monkeypatch, operators.canonical(
+            op + from_entries(op.shape[0], [row], [col], [delta])), same_pattern)
+
+    def test_transpose_with_the_same_row_counts(self, monkeypatch):
+        # a cyclic permutation: one entry in every row of op and of op^T,
+        # but in other columns, so the data arrays do not line up
+        op = from_entries(3, [0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0])
+        self.assert_same_bits(monkeypatch, op, False)
+        assert cli._hermiticity_residual(op) == 3.0
+
+    def test_operator_storing_nothing(self, monkeypatch):
+        op = from_entries(6, [], [], [])
+        self.assert_same_bits(monkeypatch, op, True)
+        assert cli._hermiticity_residual(op) == 0.0
 
 
 class TestCasimirDiscs:
@@ -543,6 +617,11 @@ class TestSpectrum:
         calls = counting_canonical(monkeypatch)
         code, _, _ = run_cli(capsys, "spectrum", "--n", "5", "--no-meta")
         assert code == 0 and 0 < len(calls) <= 10
+
+    def test_constructions_counted(self, capsys, monkeypatch):
+        calls = counting_constructions(monkeypatch)
+        code, _, _ = run_cli(capsys, "spectrum", "--n", "5", "--no-meta")
+        assert code == 0 and 0 < len(calls) <= 30
 
     @pytest.mark.parametrize("flags", [["--tol", "1e-100"], ["--hbar", "1e120"]])
     @pytest.mark.parametrize("fmt", ["json", "csv"])

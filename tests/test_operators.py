@@ -11,8 +11,10 @@ from schwinger import (
     number_operator,
 )
 from schwinger.operators import (
+    _is_diagonal,
     commutator,
     commutator_norm,
+    diagonal,
     fro_norm,
     max_abs,
     row_indices,
@@ -24,11 +26,14 @@ from oracles import (
     adjoint,
     commutator as algebra_commutator,
     equal,
+    identical,
     identity,
     index_of,
     multiply,
     scale,
     states,
+    triplet_annihilation,
+    triplet_number_operator,
     zero,
 )
 
@@ -58,6 +63,55 @@ class TestLadder:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             annihilation(build_basis(1), 3)
+
+
+class TestDirectBuilders:
+    """The ladder and number operators, written in canonical order, hold
+    the arrays ``from_entries`` makes of their triplets, to the bit."""
+
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_match_triplets(self, mode):
+        for n_max in range(41):
+            basis = build_basis(n_max)
+            ladder = annihilation(basis, mode)
+            assert identical(ladder, triplet_annihilation(basis, mode)), n_max
+            assert identical(number_operator(basis, mode),
+                             triplet_number_operator(basis, mode)), n_max
+            assert ladder.indices.dtype == ladder.indptr.dtype == np.int32
+
+    def test_diagonal_drops_exact_zeros_keeps_non_finite(self):
+        values = np.array([0.0, -0.5, 0.0, np.nan, np.inf, -0.0])
+        d = diagonal(values)
+        assert identical(d, from_entries(6, range(6), range(6), values))
+        assert list(d.indices) == [1, 3, 4]
+
+    def test_diagonal_of_zeros_stores_nothing(self):
+        assert identical(diagonal(np.zeros(4)), zero(4))
+        assert diagonal(np.zeros(0)).shape == (0, 0)
+
+
+class TestIsDiagonal:
+    """``_is_diagonal`` reads the row counts; the reference compares the
+    row of every stored entry with its column."""
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([], []),
+        ([0, 1, 2, 3], [0, 1, 2, 3]),
+        ([1, 3], [1, 3]),
+        ([1], [2]),                # one entry per row, off the diagonal
+        ([0, 1, 2, 3], [0, 2, 1, 3]),
+        ([2, 2], [2, 3]),          # two entries in one row
+        ([0, 3], [0, 2]),
+    ])
+    def test_matches_entry_rows(self, rows, cols):
+        m = from_entries(4, rows, cols, np.ones(len(rows)))
+        assert _is_diagonal(m) == (not np.any(row_indices(m) != m.indices))
+
+    def test_angular_momentum_operators(self):
+        amset = build_set(build_basis(7), 0.3)
+        assert _is_diagonal(amset.jz) and _is_diagonal(amset.jtot)
+        assert _is_diagonal(casimir(amset))
+        assert not _is_diagonal(amset.jx) and not _is_diagonal(amset.jy)
 
 
 class TestAdjoint:
