@@ -16,17 +16,19 @@ truncation artifacts anywhere, including the top shell n = n_max.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import scipy.sparse as sp
 
 from .fock import FockBasis
-from .operators import annihilation, canonical, diagonal
+from .operators import Operand, annihilation, canonical, diagonal, operand, square_sum
 
 
 @dataclass(frozen=True, eq=False)
 class AngularMomentumSet:
     """The operators J_x, J_y, J_z and the total J over one basis, each a
-    canonical read-only CSR matrix."""
+    canonical read-only CSR matrix.  J_z and J are also read once each as
+    ``operators.operand``s, diagonal vectors on a clean set."""
 
     jx: sp.csr_matrix
     jy: sp.csr_matrix
@@ -34,6 +36,14 @@ class AngularMomentumSet:
     jtot: sp.csr_matrix
     hbar: float
     basis: FockBasis
+
+    @cached_property
+    def jz_operand(self) -> Operand:
+        return operand(self.jz)
+
+    @cached_property
+    def jtot_operand(self) -> Operand:
+        return operand(self.jtot)
 
 
 def build_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
@@ -63,9 +73,13 @@ def build_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
 
 
 def casimir(amset: AngularMomentumSet) -> sp.csr_matrix:
-    """J^2 = J_x^2 + J_y^2 + J_z^2; block diagonal and Hermitian."""
-    jx, jy, jz = amset.jx, amset.jy, amset.jz
-    return canonical(jx @ jx + jy @ jy + jz @ jz)
+    """J^2 = J_x^2 + J_y^2 + J_z^2; block diagonal and Hermitian.
+
+    scipy forms the products J_x^2 and J_y^2, which store the same
+    pattern on a clean set; their sum and a diagonal J_z's square are
+    then added as arrays.
+    """
+    return square_sum(amset.jx, amset.jy, amset.jz_operand)
 
 
 def casimir_residual(

@@ -28,25 +28,26 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import __version__
 from .angular import AngularMomentumSet, build_set, casimir
 from .classical import sample_amplitudes
 from .fock import build_basis
 from .operators import (
+    Operand,
     canonical,
-    commutator,
     commutator_norm,
-    fro_norm,
+    diagonal_of,
     from_entries,
-    max_abs,
-    row_indices,
+    hermiticity_residual,
+    off_diagonal,
+    operand,
+    quadratic_residuals,
 )
 from .spectra import block_table, cos_theta, sum_rule_check
 
-# verify at n_max 1000 (dimension 501501) takes about 1.6 s and 231 MB from
-# the shell, below classical at COUNT_LIMIT; at 1500 it took 9 s and 500 MB
+# verify at n_max 1000 (dimension 501501) takes about 1.5 s and 234-247 MB
+# from the shell, below classical at COUNT_LIMIT; at 1500 it took 9 s and 500 MB
 N_MAX_LIMIT = 1000
 
 # The cap on the table commands angle, limit and sumrule, each of which
@@ -308,54 +309,38 @@ def _emit(config: RunConfig, command: str, json_doc: dict, csv_tables: list[Tabl
 # ---------------------------------------------------------------------------
 # verify battery
 
-def _hermiticity_residual(op: sp.csr_matrix) -> float:
-    """max |a_ij - conj(a_ji)| over the canonical ``op``.
-
-    The CSC arrays of ``op`` are the CSR arrays of its transpose.  When
-    they store the same pattern as ``op``, as every clean operator's do,
-    the residual is read off the two data arrays entry by entry;
-    otherwise it is taken from the difference matrix.
-    """
-    t = op.tocsc()
-    if np.array_equal(t.indptr, op.indptr) and np.array_equal(t.indices, op.indices):
-        return float(np.max(np.abs(op.data - t.data.conj()), initial=0.0))
-    return max_abs(op - op.conj().T)
-
-
-def _block_leak_residual(amset: AngularMomentumSet) -> float:
-    """Largest entry connecting different constant-n blocks (should be 0)."""
-    _, _, totals = amset.basis.occupations()
-    leaking = [op.data[totals[row_indices(op)] != totals[op.indices]]
-               for op in (amset.jx, amset.jy, amset.jz, amset.jtot)]
+def _block_leak_residual(ops: tuple, totals: np.ndarray) -> float:
+    """Largest entry of the operands ``ops`` connecting different
+    constant-n blocks (should be 0); ``totals`` is n of every state."""
+    leaking = []
+    for op in ops:
+        rows, cols, values = off_diagonal(op)
+        leaking.append(values[totals[rows] != totals[cols]])
     return float(np.max(np.abs(np.concatenate(leaking)), initial=0.0))
 
 
-def _total_momentum_residual(amset: AngularMomentumSet) -> float:
-    """jtot must be diagonal with entry hbar*n/2 at every state."""
-    jt = amset.jtot
-    _, _, totals = amset.basis.occupations()
-    deviations = (jt.data[row_indices(jt) != jt.indices],
-                  jt.diagonal() - 0.5 * amset.hbar * totals)
+def _total_momentum_residual(jt: Operand, hbar: float, totals: np.ndarray) -> float:
+    """J must be diagonal with entry hbar*n/2 at every state."""
+    deviations = (off_diagonal(jt)[2], diagonal_of(jt) - 0.5 * hbar * totals)
     return float(np.max(np.abs(np.concatenate(deviations))))
 
 
-def _blocks(amset: AngularMomentumSet, cas: sp.csr_matrix, first: int) -> dict:
+def _blocks(amset: AngularMomentumSet, cas: Operand, first: int) -> dict:
     """The ``block_table`` of blocks ``first`` .. n_max.
 
     Every block is read off its rows of the global J_z and of ``cas``,
-    the global canonical J^2.  The Gershgorin discs of J^2 are read off
-    its stored entries: each centre is its real diagonal and each radius
-    sums the magnitudes it stores off the diagonal of that row, entries
-    that leak into other blocks included.  A clean J^2 stores none, so
-    every radius is 0.
+    the global canonical J^2 or its operand.  The Gershgorin discs of
+    J^2 are read off its stored entries: each centre is its real
+    diagonal and each radius sums the magnitudes it stores off the
+    diagonal of that row, entries that leak into other blocks included.
+    A clean J^2 stores none, so every radius is 0.
     """
-    entry_rows = row_indices(cas)
-    off = entry_rows != cas.indices
-    radii = np.bincount(entry_rows[off], weights=np.abs(cas.data[off]), minlength=cas.shape[0])
+    entry_rows, _, values = off_diagonal(cas)
+    radii = np.bincount(entry_rows, weights=np.abs(values), minlength=amset.basis.size)
     rows = slice(amset.basis.block_range(first).start, None)
-    jz_diag = amset.jz.diagonal()[rows]
+    jz_diag = diagonal_of(amset.jz_operand)[rows]
     return block_table(range(first, amset.basis.n_max + 1), amset.hbar, jz_diag,
-                       cas.diagonal().real[rows], radii[rows])
+                       diagonal_of(cas).real[rows], radii[rows])
 
 
 def _verdict(checks: list[dict], tol: float) -> int:
@@ -375,37 +360,39 @@ def run_battery(amset: AngularMomentumSet, tol: float):
     record per block in the fixed report schema.
     """
     hbar = amset.hbar
-    jx, jy, jz, jt = amset.jx, amset.jy, amset.jz, amset.jtot
+    jx, jy, jz = amset.jx, amset.jy, amset.jz
+    # J_z, J and J^2 are read once each as operands: diagonal vectors on
+    # a clean set, applied elementwise to the other operand's entries
+    z, t = amset.jz_operand, amset.jtot_operand
+    _, _, totals = amset.basis.occupations()
     checks: list[tuple[str, float]] = []
 
-    checks.append(("hermitian_jx", _hermiticity_residual(jx)))
-    checks.append(("hermitian_jy", _hermiticity_residual(jy)))
-    checks.append(("hermitian_jz", _hermiticity_residual(jz)))
-    checks.append(("hermitian_jtot", _hermiticity_residual(jt)))
-    checks.append(("block_structure", _block_leak_residual(amset)))
-    checks.append(("total_momentum_diagonal", _total_momentum_residual(amset)))
+    checks.append(("hermitian_jx", hermiticity_residual(jx)))
+    checks.append(("hermitian_jy", hermiticity_residual(jy)))
+    checks.append(("hermitian_jz", hermiticity_residual(z)))
+    checks.append(("hermitian_jtot", hermiticity_residual(t)))
+    checks.append(("block_structure", _block_leak_residual((jx, jy, z, t), totals)))
+    checks.append(("total_momentum_diagonal", _total_momentum_residual(t, hbar, totals)))
 
-    # each residual is one scipy expression, read straight into its norm.
-    # J_z, J^2 and J are diagonal on a clean set and always the second
-    # operand, so those commutators scale entries; [J_x, J_y] multiplies
-    checks.append(("commutator_xy_z", fro_norm(commutator(jx, jy) + jz * (-1j * hbar))))
-    checks.append(("commutator_yz_x", fro_norm(commutator(jy, jz) + jx * (-1j * hbar))))
-    checks.append(("commutator_zx_y", fro_norm(jy * (-1j * hbar) - commutator(jx, jz))))
+    # [J_x, J_y] multiplies; [J_y, J_z] and [J_x, J_z] scale entries by
+    # J_z's diagonal.  |J_y(-i hbar) - [J_x, J_z]| is |[J_x, J_z] + i hbar J_y|
+    checks.append(("commutator_xy_z", commutator_norm(jx, jy, jz, -1j * hbar)))
+    checks.append(("commutator_yz_x", commutator_norm(jy, z, jx, -1j * hbar)))
+    checks.append(("commutator_zx_y", commutator_norm(jx, z, jy, 1j * hbar)))
 
-    # |[J^2, J_i]| = |[J_i, J^2]|; against a diagonal J^2 or J the norm
-    # is read off the scaled entries of J_i with no matrix built
-    cas = casimir(amset)
+    # |[J^2, J_i]| = |[J_i, J^2]|
+    cas = operand(casimir(amset))
     for name, op in (("casimir_commutes_x", jx), ("casimir_commutes_y", jy),
                      ("casimir_commutes_z", jz)):
         checks.append((name, commutator_norm(op, cas)))
     for name, op in (("total_commutes_x", jx), ("total_commutes_y", jy),
                      ("total_commutes_z", jz)):
-        checks.append((name, commutator_norm(op, jt)))
+        checks.append((name, commutator_norm(op, t)))
 
-    # J^2 - (J J + hbar J) and (J^2 - J J) - hbar J share J J and hbar J
-    jt2, jth = jt @ jt, jt * hbar
-    checks.append(("quadratic_identity_quantum", max_abs(cas - (jt2 + jth))))
-    checks.append(("quadratic_identity_classical_form", max_abs((cas - jt2) - jth)))
+    # J^2 - (J J + hbar J) and (J^2 - J J) - hbar J
+    quantum, classical_form = quadratic_residuals(cas, t, hbar)
+    checks.append(("quadratic_identity_quantum", quantum))
+    checks.append(("quadratic_identity_classical_form", classical_form))
 
     blocks = _blocks(amset, cas, 0)
     for name, column in (

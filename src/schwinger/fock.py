@@ -10,6 +10,7 @@ m = n/2, n/2 - 1, ..., -n/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,8 @@ import numpy as np
 class FockBasis:
     """Immutable enumeration of all pairs with n1 + n2 <= n_max.
 
-    Every position follows in closed form from ``position``.
+    Every position follows in closed form from ``position``.  The
+    occupation arrays are computed once per basis and shared read-only.
     """
 
     n_max: int
@@ -28,11 +30,19 @@ class FockBasis:
         return position(self.n_max + 1, 0)
 
     def occupations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """n1, n2 and n1 + n2 of every state in basis order, as int64 arrays."""
+        """n1, n2 and n1 + n2 of every state in basis order, as read-only
+        int64 arrays."""
+        return self._occupations
+
+    @cached_property
+    def _occupations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         counts = np.arange(1, self.n_max + 2)
         total = np.repeat(np.arange(self.n_max + 1, dtype=np.int64), counts)
         n2 = np.arange(self.size, dtype=np.int64) - position(total, 0)
-        return total - n2, n2, total
+        arrays = (total - n2, n2, total)
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
 
     def block_range(self, n: int) -> range:
         """Contiguous positions of the block with total occupation n.

@@ -8,9 +8,17 @@ here and in ``angular`` pass each result through it, and
 ``annihilation``, ``number_operator`` and ``diagonal`` hand it arrays
 already written in that order.  NaN and inf
 entries stay, so a check that meets one fails.  ``commutator`` returns
-a fresh, writable matrix for ``max_abs`` or ``fro_norm`` to read;
-``commutator_norm`` is the ``fro_norm`` of it, read off the scaled
-entries without a matrix when the second operand is diagonal.
+a fresh, writable matrix for ``max_abs`` or ``fro_norm`` to read.
+
+The helpers that read a residual off operators follow one rule: a
+diagonal operand is a vector, shared patterns combine data arrays, and
+scipy handles products and mismatches.  ``operand`` reads an operator
+that stores nothing off its diagonal once, as its diagonal vector, and
+the helpers apply that vector elementwise to the other operand's
+entries; two operands with the same ``indptr`` and ``indices`` combine
+their ``data`` arrays entry by entry; scipy forms only the true
+products and the sums whose patterns differ.  Each helper equals the
+scipy expression it replaces bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +31,11 @@ from .fock import FockBasis, position
 
 def max_abs(m: sp.spmatrix) -> float:
     """Largest stored-entry magnitude of ``m`` (0 when it stores none)."""
-    return float(np.max(np.abs(m.data))) if m.nnz else 0.0
+    return _max_abs(m.data)
+
+
+def _max_abs(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values), initial=0.0))
 
 
 def fro_norm(m: sp.csr_matrix) -> float:
@@ -122,8 +134,8 @@ def number_operator(basis: FockBasis, mode: int) -> sp.csr_matrix:
     return diagonal(n1 if mode == 1 else n2)
 
 
-def _check_dims(a: sp.spmatrix, b: sp.spmatrix):
-    if a.shape != b.shape:
+def _check_dims(a, b):
+    if a.shape[0] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
 
 
@@ -134,12 +146,121 @@ def _is_diagonal(m: sp.csr_matrix) -> bool:
     return np.array_equal(np.flatnonzero(np.diff(m.indptr)), m.indices)
 
 
+# ---------------------------------------------------------------------------
+# operands: a canonical matrix, or the diagonal vector of one that stores
+# nothing off its diagonal
+
+Operand = sp.csr_matrix | np.ndarray
+
+
+def operand(m: Operand) -> Operand:
+    """``m`` as the helpers below read it: its diagonal as a vector when
+    the canonical ``m`` stores nothing off its diagonal, otherwise ``m``
+    itself.  A vector is already an operand and comes back as it is.
+
+    The vector keeps every entry: a canonical matrix stores exactly the
+    nonzero entries of its diagonal.  Only the sign of a zero real or
+    imaginary part is lost, since ``diagonal()`` adds each entry to 0;
+    no magnitude, and no sparse product, depends on it.
+    """
+    if isinstance(m, np.ndarray):
+        return m
+    return m.diagonal() if _is_diagonal(m) else m
+
+
+def _matrix(x: Operand) -> sp.csr_matrix:
+    """The canonical matrix of an operand."""
+    return diagonal(x) if isinstance(x, np.ndarray) else x
+
+
+def diagonal_of(x: Operand) -> np.ndarray:
+    """The diagonal of an operand, as a vector."""
+    return x if isinstance(x, np.ndarray) else x.diagonal()
+
+
+def off_diagonal(x: Operand) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and value of every entry an operand stores off its
+    diagonal, in row-major order."""
+    if isinstance(x, np.ndarray):
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, x[:0]
+    rows = row_indices(x)
+    off = rows != x.indices
+    if off.all():
+        return rows, x.indices, x.data
+    return rows[off], x.indices[off], x.data[off]
+
+
+def same_pattern(a: sp.spmatrix, b: sp.spmatrix) -> bool:
+    """True when two compressed matrices have equal ``indptr`` and
+    ``indices``, so their ``data`` arrays line up entry by entry."""
+    return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    """x * x elementwise, each part rounded as scipy's sparse product
+    rounds it: two products and one sum.  (numpy's complex multiply may
+    fuse a product into the sum.)"""
+    sq = np.empty_like(x)
+    sq.real = x.real * x.real - x.imag * x.imag
+    sq.imag = x.real * x.imag + x.imag * x.real
+    return sq
+
+
+def hermiticity_residual(x: Operand) -> float:
+    """``max_abs(m - m.conj().T)`` for the canonical ``m`` of operand
+    ``x``, bit for bit.
+
+    A diagonal operand is its own transpose, so the residual is read off
+    its vector.  Otherwise the CSC arrays of ``m`` are the CSR arrays of
+    its transpose: when they store the same pattern as ``m``, as every
+    clean operator's do, max|a_ij - conj(a_ji)| is read off the two data
+    arrays; otherwise it is taken from the difference matrix.
+    """
+    if isinstance(x, np.ndarray):
+        data, t_data = x, x
+    else:
+        t = x.tocsc()
+        if not same_pattern(t, x):
+            return max_abs(x - x.conj().T)
+        data, t_data = x.data, t.data
+    return _max_abs(data - t_data.conj())
+
+
 def _scaled_commutator(a: sp.csr_matrix, delta: np.ndarray) -> np.ndarray:
     """a_ij delta_j - delta_i a_ij on the index arrays of ``a``."""
     return a.data * delta[a.indices] - np.repeat(delta, np.diff(a.indptr)) * a.data
 
 
-def commutator(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+def _commutator_entries(a: sp.csr_matrix, b: Operand):
+    """[a, b] as (pattern, values): the values on the index arrays of the
+    matrix ``pattern`` in row-major order, exact zeros possibly among
+    them.  For a diagonal ``b`` they are ``a``'s entries scaled, each
+    term rounded as the products ab and ba round it; otherwise the
+    sorted difference of the products, which is taken on their data
+    arrays when they store the same pattern."""
+    if isinstance(b, np.ndarray):
+        return a, _scaled_commutator(a, b)
+    m, ba = a @ b, b @ a
+    if same_pattern(m, ba):
+        m.data -= ba.data
+        m.eliminate_zeros()
+    else:
+        m = m - ba
+    m.sort_indices()
+    return m, m.data
+
+
+def _on_pattern(pattern: sp.csr_matrix, values: np.ndarray) -> sp.csr_matrix:
+    """A fresh matrix of ``values`` on the index arrays of ``pattern``,
+    exact zeros dropped."""
+    m = sp.csr_matrix((values, pattern.indices, pattern.indptr),
+                      shape=pattern.shape, copy=True)
+    m.eliminate_zeros()
+    return m
+
+
+def commutator(a: sp.csr_matrix, b: Operand) -> sp.csr_matrix:
     """ab - ba as a fresh matrix.
 
     When ``b`` stores no entry off its diagonal delta, the result is
@@ -149,23 +270,66 @@ def commutator(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
     entries stay.
     """
     _check_dims(a, b)
-    if not _is_diagonal(b):
-        return a @ b - b @ a
-    vals = _scaled_commutator(a, b.diagonal())
-    out = sp.csr_matrix((vals, a.indices, a.indptr), shape=a.shape, copy=True)
-    out.eliminate_zeros()
-    return out
+    return _on_pattern(*_commutator_entries(a, operand(b)))
 
 
-def commutator_norm(a: sp.csr_matrix, b: sp.csr_matrix) -> float:
-    """``fro_norm(commutator(a, b))`` for a canonical ``a``, bit for bit.
+def commutator_norm(a: sp.csr_matrix, b: Operand, c: sp.csr_matrix | None = None,
+                    scale: complex = 0.0) -> float:
+    """``fro_norm(commutator(a, b) + c * scale)`` for a canonical ``a`` and
+    ``c``, bit for bit; with no ``c``, ``fro_norm(commutator(a, b))``.
 
-    When ``b`` is diagonal the norm is taken straight from the scaled
-    entries, exact zeros dropped, in the row-major order the matrix
-    would hold them in; no matrix is built.
+    No matrix is built unless a product or a mismatch needs one.  When
+    ``c`` stores the commutator's pattern, its scaled data are added to
+    the commutator's values entry by entry; otherwise the sum is formed
+    as a matrix.  Exact zeros are dropped before the norm, so its
+    pairwise sum sees the array the matrix would store, in row-major
+    order.
     """
     _check_dims(a, b)
-    if not _is_diagonal(b):
-        return fro_norm(commutator(a, b))
-    vals = _scaled_commutator(a, b.diagonal())
-    return _norm(vals[vals != 0])
+    pattern, values = _commutator_entries(a, operand(b))
+    if c is not None:
+        if not same_pattern(pattern, c):
+            return fro_norm(_on_pattern(pattern, values) + c * scale)
+        values = values + c.data * scale
+    return _norm(values[values != 0])
+
+
+def square_sum(a: sp.csr_matrix, b: sp.csr_matrix, x: Operand) -> sp.csr_matrix:
+    """``canonical(a @ a + b @ b + x @ x)`` for canonical matrices ``a``
+    and ``b`` and the canonical matrix of operand ``x``, bit for bit.
+
+    scipy forms the products a @ a and b @ b.  When they store the same
+    pattern the second is added to the first's data array in place;
+    when that sum and ``x`` are diagonal the square of ``x`` is added on
+    the diagonal and written with ``diagonal``.  Otherwise scipy forms
+    the sums and x @ x.
+    """
+    total, bb = a @ a, b @ b
+    if same_pattern(total, bb):
+        total.data += bb.data
+        total.eliminate_zeros()
+    else:
+        total = total + bb
+    del bb  # the products are the largest arrays held here
+    x = operand(x)
+    if isinstance(x, np.ndarray) and _is_diagonal(total):
+        return diagonal(total.diagonal() + _square(x))
+    x = _matrix(x)
+    return canonical(total + x @ x)
+
+
+def quadratic_residuals(c: Operand, t: Operand, scale: float) -> tuple[float, float]:
+    """``max_abs(c - (t @ t + t * scale))`` and
+    ``max_abs((c - t @ t) - t * scale)`` for the canonical matrices of
+    operands ``c`` and ``t``, bit for bit.
+
+    When both are diagonal the two are read off vectors; otherwise
+    t @ t and t * scale are formed once, as matrices.
+    """
+    c, t = operand(c), operand(t)
+    if isinstance(c, np.ndarray) and isinstance(t, np.ndarray):
+        tt, ts = _square(t), t * scale
+        return _max_abs(c - (tt + ts)), _max_abs((c - tt) - ts)
+    c, t = _matrix(c), _matrix(t)
+    tt, ts = t @ t, t * scale
+    return max_abs(c - (tt + ts)), max_abs((c - tt) - ts)

@@ -102,6 +102,40 @@ OFF_DIAGONAL_BREAKERS = {
 }
 
 
+# --corrupt directives at --nmax 4 that put an operand off the pattern an
+# array path needs: the helpers that then fall back to scipy, and how many
+# of the commutator norms do
+FALLBACK_BREAKERS = {
+    # off J_x's band: off J_y's pattern and its own transpose's; J^2 off-diagonal
+    "jx,0,5,1e-3": ({"hermiticity_residual", "commutator_norm", "square_sum",
+                     "quadratic_residuals"}, 3),
+    # off the diagonal of J_z: J_z is a matrix, so [J_y, J_z] and [J_x, J_z] multiply
+    "jz,5,6,1e-3": ({"hermiticity_residual", "commutator_norm", "square_sum",
+                     "quadratic_residuals"}, 3),
+    # off the diagonal of J
+    "jtot,3,4,1e-3": ({"hermiticity_residual", "quadratic_residuals"}, 0),
+    # on J_x's band, so J^2 alone stores entries off its diagonal
+    "jx,3,4,1e-3": ({"commutator_norm", "square_sum", "quadratic_residuals"}, 1),
+    # J_z stores its m = 0 entry, which [J_x, J_y] does not
+    "jz,4,4,1e-6": ({"commutator_norm"}, 1),
+}
+
+
+def counting_fallbacks(monkeypatch) -> list:
+    """Patch the functions only a scipy fallback of an ``operators``
+    helper calls, to record the name of the helper that called them."""
+    callers = []
+    for name in ("_on_pattern", "_matrix", "max_abs"):
+        real = getattr(operators, name)
+
+        def spy(*args, _real=real):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return _real(*args)
+
+        monkeypatch.setattr(operators, name, spy)
+    return callers
+
+
 def counting_canonical(monkeypatch) -> list:
     """Patch every module binding of ``operators.canonical`` to record
     the shape of each matrix it canonicalizes."""
@@ -321,19 +355,32 @@ class TestVerify:
         assert code == 0 and calls == [list(range(7))]
 
     def test_canonicalizations_counted(self, capsys, monkeypatch):
-        # the mode operators, the four J, J^2 and the two quadratic
-        # residuals; the other residuals go straight to their norms
+        # the mode operators, the four J and J^2; every residual goes
+        # straight to its norm
         calls = counting_canonical(monkeypatch)
         code, _, _ = run_cli(capsys, "verify", "--nmax", "4", "--no-meta")
-        assert code == 0 and 0 < len(calls) <= 12
+        assert code == 0 and 0 < len(calls) <= 7
 
     def test_constructions_counted(self, capsys, monkeypatch):
         # the mode operators and the diagonal J_z and J are written as
-        # CSR directly, Hermiticity takes one CSC copy of each operator,
-        # and the quadratic identities share J J and hbar J
+        # CSR directly, Hermiticity takes one CSC copy of J_x and of J_y,
+        # and the battery forms only the products J_x J_y, J_y J_x, J_x^2
+        # and J_y^2, whose pairs are combined on their data arrays
         calls = counting_constructions(monkeypatch)
         code, _, _ = run_cli(capsys, "verify", "--nmax", "5", "--no-meta")
-        assert code == 0 and 0 < len(calls) <= 64
+        assert code == 0 and 0 < len(calls) <= 29
+
+    @pytest.mark.parametrize("directive", [None, *FALLBACK_BREAKERS])
+    def test_fallbacks_run_on_pattern_mismatch(self, monkeypatch, directive):
+        amset = build_set(build_basis(4), 0.3)
+        helpers, commutators = set(), 0
+        if directive:
+            amset = cli._apply_corruption(amset, cli._parse_corruption(directive, amset.basis.size))
+            helpers, commutators = FALLBACK_BREAKERS[directive]
+        callers = counting_fallbacks(monkeypatch)
+        cli.run_battery(amset, 1e-12)
+        assert set(callers) == helpers
+        assert callers.count("commutator_norm") == commutators
 
     @pytest.mark.parametrize("hbar", [0.3, 1.0, 2.0, 1e-30])
     @pytest.mark.parametrize("n_max", [0, 1, 7, 40])
@@ -350,7 +397,8 @@ class TestVerify:
         for hbar in (1.0, 0.5, 2.0)
         for n_max, directive in [
             *((4, d) for d in sorted({*CHECK_BREAKERS.values(),
-                                      *OFF_DIAGONAL_BREAKERS.values()})),
+                                      *OFF_DIAGONAL_BREAKERS.values(),
+                                      *FALLBACK_BREAKERS})),
             # far off the band: scipy returns the products' entries out of order
             (23, "jy,80,8,1e-3"),
             # small_mix-style: +-1e-3 at an entry off the diagonal of J_z or J
@@ -408,17 +456,18 @@ def spread_of_discs(amset, cas) -> np.ndarray:
 
 
 class TestHermiticityResidual:
-    """``_hermiticity_residual`` is ``max_abs(op - op^dag)`` to the bit,
+    """``hermiticity_residual`` is ``max_abs(op - op^dag)`` to the bit,
     whether it reads the two data arrays (the transpose stores the same
     pattern) or forms the difference matrix (it does not)."""
 
     @staticmethod
     def assert_same_bits(monkeypatch, op, same_pattern):
         fallbacks = []
-        monkeypatch.setattr(cli, "max_abs", lambda m: fallbacks.append(m) or operators.max_abs(m))
+        real = operators.max_abs
+        monkeypatch.setattr(operators, "max_abs", lambda m: fallbacks.append(m) or real(m))
         with np.errstate(invalid="ignore"):
-            got = cli._hermiticity_residual(op)
-            want = operators.max_abs(op - op.conj().T)
+            got = operators.hermiticity_residual(op)
+            want = real(op - op.conj().T)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert len(fallbacks) == (0 if same_pattern else 1)
 
@@ -449,12 +498,37 @@ class TestHermiticityResidual:
         # but in other columns, so the data arrays do not line up
         op = from_entries(3, [0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0])
         self.assert_same_bits(monkeypatch, op, False)
-        assert cli._hermiticity_residual(op) == 3.0
+        assert operators.hermiticity_residual(op) == 3.0
 
     def test_operator_storing_nothing(self, monkeypatch):
         op = from_entries(6, [], [], [])
         self.assert_same_bits(monkeypatch, op, True)
-        assert cli._hermiticity_residual(op) == 0.0
+        assert operators.hermiticity_residual(op) == 0.0
+
+    @pytest.mark.parametrize("values", [
+        [0.0, 0.5, -1.5, 0.0],
+        [complex(-0.0, 1.0), 2.0, complex(3.0, -0.0), complex(0.7, 0.1)],
+        [np.nan, 1.0, 0.0, -2.0],
+        [complex(np.inf, 0.0), complex(1.0, -np.inf), 0.3, 0.0],
+    ])
+    def test_diagonal_operand_reads_its_vector(self, monkeypatch, values):
+        # a diagonal operand is its own transpose: no CSC copy is taken
+        d = from_entries(4, range(4), range(4), values)
+        copies = []
+        real = sp.csr_matrix.tocsc
+        monkeypatch.setattr(sp.csr_matrix, "tocsc", lambda m, *a: copies.append(m) or real(m, *a))
+        x = operators.operand(d)
+        assert isinstance(x, np.ndarray)
+        with np.errstate(invalid="ignore"):
+            got = operators.hermiticity_residual(x)
+            want = operators.max_abs(d - d.conj().T)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes() and not copies
+
+    def test_clean_diagonal_operands(self, monkeypatch):
+        for n_max in (0, 1, 7, 40):
+            amset = build_set(build_basis(n_max), 0.3)
+            for x in (amset.jz_operand, amset.jtot_operand):
+                assert isinstance(x, np.ndarray) and operators.hermiticity_residual(x) == 0.0
 
 
 class TestCasimirDiscs:
@@ -616,12 +690,12 @@ class TestSpectrum:
     def test_canonicalizations_counted(self, capsys, monkeypatch):
         calls = counting_canonical(monkeypatch)
         code, _, _ = run_cli(capsys, "spectrum", "--n", "5", "--no-meta")
-        assert code == 0 and 0 < len(calls) <= 10
+        assert code == 0 and 0 < len(calls) <= 7
 
     def test_constructions_counted(self, capsys, monkeypatch):
         calls = counting_constructions(monkeypatch)
         code, _, _ = run_cli(capsys, "spectrum", "--n", "5", "--no-meta")
-        assert code == 0 and 0 < len(calls) <= 30
+        assert code == 0 and 0 < len(calls) <= 23
 
     @pytest.mark.parametrize("flags", [["--tol", "1e-100"], ["--hbar", "1e120"]])
     @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -1,7 +1,12 @@
+import contextlib
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import schwinger.operators as operators
 from schwinger import (
     annihilation,
     build_basis,
@@ -12,12 +17,19 @@ from schwinger import (
 )
 from schwinger.operators import (
     _is_diagonal,
+    canonical,
     commutator,
     commutator_norm,
     diagonal,
+    diagonal_of,
     fro_norm,
     max_abs,
+    off_diagonal,
+    operand,
+    quadratic_residuals,
     row_indices,
+    same_pattern,
+    square_sum,
 )
 
 from conftest import dense_annihilation, dense_number, max_entry_diff
@@ -352,6 +364,313 @@ class TestCommutatorNorm:
         for op in (amset.jx, amset.jy, amset.jz):
             for d in (cas, amset.jtot, amset.jy):
                 self.assert_same_bits(op, d)
+
+
+# entries with a -0.0 part beside the Gaussian integers: every sum and
+# product stays exact, but the sign of a zero part can show in the bits
+SIGNED_ZERO = st.sampled_from([complex(-0.0, 1), complex(2, -0.0), complex(-0.0, -3),
+                               complex(-1, -0.0)])
+VALUE = st.one_of(SMALL, SIGNED_ZERO)
+# the non-dyadic factors make products and sums round, so their order,
+# a fused multiply-add or a dropped zero shows in the last bits
+FACTORS = ((1.0, 1.0), (0.1, 0.7))
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@st.composite
+def near_diagonal(draw, dim: int, off_diagonal: int, non_finite: bool):
+    """A canonical dim x dim matrix with a random diagonal of ``VALUE``s,
+    up to ``off_diagonal`` entries off it and, with ``non_finite``, maybe
+    one NaN or infinite entry."""
+    index = st.integers(0, dim - 1)
+    entries = [(i, i, draw(VALUE)) for i in range(dim)]
+    if dim > 1:
+        shifted = st.tuples(index, st.integers(1, dim - 1), VALUE)
+        entries += [(i, (i + shift) % dim, v)
+                    for i, shift, v in draw(st.lists(shifted, max_size=off_diagonal))]
+    if non_finite and draw(st.booleans()):
+        entries.append((draw(index), draw(index), draw(NON_FINITE)))
+    return from_entries(dim, *zip(*entries))
+
+
+@st.composite
+def near_diagonal_pair(draw, off_diagonal: int, non_finite: bool):
+    dim = draw(st.integers(1, 7))
+    return tuple(draw(near_diagonal(dim, off_diagonal, non_finite)) for _ in range(2))
+
+
+@contextlib.contextmanager
+def counting(name: str):
+    """Patch ``operators.<name>`` to record the arguments of each call;
+    yields the list and the real function."""
+    calls = []
+    real = getattr(operators, name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, name, lambda *args: calls.append(args) or real(*args))
+        yield calls, real
+
+
+class TestOperand:
+    """``operand`` reads a diagonal matrix as its diagonal vector, which
+    keeps every stored entry: the vector rebuilds the matrix, and
+    ``diagonal_of`` and ``off_diagonal`` read the same from either form."""
+
+    @settings(deadline=None)
+    @given(near_diagonal_pair(off_diagonal=2, non_finite=True))
+    def test_reads_diagonal_matrices_as_vectors(self, pair):
+        for m in pair:
+            x = operand(m)
+            assert isinstance(x, np.ndarray) == _is_diagonal(m)
+            assert operand(x) is x
+            assert diagonal_of(x).tobytes() == m.diagonal().tobytes()
+            rows = row_indices(m)
+            off = rows != m.indices
+            for got, want in zip(off_diagonal(x), (rows[off], m.indices[off], m.data[off])):
+                assert got.tobytes() == want.tobytes()
+            if isinstance(x, np.ndarray):
+                # diagonal() adds each entry to 0, so only a -0.0 part turns +0.0
+                rebuilt = operators._matrix(x)
+                assert same_pattern(rebuilt, m) and rebuilt.data.tobytes() == (m.data + 0).tobytes()
+
+    def test_angular_momentum_operators(self):
+        amset = build_set(build_basis(6), 0.3)
+        assert amset.jz_operand is amset.jz_operand
+        for m, x in ((amset.jz, amset.jz_operand), (amset.jtot, amset.jtot_operand)):
+            assert identical(diagonal(x), m)
+        assert operand(amset.jx) is amset.jx
+
+
+def scipy_commutator(a, b):
+    """The expression ``commutator_norm`` replaces: ``commutator`` scales
+    entries by a diagonal ``b``; otherwise the plain products."""
+    return commutator(a, b) if _is_diagonal(b) else a @ b - b @ a
+
+
+@st.composite
+def shared_pattern_operands(draw, dim: int | None = None):
+    """(A, B) on one pattern that holds (j, i) with every (i, j), so AB
+    and BA store the same pattern, as J_x J_y and J_y J_x do."""
+    dim = dim or draw(st.integers(1, 7))
+    index = st.integers(0, dim - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=2 * dim))
+    rows, cols = zip(*{*pairs, *((j, i) for i, j in pairs)}) if pairs else ((), ())
+    return tuple(from_entries(dim, rows, cols,
+                              draw(st.lists(VALUE.filter(bool), min_size=len(rows),
+                                            max_size=len(rows))))
+                 for _ in range(2))
+
+
+class TestCommutatorPlusTerm:
+    """``commutator_norm(a, b, c, s)`` is the norm of ``[a, b] + c * s``
+    taken by scipy to the bit, whether it adds ``c``'s data to the
+    commutator's values (``c`` stores the commutator's pattern) or forms
+    the sum (it does not), and whether the products' difference is taken
+    on their data arrays (they share a pattern) or by scipy.  It also
+    equals the norm of ``c * -s - [a, b]``, the form ``commutator_zx_y``
+    replaces."""
+
+    @staticmethod
+    def pattern(a, b):
+        """The index arrays the commutator's values sit on."""
+        if _is_diagonal(b):
+            return a
+        m = a @ b - b @ a
+        m.sort_indices()
+        return m
+
+    @staticmethod
+    def assert_same_bits(a, b, c):
+        for (fa, fb), scale in zip(FACTORS, (-1j, 0.3 - 0.7j)):
+            with counting("fro_norm") as (fallbacks, norm), \
+                    np.errstate(invalid="ignore", over="ignore"):
+                a_, b_, c_ = a * fa, b * fb, c * 0.3
+                got = commutator_norm(a_, b_, c_, scale)
+                from_vector = commutator_norm(a_, operand(b_), c_, scale)
+                alone = commutator_norm(a_, b_)
+                want = norm(scipy_commutator(a_, b_) + c_ * scale)
+                flipped = norm(c_ * -scale - scipy_commutator(a_, b_))
+                want_alone = norm(scipy_commutator(a_, b_))
+            assert bits(got) == bits(from_vector) == bits(want) == bits(flipped)
+            assert bits(alone) == bits(want_alone)
+            mismatch = not same_pattern(TestCommutatorPlusTerm.pattern(a_, b_), c_)
+            assert len(fallbacks) == 2 * mismatch
+
+    @settings(deadline=None)
+    @given(split_operands(off_diagonal=2, non_finite=True), st.data())
+    def test_on_the_pattern(self, operands, data):
+        a, b = operands
+        p = self.pattern(a, b)
+        values = data.draw(st.lists(VALUE.filter(bool), min_size=p.nnz, max_size=p.nnz))
+        c = canonical(sp.csr_matrix((np.array(values, dtype=complex), p.indices.copy(),
+                                     p.indptr.copy()), shape=p.shape))
+        assert same_pattern(p, c)
+        self.assert_same_bits(a, b, c)
+
+    @settings(deadline=None)
+    @given(split_operands(off_diagonal=2, non_finite=True), st.data())
+    def test_off_the_pattern(self, operands, data):
+        a, b = operands
+        dim = a.shape[0]
+        entries = data.draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1),
+                                               VALUE), max_size=3 * dim))
+        c = from_entries(dim, *zip(*entries)) if entries else zero(dim)
+        self.assert_same_bits(a, b, c)
+
+    @settings(deadline=None)
+    @given(shared_pattern_operands(), st.data())
+    def test_products_on_one_pattern(self, operands, data):
+        a, b = operands
+        p = self.pattern(a, b)
+        values = data.draw(st.lists(VALUE.filter(bool), min_size=p.nnz, max_size=p.nnz))
+        on = canonical(sp.csr_matrix((np.array(values, dtype=complex), p.indices.copy(),
+                                      p.indptr.copy()), shape=p.shape))
+        self.assert_same_bits(a, b, on)
+        self.assert_same_bits(a, b, a)
+
+    @pytest.mark.parametrize("hbar", [0.3, 1.0, 1e-30])
+    def test_angular_momentum_operands(self, hbar):
+        amset = build_set(build_basis(9), hbar)
+        jx, jy, jz = amset.jx, amset.jy, amset.jz
+        assert same_pattern(jx @ jy, jy @ jx)
+        for a, b, c in ((jx, jy, jz), (jy, jz, jx), (jx, jz, jy)):
+            self.assert_same_bits(a, b, c)
+        # an off-band J_x entry puts J_x off J_y's pattern
+        bad = canonical(jx + from_entries(jx.shape[0], [0], [5], [1e-3]))
+        self.assert_same_bits(jy, jz, bad)
+        self.assert_same_bits(bad, jz, jy)
+
+
+@st.composite
+def square_operands(draw, off_diagonal: int, non_finite: bool):
+    """(A, B, X) of one size: A and B either on one pattern that holds
+    (j, i) with every (i, j), so A A and B B store the same pattern as
+    J_x J_x and J_y J_y do, or drawn like X as ``near_diagonal``."""
+    dim = draw(st.integers(1, 7))
+    x = draw(near_diagonal(dim, off_diagonal, non_finite))
+    if draw(st.booleans()):
+        a, b = draw(shared_pattern_operands(dim))
+    else:
+        a, b = (draw(near_diagonal(dim, off_diagonal, non_finite)) for _ in range(2))
+    return a, b, x
+
+
+def nan_parts_unsigned(m: sp.csr_matrix) -> sp.csr_matrix:
+    """``m`` on the same index arrays, with every NaN real or imaginary
+    part made the positive quiet NaN and its data as writeable as m's."""
+    parts = m.data.view(np.float64).copy()
+    parts[np.isnan(parts)] = np.nan
+    out = sp.csr_matrix((parts.view(np.complex128), m.indices, m.indptr), shape=m.shape)
+    out.data.flags.writeable = m.data.flags.writeable
+    return out
+
+
+class TestSquareSum:
+    """``square_sum(a, b, x)`` is ``canonical(a @ a + b @ b + x @ x)`` to
+    the bit, data, index dtypes and read-only flags, whether it adds on
+    arrays (the sum of the squares and x are diagonal) or forms the sums
+    (otherwise), and whether the two squares share a pattern.  Only the
+    sign of a NaN part may differ: when both terms of a sum are NaN,
+    which one numpy's vectorized add passes on is its own choice, and no
+    output shows a NaN's sign."""
+
+    @staticmethod
+    def assert_identical(a, b, x):
+        for fa, fx in FACTORS:
+            with counting("_matrix") as (fallbacks, _), \
+                    np.errstate(invalid="ignore", over="ignore"):
+                a_, b_, x_ = a * fa, b * fa, x * fx
+                got = square_sum(a_, b_, x_)
+                from_vector = square_sum(a_, b_, operand(x_))
+                total = a_ @ a_ + b_ @ b_
+                want = canonical(total + x_ @ x_)
+            for m in (got, from_vector):
+                assert identical(nan_parts_unsigned(m), nan_parts_unsigned(want))
+            arrays = _is_diagonal(total) and _is_diagonal(x_)
+            assert len(fallbacks) == 2 * (not arrays)
+
+    @settings(deadline=None)
+    @given(square_operands(off_diagonal=0, non_finite=False))
+    def test_diagonal(self, operands):
+        self.assert_identical(*operands)
+
+    @settings(deadline=None)
+    @given(square_operands(off_diagonal=2, non_finite=False))
+    def test_few_off_diagonal_entries(self, operands):
+        self.assert_identical(*operands)
+
+    @settings(deadline=None)
+    @given(square_operands(off_diagonal=1, non_finite=True))
+    def test_non_finite_entries(self, operands):
+        self.assert_identical(*operands)
+
+    def test_entries_cancelling_off_the_diagonal(self):
+        # J_x^2 and J_y^2 share a pattern and cancel two off the
+        # diagonal: only their sum is diagonal
+        amset = build_set(build_basis(5), 0.3)
+        jx, jy = amset.jx, amset.jy
+        assert same_pattern(jx @ jx, jy @ jy) and not _is_diagonal(jx @ jx)
+        self.assert_identical(jx, jy, amset.jz)
+
+    @pytest.mark.parametrize("hbar", [0.3, 1.0, 2.0, 1e-30])
+    def test_casimir_bits(self, hbar):
+        # J^2 holds the bits of the one scipy expression, clean or with
+        # J_z or J_x off its pattern
+        for n_max in (0, 1, 2, 7, 23, 40):
+            amset = build_set(build_basis(n_max), hbar)
+            sets = [amset]
+            if n_max >= 2:
+                for name, row, col in (("jz", 1, 2), ("jx", 0, 5), ("jx", 1, 2)):
+                    op = getattr(amset, name)
+                    bump = from_entries(op.shape[0], [row], [col], [1e-3 * hbar])
+                    sets.append(dataclasses.replace(amset, **{name: canonical(op + bump)}))
+            for s in sets:
+                jx, jy, jz = s.jx, s.jy, s.jz
+                assert identical(casimir(s), canonical(jx @ jx + jy @ jy + jz @ jz)), n_max
+
+
+class TestQuadraticResiduals:
+    """``quadratic_residuals(c, t, s)`` is ``max_abs(c - (t @ t + t * s))``
+    and ``max_abs((c - t @ t) - t * s)`` to the bit, whether it reads
+    vectors (both are diagonal) or forms the matrices (either is not)."""
+
+    @staticmethod
+    def assert_same_bits(c, t):
+        for (fc, ft), scale in zip(FACTORS, (1.0, 0.3)):
+            with counting("max_abs") as (fallbacks, real), \
+                    np.errstate(invalid="ignore", over="ignore"):
+                c_, t_ = c * fc, t * ft
+                got = quadratic_residuals(c_, t_, scale)
+                from_vectors = quadratic_residuals(operand(c_), operand(t_), scale)
+                tt, ts = t_ @ t_, t_ * scale
+                want = (real(c_ - (tt + ts)), real((c_ - tt) - ts))
+            assert [bits(v) for v in got] == [bits(v) for v in from_vectors] \
+                == [bits(v) for v in want]
+            assert len(fallbacks) == 4 * (not (_is_diagonal(c_) and _is_diagonal(t_)))
+
+    @settings(deadline=None)
+    @given(near_diagonal_pair(off_diagonal=0, non_finite=False))
+    def test_diagonal(self, pair):
+        self.assert_same_bits(*pair)
+
+    @settings(deadline=None)
+    @given(near_diagonal_pair(off_diagonal=2, non_finite=False))
+    def test_few_off_diagonal_entries(self, pair):
+        self.assert_same_bits(*pair)
+
+    @settings(deadline=None)
+    @given(near_diagonal_pair(off_diagonal=1, non_finite=True))
+    def test_non_finite_entries(self, pair):
+        self.assert_same_bits(*pair)
+
+    @pytest.mark.parametrize("hbar", [0.3, 1.0, 1e-30])
+    def test_angular_momentum_operands(self, hbar):
+        amset = build_set(build_basis(9), hbar)
+        self.assert_same_bits(casimir(amset), amset.jtot)
+        bad = canonical(amset.jtot + from_entries(amset.jtot.shape[0], [3], [4], [1e-3]))
+        self.assert_same_bits(casimir(amset), bad)
 
 
 class TestBlockConservation:
