@@ -18,12 +18,16 @@ Exit codes: 0 all checks passed, 1 a verification check failed,
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
+import os
 import sys
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -46,8 +50,9 @@ from .operators import (
 )
 from .spectra import block_table, cos_theta, sum_rule_check
 
-# verify at n_max 1000 (dimension 501501) takes about 1.5 s and 234-247 MB
-# from the shell, below classical at COUNT_LIMIT; at 1500 it took 9 s and 500 MB
+# verify at n_max 1000 (dimension 501501) takes 1.3-1.5 s and 234-247 MB
+# from the shell, below the 5 s of classical at COUNT_LIMIT on 2 CPUs; at
+# 1500 it took 9 s and 500 MB
 N_MAX_LIMIT = 1000
 
 # The cap on the table commands angle, limit and sumrule, each of which
@@ -214,57 +219,148 @@ def _cells(cells, fmt: str, depth: int) -> list[str]:
     raise TypeError(f"no {fmt} form for {kind.__name__}")
 
 
-def _filled(template: str, table: Table, names: list, fmt: str, depth: int):
-    """``template`` filled with the cells of the ``names`` columns of each
-    record of ``table``, as one list of texts per ``CHUNK_RECORDS`` records."""
-    for lo in range(0, len(table), CHUNK_RECORDS):
-        cells = [_cells(table.columns[name][lo:lo + CHUNK_RECORDS], fmt, depth)
-                 for name in names]
-        yield list(map(template.__mod__, zip(*cells)))
+@dataclass(frozen=True, eq=False)
+class _Records:
+    """How one format writes the records of ``table``: each record fills
+    ``template`` with the ``fmt`` texts of its ``names`` columns, and
+    the records are joined by ``sep``."""
+
+    table: Table
+    names: list
+    template: str
+    sep: str
+    fmt: str
+    depth: int
 
 
-def _json_pieces(doc: dict):
-    """``json.dumps(doc, indent=2) + "\n"`` in pieces.
+def _chunk(records: _Records, lo: int) -> str:
+    """The joined text of records ``lo`` .. ``lo + CHUNK_RECORDS`` of
+    ``records``.
+
+    Forked workers call this too.  It formats with the interpreter and
+    numpy's sort, and calls no BLAS routine, whose threads do not
+    survive a fork.
+    """
+    cells = [_cells(records.table.columns[name][lo:lo + CHUNK_RECORDS],
+                    records.fmt, records.depth) for name in records.names]
+    return records.sep.join(map(records.template.__mod__, zip(*cells)))
+
+
+def _chunks(records: _Records) -> list:
+    """The (records, lo) chunks of ``records``, joined as its records are."""
+    pieces = []
+    for lo in range(0, len(records.table), CHUNK_RECORDS):
+        pieces += [records.sep, (records, lo)] if lo else [(records, lo)]
+    return pieces
+
+
+def _json_pieces(doc: dict) -> list:
+    """``json.dumps(doc, indent=2) + "\n"`` in pieces: texts, and the
+    (records, lo) chunks that ``_chunk`` turns into text.
 
     ``doc`` maps each top-level key to a scalar or a ``Table``, which is
     written as a list of records through one per-record template.
     """
-    text = "{"
+    pieces = ["{"]
     for i, (key, value) in enumerate(doc.items()):
-        text += ("," if i else "") + "\n  " + json.dumps(key) + ": "
+        pieces.append(("," if i else "") + "\n  " + json.dumps(key) + ": ")
         if not isinstance(value, Table):
-            text += _cells([value], "json", 1)[0]
-            continue
-        if not len(value):
-            text += "[]"
-            continue
-        names = list(value.columns)
-        fields = ",\n      ".join(
-            json.dumps(name).replace("%", "%%") + ": %s" for name in names)
-        template = "    {\n      " + fields + "\n    }"
-        text += "[\n"
-        for records in _filled(template, value, names, "json", 3):
-            yield text + ",\n".join(records)
-            text = ",\n"
-        text = "\n  ]"
-    yield text + "\n}\n"
+            pieces.append(_cells([value], "json", 1)[0])
+        elif not len(value):
+            pieces.append("[]")
+        else:
+            names = list(value.columns)
+            fields = ",\n      ".join(
+                json.dumps(name).replace("%", "%%") + ": %s" for name in names)
+            template = "    {\n      " + fields + "\n    }"
+            records = _Records(value, names, template, ",\n", "json", 3)
+            pieces += ["[\n", *_chunks(records), "\n  ]"]
+    pieces.append("\n}\n")
+    return pieces
 
 
-def _csv_pieces(tables: list[Table]):
-    """The CSV document in pieces: a header of ``record`` and every
-    table's columns in order of first appearance, then each table's rows.
+def _csv_pieces(tables: list[Table]) -> list:
+    """The CSV document in pieces, as ``_json_pieces`` gives them: a
+    header of ``record`` and every table's columns in order of first
+    appearance, then each table's rows.
 
     Each table's rows come from one template with its record tag and the
     empty fields of the columns it lacks written in.
     """
     header = ["record", *dict.fromkeys(c for t in tables for c in t.columns)]
-    yield ",".join(header) + "\n"
+    pieces = [",".join(header) + "\n"]
     for table in tables:
         names = [c for c in header if c in table.columns]
         template = ",".join(table.record.replace("%", "%%") if c == "record"
                             else "%s" if c in table.columns else "" for c in header)
-        for rows in _filled(template + "\n", table, names, "csv", 0):
-            yield "".join(rows)
+        pieces += _chunks(_Records(table, names, template + "\n", "", "csv", 0))
+    return pieces
+
+
+# the chunks of the document a forked worker renders, set in the worker
+# by its initializer; the parent never sets it
+_WORKER_CHUNKS: list = []
+
+
+def _adopt(chunks: list):
+    global _WORKER_CHUNKS
+    _WORKER_CHUNKS = chunks
+
+
+def _render(index: int) -> str:
+    return _chunk(*_WORKER_CHUNKS[index])
+
+
+def _workers(chunks: list) -> int:
+    """How many forked processes render ``chunks``: none when every table
+    fits in one chunk, when this process may run on only one CPU, or
+    where the platform cannot fork; otherwise one per CPU, up to one per
+    chunk."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 0
+    if all(lo == 0 for _, lo in chunks):
+        return 0
+    cpus = len(os.sched_getaffinity(0))
+    return min(cpus, len(chunks)) if cpus > 1 else 0
+
+
+def _forked(stack: contextlib.ExitStack, chunks: list, workers: int):
+    """The text of each of ``chunks`` in order, rendered by ``workers``
+    forked processes; ``stack`` shuts them down.
+
+    The workers inherit ``chunks`` through the fork, so only an index
+    goes to a worker and only its text comes back.  At most two chunks
+    per worker are in flight, so the parent holds at most that many
+    texts.  Shutting down cancels the chunks not yet started and waits
+    for the rest, so no worker outlives the call, whether it ends
+    normally or with an exception.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(workers, get_context("fork"), initializer=_adopt,
+                               initargs=(chunks,))
+    stack.callback(pool.shutdown, cancel_futures=True)
+    window = min(2 * workers, len(chunks))
+    with warnings.catch_warnings():
+        # the first submit forks every worker.  Python 3.12 warns when a
+        # process with threads forks; the only other threads are BLAS's,
+        # which the workers never use
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pending = collections.deque(pool.submit(_render, i) for i in range(window))
+
+    def texts():
+        try:
+            for i in range(window, len(chunks) + window):
+                text = pending.popleft().result()
+                if i < len(chunks):
+                    pending.append(pool.submit(_render, i))
+                yield text
+        except BrokenProcessPool as exc:
+            raise OSError("a worker process rendering the output ended abruptly") from exc
+
+    return texts()
 
 
 def _finite(cells) -> bool:
@@ -287,7 +383,9 @@ def _emit(config: RunConfig, command: str, json_doc: dict, csv_tables: list[Tabl
     opened; a non-finite one is blamed on ``flags``, the flags the
     values came from.  The output is opened before the metadata header
     is printed, so an I/O error leaves only its own line on stderr.  The
-    text then streams out ``CHUNK_RECORDS`` records at a time.
+    text then streams out ``CHUNK_RECORDS`` records at a time; when a
+    table is longer than that, ``_workers`` says how many forked
+    processes render the chunks, and they are written in order.
     """
     if config.format == "json":
         pieces = _json_pieces(json_doc)
@@ -298,12 +396,18 @@ def _emit(config: RunConfig, command: str, json_doc: dict, csv_tables: list[Tabl
         columns = [c for t in csv_tables for c in t.columns.values()]
     if not all(map(_finite, columns)):
         raise _overflow(flags)
-    with (open(config.output_path, "w", encoding="utf-8", newline="")
-          if config.output_path else contextlib.nullcontext(sys.stdout)) as fh:
+    chunks = [p for p in pieces if not isinstance(p, str)]
+    with contextlib.ExitStack() as stack:
+        fh = stack.enter_context(
+            open(config.output_path, "w", encoding="utf-8", newline="")
+            if config.output_path else contextlib.nullcontext(sys.stdout))
         if not config.no_meta:
             stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
             print(f"# schwinger {__version__} | {command} | {stamp}", file=sys.stderr)
-        fh.writelines(pieces)
+        workers = _workers(chunks)
+        texts = (_forked(stack, chunks, workers) if workers
+                 else itertools.starmap(_chunk, chunks))
+        fh.writelines(p if isinstance(p, str) else next(texts) for p in pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -197,14 +197,19 @@ def same_pattern(a: sp.spmatrix, b: sp.spmatrix) -> bool:
     return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
 
 
+def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y elementwise for complex arrays of one shape, each part
+    rounded as scipy's sparse product rounds it: two products and one
+    sum.  (numpy's complex multiply may fuse a product into the sum.)"""
+    p = np.empty_like(x)
+    p.real = x.real * y.real - x.imag * y.imag
+    p.imag = x.real * y.imag + x.imag * y.real
+    return p
+
+
 def _square(x: np.ndarray) -> np.ndarray:
-    """x * x elementwise, each part rounded as scipy's sparse product
-    rounds it: two products and one sum.  (numpy's complex multiply may
-    fuse a product into the sum.)"""
-    sq = np.empty_like(x)
-    sq.real = x.real * x.real - x.imag * x.imag
-    sq.imag = x.real * x.imag + x.imag * x.real
-    return sq
+    """x * x elementwise, rounded as ``_times`` rounds it."""
+    return _times(x, x)
 
 
 def hermiticity_residual(x: Operand) -> float:
@@ -228,7 +233,14 @@ def hermiticity_residual(x: Operand) -> float:
 
 
 def _scaled_commutator(a: sp.csr_matrix, delta: np.ndarray) -> np.ndarray:
-    """a_ij delta_j - delta_i a_ij on the index arrays of ``a``."""
+    """a_ij delta_j - delta_i a_ij on the index arrays of ``a``.
+
+    A real-valued ``delta`` leaves nothing for numpy's complex multiply
+    to fuse; a complex one is multiplied as ``_times`` multiplies.
+    """
+    if delta.imag.any():
+        return (_times(a.data, delta[a.indices])
+                - _times(np.repeat(delta, np.diff(a.indptr)), a.data))
     return a.data * delta[a.indices] - np.repeat(delta, np.diff(a.indptr)) * a.data
 
 

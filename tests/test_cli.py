@@ -1,8 +1,12 @@
+import concurrent.futures
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
+import multiprocessing
+import os
 import re
 import subprocess
 import sys
@@ -405,6 +409,11 @@ class TestVerify:
             (40, "jz,611,152,-0.001"),
             (40, "jtot,377,378,0.001"),
         ]
+    ] + [
+        # a complex J_y entry and a diagonal J^2 with complex entries: the
+        # scaled [J_y, J^2] is multiplied as scipy's product multiplies
+        pytest.param(n_max, "jy,1,2,0.37", 0.3, id=f"{n_max}-jy,1,2,0.37-hbar0.3")
+        for n_max in (1, 4, 7)
     ])
     def test_corrupted_residuals_match_operator_algebra(self, n_max, directive, hbar):
         amset = build_set(build_basis(n_max), hbar)
@@ -954,6 +963,11 @@ class TestClassical:
         assert float(summary["max_rel_residual"]) == doc["max_rel_residual"]
 
 
+def text_of(pieces) -> str:
+    """The document of the writer's ``pieces``, every chunk rendered here."""
+    return "".join(p if isinstance(p, str) else cli._chunk(*p) for p in pieces)
+
+
 def emitted(capsys, monkeypatch, *argv):
     """Run the command; return its stdout and what it handed to ``_emit``."""
     handed = []
@@ -1037,7 +1051,7 @@ class TestWriter:
 
     def test_empty_table(self):
         doc = {"command": "x", "rows": cli.Table("row", {"a": []}), "ok": True}
-        assert "".join(cli._json_pieces(doc)) == json_text(doc)
+        assert text_of(cli._json_pieces(doc)) == json_text(doc)
 
     @pytest.mark.parametrize("command, header", CSV_HEADERS.items())
     def test_csv_header(self, capsys, command, header):
@@ -1057,12 +1071,12 @@ class TestSegments:
         column = cli.Segments(np.array(values, dtype=np.float64), bounds)
         table = cli.Table("row", {"k": range(len(sizes)), "levels": column})
         doc = {"command": "x", "rows": table}
-        assert "".join(cli._json_pieces(doc)) == json_text(doc)
-        assert "".join(cli._csv_pieces([table])) == csv_text([table])
+        assert text_of(cli._json_pieces(doc)) == json_text(doc)
+        assert text_of(cli._csv_pieces([table])) == csv_text([table])
 
     def test_signed_zeros_keep_their_texts(self):
         self.assert_written([0.0, -0.0, -0.0, 0.0, 0.0], [2, 3])
-        text = "".join(cli._csv_pieces([cli.Table("row", {"levels": cli.Segments(
+        text = text_of(cli._csv_pieces([cli.Table("row", {"levels": cli.Segments(
             np.array([-0.0, 0.0]), np.array([0, 2]))})]))
         assert text == "record,levels\nrow,-0;0\n"
 
@@ -1088,6 +1102,151 @@ class TestSegments:
             cli._emit(config, "verify", {"blocks": table}, [table], "--hbar 1.0")
         assert capsys.readouterr() == ("", "")
         assert not path.exists()
+
+
+# tables longer than one chunk, which the writer renders in forked workers
+LARGE_ARGV = [
+    ["classical", "--count", str(2 * CHUNK_RECORDS + 1), "--seed", "3"],
+    ["sumrule", "--two-j-max", str(TWO_J_LIMIT)],
+    ["limit", "--two-j-max", str(TWO_J_LIMIT)],
+    ["angle", "--two-j", str(TWO_J_LIMIT)],
+]
+
+
+def allow_cpus(monkeypatch, count):
+    """Let the writer see ``count`` CPUs in this process's affinity set."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def assert_no_children():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_on_files(directory, argv, dest):
+    """``main(argv)`` with stdout and stderr on block-buffered files, as
+    from the shell, and the data on stdout or in ``--out``; returns
+    (exit code, data, stderr)."""
+    directory.mkdir()
+    out_path, err_path, data_path = (directory / n for n in ("stdout", "stderr", "data"))
+    extra = ["--out", str(data_path)] if dest == "out" else []
+    with (open(out_path, "w", encoding="utf-8", newline="") as out,
+          open(err_path, "w", encoding="utf-8") as err,
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        code = main([*argv, *extra])
+    stdout = out_path.read_text(encoding="utf-8")
+    if dest == "out":
+        assert stdout == ""
+        stdout = data_path.read_text(encoding="utf-8")
+    return code, stdout, err_path.read_text(encoding="utf-8")
+
+
+class TestForkedWriter:
+    """A table longer than one chunk is rendered in forked workers: the
+    bytes are those of the serial path, and no worker outlives the call."""
+
+    @pytest.mark.parametrize("dest", ["stdout", "out"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", LARGE_ARGV, ids=" ".join)
+    def test_bytes_equal_serial(self, monkeypatch, tmp_path, argv, fmt, dest):
+        forked = []
+        real = cli._forked
+        monkeypatch.setattr(cli, "_forked",
+                            lambda stack, chunks, workers: forked.append(workers)
+                            or real(stack, chunks, workers))
+        runs = []
+        for cpus in (1, 2):
+            allow_cpus(monkeypatch, cpus)
+            runs.append(run_on_files(tmp_path / str(cpus),
+                                     [*argv, "--format", fmt, "--no-meta"], dest))
+            assert_no_children()
+        assert forked == [2]
+        assert runs[1] == runs[0]
+        assert runs[0][0] == 0 and runs[0][1]
+
+    def test_metadata_header_printed_once(self, monkeypatch, tmp_path):
+        # the header sits in stderr's buffer until the pool forks its workers
+        allow_cpus(monkeypatch, 2)
+        argv = [*LARGE_ARGV[0], "--format", "csv"]
+        code, out, err = run_on_files(tmp_path / "meta", argv, "stdout")
+        assert code == 0 and err.count("\n") == 1 and err.startswith("# schwinger ")
+        assert out == run_on_files(tmp_path / "serial", [*argv, "--no-meta"], "stdout")[1]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [["verify", "--nmax", "6"],
+                                      ["classical", "--count", str(CHUNK_RECORDS)],
+                                      ["sumrule", "--two-j-max", str(CHUNK_RECORDS - 1)]],
+                             ids=" ".join)
+    def test_one_chunk_tables_start_no_process(self, capsys, monkeypatch, argv, fmt):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        allow_cpus(monkeypatch, 2)
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt, "--no-meta")
+        assert code == 0 and out
+
+    def test_at_most_two_chunks_per_worker_in_flight(self, capsys, monkeypatch):
+        unread, peak = [], []
+
+        class Counting(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, fn, *args):
+                future = super().submit(fn, *args)
+                unread.append(future)
+                peak.append(len(unread))
+                read = future.result
+
+                def result(timeout=None):
+                    unread.remove(future)
+                    return read(timeout)
+
+                future.result = result
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+        allow_cpus(monkeypatch, 2)
+        code, out, _ = run_cli(capsys, *LARGE_ARGV[1], "--no-meta")
+        assert code == 0 and out and unread == []
+        assert max(peak) == 4 and len(peak) == TWO_J_LIMIT // CHUNK_RECORDS + 1
+
+    def test_worker_exception_reaches_caller(self, capsys, monkeypatch):
+        allow_cpus(monkeypatch, 2)
+        # a function cannot be pickled: the table reaches the workers by fork
+        table = cli.Table("row", {"cell": [lambda: None] * (CHUNK_RECORDS + 1)})
+        with pytest.raises(TypeError, match="^no json form for function$"):
+            cli._emit(cli.RunConfig(no_meta=True), "x", {"rows": table}, [table], "")
+        assert_no_children()
+
+    def test_failed_write_leaves_no_worker(self, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            """Takes the first write, then fails as a closed pipe does."""
+
+            def write(self, text):
+                if self.tell():
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        allow_cpus(monkeypatch, 2)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(ClosedPipe()), contextlib.redirect_stderr(err):
+            code = main([*LARGE_ARGV[0], "--no-meta"])
+        assert code == 2 and err.getvalue() == "I/O error: [Errno 32] Broken pipe\n"
+        assert_no_children()
+
+    def test_killed_worker_is_an_error(self):
+        # in a child process, so a hang would end at the timeout
+        script = "\n".join([
+            "import os, signal, sys",
+            "import schwinger.cli as cli",
+            "os.sched_getaffinity = lambda pid: {0, 1}",
+            "cli._chunk = lambda records, lo: os.kill(os.getpid(), signal.SIGKILL)",
+            f"sys.exit(cli.main({[*LARGE_ARGV[0], '--no-meta']!r}))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == "I/O error: a worker process rendering the output ended abruptly\n"
 
 
 class TestExitCodes:

@@ -304,6 +304,18 @@ class TestCommutatorRule:
     def test_non_finite_entries_kept(self, operands):
         self.assert_matches(*operands)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_complex_diagonal_rounds_as_products(self, seed):
+        # non-dyadic complex entries on both sides: numpy's complex
+        # multiply may fuse a product into the sum, scipy's does not
+        rng = np.random.default_rng(seed)
+        dim = 40
+        rows, cols = rng.integers(0, dim, (2, 300))
+        a = from_entries(dim, rows, cols, rng.normal(size=300) + 1j * rng.normal(size=300))
+        idx = np.arange(dim)
+        d = from_entries(dim, idx, idx, rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        self.assert_matches(a, d)
+
     def test_angular_momentum_operands(self):
         amset = build_set(build_basis(6), 0.3)
         cas = casimir(amset)
