@@ -18,10 +18,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
 import scipy.sparse as sp
 
 from .fock import FockBasis
-from .operators import Operand, annihilation, canonical, diagonal, operand, square_sum
+from .operators import (
+    Operand,
+    annihilation,
+    canonical,
+    creation,
+    diagonal,
+    mirrored,
+    operand,
+    square_sum,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,33 +63,41 @@ def build_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
     than as a product of single-mode matrices: the product would pass
     through states above the cutoff and silently corrupt the top shell,
     while the adjoint is exact there and keeps J_x, J_y Hermitian to the
-    last bit.  a1^dag and a1 a2^dag are turned into CSR once, so the
-    product and both sums stay in CSR; J_x and J_y are each one scipy
-    expression over them, canonicalized once.  J_z and J are diagonal,
-    written straight from the occupations as (n1 -+ n2) hbar/2.
+    last bit.  a1^dag a2 is one scipy product, which stores at most one
+    entry per row, just right of the diagonal.  J_x and J_y store its
+    entries there and their conjugates mirrored below it, on one set of
+    index arrays, each written with the elementwise operations of the
+    scipy expressions (U + U^dag) hbar/2 and (U - U^dag) hbar/2i:
+    u + 0 and 0 + conj(u), u - 0 and 0 - conj(u), then one product by
+    the scalar.  J_z and J are diagonal, written straight from the
+    occupations as (n1 -+ n2) hbar/2.
     """
     if hbar <= 0:
         raise ValueError(f"hbar must be positive, got {hbar}")
-    a1 = annihilation(basis, 1)
-    a2 = annihilation(basis, 2)
-    up_down = a1.conj().T.tocsr() @ a2    # a1^dag a2, block preserving
-    down_up = up_down.conj().T.tocsr()    # a1 a2^dag, exact on the top shell
-    jx = canonical((up_down + down_up) * (0.5 * hbar))
-    jy = canonical((up_down - down_up) * (-0.5j * hbar))
+    up_down = creation(basis, 1) @ annihilation(basis, 2)  # a1^dag a2
+    u, d = up_down.data, up_down.data.conj()
+    jx, jy = mirrored(up_down, (u + 0, 0 + d, 0.5 * hbar), (u - 0, 0 - d, -0.5j * hbar))
     n1, n2, total = basis.occupations()
     jz = diagonal((n1 - n2) * (0.5 * hbar))
     jtot = diagonal(total * (0.5 * hbar))
     return AngularMomentumSet(jx=jx, jy=jy, jz=jz, jtot=jtot, hbar=hbar, basis=basis)
 
 
-def casimir(amset: AngularMomentumSet) -> sp.csr_matrix:
-    """J^2 = J_x^2 + J_y^2 + J_z^2; block diagonal and Hermitian.
+def casimir_operand(amset: AngularMomentumSet) -> Operand:
+    """J^2 = J_x^2 + J_y^2 + J_z^2 as an ``operators.operand``: its
+    diagonal vector on a clean set, otherwise its canonical matrix.
 
     scipy forms the products J_x^2 and J_y^2, which store the same
     pattern on a clean set; their sum and a diagonal J_z's square are
     then added as arrays.
     """
     return square_sum(amset.jx, amset.jy, amset.jz_operand)
+
+
+def casimir(amset: AngularMomentumSet) -> sp.csr_matrix:
+    """J^2 as a canonical matrix; block diagonal and Hermitian."""
+    cas = casimir_operand(amset)
+    return diagonal(cas) if isinstance(cas, np.ndarray) else cas
 
 
 def casimir_residual(

@@ -34,7 +34,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .angular import AngularMomentumSet, build_set, casimir
+from .angular import AngularMomentumSet, build_set, casimir_operand
 from .classical import sample_amplitudes
 from .fock import build_basis
 from .operators import (
@@ -43,14 +43,13 @@ from .operators import (
     commutator_norm,
     diagonal_of,
     from_entries,
-    hermiticity_residual,
+    hermiticity_residuals,
     off_diagonal,
-    operand,
     quadratic_residuals,
 )
 from .spectra import block_table, cos_theta, sum_rule_check
 
-# verify at n_max 1000 (dimension 501501) takes 1.3-1.5 s and 234-247 MB
+# verify at n_max 1000 (dimension 501501) takes 1.4-1.6 s and 217 MB
 # from the shell, below the 5 s of classical at COUNT_LIMIT on 2 CPUs; at
 # 1500 it took 9 s and 500 MB
 N_MAX_LIMIT = 1000
@@ -471,10 +470,8 @@ def run_battery(amset: AngularMomentumSet, tol: float):
     _, _, totals = amset.basis.occupations()
     checks: list[tuple[str, float]] = []
 
-    checks.append(("hermitian_jx", hermiticity_residual(jx)))
-    checks.append(("hermitian_jy", hermiticity_residual(jy)))
-    checks.append(("hermitian_jz", hermiticity_residual(z)))
-    checks.append(("hermitian_jtot", hermiticity_residual(t)))
+    checks += zip(("hermitian_jx", "hermitian_jy", "hermitian_jz", "hermitian_jtot"),
+                  hermiticity_residuals(jx, jy, z, t))
     checks.append(("block_structure", _block_leak_residual((jx, jy, z, t), totals)))
     checks.append(("total_momentum_diagonal", _total_momentum_residual(t, hbar, totals)))
 
@@ -485,7 +482,7 @@ def run_battery(amset: AngularMomentumSet, tol: float):
     checks.append(("commutator_zx_y", commutator_norm(jx, z, jy, 1j * hbar)))
 
     # |[J^2, J_i]| = |[J_i, J^2]|
-    cas = operand(casimir(amset))
+    cas = casimir_operand(amset)
     for name, op in (("casimir_commutes_x", jx), ("casimir_commutes_y", jy),
                      ("casimir_commutes_z", jz)):
         checks.append((name, commutator_norm(op, cas)))
@@ -569,7 +566,7 @@ def cmd_spectrum(n: int, n_max: int, hbar: float, tol: float):
     # block n is exact in any basis that holds it, so the basis stops at n;
     # n_max is only echoed
     amset = build_set(build_basis(n), hbar)
-    block = _blocks(amset, casimir(amset), n)
+    block = _blocks(amset, casimir_operand(amset), n)
     value, mean_square, spread, grid_dev = (
         float(block[c][0]) for c in ("casimir", "mean_square", "spread", "grid_dev"))
     levels = {"two_mj": range(n, -n - 1, -2), "jz": block["levels"]}
@@ -758,7 +755,7 @@ def _dispatch(args):
     if args.command == "verify":
         _require_in_range("--nmax", args.nmax, N_MAX_LIMIT)
         _require_hbar_tol(hbar, tol)
-        if not args.corrupt:
+        if args.corrupt is None:
             return cmd_verify(args.nmax, hbar, tol), tol, f"--hbar {hbar}"
         corruption = _parse_corruption(args.corrupt, build_basis(args.nmax).size)
         flags = f"--hbar {hbar} with --corrupt {args.corrupt}"

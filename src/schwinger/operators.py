@@ -3,10 +3,10 @@
 Every operator is one canonical, read-only ``scipy.sparse.csr_matrix``:
 column indices sorted within each row, duplicate positions merged, exact
 zeros dropped, and its ``data``, ``indices`` and ``indptr`` frozen.
-``canonical`` is the one place that establishes that form; the builders
-here and in ``angular`` pass each result through it, and
-``annihilation``, ``number_operator`` and ``diagonal`` hand it arrays
-already written in that order.  NaN and inf
+``canonical`` puts a matrix of unknown order in that form.  The
+builders whose structure is known, ``annihilation``, ``creation``,
+``diagonal``, ``number_operator`` and ``mirrored``, write their arrays
+in that order directly and only freeze them.  NaN and inf
 entries stay, so a check that meets one fails.  ``commutator`` returns
 a fresh, writable matrix for ``max_abs`` or ``fro_norm`` to read.
 
@@ -67,6 +67,10 @@ def canonical(m: sp.spmatrix) -> sp.csr_matrix:
     m = m.tocsr()
     m.sum_duplicates()
     m.eliminate_zeros()
+    return _freeze(m)
+
+
+def _freeze(m: sp.csr_matrix) -> sp.csr_matrix:
     for arr in (m.data, m.indices, m.indptr):
         arr.flags.writeable = False
     return m
@@ -92,11 +96,32 @@ def from_entries(dim: int, rows, cols, vals) -> sp.csr_matrix:
     return canonical(m)
 
 
-def _frozen(dim: int, data, indices, indptr) -> sp.csr_matrix:
-    """A canonical matrix from arrays already in canonical order."""
-    m = sp.csr_matrix((np.asarray(data, dtype=np.complex128), indices, indptr),
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def _index_dtype(dim: int, nnz: int):
+    """The index dtype scipy picks for a dim x dim matrix of nnz entries."""
+    return np.int32 if max(dim, nnz) <= _INT32_MAX else np.int64
+
+
+def _frozen(dim: int, data, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:
+    """A frozen matrix from arrays in canonical order: sorted, without
+    duplicates or exact zeros.  They are not checked again.
+
+    The index arrays are handed over in the dtype scipy would pick for
+    them, so that scipy need not scan them to choose it.
+    """
+    index = _index_dtype(dim, len(indices))
+    m = sp.csr_matrix((np.asarray(data, dtype=np.complex128),
+                       indices.astype(index, copy=False), indptr.astype(index, copy=False)),
                       shape=(dim, dim))
-    return canonical(m)
+    m.has_canonical_format = True
+    return _freeze(m)
+
+
+def _check_mode(mode: int):
+    if mode not in (1, 2):
+        raise ValueError(f"mode must be 1 or 2, got {mode}")
 
 
 def annihilation(basis: FockBasis, mode: int) -> sp.csr_matrix:
@@ -108,8 +133,7 @@ def annihilation(basis: FockBasis, mode: int) -> sp.csr_matrix:
     state one quantum above r, for every r below the top shell, so the
     arrays are written in canonical order directly.
     """
-    if mode not in (1, 2):
-        raise ValueError(f"mode must be 1 or 2, got {mode}")
+    _check_mode(mode)
     n1, n2, _ = basis.occupations()
     below = position(basis.n_max, 0)  # the states with n1 + n2 < n_max
     n1, n2 = n1[:below], n2[:below]
@@ -117,6 +141,60 @@ def annihilation(basis: FockBasis, mode: int) -> sp.csr_matrix:
     nk = raised[mode - 1]
     indptr = np.append(np.arange(below + 1), np.full(basis.size - below, below))
     return _frozen(basis.size, np.sqrt(nk), position(*raised), indptr)
+
+
+def creation(basis: FockBasis, mode: int) -> sp.csr_matrix:
+    """Raising operator of one mode, the transpose of ``annihilation``:
+    a_k^dag |..n_k..> = sqrt(n_k + 1) |..n_k + 1..> below the top shell.
+
+    Row r holds one entry, sqrt(n_k) at the state one quantum below r,
+    for every r with n_k > 0, so the arrays are written in canonical
+    order directly.  The mode operators are real, so the transpose is
+    the adjoint.
+    """
+    _check_mode(mode)
+    n1, n2, _ = basis.occupations()
+    nk = n1 if mode == 1 else n2
+    rows = np.flatnonzero(nk)
+    lowered = (n1[rows] - 1, n2[rows]) if mode == 1 else (n1[rows], n2[rows] - 1)
+    indptr = np.append(0, np.cumsum(nk != 0))
+    return _frozen(basis.size, np.sqrt(nk[rows]), position(*lowered), indptr)
+
+
+def mirrored(u: sp.csr_matrix, *terms: tuple) -> list[sp.csr_matrix]:
+    """For each (upper, lower, scale) of ``terms``, the canonical matrix
+    of ``upper`` on the pattern of ``u`` and ``lower`` on the pattern of
+    its transpose, times ``scale``, exact zeros dropped.
+
+    ``u`` stores at most one entry per row, just right of the diagonal,
+    so row i holds the mirror of row i - 1's entry at column i - 1, then
+    its own at column i + 1.  The index arrays are written in that order
+    once and shared by every matrix that stores no zero; one that does
+    is canonicalized from a copy.  Each product is one elementwise
+    scaling of the data, as scipy scales a matrix.
+    """
+    dim, nnz = u.shape[0], 2 * u.nnz
+    index = _index_dtype(dim, nnz)
+    has_upper = np.diff(u.indptr)
+    has_lower = np.zeros_like(has_upper)
+    has_lower[1:] = has_upper[:-1]
+    indptr = np.zeros(dim + 1, dtype=index)
+    np.cumsum(has_upper + has_lower, out=indptr[1:])
+    rows = np.flatnonzero(has_upper)
+    at_upper, at_lower = indptr[rows] + has_lower[rows], indptr[rows + 1]
+    indices = np.empty(nnz, dtype=index)
+    indices[at_upper], indices[at_lower] = u.indices, rows
+    matrices = []
+    for upper, lower, scale in terms:
+        data = np.empty(nnz, dtype=np.complex128)
+        data[at_upper], data[at_lower] = upper, lower
+        data *= scale
+        if data.all():
+            matrices.append(_frozen(dim, data, indices, indptr))
+        else:  # products underflow to 0 at the smallest scales
+            matrices.append(canonical(sp.csr_matrix((data, indices, indptr), shape=u.shape,
+                                                    copy=True)))
+    return matrices
 
 
 def diagonal(values: np.ndarray) -> sp.csr_matrix:
@@ -128,8 +206,7 @@ def diagonal(values: np.ndarray) -> sp.csr_matrix:
 
 def number_operator(basis: FockBasis, mode: int) -> sp.csr_matrix:
     """Diagonal occupation operator n_k; equals a_k^dag a_k exactly."""
-    if mode not in (1, 2):
-        raise ValueError(f"mode must be 1 or 2, got {mode}")
+    _check_mode(mode)
     n1, n2, _ = basis.occupations()
     return diagonal(n1 if mode == 1 else n2)
 
@@ -212,24 +289,50 @@ def _square(x: np.ndarray) -> np.ndarray:
     return _times(x, x)
 
 
-def hermiticity_residual(x: Operand) -> float:
-    """``max_abs(m - m.conj().T)`` for the canonical ``m`` of operand
-    ``x``, bit for bit.
+def transpose_order(m: sp.csr_matrix) -> np.ndarray | None:
+    """The position in ``m.data`` of each entry of ``m``'s transpose, in
+    row-major order, when the transpose stores ``m``'s pattern; None
+    when it stores another.
 
-    A diagonal operand is its own transpose, so the residual is read off
-    its vector.  Otherwise the CSC arrays of ``m`` are the CSR arrays of
-    its transpose: when they store the same pattern as ``m``, as every
-    clean operator's do, max|a_ij - conj(a_ji)| is read off the two data
-    arrays; otherwise it is taken from the difference matrix.
+    The CSC arrays of a matrix are the CSR arrays of its transpose, so
+    the order is the ``data`` of one ``tocsc()`` of the matrix that
+    stores each entry's position on ``m``'s pattern.
     """
-    if isinstance(x, np.ndarray):
-        data, t_data = x, x
-    else:
-        t = x.tocsc()
-        if not same_pattern(t, x):
-            return max_abs(x - x.conj().T)
-        data, t_data = x.data, t.data
-    return _max_abs(data - t_data.conj())
+    positions = np.arange(m.nnz, dtype=m.indices.dtype)
+    t = sp.csr_matrix((positions, m.indices, m.indptr), shape=m.shape).tocsc()
+    return t.data if same_pattern(t, m) else None
+
+
+def hermiticity_residuals(*xs: Operand) -> list[float]:
+    """``max_abs(m - m.conj().T)`` for the canonical ``m`` of each
+    operand, bit for bit.
+
+    A diagonal operand is its own transpose, so its residual is read off
+    its vector.  When the transpose of a matrix stores its pattern, as
+    every clean operator's does, max|a_ij - conj(a_ji)| is read off its
+    data array through ``transpose_order``; a matrix that stores the
+    pattern of the one before it reuses that order, so J_x and J_y take
+    one between them.  Otherwise the residual is taken from the
+    difference matrix.
+    """
+    residuals, pattern, order = [], None, None
+    for x in xs:
+        if isinstance(x, np.ndarray):
+            residuals.append(_max_abs(x - x.conj()))
+            continue
+        if pattern is None or not same_pattern(pattern, x):
+            pattern, order = x, transpose_order(x)
+        residuals.append(max_abs(x - x.conj().T) if order is None
+                         else _adjoint_gap(x.data, order))
+    return residuals
+
+
+def _adjoint_gap(data: np.ndarray, order: np.ndarray) -> float:
+    """max|a_ij - conj(a_ji)| from the entries of a matrix and the order
+    of its transpose's entries among them, with one temporary array."""
+    t_data = data[order]
+    np.conjugate(t_data, out=t_data)
+    return _max_abs(np.subtract(data, t_data, out=t_data))
 
 
 def _scaled_commutator(a: sp.csr_matrix, delta: np.ndarray) -> np.ndarray:
@@ -306,15 +409,16 @@ def commutator_norm(a: sp.csr_matrix, b: Operand, c: sp.csr_matrix | None = None
     return _norm(values[values != 0])
 
 
-def square_sum(a: sp.csr_matrix, b: sp.csr_matrix, x: Operand) -> sp.csr_matrix:
-    """``canonical(a @ a + b @ b + x @ x)`` for canonical matrices ``a``
-    and ``b`` and the canonical matrix of operand ``x``, bit for bit.
+def square_sum(a: sp.csr_matrix, b: sp.csr_matrix, x: Operand) -> Operand:
+    """The operand of ``canonical(a @ a + b @ b + x @ x)`` for canonical
+    matrices ``a`` and ``b`` and the canonical matrix of operand ``x``:
+    its matrix bit for bit, or its diagonal vector.
 
     scipy forms the products a @ a and b @ b.  When they store the same
     pattern the second is added to the first's data array in place;
     when that sum and ``x`` are diagonal the square of ``x`` is added on
-    the diagonal and written with ``diagonal``.  Otherwise scipy forms
-    the sums and x @ x.
+    the diagonal, and the sum is returned as a vector, whose matrix is
+    its ``diagonal``.  Otherwise scipy forms the sums and x @ x.
     """
     total, bb = a @ a, b @ b
     if same_pattern(total, bb):
@@ -325,7 +429,7 @@ def square_sum(a: sp.csr_matrix, b: sp.csr_matrix, x: Operand) -> sp.csr_matrix:
     del bb  # the products are the largest arrays held here
     x = operand(x)
     if isinstance(x, np.ndarray) and _is_diagonal(total):
-        return diagonal(total.diagonal() + _square(x))
+        return total.diagonal() + _square(x)
     x = _matrix(x)
     return canonical(total + x @ x)
 

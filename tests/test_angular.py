@@ -206,12 +206,26 @@ class TestOneExpression:
             assert equal(casimir_residual(amset, epsilon, cas=cas),
                          algebra_casimir_residual(reference, epsilon))
 
-    @pytest.mark.parametrize("hbar", [0.3, 1.0, 2.0, 1e-30])
+    @pytest.mark.parametrize("hbar", [0.1, 0.3, 1.0, 2.0, 1e-30, 1e30])
     def test_matches_sparse_arithmetic(self, hbar):
-        # J_x and J_y through CSR only, J_z and J written from the
-        # occupations: the bits of the expressions over triplet-built modes
-        for n_max in range(41):
+        # J_x and J_y written from the one product a1^dag a2, J_z and J
+        # from the occupations: the bits of the expressions over
+        # triplet-built modes, up to the n_max cap
+        for n_max in [*range(41), 500, 1000]:
             basis = build_basis(n_max)
             amset, reference = build_set(basis, hbar), arithmetic_set(basis, hbar)
             for name in ("jx", "jy", "jz", "jtot"):
                 assert identical(getattr(amset, name), getattr(reference, name)), (n_max, name)
+
+    @pytest.mark.parametrize("hbar", [5e-324, 1e-320])
+    def test_underflowing_entries_are_dropped(self, hbar):
+        # hbar/2 times an entry underflows to 0 here: at 5e-324 every
+        # entry does, at 1e-320 the small ones
+        for n_max in (0, 1, 3, 12):
+            basis = build_basis(n_max)
+            amset, reference = build_set(basis, hbar), arithmetic_set(basis, hbar)
+            for name in ("jx", "jy", "jz", "jtot"):
+                op = getattr(amset, name)
+                assert op.data.all(), (n_max, name)
+                assert identical(op, getattr(reference, name)), (n_max, name)
+        assert build_set(build_basis(3), 5e-324).jx.nnz == 0

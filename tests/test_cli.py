@@ -111,13 +111,13 @@ OFF_DIAGONAL_BREAKERS = {
 # of the commutator norms do
 FALLBACK_BREAKERS = {
     # off J_x's band: off J_y's pattern and its own transpose's; J^2 off-diagonal
-    "jx,0,5,1e-3": ({"hermiticity_residual", "commutator_norm", "square_sum",
+    "jx,0,5,1e-3": ({"hermiticity_residuals", "commutator_norm", "square_sum",
                      "quadratic_residuals"}, 3),
     # off the diagonal of J_z: J_z is a matrix, so [J_y, J_z] and [J_x, J_z] multiply
-    "jz,5,6,1e-3": ({"hermiticity_residual", "commutator_norm", "square_sum",
+    "jz,5,6,1e-3": ({"hermiticity_residuals", "commutator_norm", "square_sum",
                      "quadratic_residuals"}, 3),
     # off the diagonal of J
-    "jtot,3,4,1e-3": ({"hermiticity_residual", "quadratic_residuals"}, 0),
+    "jtot,3,4,1e-3": ({"hermiticity_residuals", "quadratic_residuals"}, 0),
     # on J_x's band, so J^2 alone stores entries off its diagonal
     "jx,3,4,1e-3": ({"commutator_norm", "square_sum", "quadratic_residuals"}, 1),
     # J_z stores its m = 0 entry, which [J_x, J_y] does not
@@ -342,14 +342,14 @@ class TestVerify:
 
     def test_casimir_built_once(self, capsys, monkeypatch):
         calls = []
-        real = angular.casimir
+        real = angular.casimir_operand
 
         def counting(amset):
             calls.append(amset)
             return real(amset)
 
-        monkeypatch.setattr(angular, "casimir", counting)
-        monkeypatch.setattr(cli, "casimir", counting)
+        monkeypatch.setattr(angular, "casimir_operand", counting)
+        monkeypatch.setattr(cli, "casimir_operand", counting)
         code, _, _ = run_cli(capsys, "verify", "--nmax", "6", "--no-meta")
         assert code == 0 and len(calls) == 1
 
@@ -359,20 +359,26 @@ class TestVerify:
         assert code == 0 and calls == [list(range(7))]
 
     def test_canonicalizations_counted(self, capsys, monkeypatch):
-        # the mode operators, the four J and J^2; every residual goes
-        # straight to its norm
+        # every operator of a clean set is written in canonical order and
+        # J^2 is a vector, so nothing is canonicalized; a corruption
+        # canonicalizes its bump, the bumped J_x and J^2, which then
+        # stores entries off its diagonal
         calls = counting_canonical(monkeypatch)
         code, _, _ = run_cli(capsys, "verify", "--nmax", "4", "--no-meta")
-        assert code == 0 and 0 < len(calls) <= 7
+        assert code == 0 and calls == []
+        code, _, _ = run_cli(capsys, "verify", "--nmax", "4", "--no-meta",
+                             "--corrupt", "jx,1,3,1e-6")
+        assert code == 1 and calls == [(15, 15)] * 3
 
     def test_constructions_counted(self, capsys, monkeypatch):
-        # the mode operators and the diagonal J_z and J are written as
-        # CSR directly, Hermiticity takes one CSC copy of J_x and of J_y,
-        # and the battery forms only the products J_x J_y, J_y J_x, J_x^2
-        # and J_y^2, whose pairs are combined on their data arrays
+        # the mode operators, J_x, J_y and the diagonal J_z and J are
+        # written as CSR directly, Hermiticity takes one CSC copy of J_x's
+        # pattern for J_x and J_y, and the battery forms only the
+        # products J_x J_y, J_y J_x, J_x^2 and J_y^2, whose pairs are
+        # combined on their data arrays
         calls = counting_constructions(monkeypatch)
         code, _, _ = run_cli(capsys, "verify", "--nmax", "5", "--no-meta")
-        assert code == 0 and 0 < len(calls) <= 29
+        assert code == 0 and 0 < len(calls) <= 18
 
     @pytest.mark.parametrize("directive", [None, *FALLBACK_BREAKERS])
     def test_fallbacks_run_on_pattern_mismatch(self, monkeypatch, directive):
@@ -435,6 +441,13 @@ class TestVerify:
         )
         assert code == 2 and "corrupt" in err
 
+    def test_empty_corrupt_spec(self, capsys):
+        # an empty directive is a bad directive, not "no corruption"
+        code, out, err = run_cli(capsys, "verify", "--nmax", "3", "--no-meta",
+                                 "--corrupt", "")
+        assert (code, out) == (2, "")
+        assert err == "error: bad --corrupt value ''; expected OP,ROW,COL,DELTA\n"
+
     def test_csv_json_numeric_parity(self, capsys):
         _, json_out, _ = run_cli(capsys, "verify", "--nmax", "5", "--no-meta")
         _, csv_out, _ = run_cli(
@@ -465,7 +478,7 @@ def spread_of_discs(amset, cas) -> np.ndarray:
 
 
 class TestHermiticityResidual:
-    """``hermiticity_residual`` is ``max_abs(op - op^dag)`` to the bit,
+    """``hermiticity_residuals`` gives ``max_abs(op - op^dag)`` to the bit,
     whether it reads the two data arrays (the transpose stores the same
     pattern) or forms the difference matrix (it does not)."""
 
@@ -475,7 +488,7 @@ class TestHermiticityResidual:
         real = operators.max_abs
         monkeypatch.setattr(operators, "max_abs", lambda m: fallbacks.append(m) or real(m))
         with np.errstate(invalid="ignore"):
-            got = operators.hermiticity_residual(op)
+            got = operators.hermiticity_residuals(op)[0]
             want = real(op - op.conj().T)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert len(fallbacks) == (0 if same_pattern else 1)
@@ -502,17 +515,36 @@ class TestHermiticityResidual:
         self.assert_same_bits(monkeypatch, operators.canonical(
             op + from_entries(op.shape[0], [row], [col], [delta])), same_pattern)
 
+    def test_jy_off_the_shared_pattern_takes_its_own(self, monkeypatch, capsys):
+        # jy,0,5 puts J_y off J_x's pattern, so J_y takes its own
+        # transpose order, which finds (5, 0) unstored: the difference
+        # matrix judges it
+        amset = build_set(build_basis(4), 0.3)
+        bad = cli._apply_corruption(amset, cli._parse_corruption("jy,0,5,1e-3", amset.basis.size))
+        orders, fallbacks = [], []
+        real_order, real = operators.transpose_order, operators.max_abs
+        monkeypatch.setattr(operators, "transpose_order",
+                            lambda m: orders.append(m) or real_order(m))
+        monkeypatch.setattr(operators, "max_abs", lambda m: fallbacks.append(m) or real(m))
+        got = operators.hermiticity_residuals(bad.jx, bad.jy)
+        want = [real(op - op.conj().T) for op in (bad.jx, bad.jy)]
+        assert np.array(got).tobytes() == np.array(want).tobytes() and got[1] > 0
+        assert [m is bad.jy for m in orders] == [False, True] and len(fallbacks) == 1
+        code, _, err = run_cli(capsys, "verify", "--nmax", "4", "--no-meta",
+                               "--corrupt", "jy,0,5,1e-3")
+        assert code == 1 and "FAILED hermitian_jy:" in err
+
     def test_transpose_with_the_same_row_counts(self, monkeypatch):
         # a cyclic permutation: one entry in every row of op and of op^T,
         # but in other columns, so the data arrays do not line up
         op = from_entries(3, [0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0])
         self.assert_same_bits(monkeypatch, op, False)
-        assert operators.hermiticity_residual(op) == 3.0
+        assert operators.hermiticity_residuals(op)[0] == 3.0
 
     def test_operator_storing_nothing(self, monkeypatch):
         op = from_entries(6, [], [], [])
         self.assert_same_bits(monkeypatch, op, True)
-        assert operators.hermiticity_residual(op) == 0.0
+        assert operators.hermiticity_residuals(op)[0] == 0.0
 
     @pytest.mark.parametrize("values", [
         [0.0, 0.5, -1.5, 0.0],
@@ -529,7 +561,7 @@ class TestHermiticityResidual:
         x = operators.operand(d)
         assert isinstance(x, np.ndarray)
         with np.errstate(invalid="ignore"):
-            got = operators.hermiticity_residual(x)
+            got = operators.hermiticity_residuals(x)[0]
             want = operators.max_abs(d - d.conj().T)
         assert np.float64(got).tobytes() == np.float64(want).tobytes() and not copies
 
@@ -537,7 +569,7 @@ class TestHermiticityResidual:
         for n_max in (0, 1, 7, 40):
             amset = build_set(build_basis(n_max), 0.3)
             for x in (amset.jz_operand, amset.jtot_operand):
-                assert isinstance(x, np.ndarray) and operators.hermiticity_residual(x) == 0.0
+                assert isinstance(x, np.ndarray) and operators.hermiticity_residuals(x)[0] == 0.0
 
 
 class TestCasimirDiscs:
@@ -699,12 +731,12 @@ class TestSpectrum:
     def test_canonicalizations_counted(self, capsys, monkeypatch):
         calls = counting_canonical(monkeypatch)
         code, _, _ = run_cli(capsys, "spectrum", "--n", "5", "--no-meta")
-        assert code == 0 and 0 < len(calls) <= 7
+        assert code == 0 and calls == []
 
     def test_constructions_counted(self, capsys, monkeypatch):
         calls = counting_constructions(monkeypatch)
         code, _, _ = run_cli(capsys, "spectrum", "--n", "5", "--no-meta")
-        assert code == 0 and 0 < len(calls) <= 23
+        assert code == 0 and 0 < len(calls) <= 12
 
     @pytest.mark.parametrize("flags", [["--tol", "1e-100"], ["--hbar", "1e120"]])
     @pytest.mark.parametrize("fmt", ["json", "csv"])

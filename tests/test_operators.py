@@ -20,6 +20,7 @@ from schwinger.operators import (
     canonical,
     commutator,
     commutator_norm,
+    creation,
     diagonal,
     diagonal_of,
     fro_norm,
@@ -30,6 +31,7 @@ from schwinger.operators import (
     row_indices,
     same_pattern,
     square_sum,
+    transpose_order,
 )
 
 from conftest import dense_annihilation, dense_number, max_entry_diff
@@ -90,6 +92,21 @@ class TestDirectBuilders:
             assert identical(number_operator(basis, mode),
                              triplet_number_operator(basis, mode)), n_max
             assert ladder.indices.dtype == ladder.indptr.dtype == np.int32
+
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_creation_is_the_transpose(self, mode):
+        # the mode operators are real: the transpose is the adjoint, and
+        # the .conj() form differs only in the sign of each zero
+        # imaginary part
+        for n_max in range(41):
+            basis = build_basis(n_max)
+            raising = creation(basis, mode)
+            assert identical(raising, canonical(annihilation(basis, mode).T.tocsr())), n_max
+            assert raising.indices.dtype == raising.indptr.dtype == np.int32
+
+    def test_creation_bad_mode(self):
+        with pytest.raises(ValueError):
+            creation(build_basis(1), 0)
 
     def test_diagonal_drops_exact_zeros_keeps_non_finite(self):
         values = np.array([0.0, -0.5, 0.0, np.nan, np.inf, -0.0])
@@ -475,6 +492,51 @@ def shared_pattern_operands(draw, dim: int | None = None):
                  for _ in range(2))
 
 
+@st.composite
+def random_pattern(draw):
+    """A canonical matrix of distinct nonzero entries on a random
+    pattern, closed under transposition half the time."""
+    dim = draw(st.integers(1, 9))
+    index = st.integers(0, dim - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=3 * dim))
+    if draw(st.booleans()):
+        pairs += [(j, i) for i, j in pairs]
+    pairs = sorted(set(pairs))
+    rows, cols = zip(*pairs) if pairs else ((), ())
+    return from_entries(dim, rows, cols, np.arange(1, len(pairs) + 1) * (1 - 0.5j))
+
+
+class TestTransposeOrder:
+    """``transpose_order(m)`` puts ``m.data`` in the order of
+    ``m.tocsc().data`` when the transpose stores m's pattern and is None
+    otherwise; ``hermiticity_residuals`` takes one per pattern."""
+
+    @settings(deadline=None)
+    @given(random_pattern())
+    def test_matches_tocsc(self, m):
+        t, order = m.tocsc(), transpose_order(m)
+        if same_pattern(t, m):
+            assert np.array_equal(m.data[order], t.data)
+        else:
+            assert order is None
+
+    def test_asymmetric_pattern_takes_the_difference_matrix(self):
+        m = from_entries(4, [0, 1, 1], [1, 0, 3], [1.0, 2j, -0.5])
+        assert transpose_order(m) is None
+        with counting("max_abs") as (fallbacks, real):
+            (got,) = operators.hermiticity_residuals(m)
+        assert len(fallbacks) == 1 and bits(got) == bits(real(m - m.conj().T))
+
+    def test_one_order_serves_jx_and_jy(self):
+        amset = build_set(build_basis(6), 0.3)
+        assert same_pattern(amset.jx, amset.jy)
+        with counting("transpose_order") as (calls, _), counting("max_abs") as (fallbacks, _):
+            residuals = operators.hermiticity_residuals(
+                amset.jx, amset.jy, amset.jz_operand, amset.jtot_operand)
+        assert len(calls) == 1 and calls[0][0] is amset.jx and not fallbacks
+        assert residuals == [0.0] * 4
+
+
 class TestCommutatorPlusTerm:
     """``commutator_norm(a, b, c, s)`` is the norm of ``[a, b] + c * s``
     taken by scipy to the bit, whether it adds ``c``'s data to the
@@ -582,8 +644,9 @@ def nan_parts_unsigned(m: sp.csr_matrix) -> sp.csr_matrix:
 class TestSquareSum:
     """``square_sum(a, b, x)`` is ``canonical(a @ a + b @ b + x @ x)`` to
     the bit, data, index dtypes and read-only flags, whether it adds on
-    arrays (the sum of the squares and x are diagonal) or forms the sums
-    (otherwise), and whether the two squares share a pattern.  Only the
+    arrays (the sum of the squares and x are diagonal), and returns the
+    vector whose ``diagonal`` that is, or forms the sums (otherwise),
+    and whether the two squares share a pattern.  Only the
     sign of a NaN part may differ: when both terms of a sum are NaN,
     which one numpy's vectorized add passes on is its own choice, and no
     output shows a NaN's sign."""
@@ -598,9 +661,11 @@ class TestSquareSum:
                 from_vector = square_sum(a_, b_, operand(x_))
                 total = a_ @ a_ + b_ @ b_
                 want = canonical(total + x_ @ x_)
-            for m in (got, from_vector):
-                assert identical(nan_parts_unsigned(m), nan_parts_unsigned(want))
             arrays = _is_diagonal(total) and _is_diagonal(x_)
+            for sq in (got, from_vector):
+                assert isinstance(sq, np.ndarray) == arrays
+                m = diagonal(sq) if arrays else sq
+                assert identical(nan_parts_unsigned(m), nan_parts_unsigned(want))
             assert len(fallbacks) == 2 * (not arrays)
 
     @settings(deadline=None)
