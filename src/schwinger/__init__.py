@@ -1,6 +1,6 @@
 """Quantum angular momentum from two coupled boson modes.
 
-Builds J_x, J_y, J_z and the total J as sparse matrices over a truncated
+Builds J_x, J_y, J_z and the total J as diagonal bands over a truncated
 two-mode Fock basis, reads each exact spin-j block off their rows, and
 verifies the algebra numerically: commutation relations, the j(j+1)
 hbar^2 spectrum, the 2j+1 level structure, the half-integer sum rule,

@@ -34,22 +34,24 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .angular import AngularMomentumSet, build_set, casimir_operand
+from .angular import AngularMomentumSet, build_set, casimir_band
 from .classical import sample_amplitudes
 from .fock import build_basis
 from .operators import (
-    Operand,
-    canonical,
-    commutator_norm,
-    diagonal_of,
-    from_entries,
-    hermiticity_residuals,
-    off_diagonal,
-    quadratic_residuals,
+    Band,
+    adjoint,
+    commutator,
+    fro_norm,
+    max_abs,
+    minus,
+    plus,
+    product,
+    rows_of,
+    scaled,
 )
 from .spectra import block_table, cos_theta, sum_rule_check
 
-# verify at n_max 1000 (dimension 501501) takes 1.4-1.6 s and 217 MB
+# verify at n_max 1000 (dimension 501501) takes 1.3-2.0 s and 194 MB
 # from the shell, below the 5 s of classical at COUNT_LIMIT on 2 CPUs; at
 # 1500 it took 9 s and 500 MB
 N_MAX_LIMIT = 1000
@@ -412,38 +414,44 @@ def _emit(config: RunConfig, command: str, json_doc: dict, csv_tables: list[Tabl
 # ---------------------------------------------------------------------------
 # verify battery
 
+def _diagonal(op: Band, dim: int) -> np.ndarray:
+    """The main diagonal of the band ``op``."""
+    return op[0] if 0 in op else np.zeros(dim, dtype=np.complex128)
+
+
 def _block_leak_residual(ops: tuple, totals: np.ndarray) -> float:
-    """Largest entry of the operands ``ops`` connecting different
-    constant-n blocks (should be 0); ``totals`` is n of every state."""
-    leaking = []
+    """Largest entry of the bands ``ops`` connecting different constant-n
+    blocks (should be 0); ``totals`` is n of every state."""
+    dim = len(totals)
+    leaking = [0.0]
     for op in ops:
-        rows, cols, values = off_diagonal(op)
-        leaking.append(values[totals[rows] != totals[cols]])
-    return float(np.max(np.abs(np.concatenate(leaking)), initial=0.0))
+        for p, values in op.items():
+            if not p:
+                continue
+            rows = rows_of(p, dim)
+            leaks = totals[rows] != totals[rows_of(-p, dim)]
+            leaking.append(np.max(np.abs(values[rows][leaks]), initial=0.0))
+    return float(np.max(leaking))
 
 
-def _total_momentum_residual(jt: Operand, hbar: float, totals: np.ndarray) -> float:
-    """J must be diagonal with entry hbar*n/2 at every state."""
-    deviations = (off_diagonal(jt)[2], diagonal_of(jt) - 0.5 * hbar * totals)
-    return float(np.max(np.abs(np.concatenate(deviations))))
-
-
-def _blocks(amset: AngularMomentumSet, cas: Operand, first: int) -> dict:
+def _blocks(amset: AngularMomentumSet, cas: Band, first: int) -> dict:
     """The ``block_table`` of blocks ``first`` .. n_max.
 
-    Every block is read off its rows of the global J_z and of ``cas``,
-    the global canonical J^2 or its operand.  The Gershgorin discs of
-    J^2 are read off its stored entries: each centre is its real
-    diagonal and each radius sums the magnitudes it stores off the
-    diagonal of that row, entries that leak into other blocks included.
-    A clean J^2 stores none, so every radius is 0.
+    Every block is read off its rows of the bands of J_z and of ``cas``,
+    J^2.  The Gershgorin discs of J^2 are read off its stored entries:
+    each centre is its real diagonal and each radius sums the magnitudes
+    it stores off the diagonal of that row, entries that leak into other
+    blocks included, with the columns ascending.  A clean J^2 stores
+    none, so every radius is 0.
     """
-    entry_rows, _, values = off_diagonal(cas)
-    radii = np.bincount(entry_rows, weights=np.abs(values), minlength=amset.basis.size)
+    dim = amset.basis.size
     rows = slice(amset.basis.block_range(first).start, None)
-    jz_diag = diagonal_of(amset.jz_operand)[rows]
-    return block_table(range(first, amset.basis.n_max + 1), amset.hbar, jz_diag,
-                       diagonal_of(cas).real[rows], radii[rows])
+    radii = np.zeros(dim - rows.start)
+    for p in sorted(cas):
+        if p:
+            radii += np.abs(cas[p][rows])
+    return block_table(range(first, amset.basis.n_max + 1), amset.hbar,
+                       _diagonal(amset.jz, dim)[rows], _diagonal(cas, dim).real[rows], radii)
 
 
 def _verdict(checks: list[dict], tol: float) -> int:
@@ -463,37 +471,35 @@ def run_battery(amset: AngularMomentumSet, tol: float):
     record per block in the fixed report schema.
     """
     hbar = amset.hbar
-    jx, jy, jz = amset.jx, amset.jy, amset.jz
-    # J_z, J and J^2 are read once each as operands: diagonal vectors on
-    # a clean set, applied elementwise to the other operand's entries
-    z, t = amset.jz_operand, amset.jtot_operand
+    jx, jy, jz, jt = amset.jx, amset.jy, amset.jz, amset.jtot
     _, _, totals = amset.basis.occupations()
     checks: list[tuple[str, float]] = []
 
-    checks += zip(("hermitian_jx", "hermitian_jy", "hermitian_jz", "hermitian_jtot"),
-                  hermiticity_residuals(jx, jy, z, t))
-    checks.append(("block_structure", _block_leak_residual((jx, jy, z, t), totals)))
-    checks.append(("total_momentum_diagonal", _total_momentum_residual(t, hbar, totals)))
+    for name, op in (("hermitian_jx", jx), ("hermitian_jy", jy),
+                     ("hermitian_jz", jz), ("hermitian_jtot", jt)):
+        checks.append((name, max_abs(minus(op, adjoint(op)))))
+    checks.append(("block_structure", _block_leak_residual((jx, jy, jz, jt), totals)))
+    # J must be diagonal with entry hbar*n/2 at every state
+    expected = {0: 0.5 * hbar * totals + 0j}
+    checks.append(("total_momentum_diagonal", max_abs(minus(jt, expected))))
 
-    # [J_x, J_y] multiplies; [J_y, J_z] and [J_x, J_z] scale entries by
-    # J_z's diagonal.  |J_y(-i hbar) - [J_x, J_z]| is |[J_x, J_z] + i hbar J_y|
-    checks.append(("commutator_xy_z", commutator_norm(jx, jy, jz, -1j * hbar)))
-    checks.append(("commutator_yz_x", commutator_norm(jy, z, jx, -1j * hbar)))
-    checks.append(("commutator_zx_y", commutator_norm(jx, z, jy, 1j * hbar)))
+    for name, a, b, c in (("commutator_xy_z", jx, jy, jz), ("commutator_yz_x", jy, jz, jx),
+                          ("commutator_zx_y", jz, jx, jy)):
+        checks.append((name, fro_norm(plus(commutator(a, b), scaled(c, -1j * hbar)))))
 
-    # |[J^2, J_i]| = |[J_i, J^2]|
-    cas = casimir_operand(amset)
+    cas = casimir_band(amset)
     for name, op in (("casimir_commutes_x", jx), ("casimir_commutes_y", jy),
                      ("casimir_commutes_z", jz)):
-        checks.append((name, commutator_norm(op, cas)))
+        checks.append((name, fro_norm(commutator(cas, op))))
     for name, op in (("total_commutes_x", jx), ("total_commutes_y", jy),
                      ("total_commutes_z", jz)):
-        checks.append((name, commutator_norm(op, t)))
+        checks.append((name, fro_norm(commutator(op, jt))))
 
     # J^2 - (J J + hbar J) and (J^2 - J J) - hbar J
-    quantum, classical_form = quadratic_residuals(cas, t, hbar)
-    checks.append(("quadratic_identity_quantum", quantum))
-    checks.append(("quadratic_identity_classical_form", classical_form))
+    jj, hbar_j = product(jt, jt), scaled(jt, hbar)
+    checks.append(("quadratic_identity_quantum", max_abs(minus(cas, plus(jj, hbar_j)))))
+    checks.append(("quadratic_identity_classical_form",
+                   max_abs(minus(minus(cas, jj), hbar_j))))
 
     blocks = _blocks(amset, cas, 0)
     for name, column in (
@@ -540,9 +546,9 @@ def _parse_corruption(directive: str, dim: int) -> tuple[str, int, int, float]:
 def _apply_corruption(amset: AngularMomentumSet, corruption) -> AngularMomentumSet:
     """Test hook: add DELTA to entry (ROW, COL) of operator OP."""
     name, row, col, delta = corruption
-    op = getattr(amset, name)
-    bump = from_entries(op.shape[0], [row], [col], [delta])
-    return dataclasses.replace(amset, **{name: canonical(op + bump)})
+    bump = np.zeros(amset.basis.size, dtype=np.complex128)
+    bump[row] = delta
+    return dataclasses.replace(amset, **{name: plus(getattr(amset, name), {col - row: bump})})
 
 
 def cmd_verify(n_max: int, hbar: float, tol: float, corruption: tuple | None = None):
@@ -566,7 +572,7 @@ def cmd_spectrum(n: int, n_max: int, hbar: float, tol: float):
     # block n is exact in any basis that holds it, so the basis stops at n;
     # n_max is only echoed
     amset = build_set(build_basis(n), hbar)
-    block = _blocks(amset, casimir_operand(amset), n)
+    block = _blocks(amset, casimir_band(amset), n)
     value, mean_square, spread, grid_dev = (
         float(block[c][0]) for c in ("casimir", "mean_square", "spread", "grid_dev"))
     levels = {"two_mj": range(n, -n - 1, -2), "jz": block["levels"]}

@@ -1,24 +1,30 @@
-"""Sparse complex operators over a truncated two-mode Fock basis.
+"""Operators over a truncated two-mode Fock basis.
 
-Every operator is one canonical, read-only ``scipy.sparse.csr_matrix``:
-column indices sorted within each row, duplicate positions merged, exact
-zeros dropped, and its ``data``, ``indices`` and ``indptr`` frozen.
-``canonical`` puts a matrix of unknown order in that form.  The
-builders whose structure is known, ``annihilation``, ``creation``,
-``diagonal``, ``number_operator`` and ``mirrored``, write their arrays
-in that order directly and only freeze them.  NaN and inf
-entries stay, so a check that meets one fails.  ``commutator`` returns
-a fresh, writable matrix for ``max_abs`` or ``fro_norm`` to read.
+The mode ladder operators are canonical, read-only
+``scipy.sparse.csr_matrix`` matrices: column indices sorted within each
+row, duplicate positions merged, exact zeros dropped, and ``data``,
+``indices`` and ``indptr`` frozen.  ``annihilation``, ``creation``,
+``diagonal`` and ``number_operator`` write their arrays in that order
+directly; ``canonical`` and ``from_entries`` put a matrix of unknown
+order in that form.
 
-The helpers that read a residual off operators follow one rule: a
-diagonal operand is a vector, shared patterns combine data arrays, and
-scipy handles products and mismatches.  ``operand`` reads an operator
-that stores nothing off its diagonal once, as its diagonal vector, and
-the helpers apply that vector elementwise to the other operand's
-entries; two operands with the same ``indptr`` and ``indices`` combine
-their ``data`` arrays entry by entry; scipy forms only the true
-products and the sums whose patterns differ.  Each helper equals the
-scipy expression it replaces bit for bit.
+Everything built from them is a *band*: a dict that maps each offset p
+to a complex array of length dim whose entry i is the element
+(i, i + p).  An entry of 0 is not stored, as a canonical matrix stores
+exactly its nonzeros; an offset whose array is all zero is left out, and
+any offset may appear.  Every J operator keeps the total occupation, so
+in the basis order it stores only diagonals: J_x and J_y the first
+off-diagonals, J_z, J and a clean J^2 the main one.
+
+The band algebra equals scipy's arithmetic on the canonical matrices
+bit for bit.  ``product`` sums the terms of each output entry from 0 in
+scipy's column order, each rounded as scipy's sparse product rounds it,
+and forms a term only where both factors store an entry, so NaN and inf
+spread as they do through scipy.  ``plus`` and ``minus`` work
+elementwise over the union of the offsets, ``scaled`` multiplies as
+scipy's scalar product does, and ``adjoint`` conjugates and shifts.
+``fro_norm`` and ``max_abs`` read the stored entries in row-major order,
+and ``to_csr`` writes a band as its canonical matrix.
 """
 
 from __future__ import annotations
@@ -28,34 +34,8 @@ import scipy.sparse as sp
 
 from .fock import FockBasis, position
 
-
-def max_abs(m: sp.spmatrix) -> float:
-    """Largest stored-entry magnitude of ``m`` (0 when it stores none)."""
-    return _max_abs(m.data)
-
-
-def _max_abs(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values), initial=0.0))
-
-
-def fro_norm(m: sp.csr_matrix) -> float:
-    """Frobenius norm over the stored entries of ``m``, summed in row-major
-    order: the column indices of each row are sorted in place first."""
-    m.sort_indices()
-    return _norm(m.data)
-
-
-def _norm(values: np.ndarray) -> float:
-    """sqrt(sum |v|^2) over ``values`` in their order, except when that sum
-    overflows: then the entries are first scaled by the largest
-    magnitude, so a norm that fits in a double comes out finite."""
-    mags = np.abs(values)
-    with np.errstate(over="ignore"):
-        total = np.sum(mags ** 2)
-    if np.isinf(total) and np.isfinite(mags.max()):
-        big = mags.max()
-        return float(big * np.sqrt(np.sum((mags / big) ** 2)))
-    return float(np.sqrt(total))
+# offset -> complex array of length dim, as the module docstring says
+Band = dict
 
 
 def canonical(m: sp.spmatrix) -> sp.csr_matrix:
@@ -74,11 +54,6 @@ def _freeze(m: sp.csr_matrix) -> sp.csr_matrix:
     for arr in (m.data, m.indices, m.indptr):
         arr.flags.writeable = False
     return m
-
-
-def row_indices(m: sp.csr_matrix) -> np.ndarray:
-    """Row index of every stored entry of ``m``, in row-major order."""
-    return np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
 
 
 def from_entries(dim: int, rows, cols, vals) -> sp.csr_matrix:
@@ -161,42 +136,6 @@ def creation(basis: FockBasis, mode: int) -> sp.csr_matrix:
     return _frozen(basis.size, np.sqrt(nk[rows]), position(*lowered), indptr)
 
 
-def mirrored(u: sp.csr_matrix, *terms: tuple) -> list[sp.csr_matrix]:
-    """For each (upper, lower, scale) of ``terms``, the canonical matrix
-    of ``upper`` on the pattern of ``u`` and ``lower`` on the pattern of
-    its transpose, times ``scale``, exact zeros dropped.
-
-    ``u`` stores at most one entry per row, just right of the diagonal,
-    so row i holds the mirror of row i - 1's entry at column i - 1, then
-    its own at column i + 1.  The index arrays are written in that order
-    once and shared by every matrix that stores no zero; one that does
-    is canonicalized from a copy.  Each product is one elementwise
-    scaling of the data, as scipy scales a matrix.
-    """
-    dim, nnz = u.shape[0], 2 * u.nnz
-    index = _index_dtype(dim, nnz)
-    has_upper = np.diff(u.indptr)
-    has_lower = np.zeros_like(has_upper)
-    has_lower[1:] = has_upper[:-1]
-    indptr = np.zeros(dim + 1, dtype=index)
-    np.cumsum(has_upper + has_lower, out=indptr[1:])
-    rows = np.flatnonzero(has_upper)
-    at_upper, at_lower = indptr[rows] + has_lower[rows], indptr[rows + 1]
-    indices = np.empty(nnz, dtype=index)
-    indices[at_upper], indices[at_lower] = u.indices, rows
-    matrices = []
-    for upper, lower, scale in terms:
-        data = np.empty(nnz, dtype=np.complex128)
-        data[at_upper], data[at_lower] = upper, lower
-        data *= scale
-        if data.all():
-            matrices.append(_frozen(dim, data, indices, indptr))
-        else:  # products underflow to 0 at the smallest scales
-            matrices.append(canonical(sp.csr_matrix((data, indices, indptr), shape=u.shape,
-                                                    copy=True)))
-    return matrices
-
-
 def diagonal(values: np.ndarray) -> sp.csr_matrix:
     """The canonical diagonal matrix of ``values``, exact zeros dropped."""
     rows = np.flatnonzero(values)
@@ -211,241 +150,168 @@ def number_operator(basis: FockBasis, mode: int) -> sp.csr_matrix:
     return diagonal(n1 if mode == 1 else n2)
 
 
-def _check_dims(a, b):
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-
-
-def _is_diagonal(m: sp.csr_matrix) -> bool:
-    """True when ``m`` stores no entry off its diagonal: the rows that
-    hold an entry are as many as its entries, so each holds one, and
-    they are its columns."""
-    return np.array_equal(np.flatnonzero(np.diff(m.indptr)), m.indices)
-
-
 # ---------------------------------------------------------------------------
-# operands: a canonical matrix, or the diagonal vector of one that stores
-# nothing off its diagonal
+# the band algebra
 
-Operand = sp.csr_matrix | np.ndarray
+def band(diagonals: dict) -> Band:
+    """``diagonals`` without the offsets whose arrays are all zero."""
+    return {p: values for p, values in diagonals.items() if values.any()}
 
 
-def operand(m: Operand) -> Operand:
-    """``m`` as the helpers below read it: its diagonal as a vector when
-    the canonical ``m`` stores nothing off its diagonal, otherwise ``m``
-    itself.  A vector is already an operand and comes back as it is.
+def rows_of(p: int, dim: int) -> slice:
+    """The rows i whose entry (i, i + p) lies inside a dim x dim matrix;
+    ``rows_of(-p, dim)`` are those entries' columns."""
+    return slice(max(0, -p), dim - max(0, p))
 
-    The vector keeps every entry: a canonical matrix stores exactly the
-    nonzero entries of its diagonal.  Only the sign of a zero real or
-    imaginary part is lost, since ``diagonal()`` adds each entry to 0;
-    no magnitude, and no sparse product, depends on it.
+
+def _times(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x * y elementwise for complex arrays of one shape, written to
+    ``out``, each part rounded as scipy's sparse product rounds it: two
+    products and one sum.  (numpy's complex multiply may fuse a product
+    into the sum.)"""
+    np.multiply(x.real, y.real, out=out.real)
+    out.real -= x.imag * y.imag
+    np.multiply(x.real, y.imag, out=out.imag)
+    out.imag += x.imag * y.real
+    return out
+
+
+def _plain(x: np.ndarray) -> bool:
+    """True when every entry of ``x`` is real, or every one imaginary:
+    then numpy's complex multiply by ``x`` has no product to fuse and
+    rounds as ``_times`` does."""
+    return not x.imag.any() or not x.real.any()
+
+
+def product(a: Band, b: Band) -> Band:
+    """The band of the matrix product ab.
+
+    Entry (i, i + p + q) gathers the terms a(i, i + p) b(i + p, i + p + q)
+    with p ascending, scipy's column order, onto a sum that starts from
+    0.  A term is formed only where both factors store an entry: when
+    the terms of one (p, q) do not sum to a finite value, those with an
+    unstored factor are reset to 0, so a stored inf or NaN meets no
+    unstored 0.
     """
-    if isinstance(m, np.ndarray):
-        return m
-    return m.diagonal() if _is_diagonal(m) else m
+    out = {}
+    spare = None  # holds a term to add onto a sum already begun
+    for p, x in sorted(a.items()):
+        dim = len(x)
+        rows, cols = rows_of(p, dim), rows_of(-p, dim)
+        xs = x[rows]
+        x_plain = _plain(xs)
+        for q, y in b.items():
+            ys = y[cols]
+            begun = p + q in out
+            if not begun:
+                out[p + q] = np.zeros(dim, dtype=np.complex128)
+            elif spare is None:
+                spare = np.empty(dim, dtype=np.complex128)
+            term = (spare if begun else out[p + q])[rows]
+            if x_plain or _plain(ys):
+                np.multiply(xs, ys, out=term)
+            else:
+                _times(xs, ys, term)
+            if not np.isfinite(term.sum()):
+                term[(xs == 0) | (ys == 0)] = 0
+            if begun:
+                out[p + q][rows] += term
+            else:
+                term += 0  # the sum starts from 0, which turns a -0.0 part to 0.0
+    return band(out)
 
 
-def _matrix(x: Operand) -> sp.csr_matrix:
-    """The canonical matrix of an operand."""
-    return diagonal(x) if isinstance(x, np.ndarray) else x
+def _combine(ufunc, a: Band, b: Band, *, into_a: bool = False) -> Band:
+    """``ufunc`` of a and b entry by entry over the union of their
+    offsets, an unstored entry read as 0, as scipy combines two
+    canonical matrices.  With ``into_a`` the arrays of ``a``, which no
+    one else holds, take the results."""
+    out = {}
+    for p in a.keys() | b.keys():
+        if p not in b:
+            values = ufunc(a[p], 0, out=a[p] if into_a else None)
+        elif p not in a:
+            values = ufunc(0, b[p])
+        else:
+            values = ufunc(a[p], b[p], out=a[p] if into_a else None)
+        if values.any():
+            out[p] = values
+    return out
 
 
-def diagonal_of(x: Operand) -> np.ndarray:
-    """The diagonal of an operand, as a vector."""
-    return x if isinstance(x, np.ndarray) else x.diagonal()
+def plus(a: Band, b: Band) -> Band:
+    """a + b."""
+    return _combine(np.add, a, b)
 
 
-def off_diagonal(x: Operand) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and value of every entry an operand stores off its
-    diagonal, in row-major order."""
-    if isinstance(x, np.ndarray):
-        none = np.zeros(0, dtype=np.int64)
-        return none, none, x[:0]
-    rows = row_indices(x)
-    off = rows != x.indices
-    if off.all():
-        return rows, x.indices, x.data
-    return rows[off], x.indices[off], x.data[off]
+def minus(a: Band, b: Band) -> Band:
+    """a - b."""
+    return _combine(np.subtract, a, b)
 
 
-def same_pattern(a: sp.spmatrix, b: sp.spmatrix) -> bool:
-    """True when two compressed matrices have equal ``indptr`` and
-    ``indices``, so their ``data`` arrays line up entry by entry."""
-    return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+def scaled(a: Band, c: complex) -> Band:
+    """a times the scalar ``c``, multiplied as scipy multiplies a matrix by
+    ``complex(c)``."""
+    c = complex(c)
+    return band({p: x * c for p, x in a.items()})
 
 
-def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x * y elementwise for complex arrays of one shape, each part
-    rounded as scipy's sparse product rounds it: two products and one
-    sum.  (numpy's complex multiply may fuse a product into the sum.)"""
-    p = np.empty_like(x)
-    p.real = x.real * y.real - x.imag * y.imag
-    p.imag = x.real * y.imag + x.imag * y.real
-    return p
+def adjoint(a: Band) -> Band:
+    """The conjugate transpose: entry (i + p, i) is conj(a(i, i + p))."""
+    out = {}
+    for p, x in a.items():
+        dim = len(x)
+        out[-p] = np.zeros_like(x)
+        np.conjugate(x[rows_of(p, dim)], out=out[-p][rows_of(-p, dim)])
+    return out
 
 
-def _square(x: np.ndarray) -> np.ndarray:
-    """x * x elementwise, rounded as ``_times`` rounds it."""
-    return _times(x, x)
+def commutator(a: Band, b: Band) -> Band:
+    """ab - ba."""
+    return _combine(np.subtract, product(a, b), product(b, a), into_a=True)
 
 
-def transpose_order(m: sp.csr_matrix) -> np.ndarray | None:
-    """The position in ``m.data`` of each entry of ``m``'s transpose, in
-    row-major order, when the transpose stores ``m``'s pattern; None
-    when it stores another.
-
-    The CSC arrays of a matrix are the CSR arrays of its transpose, so
-    the order is the ``data`` of one ``tocsc()`` of the matrix that
-    stores each entry's position on ``m``'s pattern.
-    """
-    positions = np.arange(m.nnz, dtype=m.indices.dtype)
-    t = sp.csr_matrix((positions, m.indices, m.indptr), shape=m.shape).tocsc()
-    return t.data if same_pattern(t, m) else None
-
-
-def hermiticity_residuals(*xs: Operand) -> list[float]:
-    """``max_abs(m - m.conj().T)`` for the canonical ``m`` of each
-    operand, bit for bit.
-
-    A diagonal operand is its own transpose, so its residual is read off
-    its vector.  When the transpose of a matrix stores its pattern, as
-    every clean operator's does, max|a_ij - conj(a_ji)| is read off its
-    data array through ``transpose_order``; a matrix that stores the
-    pattern of the one before it reuses that order, so J_x and J_y take
-    one between them.  Otherwise the residual is taken from the
-    difference matrix.
-    """
-    residuals, pattern, order = [], None, None
-    for x in xs:
-        if isinstance(x, np.ndarray):
-            residuals.append(_max_abs(x - x.conj()))
-            continue
-        if pattern is None or not same_pattern(pattern, x):
-            pattern, order = x, transpose_order(x)
-        residuals.append(max_abs(x - x.conj().T) if order is None
-                         else _adjoint_gap(x.data, order))
-    return residuals
-
-
-def _adjoint_gap(data: np.ndarray, order: np.ndarray) -> float:
-    """max|a_ij - conj(a_ji)| from the entries of a matrix and the order
-    of its transpose's entries among them, with one temporary array."""
-    t_data = data[order]
-    np.conjugate(t_data, out=t_data)
-    return _max_abs(np.subtract(data, t_data, out=t_data))
-
-
-def _scaled_commutator(a: sp.csr_matrix, delta: np.ndarray) -> np.ndarray:
-    """a_ij delta_j - delta_i a_ij on the index arrays of ``a``.
-
-    A real-valued ``delta`` leaves nothing for numpy's complex multiply
-    to fuse; a complex one is multiplied as ``_times`` multiplies.
-    """
-    if delta.imag.any():
-        return (_times(a.data, delta[a.indices])
-                - _times(np.repeat(delta, np.diff(a.indptr)), a.data))
-    return a.data * delta[a.indices] - np.repeat(delta, np.diff(a.indptr)) * a.data
-
-
-def _commutator_entries(a: sp.csr_matrix, b: Operand):
-    """[a, b] as (pattern, values): the values on the index arrays of the
-    matrix ``pattern`` in row-major order, exact zeros possibly among
-    them.  For a diagonal ``b`` they are ``a``'s entries scaled, each
-    term rounded as the products ab and ba round it; otherwise the
-    sorted difference of the products, which is taken on their data
-    arrays when they store the same pattern."""
-    if isinstance(b, np.ndarray):
-        return a, _scaled_commutator(a, b)
-    m, ba = a @ b, b @ a
-    if same_pattern(m, ba):
-        m.data -= ba.data
-        m.eliminate_zeros()
+def _stored(a: Band) -> np.ndarray:
+    """The stored entries of ``a`` in row-major order."""
+    if len(a) == 1:
+        (values,) = a.values()
+    elif a:
+        values = np.stack([a[p] for p in sorted(a)], axis=1).ravel()
     else:
-        m = m - ba
-    m.sort_indices()
-    return m, m.data
+        return np.zeros(0, dtype=np.complex128)
+    return values[values != 0]
 
 
-def _on_pattern(pattern: sp.csr_matrix, values: np.ndarray) -> sp.csr_matrix:
-    """A fresh matrix of ``values`` on the index arrays of ``pattern``,
-    exact zeros dropped."""
-    m = sp.csr_matrix((values, pattern.indices, pattern.indptr),
-                      shape=pattern.shape, copy=True)
-    m.eliminate_zeros()
-    return m
+def max_abs(a: Band) -> float:
+    """Largest stored-entry magnitude of ``a`` (0 when it stores none)."""
+    return float(np.max([np.max(np.abs(x)) for x in a.values()], initial=0.0))
 
 
-def commutator(a: sp.csr_matrix, b: Operand) -> sp.csr_matrix:
-    """ab - ba as a fresh matrix.
-
-    When ``b`` stores no entry off its diagonal delta, the result is
-    a_ij delta_j - delta_i a_ij on the index arrays of ``a``, each term
-    rounded as the products ab and ba round it, with exact zeros
-    dropped; otherwise it is the products themselves.  NaN and inf
-    entries stay.
-    """
-    _check_dims(a, b)
-    return _on_pattern(*_commutator_entries(a, operand(b)))
+def fro_norm(a: Band) -> float:
+    """Frobenius norm over the stored entries of ``a``, summed in
+    row-major order as over the ``data`` of its canonical matrix."""
+    return _norm(_stored(a))
 
 
-def commutator_norm(a: sp.csr_matrix, b: Operand, c: sp.csr_matrix | None = None,
-                    scale: complex = 0.0) -> float:
-    """``fro_norm(commutator(a, b) + c * scale)`` for a canonical ``a`` and
-    ``c``, bit for bit; with no ``c``, ``fro_norm(commutator(a, b))``.
-
-    No matrix is built unless a product or a mismatch needs one.  When
-    ``c`` stores the commutator's pattern, its scaled data are added to
-    the commutator's values entry by entry; otherwise the sum is formed
-    as a matrix.  Exact zeros are dropped before the norm, so its
-    pairwise sum sees the array the matrix would store, in row-major
-    order.
-    """
-    _check_dims(a, b)
-    pattern, values = _commutator_entries(a, operand(b))
-    if c is not None:
-        if not same_pattern(pattern, c):
-            return fro_norm(_on_pattern(pattern, values) + c * scale)
-        values = values + c.data * scale
-    return _norm(values[values != 0])
+def _norm(values: np.ndarray) -> float:
+    """sqrt(sum |v|^2) over ``values`` in their order, except when that sum
+    overflows: then the entries are first scaled by the largest
+    magnitude, so a norm that fits in a double comes out finite."""
+    mags = np.abs(values)
+    with np.errstate(over="ignore"):
+        total = np.sum(mags ** 2)
+    if np.isinf(total) and np.isfinite(mags.max()):
+        big = mags.max()
+        return float(big * np.sqrt(np.sum((mags / big) ** 2)))
+    return float(np.sqrt(total))
 
 
-def square_sum(a: sp.csr_matrix, b: sp.csr_matrix, x: Operand) -> Operand:
-    """The operand of ``canonical(a @ a + b @ b + x @ x)`` for canonical
-    matrices ``a`` and ``b`` and the canonical matrix of operand ``x``:
-    its matrix bit for bit, or its diagonal vector.
-
-    scipy forms the products a @ a and b @ b.  When they store the same
-    pattern the second is added to the first's data array in place;
-    when that sum and ``x`` are diagonal the square of ``x`` is added on
-    the diagonal, and the sum is returned as a vector, whose matrix is
-    its ``diagonal``.  Otherwise scipy forms the sums and x @ x.
-    """
-    total, bb = a @ a, b @ b
-    if same_pattern(total, bb):
-        total.data += bb.data
-        total.eliminate_zeros()
-    else:
-        total = total + bb
-    del bb  # the products are the largest arrays held here
-    x = operand(x)
-    if isinstance(x, np.ndarray) and _is_diagonal(total):
-        return total.diagonal() + _square(x)
-    x = _matrix(x)
-    return canonical(total + x @ x)
-
-
-def quadratic_residuals(c: Operand, t: Operand, scale: float) -> tuple[float, float]:
-    """``max_abs(c - (t @ t + t * scale))`` and
-    ``max_abs((c - t @ t) - t * scale)`` for the canonical matrices of
-    operands ``c`` and ``t``, bit for bit.
-
-    When both are diagonal the two are read off vectors; otherwise
-    t @ t and t * scale are formed once, as matrices.
-    """
-    c, t = operand(c), operand(t)
-    if isinstance(c, np.ndarray) and isinstance(t, np.ndarray):
-        tt, ts = _square(t), t * scale
-        return _max_abs(c - (tt + ts)), _max_abs((c - tt) - ts)
-    c, t = _matrix(c), _matrix(t)
-    tt, ts = t @ t, t * scale
-    return max_abs(c - (tt + ts)), max_abs((c - tt) - ts)
+def to_csr(a: Band, dim: int) -> sp.csr_matrix:
+    """The canonical dim x dim matrix of ``a``."""
+    offsets = sorted(a)
+    values = np.stack([a[p] for p in offsets], axis=1) if offsets else np.zeros((dim, 0))
+    stored = values != 0
+    cols = (np.arange(dim)[:, None] + np.array(offsets, dtype=np.int64))[stored]
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+    return _frozen(dim, values[stored], cols, indptr)

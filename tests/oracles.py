@@ -22,6 +22,13 @@ the references for the builders that write canonical CSR directly.
 ``identical`` compares two matrices to the bit, index dtypes and
 read-only flags included.
 
+The package holds each J operator as an ``operators`` band.
+``csr_set`` turns a set of bands into one of canonical matrices through
+``operators.to_csr``, and every oracle that takes a set reads it through
+``csr_set``; ``band_of`` reads a canonical matrix as a band.
+``max_abs``, ``fro_norm`` and ``row_indices`` read the stored entries of
+a matrix.
+
 ``identity``, ``zero``, ``adjoint``, ``multiply``, ``add``, ``scale``
 and ``commutator`` are an operator algebra over canonical CSR matrices
 that passes every result through ``operators.canonical``, and ``equal``
@@ -42,6 +49,7 @@ from __future__ import annotations
 
 import cmath
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -53,16 +61,57 @@ import scipy.sparse as sp
 
 from schwinger.angular import AngularMomentumSet
 from schwinger.fock import FockBasis, position
-from schwinger.operators import (
-    _check_dims,
-    canonical,
-    fro_norm,
-    from_entries,
-    max_abs,
-)
+from schwinger.operators import _norm, canonical, from_entries, to_csr
 from schwinger.classical import sample_amplitudes
 from schwinger.cli import Segments, Table
 from schwinger.spectra import _quarter_sum
+
+
+def csr_set(amset: AngularMomentumSet) -> AngularMomentumSet:
+    """``amset`` with each operator as its canonical matrix: ``to_csr`` of
+    each band; a reference set that already holds matrices comes back as
+    it is."""
+    if not isinstance(amset.jx, dict):
+        return amset
+    dim = amset.basis.size
+    return dataclasses.replace(amset, **{name: to_csr(getattr(amset, name), dim)
+                                         for name in ("jx", "jy", "jz", "jtot")})
+
+
+def band_of(m: sp.spmatrix) -> dict:
+    """The ``operators`` band of the canonical matrix ``m``: each stored
+    entry (i, j) at offset j - i, row i."""
+    m = sp.coo_matrix(m)
+    offsets = m.col.astype(np.int64) - m.row
+    out = {}
+    for p in np.unique(offsets).tolist():
+        values = np.zeros(m.shape[0], dtype=np.complex128)
+        at = offsets == p
+        values[m.row[at]] = m.data[at]
+        out[p] = values
+    return out
+
+
+def max_abs(m: sp.spmatrix) -> float:
+    """Largest stored-entry magnitude of ``m`` (0 when it stores none)."""
+    return float(np.max(np.abs(m.data), initial=0.0))
+
+
+def fro_norm(m: sp.csr_matrix) -> float:
+    """Frobenius norm over the stored entries of ``m``, summed in row-major
+    order: the column indices of each row are sorted in place first."""
+    m.sort_indices()
+    return _norm(m.data)
+
+
+def row_indices(m: sp.csr_matrix) -> np.ndarray:
+    """Row index of every stored entry of ``m``, in row-major order."""
+    return np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
+
+
+def _check_dims(a, b):
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
 
 
 def gershgorin_discs(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -104,6 +153,7 @@ class Block:
 
 def extract_block(amset: AngularMomentumSet, n: int) -> Block:
     """Dense J_x, J_y, J_z on the block of total occupation n (two_j = n)."""
+    amset = csr_set(amset)
     rng = amset.basis.block_range(n)  # validates n
     sl = slice(rng.start, rng.stop)
     return Block(
@@ -641,6 +691,7 @@ def algebra_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
 
 def algebra_casimir(amset: AngularMomentumSet) -> sp.csr_matrix:
     """J^2 = J_x^2 + J_y^2 + J_z^2."""
+    amset = csr_set(amset)
     return add(
         add(multiply(amset.jx, amset.jx), multiply(amset.jy, amset.jy)),
         multiply(amset.jz, amset.jz),
@@ -651,6 +702,7 @@ def algebra_casimir_residual(
     amset: AngularMomentumSet, epsilon: float, *, cas: sp.csr_matrix | None = None
 ) -> sp.csr_matrix:
     """J^2 - J (J + epsilon hbar 1)."""
+    amset = csr_set(amset)
     if cas is None:
         cas = algebra_casimir(amset)
     jt = amset.jtot
@@ -665,6 +717,7 @@ def _hermiticity_residual(op: sp.csr_matrix) -> float:
 def algebra_residuals(amset: AngularMomentumSet) -> dict[str, float]:
     """The Hermiticity, commutator and quadratic-identity residuals of the
     verify battery, by check name."""
+    amset = csr_set(amset)
     hbar = amset.hbar
     jx, jy, jz, jt = amset.jx, amset.jy, amset.jz, amset.jtot
     checks: list[tuple[str, float]] = []

@@ -7,7 +7,7 @@ from schwinger import (
     casimir,
     casimir_residual,
 )
-from schwinger.operators import fro_norm, max_abs, row_indices
+from schwinger.angular import casimir_band
 
 from conftest import dense_angular_momentum, max_entry_diff
 from oracles import (
@@ -18,9 +18,13 @@ from oracles import (
     algebra_set,
     arithmetic_set,
     commutator,
+    csr_set,
     equal,
     extract_block,
+    fro_norm,
     identical,
+    max_abs,
+    row_indices,
     scale,
     states,
 )
@@ -29,6 +33,11 @@ from oracles import (
 @pytest.fixture(scope="module")
 def amset20():
     return build_set(build_basis(20), 1.0)
+
+
+@pytest.fixture(scope="module")
+def matrices20(amset20):
+    return csr_set(amset20)
 
 
 class TestBuildSet:
@@ -40,13 +49,13 @@ class TestBuildSet:
         assert np.allclose(block.jy, [[0, -0.5j], [0.5j, 0]], atol=1e-15)
 
     def test_jtot_diagonal_nmax2(self):
-        amset = build_set(build_basis(2), 1.0)
+        amset = csr_set(build_set(build_basis(2), 1.0))
         diag = np.diag(amset.jtot.toarray()).real
         assert np.allclose(diag, [0, 0.5, 0.5, 1, 1, 1], atol=1e-15)
 
-    def test_commutation_relation_example(self, amset20):
+    def test_commutation_relation_example(self, matrices20):
         resid = add(
-            commutator(amset20.jx, amset20.jy), scale(amset20.jz, -1j)
+            commutator(matrices20.jx, matrices20.jy), scale(matrices20.jz, -1j)
         )
         assert fro_norm(resid) < 1e-12
 
@@ -60,7 +69,7 @@ class TestBuildSet:
 
     def test_matches_dense_construction(self):
         basis = build_basis(5)
-        amset = build_set(basis, 1.0)
+        amset = csr_set(build_set(basis, 1.0))
         dx, dy, dz, dt = dense_angular_momentum(basis, 1.0)
         for dense, op in ((dx, amset.jx), (dy, amset.jy), (dz, amset.jz),
                           (dt, amset.jtot)):
@@ -70,37 +79,37 @@ class TestBuildSet:
 @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 5, 8, 12, 20])
 class TestAlgebraInvariants:
     def test_cyclic_commutators(self, n_max):
-        s = build_set(build_basis(n_max), 1.0)
+        s = csr_set(build_set(build_basis(n_max), 1.0))
         for a, b, c in ((s.jx, s.jy, s.jz), (s.jy, s.jz, s.jx),
                         (s.jz, s.jx, s.jy)):
             resid = add(commutator(a, b), scale(c, -1j * s.hbar))
             assert fro_norm(resid) < 1e-12
 
     def test_casimir_commutes(self, n_max):
-        s = build_set(build_basis(n_max), 1.0)
-        cas = casimir(s)
+        amset = build_set(build_basis(n_max), 1.0)
+        s, cas = csr_set(amset), casimir(amset)
         for op in (s.jx, s.jy, s.jz):
             assert fro_norm(commutator(cas, op)) < 1e-12
 
     def test_total_is_conserved(self, n_max):
-        s = build_set(build_basis(n_max), 1.0)
+        s = csr_set(build_set(build_basis(n_max), 1.0))
         for op in (s.jx, s.jy, s.jz):
             assert fro_norm(commutator(op, s.jtot)) < 1e-12
 
     def test_hermiticity(self, n_max):
-        s = build_set(build_basis(n_max), 1.0)
+        s = csr_set(build_set(build_basis(n_max), 1.0))
         for op in (s.jx, s.jy, s.jz, s.jtot):
             assert max_abs(add(op, scale(adjoint(op), -1.0))) < 1e-13
 
     def test_block_diagonal_structure(self, n_max):
-        s = build_set(build_basis(n_max), 1.0)
+        s = csr_set(build_set(build_basis(n_max), 1.0))
         totals = np.array([p.total for p in states(s.basis)])
         for op in (s.jx, s.jy, s.jz, s.jtot):
             if op.nnz:
                 assert np.array_equal(totals[row_indices(op)], totals[op.indices])
 
     def test_allowed_j_values_and_degeneracy(self, n_max):
-        s = build_set(build_basis(n_max), 1.0)
+        s = csr_set(build_set(build_basis(n_max), 1.0))
         diag = np.diag(s.jtot.toarray()).real
         values, counts = np.unique(diag, return_counts=True)
         assert np.allclose(values, [0.5 * n for n in range(n_max + 1)], atol=1e-15)
@@ -163,18 +172,18 @@ class TestCasimir:
     def test_residual_quantum(self, amset20):
         assert max_abs(casimir_residual(amset20, 1.0)) < 1e-12
 
-    def test_residual_classical_form(self, amset20):
+    def test_residual_classical_form(self, amset20, matrices20):
         # at epsilon = 0 the residual reduces to hbar * J entrywise
         diff = add(
-            casimir_residual(amset20, 0.0), scale(amset20.jtot, -amset20.hbar)
+            casimir_residual(amset20, 0.0), scale(matrices20.jtot, -amset20.hbar)
         )
         assert max_abs(diff) < 1e-12
 
-    def test_residual_intermediate_epsilon(self, amset20):
+    def test_residual_intermediate_epsilon(self, amset20, matrices20):
         # residual(eps) - residual(1) = (1 - eps) hbar J for any eps
         diff = add(
             casimir_residual(amset20, 0.25),
-            scale(amset20.jtot, -0.75 * amset20.hbar),
+            scale(matrices20.jtot, -0.75 * amset20.hbar),
         )
         assert max_abs(diff) < 1e-12
 
@@ -185,7 +194,7 @@ class TestCasimir:
     def test_residual_scales_with_hbar(self):
         amset = build_set(build_basis(4), 2.0)
         assert max_abs(casimir_residual(amset, 1.0)) < 1e-12
-        diff = add(casimir_residual(amset, 0.0), scale(amset.jtot, -2.0))
+        diff = add(casimir_residual(amset, 0.0), scale(csr_set(amset).jtot, -2.0))
         assert max_abs(diff) < 1e-12
 
 
@@ -198,10 +207,11 @@ class TestOneExpression:
     def test_matches_operator_algebra(self, n_max, hbar):
         basis = build_basis(n_max)
         amset, reference = build_set(basis, hbar), algebra_set(basis, hbar)
+        matrices = csr_set(amset)
         for name in ("jx", "jy", "jz", "jtot"):
-            assert equal(getattr(amset, name), getattr(reference, name)), name
-        cas = casimir(amset)
-        assert equal(cas, algebra_casimir(reference))
+            assert equal(getattr(matrices, name), getattr(reference, name)), name
+        assert equal(casimir(amset), algebra_casimir(reference))
+        cas = casimir_band(amset)
         for epsilon in (0.0, 0.25, 1.0):
             assert equal(casimir_residual(amset, epsilon, cas=cas),
                          algebra_casimir_residual(reference, epsilon))
@@ -213,7 +223,7 @@ class TestOneExpression:
         # triplet-built modes, up to the n_max cap
         for n_max in [*range(41), 500, 1000]:
             basis = build_basis(n_max)
-            amset, reference = build_set(basis, hbar), arithmetic_set(basis, hbar)
+            amset, reference = csr_set(build_set(basis, hbar)), arithmetic_set(basis, hbar)
             for name in ("jx", "jy", "jz", "jtot"):
                 assert identical(getattr(amset, name), getattr(reference, name)), (n_max, name)
 
@@ -223,9 +233,9 @@ class TestOneExpression:
         # entry does, at 1e-320 the small ones
         for n_max in (0, 1, 3, 12):
             basis = build_basis(n_max)
-            amset, reference = build_set(basis, hbar), arithmetic_set(basis, hbar)
+            amset, reference = csr_set(build_set(basis, hbar)), arithmetic_set(basis, hbar)
             for name in ("jx", "jy", "jz", "jtot"):
                 op = getattr(amset, name)
                 assert op.data.all(), (n_max, name)
                 assert identical(op, getattr(reference, name)), (n_max, name)
-        assert build_set(build_basis(3), 5e-324).jx.nnz == 0
+        assert build_set(build_basis(3), 5e-324).jx == {}

@@ -1,5 +1,5 @@
-import contextlib
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -15,35 +15,24 @@ from schwinger import (
     from_entries,
     number_operator,
 )
-from schwinger.operators import (
-    _is_diagonal,
-    canonical,
-    commutator,
-    commutator_norm,
-    creation,
-    diagonal,
-    diagonal_of,
-    fro_norm,
-    max_abs,
-    off_diagonal,
-    operand,
-    quadratic_residuals,
-    row_indices,
-    same_pattern,
-    square_sum,
-    transpose_order,
-)
+from schwinger.angular import casimir_band
+from schwinger.operators import canonical, creation, diagonal, to_csr
 
 from conftest import dense_annihilation, dense_number, max_entry_diff
 from oracles import (
     add,
     adjoint,
+    band_of,
     commutator as algebra_commutator,
+    csr_set,
     equal,
+    fro_norm,
     identical,
     identity,
     index_of,
+    max_abs,
     multiply,
+    row_indices,
     scale,
     states,
     triplet_annihilation,
@@ -120,8 +109,8 @@ class TestDirectBuilders:
 
 
 class TestIsDiagonal:
-    """``_is_diagonal`` reads the row counts; the reference compares the
-    row of every stored entry with its column."""
+    """A band stores offset 0 alone exactly when its matrix stores no entry
+    off the diagonal."""
 
     @pytest.mark.parametrize("rows, cols", [
         ([], []),
@@ -134,13 +123,14 @@ class TestIsDiagonal:
     ])
     def test_matches_entry_rows(self, rows, cols):
         m = from_entries(4, rows, cols, np.ones(len(rows)))
-        assert _is_diagonal(m) == (not np.any(row_indices(m) != m.indices))
+        b = band_of(m)
+        assert (set(b) <= {0}) == (not np.any(row_indices(m) != m.indices))
+        assert identical(to_csr(b, 4), m)
 
     def test_angular_momentum_operators(self):
         amset = build_set(build_basis(7), 0.3)
-        assert _is_diagonal(amset.jz) and _is_diagonal(amset.jtot)
-        assert _is_diagonal(casimir(amset))
-        assert not _is_diagonal(amset.jx) and not _is_diagonal(amset.jy)
+        assert set(amset.jz) == set(amset.jtot) == set(casimir_band(amset)) == {0}
+        assert set(amset.jx) == set(amset.jy) == {-1, 1}
 
 
 class TestAdjoint:
@@ -217,7 +207,7 @@ class TestAlgebra:
     def test_dimension_mismatch(self):
         a = annihilation(build_basis(2), 1)
         b = annihilation(build_basis(3), 1)
-        for op in (multiply, add, algebra_commutator, commutator):
+        for op in (multiply, add, algebra_commutator):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 op(a, b)
 
@@ -266,10 +256,269 @@ class TestCommutator:
 
 
 # Gaussian integers in -4..4: every product and sum of them below is exact,
-# so scaled entries and the full products agree to the bit in any order
+# so only a non-dyadic factor makes the order of a sum show in the bits
 SMALL = st.builds(complex, st.integers(-4, 4), st.integers(-4, 4))
 NON_FINITE = st.sampled_from([complex(np.nan, 0), complex(np.inf, 0),
                               complex(-np.inf, 1), complex(0, np.inf)])
+# entries with a -0.0 part beside the Gaussian integers: every sum and
+# product stays exact, but the sign of a zero part can show in the bits
+SIGNED_ZERO = st.sampled_from([complex(-0.0, 1), complex(2, -0.0), complex(-0.0, -3),
+                               complex(-1, -0.0)])
+VALUE = st.one_of(SMALL, SIGNED_ZERO)
+# the non-dyadic factors make products and sums round, so their order,
+# a fused multiply-add or a dropped zero shows in the last bits
+FACTORS = ((1.0, 1.0), (0.1, 0.7))
+# hbar 5e-324 underflows every entry of J_x, J_y, J_z and J to 0
+HBARS = (0.1, 0.3, 1.0, 2.0, 1e-30, 1e30, 5e-324)
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def same_float(got: float, want: float) -> bool:
+    """Equal to the bit, any two NaNs counting as equal."""
+    return bits(got) == bits(want) or (math.isnan(got) and math.isnan(want))
+
+
+def nan_parts_unsigned(m: sp.csr_matrix) -> sp.csr_matrix:
+    """``m`` on the same index arrays, with every NaN real or imaginary
+    part made the positive quiet NaN and its data as writeable as m's."""
+    parts = m.data.view(np.float64).copy()
+    parts[np.isnan(parts)] = np.nan
+    out = sp.csr_matrix((parts.view(np.complex128), m.indices, m.indptr), shape=m.shape)
+    out.data.flags.writeable = m.data.flags.writeable
+    return out
+
+
+def assert_band(b: dict, dim: int):
+    """``b`` keeps the band invariant: one complex array of length dim per
+    offset, none all zero, and 0 wherever (i, i + p) lies outside."""
+    for p, values in b.items():
+        assert values.dtype == np.complex128 and values.shape == (dim,)
+        assert values.any(), p
+        outside = np.ones(dim, dtype=bool)
+        outside[operators.rows_of(p, dim)] = False
+        assert not values[outside].any(), p
+
+
+def assert_band_of(b: dict, want: sp.csr_matrix):
+    """``b`` is a band whose canonical matrix is ``want`` to the bit: data,
+    index dtypes and read-only flags, with only the sign of a NaN part
+    free (when both terms of a sum are NaN, which one numpy's
+    vectorized add passes on is its own choice, and no output shows a
+    NaN's sign)."""
+    dim = want.shape[0]
+    assert_band(b, dim)
+    assert identical(nan_parts_unsigned(to_csr(b, dim)), nan_parts_unsigned(want))
+
+
+@st.composite
+def set_operands(draw, count: int):
+    """``count`` canonical matrices over the basis of an n_max in 0..40:
+    each J_x, J_y, J_z, J or nothing at an hbar of ``HBARS``, plus up to
+    six ``VALUE`` entries, near its band or at any offset, and maybe one
+    NaN or infinite entry."""
+    basis = build_basis(draw(st.integers(0, 40)))
+    dim = basis.size
+    amset = csr_set(build_set(basis, draw(st.sampled_from(HBARS))))
+    row = st.integers(0, dim - 1)
+    offset = st.one_of(st.integers(-3, 3), st.integers(1 - dim, dim - 1))
+    out = []
+    for _ in range(count):
+        entries = [(i, (i + p) % dim, v)
+                   for i, p, v in draw(st.lists(st.tuples(row, offset, VALUE), max_size=6))]
+        if draw(st.booleans()):
+            entries.append((draw(row), draw(row), draw(NON_FINITE)))
+        m = from_entries(dim, *zip(*entries)) if entries else zero(dim)
+        base = draw(st.sampled_from([None, "jx", "jy", "jz", "jtot"]))
+        out.append(canonical(getattr(amset, base) + m) if base else m)
+    return out
+
+
+class TestBandAlgebra:
+    """Every band operation holds the bits of the scipy expression it
+    stands for over the canonical matrices, NaN and inf entries, exact
+    cancellations and entries far off the band included."""
+
+    @settings(deadline=None)
+    @given(set_operands(2))
+    def test_product(self, ms):
+        a, b = ms
+        with np.errstate(all="ignore"):
+            got = operators.product(band_of(a), band_of(b))
+            want = canonical(a @ b)
+        assert_band_of(got, want)
+
+    @settings(deadline=None)
+    @given(set_operands(2))
+    def test_plus_and_minus(self, ms):
+        a, b = ms
+        with np.errstate(all="ignore"):
+            assert_band_of(operators.plus(band_of(a), band_of(b)), canonical(a + b))
+            assert_band_of(operators.minus(band_of(a), band_of(b)), canonical(a - b))
+
+    @settings(deadline=None)
+    @given(set_operands(1), st.sampled_from([-1.0, 0.5, 0.0, 1e-300, -1j, 0.3 - 0.7j]))
+    def test_scaled(self, ms, c):
+        (a,) = ms
+        with np.errstate(all="ignore"):
+            assert_band_of(operators.scaled(band_of(a), c), canonical(a * complex(c)))
+
+    @settings(deadline=None)
+    @given(set_operands(1))
+    def test_adjoint(self, ms):
+        (a,) = ms
+        assert_band_of(operators.adjoint(band_of(a)), canonical(a.conj().T))
+
+    @settings(deadline=None)
+    @given(set_operands(2))
+    def test_commutator(self, ms):
+        a, b = ms
+        with np.errstate(all="ignore"):
+            got = operators.commutator(band_of(a), band_of(b))
+            want = canonical(a @ b - b @ a)
+        assert_band_of(got, want)
+
+    @settings(deadline=None)
+    @given(set_operands(1))
+    def test_norms(self, ms):
+        (a,) = ms
+        for f in (1.0, 0.1):
+            with np.errstate(all="ignore"):
+                m = canonical(a * f)
+                assert same_float(operators.fro_norm(band_of(m)), fro_norm(m.copy()))
+                assert same_float(operators.max_abs(band_of(m)), max_abs(m))
+
+    @settings(deadline=None)
+    @given(set_operands(1))
+    def test_to_csr_round_trip(self, ms):
+        (a,) = ms
+        assert_band(band_of(a), a.shape[0])
+        assert identical(to_csr(band_of(a), a.shape[0]), a)
+
+    def test_empty_band(self):
+        for dim in (0, 1, 6):
+            assert identical(to_csr({}, dim), zero(dim))
+        assert operators.product({}, {}) == operators.plus({}, {}) == {}
+        assert operators.fro_norm({}) == operators.max_abs({}) == 0.0
+
+
+class TestCleanSetsAtTheCap:
+    """The products, sums and norms the battery takes of clean sets at
+    n_max 500 and at the 1000 cap, against scipy over their matrices."""
+
+    @pytest.mark.parametrize("n_max", [500, 1000])
+    def test_battery_operations(self, n_max):
+        hbar = 0.3
+        amset = build_set(build_basis(n_max), hbar)
+        m = csr_set(amset)
+        jx, jy, jz, jt = amset.jx, amset.jy, amset.jz, amset.jtot
+        cas = casimir_band(amset)
+        cas_m = canonical(m.jx @ m.jx + m.jy @ m.jy + m.jz @ m.jz)
+        assert_band_of(cas, cas_m)
+        assert set(cas) == {0}
+        got = operators.fro_norm(operators.plus(operators.commutator(jx, jy),
+                                                operators.scaled(jz, -1j * hbar)))
+        want = fro_norm(canonical(m.jx @ m.jy - m.jy @ m.jx + m.jz * (-1j * hbar)))
+        assert bits(got) == bits(want)
+        for op, op_m in ((jx, m.jx), (jz, m.jz)):
+            got = operators.fro_norm(operators.commutator(cas, op))
+            assert bits(got) == bits(fro_norm(canonical(cas_m @ op_m - op_m @ cas_m)))
+        got = operators.max_abs(operators.minus(jy, operators.adjoint(jy)))
+        assert bits(got) == bits(max_abs(m.jy - m.jy.conj().T))
+        quantum = operators.minus(cas, operators.plus(operators.product(jt, jt),
+                                                      operators.scaled(jt, hbar)))
+        assert bits(operators.max_abs(quantum)) == bits(max_abs(cas_m - (m.jtot @ m.jtot
+                                                                        + m.jtot * hbar)))
+
+
+@st.composite
+def near_diagonal(draw, dim: int, off_diagonal: int, non_finite: bool):
+    """A canonical dim x dim matrix with a random diagonal of ``VALUE``s,
+    up to ``off_diagonal`` entries off it and, with ``non_finite``, maybe
+    one NaN or infinite entry."""
+    index = st.integers(0, dim - 1)
+    entries = [(i, i, draw(VALUE)) for i in range(dim)]
+    if dim > 1:
+        shifted = st.tuples(index, st.integers(1, dim - 1), VALUE)
+        entries += [(i, (i + shift) % dim, v)
+                    for i, shift, v in draw(st.lists(shifted, max_size=off_diagonal))]
+    if non_finite and draw(st.booleans()):
+        entries.append((draw(index), draw(index), draw(NON_FINITE)))
+    return from_entries(dim, *zip(*entries))
+
+
+@st.composite
+def near_diagonal_pair(draw, off_diagonal: int, non_finite: bool):
+    dim = draw(st.integers(1, 7))
+    return tuple(draw(near_diagonal(dim, off_diagonal, non_finite)) for _ in range(2))
+
+
+class TestOperand:
+    """``band_of`` and ``to_csr`` carry a canonical matrix to its band and
+    back with every stored entry kept to the bit, signed zero parts
+    included, and the band's offset 0 is the matrix's diagonal."""
+
+    @settings(deadline=None)
+    @given(near_diagonal_pair(off_diagonal=2, non_finite=True))
+    def test_reads_diagonal_matrices_as_vectors(self, pair):
+        for m in pair:
+            b = band_of(m)
+            assert identical(to_csr(b, m.shape[0]), m)
+            # diagonal() adds each entry to 0, so only a -0.0 part turns +0.0
+            main = b.get(0, np.zeros(m.shape[0], dtype=complex))
+            assert (main + 0).tobytes() == m.diagonal().tobytes()
+
+    def test_angular_momentum_operators(self):
+        amset = build_set(build_basis(6), 0.3)
+        for op in (amset.jx, amset.jy, amset.jz, amset.jtot):
+            back = band_of(to_csr(op, amset.basis.size))
+            assert back.keys() == op.keys()
+            assert all(back[p].tobytes() == op[p].tobytes() for p in op)
+
+
+@st.composite
+def random_pattern(draw):
+    """A canonical matrix of distinct nonzero entries on a random
+    pattern, closed under transposition half the time."""
+    dim = draw(st.integers(1, 9))
+    index = st.integers(0, dim - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=3 * dim))
+    if draw(st.booleans()):
+        pairs += [(j, i) for i, j in pairs]
+    pairs = sorted(set(pairs))
+    rows, cols = zip(*pairs) if pairs else ((), ())
+    return from_entries(dim, rows, cols, np.arange(1, len(pairs) + 1) * (1 - 0.5j))
+
+
+def hermiticity(op: dict) -> float:
+    """The battery's Hermiticity residual of a band."""
+    return operators.max_abs(operators.minus(op, operators.adjoint(op)))
+
+
+class TestTransposeOrder:
+    """``adjoint`` moves each entry of a band to its mirror, on any
+    pattern, so the Hermiticity residual is read off the bands alone."""
+
+    @settings(deadline=None)
+    @given(random_pattern())
+    def test_matches_tocsc(self, m):
+        assert_band_of(operators.adjoint(band_of(m)), canonical(m.conj().T))
+        assert bits(hermiticity(band_of(m))) == bits(max_abs(m - m.conj().T))
+
+    def test_asymmetric_pattern_takes_the_difference_matrix(self):
+        m = from_entries(4, [0, 1, 1], [1, 0, 3], [1.0, 2j, -0.5])
+        assert bits(hermiticity(band_of(m))) == bits(max_abs(m - m.conj().T))
+
+    def test_one_order_serves_jx_and_jy(self):
+        amset = build_set(build_basis(6), 0.3)
+        for op in (amset.jx, amset.jy):
+            mirrored = operators.adjoint(op)
+            assert mirrored.keys() == op.keys()
+            assert all(np.array_equal(mirrored[p], op[p]) for p in op)
+        assert [hermiticity(op) for op in (amset.jx, amset.jy, amset.jz, amset.jtot)] \
+            == [0.0] * 4
 
 
 @st.composite
@@ -291,20 +540,22 @@ def split_operands(draw, off_diagonal: int, non_finite: bool):
                  for entries in (a, d))
 
 
+def scipy_commutator(a, b):
+    """[a, b] as scipy's sum of its products, canonical."""
+    return canonical(a @ b - b @ a)
+
+
 class TestCommutatorRule:
-    """``commutator(a, d)`` is the operator algebra's commutator entry for
-    entry, whether it scales entries (``d`` diagonal) or multiplies."""
+    """``commutator`` holds the bits of scipy's ab - ba, whether ``b`` is
+    diagonal or not, NaN and inf entries included."""
 
     @staticmethod
     def assert_matches(a, d):
-        with np.errstate(invalid="ignore"):
-            got = commutator(a, d)
-            want = algebra_commutator(a, d)
-        assert got.nnz == want.nnz and np.all(got.data != 0)
-        g, w = got.toarray(), want.toarray()
-        finite = np.isfinite(w)
-        assert np.array_equal(np.isfinite(g), finite)
-        assert np.array_equal(g[finite], w[finite])
+        for fa, fd in FACTORS:
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = operators.commutator(band_of(a * fa), band_of(d * fd))
+                want = scipy_commutator(canonical(a * fa), canonical(d * fd))
+            assert_band_of(got, want)
 
     @settings(deadline=None)
     @given(split_operands(off_diagonal=0, non_finite=False))
@@ -332,31 +583,29 @@ class TestCommutatorRule:
         idx = np.arange(dim)
         d = from_entries(dim, idx, idx, rng.normal(size=dim) + 1j * rng.normal(size=dim))
         self.assert_matches(a, d)
+        self.assert_matches(d, a)
 
     def test_angular_momentum_operands(self):
         amset = build_set(build_basis(6), 0.3)
-        cas = casimir(amset)
-        for op in (amset.jx, amset.jy, amset.jz):
-            for d in (cas, amset.jtot):
+        m, cas = csr_set(amset), casimir(amset)
+        for op in (m.jx, m.jy, m.jz):
+            for d in (cas, m.jtot, m.jy):
                 self.assert_matches(op, d)
-        # J_y stores entries off its diagonal, so these two multiply
-        self.assert_matches(amset.jx, amset.jy)
-        self.assert_matches(amset.jy, amset.jx)
 
 
 class TestCommutatorNorm:
-    """``commutator_norm(a, d)`` is ``fro_norm(commutator(a, d))`` to the bit,
-    whether or not it builds the commutator."""
+    """``fro_norm(commutator(a, d))`` is the norm of scipy's ab - ba to the
+    bit: the stored entries, exact zeros dropped, in row-major order."""
 
     @staticmethod
     def assert_same_bits(a, d):
         # the non-dyadic factors make the sum of squares round, so its
         # order and the dropped zeros show in the last bits
-        for fa, fd in ((1.0, 1.0), (0.1, 0.7)):
+        for fa, fd in FACTORS:
             with np.errstate(invalid="ignore", over="ignore"):
-                got = commutator_norm(a * fa, d * fd)
-                want = fro_norm(commutator(a * fa, d * fd))
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                got = operators.fro_norm(operators.commutator(band_of(a * fa), band_of(d * fd)))
+                want = fro_norm(scipy_commutator(canonical(a * fa), canonical(d * fd)))
+            assert same_float(got, want)
 
     @settings(deadline=None)
     @given(split_operands(off_diagonal=0, non_finite=False))
@@ -389,93 +638,10 @@ class TestCommutatorNorm:
 
     def test_angular_momentum_operands(self):
         amset = build_set(build_basis(9), 0.3)
-        cas = casimir(amset)
-        for op in (amset.jx, amset.jy, amset.jz):
-            for d in (cas, amset.jtot, amset.jy):
+        m, cas = csr_set(amset), casimir(amset)
+        for op in (m.jx, m.jy, m.jz):
+            for d in (cas, m.jtot, m.jy):
                 self.assert_same_bits(op, d)
-
-
-# entries with a -0.0 part beside the Gaussian integers: every sum and
-# product stays exact, but the sign of a zero part can show in the bits
-SIGNED_ZERO = st.sampled_from([complex(-0.0, 1), complex(2, -0.0), complex(-0.0, -3),
-                               complex(-1, -0.0)])
-VALUE = st.one_of(SMALL, SIGNED_ZERO)
-# the non-dyadic factors make products and sums round, so their order,
-# a fused multiply-add or a dropped zero shows in the last bits
-FACTORS = ((1.0, 1.0), (0.1, 0.7))
-
-
-def bits(x) -> bytes:
-    return np.float64(x).tobytes()
-
-
-@st.composite
-def near_diagonal(draw, dim: int, off_diagonal: int, non_finite: bool):
-    """A canonical dim x dim matrix with a random diagonal of ``VALUE``s,
-    up to ``off_diagonal`` entries off it and, with ``non_finite``, maybe
-    one NaN or infinite entry."""
-    index = st.integers(0, dim - 1)
-    entries = [(i, i, draw(VALUE)) for i in range(dim)]
-    if dim > 1:
-        shifted = st.tuples(index, st.integers(1, dim - 1), VALUE)
-        entries += [(i, (i + shift) % dim, v)
-                    for i, shift, v in draw(st.lists(shifted, max_size=off_diagonal))]
-    if non_finite and draw(st.booleans()):
-        entries.append((draw(index), draw(index), draw(NON_FINITE)))
-    return from_entries(dim, *zip(*entries))
-
-
-@st.composite
-def near_diagonal_pair(draw, off_diagonal: int, non_finite: bool):
-    dim = draw(st.integers(1, 7))
-    return tuple(draw(near_diagonal(dim, off_diagonal, non_finite)) for _ in range(2))
-
-
-@contextlib.contextmanager
-def counting(name: str):
-    """Patch ``operators.<name>`` to record the arguments of each call;
-    yields the list and the real function."""
-    calls = []
-    real = getattr(operators, name)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(operators, name, lambda *args: calls.append(args) or real(*args))
-        yield calls, real
-
-
-class TestOperand:
-    """``operand`` reads a diagonal matrix as its diagonal vector, which
-    keeps every stored entry: the vector rebuilds the matrix, and
-    ``diagonal_of`` and ``off_diagonal`` read the same from either form."""
-
-    @settings(deadline=None)
-    @given(near_diagonal_pair(off_diagonal=2, non_finite=True))
-    def test_reads_diagonal_matrices_as_vectors(self, pair):
-        for m in pair:
-            x = operand(m)
-            assert isinstance(x, np.ndarray) == _is_diagonal(m)
-            assert operand(x) is x
-            assert diagonal_of(x).tobytes() == m.diagonal().tobytes()
-            rows = row_indices(m)
-            off = rows != m.indices
-            for got, want in zip(off_diagonal(x), (rows[off], m.indices[off], m.data[off])):
-                assert got.tobytes() == want.tobytes()
-            if isinstance(x, np.ndarray):
-                # diagonal() adds each entry to 0, so only a -0.0 part turns +0.0
-                rebuilt = operators._matrix(x)
-                assert same_pattern(rebuilt, m) and rebuilt.data.tobytes() == (m.data + 0).tobytes()
-
-    def test_angular_momentum_operators(self):
-        amset = build_set(build_basis(6), 0.3)
-        assert amset.jz_operand is amset.jz_operand
-        for m, x in ((amset.jz, amset.jz_operand), (amset.jtot, amset.jtot_operand)):
-            assert identical(diagonal(x), m)
-        assert operand(amset.jx) is amset.jx
-
-
-def scipy_commutator(a, b):
-    """The expression ``commutator_norm`` replaces: ``commutator`` scales
-    entries by a diagonal ``b``; otherwise the plain products."""
-    return commutator(a, b) if _is_diagonal(b) else a @ b - b @ a
 
 
 @st.composite
@@ -492,95 +658,38 @@ def shared_pattern_operands(draw, dim: int | None = None):
                  for _ in range(2))
 
 
-@st.composite
-def random_pattern(draw):
-    """A canonical matrix of distinct nonzero entries on a random
-    pattern, closed under transposition half the time."""
-    dim = draw(st.integers(1, 9))
-    index = st.integers(0, dim - 1)
-    pairs = draw(st.lists(st.tuples(index, index), max_size=3 * dim))
-    if draw(st.booleans()):
-        pairs += [(j, i) for i, j in pairs]
-    pairs = sorted(set(pairs))
-    rows, cols = zip(*pairs) if pairs else ((), ())
-    return from_entries(dim, rows, cols, np.arange(1, len(pairs) + 1) * (1 - 0.5j))
-
-
-class TestTransposeOrder:
-    """``transpose_order(m)`` puts ``m.data`` in the order of
-    ``m.tocsc().data`` when the transpose stores m's pattern and is None
-    otherwise; ``hermiticity_residuals`` takes one per pattern."""
-
-    @settings(deadline=None)
-    @given(random_pattern())
-    def test_matches_tocsc(self, m):
-        t, order = m.tocsc(), transpose_order(m)
-        if same_pattern(t, m):
-            assert np.array_equal(m.data[order], t.data)
-        else:
-            assert order is None
-
-    def test_asymmetric_pattern_takes_the_difference_matrix(self):
-        m = from_entries(4, [0, 1, 1], [1, 0, 3], [1.0, 2j, -0.5])
-        assert transpose_order(m) is None
-        with counting("max_abs") as (fallbacks, real):
-            (got,) = operators.hermiticity_residuals(m)
-        assert len(fallbacks) == 1 and bits(got) == bits(real(m - m.conj().T))
-
-    def test_one_order_serves_jx_and_jy(self):
-        amset = build_set(build_basis(6), 0.3)
-        assert same_pattern(amset.jx, amset.jy)
-        with counting("transpose_order") as (calls, _), counting("max_abs") as (fallbacks, _):
-            residuals = operators.hermiticity_residuals(
-                amset.jx, amset.jy, amset.jz_operand, amset.jtot_operand)
-        assert len(calls) == 1 and calls[0][0] is amset.jx and not fallbacks
-        assert residuals == [0.0] * 4
-
-
 class TestCommutatorPlusTerm:
-    """``commutator_norm(a, b, c, s)`` is the norm of ``[a, b] + c * s``
-    taken by scipy to the bit, whether it adds ``c``'s data to the
-    commutator's values (``c`` stores the commutator's pattern) or forms
-    the sum (it does not), and whether the products' difference is taken
-    on their data arrays (they share a pattern) or by scipy.  It also
-    equals the norm of ``c * -s - [a, b]``, the form ``commutator_zx_y``
-    replaces."""
-
-    @staticmethod
-    def pattern(a, b):
-        """The index arrays the commutator's values sit on."""
-        if _is_diagonal(b):
-            return a
-        m = a @ b - b @ a
-        m.sort_indices()
-        return m
+    """The norm of ``plus(commutator(a, b), scaled(c, s))`` is the norm of
+    scipy's ``(ab - ba) + c * s`` to the bit, whether ``c`` stores the
+    commutator's pattern or not.  It also equals the norm of
+    ``c * -s - [a, b]``, the other form of the same residual."""
 
     @staticmethod
     def assert_same_bits(a, b, c):
-        for (fa, fb), scale in zip(FACTORS, (-1j, 0.3 - 0.7j)):
-            with counting("fro_norm") as (fallbacks, norm), \
-                    np.errstate(invalid="ignore", over="ignore"):
-                a_, b_, c_ = a * fa, b * fb, c * 0.3
-                got = commutator_norm(a_, b_, c_, scale)
-                from_vector = commutator_norm(a_, operand(b_), c_, scale)
-                alone = commutator_norm(a_, b_)
-                want = norm(scipy_commutator(a_, b_) + c_ * scale)
-                flipped = norm(c_ * -scale - scipy_commutator(a_, b_))
-                want_alone = norm(scipy_commutator(a_, b_))
-            assert bits(got) == bits(from_vector) == bits(want) == bits(flipped)
-            assert bits(alone) == bits(want_alone)
-            mismatch = not same_pattern(TestCommutatorPlusTerm.pattern(a_, b_), c_)
-            assert len(fallbacks) == 2 * mismatch
+        for (fa, fb), s in zip(FACTORS, (-1j, 0.3 - 0.7j)):
+            with np.errstate(invalid="ignore", over="ignore"):
+                a_, b_, c_ = canonical(a * fa), canonical(b * fb), canonical(c * 0.3)
+                ab = operators.commutator(band_of(a_), band_of(b_))
+                got = operators.fro_norm(operators.plus(ab, operators.scaled(band_of(c_), s)))
+                flipped = operators.fro_norm(operators.minus(operators.scaled(band_of(c_), -s),
+                                                             ab))
+                want = fro_norm(canonical(a_ @ b_ - b_ @ a_ + c_ * s))
+            assert same_float(got, want) and same_float(flipped, want)
+
+    @staticmethod
+    def pattern(a, b):
+        """The index arrays of scipy's commutator."""
+        return scipy_commutator(a, b)
 
     @settings(deadline=None)
     @given(split_operands(off_diagonal=2, non_finite=True), st.data())
     def test_on_the_pattern(self, operands, data):
         a, b = operands
-        p = self.pattern(a, b)
+        with np.errstate(invalid="ignore"):
+            p = self.pattern(a, b)
         values = data.draw(st.lists(VALUE.filter(bool), min_size=p.nnz, max_size=p.nnz))
         c = canonical(sp.csr_matrix((np.array(values, dtype=complex), p.indices.copy(),
                                      p.indptr.copy()), shape=p.shape))
-        assert same_pattern(p, c)
         self.assert_same_bits(a, b, c)
 
     @settings(deadline=None)
@@ -606,12 +715,11 @@ class TestCommutatorPlusTerm:
 
     @pytest.mark.parametrize("hbar", [0.3, 1.0, 1e-30])
     def test_angular_momentum_operands(self, hbar):
-        amset = build_set(build_basis(9), hbar)
-        jx, jy, jz = amset.jx, amset.jy, amset.jz
-        assert same_pattern(jx @ jy, jy @ jx)
-        for a, b, c in ((jx, jy, jz), (jy, jz, jx), (jx, jz, jy)):
+        m = csr_set(build_set(build_basis(9), hbar))
+        jx, jy, jz = m.jx, m.jy, m.jz
+        for a, b, c in ((jx, jy, jz), (jy, jz, jx), (jz, jx, jy)):
             self.assert_same_bits(a, b, c)
-        # an off-band J_x entry puts J_x off J_y's pattern
+        # an entry far off J_x's band
         bad = canonical(jx + from_entries(jx.shape[0], [0], [5], [1e-3]))
         self.assert_same_bits(jy, jz, bad)
         self.assert_same_bits(bad, jz, jy)
@@ -631,42 +739,22 @@ def square_operands(draw, off_diagonal: int, non_finite: bool):
     return a, b, x
 
 
-def nan_parts_unsigned(m: sp.csr_matrix) -> sp.csr_matrix:
-    """``m`` on the same index arrays, with every NaN real or imaginary
-    part made the positive quiet NaN and its data as writeable as m's."""
-    parts = m.data.view(np.float64).copy()
-    parts[np.isnan(parts)] = np.nan
-    out = sp.csr_matrix((parts.view(np.complex128), m.indices, m.indptr), shape=m.shape)
-    out.data.flags.writeable = m.data.flags.writeable
-    return out
-
-
 class TestSquareSum:
-    """``square_sum(a, b, x)`` is ``canonical(a @ a + b @ b + x @ x)`` to
-    the bit, data, index dtypes and read-only flags, whether it adds on
-    arrays (the sum of the squares and x are diagonal), and returns the
-    vector whose ``diagonal`` that is, or forms the sums (otherwise),
-    and whether the two squares share a pattern.  Only the
-    sign of a NaN part may differ: when both terms of a sum are NaN,
-    which one numpy's vectorized add passes on is its own choice, and no
-    output shows a NaN's sign."""
+    """``plus(plus(product(a, a), product(b, b)), product(x, x))``, the form
+    of J^2, is ``canonical(a @ a + b @ b + x @ x)`` to the bit: data,
+    index dtypes and read-only flags, only the sign of a NaN part free."""
 
     @staticmethod
     def assert_identical(a, b, x):
         for fa, fx in FACTORS:
-            with counting("_matrix") as (fallbacks, _), \
-                    np.errstate(invalid="ignore", over="ignore"):
+            with np.errstate(invalid="ignore", over="ignore"):
+                a_, b_, x_ = (band_of(canonical(m * f)) for m, f in ((a, fa), (b, fa), (x, fx)))
+                got = operators.plus(operators.plus(operators.product(a_, a_),
+                                                    operators.product(b_, b_)),
+                                     operators.product(x_, x_))
                 a_, b_, x_ = a * fa, b * fa, x * fx
-                got = square_sum(a_, b_, x_)
-                from_vector = square_sum(a_, b_, operand(x_))
-                total = a_ @ a_ + b_ @ b_
-                want = canonical(total + x_ @ x_)
-            arrays = _is_diagonal(total) and _is_diagonal(x_)
-            for sq in (got, from_vector):
-                assert isinstance(sq, np.ndarray) == arrays
-                m = diagonal(sq) if arrays else sq
-                assert identical(nan_parts_unsigned(m), nan_parts_unsigned(want))
-            assert len(fallbacks) == 2 * (not arrays)
+                want = canonical(a_ @ a_ + b_ @ b_ + x_ @ x_)
+            assert_band_of(got, want)
 
     @settings(deadline=None)
     @given(square_operands(off_diagonal=0, non_finite=False))
@@ -684,48 +772,50 @@ class TestSquareSum:
         self.assert_identical(*operands)
 
     def test_entries_cancelling_off_the_diagonal(self):
-        # J_x^2 and J_y^2 share a pattern and cancel two off the
-        # diagonal: only their sum is diagonal
+        # J_x^2 and J_y^2 store offsets -2, 0 and 2, and cancel at -2 and
+        # 2: only their sum is diagonal
         amset = build_set(build_basis(5), 0.3)
-        jx, jy = amset.jx, amset.jy
-        assert same_pattern(jx @ jx, jy @ jy) and not _is_diagonal(jx @ jx)
-        self.assert_identical(jx, jy, amset.jz)
+        assert set(operators.product(amset.jx, amset.jx)) == {-2, 0, 2}
+        assert set(casimir_band(amset)) == {0}
+        m = csr_set(amset)
+        self.assert_identical(m.jx, m.jy, m.jz)
 
     @pytest.mark.parametrize("hbar", [0.3, 1.0, 2.0, 1e-30])
     def test_casimir_bits(self, hbar):
-        # J^2 holds the bits of the one scipy expression, clean or with
-        # J_z or J_x off its pattern
+        # J^2 holds the bits of the one scipy expression, clean or with an
+        # entry off J_z's diagonal, off J_x's band or on it
         for n_max in (0, 1, 2, 7, 23, 40):
             amset = build_set(build_basis(n_max), hbar)
             sets = [amset]
             if n_max >= 2:
                 for name, row, col in (("jz", 1, 2), ("jx", 0, 5), ("jx", 1, 2)):
-                    op = getattr(amset, name)
-                    bump = from_entries(op.shape[0], [row], [col], [1e-3 * hbar])
-                    sets.append(dataclasses.replace(amset, **{name: canonical(op + bump)}))
+                    bump = np.zeros(amset.basis.size, dtype=complex)
+                    bump[row] = 1e-3 * hbar
+                    bumped = operators.plus(getattr(amset, name), {col - row: bump})
+                    sets.append(dataclasses.replace(amset, **{name: bumped}))
             for s in sets:
-                jx, jy, jz = s.jx, s.jy, s.jz
-                assert identical(casimir(s), canonical(jx @ jx + jy @ jy + jz @ jz)), n_max
+                m = csr_set(s)
+                want = canonical(m.jx @ m.jx + m.jy @ m.jy + m.jz @ m.jz)
+                assert identical(casimir(s), want), n_max
 
 
 class TestQuadraticResiduals:
-    """``quadratic_residuals(c, t, s)`` is ``max_abs(c - (t @ t + t * s))``
-    and ``max_abs((c - t @ t) - t * s)`` to the bit, whether it reads
-    vectors (both are diagonal) or forms the matrices (either is not)."""
+    """The battery's two groupings of J^2 - J J - hbar J are
+    ``max_abs(c - (t @ t + t * s))`` and ``max_abs((c - t @ t) - t * s)``
+    of scipy to the bit."""
 
     @staticmethod
     def assert_same_bits(c, t):
-        for (fc, ft), scale in zip(FACTORS, (1.0, 0.3)):
-            with counting("max_abs") as (fallbacks, real), \
-                    np.errstate(invalid="ignore", over="ignore"):
-                c_, t_ = c * fc, t * ft
-                got = quadratic_residuals(c_, t_, scale)
-                from_vectors = quadratic_residuals(operand(c_), operand(t_), scale)
-                tt, ts = t_ @ t_, t_ * scale
-                want = (real(c_ - (tt + ts)), real((c_ - tt) - ts))
-            assert [bits(v) for v in got] == [bits(v) for v in from_vectors] \
-                == [bits(v) for v in want]
-            assert len(fallbacks) == 4 * (not (_is_diagonal(c_) and _is_diagonal(t_)))
+        for (fc, ft), s in zip(FACTORS, (1.0, 0.3)):
+            with np.errstate(invalid="ignore", over="ignore"):
+                c_, t_ = canonical(c * fc), canonical(t * ft)
+                cb, tb = band_of(c_), band_of(t_)
+                tt, ts = operators.product(tb, tb), operators.scaled(tb, s)
+                got = (operators.max_abs(operators.minus(cb, operators.plus(tt, ts))),
+                       operators.max_abs(operators.minus(operators.minus(cb, tt), ts)))
+                tt, ts = t_ @ t_, t_ * s
+                want = (max_abs(c_ - (tt + ts)), max_abs((c_ - tt) - ts))
+            assert all(map(same_float, got, want))
 
     @settings(deadline=None)
     @given(near_diagonal_pair(off_diagonal=0, non_finite=False))
@@ -745,9 +835,10 @@ class TestQuadraticResiduals:
     @pytest.mark.parametrize("hbar", [0.3, 1.0, 1e-30])
     def test_angular_momentum_operands(self, hbar):
         amset = build_set(build_basis(9), hbar)
-        self.assert_same_bits(casimir(amset), amset.jtot)
-        bad = canonical(amset.jtot + from_entries(amset.jtot.shape[0], [3], [4], [1e-3]))
-        self.assert_same_bits(casimir(amset), bad)
+        cas, jt = casimir(amset), csr_set(amset).jtot
+        self.assert_same_bits(cas, jt)
+        bad = canonical(jt + from_entries(jt.shape[0], [3], [4], [1e-3]))
+        self.assert_same_bits(cas, bad)
 
 
 class TestBlockConservation:
@@ -791,18 +882,25 @@ class TestCanonicalForm:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_fro_norm_survives_overflowing_squares(self):
-        op = from_entries(2, [0, 1], [0, 1], [3e200, 4e200])
-        assert abs(fro_norm(op) - 5e200) <= np.spacing(5e200)
-        assert fro_norm(from_entries(2, [0], [0], [np.inf])) == np.inf
-        assert fro_norm(from_entries(2, [0, 1], [0, 1], [3.0, 4.0])) == 5.0
+        def norm(*entries):
+            return operators.fro_norm(band_of(from_entries(2, [0, 1][:len(entries)],
+                                                           [0, 1][:len(entries)], entries)))
+        assert abs(norm(3e200, 4e200) - 5e200) <= np.spacing(5e200)
+        assert norm(np.inf) == np.inf
+        assert norm(3.0, 4.0) == 5.0
 
     def test_values_immutable(self):
         op = annihilation(build_basis(2), 1)
         with pytest.raises(ValueError):
             op.data[0] = 7.0
         amset = build_set(build_basis(2), 1.0)
-        for m in (op, amset.jx, amset.jy, amset.jz, amset.jtot, casimir(amset)):
+        for m in (op, casimir(amset)):
             for arr in (m.data, m.indices, m.indptr):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1
+        for band in (amset.jx, amset.jy, amset.jz, amset.jtot):
+            for arr in band.values():
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0] = 1

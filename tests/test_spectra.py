@@ -22,6 +22,7 @@ from schwinger import (
 from oracles import (
     analyze_block,
     block_report,
+    csr_set,
     diagonal_report,
     extract_block,
     gershgorin_discs,
@@ -238,9 +239,9 @@ class TestBlockTable:
     @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0, 0.3])
     def test_sparse_operators_read_block_by_block(self, hbar):
         amset = build_set(build_basis(30), hbar)
-        cas = angular.casimir(amset)
-        centres, radii = gershgorin_discs(cas)
-        jz = amset.jz.diagonal()
+        cas = angular.casimir_band(amset)
+        centres, radii = gershgorin_discs(angular.casimir(amset))
+        jz = csr_set(amset).jz.diagonal()
         table = spectra.block_table(range(31), hbar, jz, centres, radii)
         # verify reads the same discs off the stored entries of J^2
         read = cli._blocks(amset, cas, 0)
@@ -431,8 +432,8 @@ def test_dense_oracles_not_in_package():
              "block_report", "analyze_block", "SpectrumReport", "diagonal_report",
              "mean_square_from_spectrum"}
     # names no command runs, kept in the oracles of the tests
-    moved = {"SparseOperator", "identity", "zero", "adjoint", "multiply", "add",
-             "scale", "OccupationPair", "ClassicalState", "ClassicalJ",
+    moved = {"SparseOperator", "identity", "zero", "multiply", "add",
+             "scale", "row_indices", "OccupationPair", "ClassicalState", "ClassicalJ",
              "classical_components", "state_with_j", "sample_states", "AngleResult",
              "gershgorin_discs", "limit_scan"}
     modules = (schwinger, angular, spectra, operators, fock, classical, cli)
@@ -441,9 +442,11 @@ def test_dense_oracles_not_in_package():
         for module in modules:
             assert not oracles & set(vars(module))
     assert not {"states", "index_of"} & set(vars(schwinger.FockBasis))
-    # one commutator in the package, and not the operator algebra's
+    # one commutator and one adjoint in the package, the band algebra's,
+    # and not the operator algebra's
     assert "diagonal_commutator" not in vars(operators)
     assert operators.commutator.__module__ == operators.__name__
+    assert operators.adjoint.__module__ == operators.__name__
     assert not any(getattr(v, "__module__", None) == angular.__name__
                    for v in vars(spectra).values())
 
