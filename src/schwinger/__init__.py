@@ -16,7 +16,7 @@ from .angular import (
 )
 from .classical import sample_amplitudes
 from .fock import FockBasis, build_basis
-from .operators import annihilation, from_entries, number_operator
+from .operators import annihilation
 from .spectra import cos_theta, sum_rule_check
 
 __version__ = "0.1.0"
@@ -30,8 +30,6 @@ __all__ = [
     "casimir",
     "casimir_residual",
     "cos_theta",
-    "from_entries",
-    "number_operator",
     "sample_amplitudes",
     "sum_rule_check",
     "__version__",

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock import FockBasis
 from .operators import (
@@ -32,16 +31,15 @@ from .operators import (
     minus,
     plus,
     product,
+    row_product,
     scaled,
-    to_csr,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class AngularMomentumSet:
     """The operators J_x, J_y, J_z and the total J over one basis, each an
-    ``operators`` band whose arrays ``build_set`` makes read-only;
-    ``operators.to_csr`` writes one as its canonical matrix."""
+    ``operators`` band whose arrays ``build_set`` makes read-only."""
 
     jx: Band
     jy: Band
@@ -55,21 +53,20 @@ def build_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
     """Construct the four operators from the mode ladder operators.
 
     The cross term a1 a2^dag is taken as the adjoint of a1^dag a2 rather
-    than as a product of single-mode matrices: the product would pass
+    than as a product of single-mode operators: the product would pass
     through states above the cutoff and silently corrupt the top shell,
     while the adjoint is exact there and keeps J_x, J_y Hermitian to the
-    last bit.  a1^dag a2 is one scipy product, which stores at most one
-    entry per row, just right of the diagonal: its ``data`` is the band
-    U at offset 1.  J_x and J_y are (U + U^dag) hbar/2 and
-    (U - U^dag) hbar/2i in the band algebra, and J_z and J are written
-    straight from the occupations as (n1 -+ n2) hbar/2.
+    last bit.  a1^dag a2 is the ``row_product`` of the two row maps:
+    row r moves one quantum from mode 1 to mode 2, the next state of its
+    shell, so its values are the band U at offset 1.  J_x and J_y are
+    (U + U^dag) hbar/2 and (U - U^dag) hbar/2i in the band algebra, and
+    J_z and J are written straight from the occupations as
+    (n1 -+ n2) hbar/2.
     """
     if hbar <= 0:
         raise ValueError(f"hbar must be positive, got {hbar}")
-    up_down = creation(basis, 1) @ annihilation(basis, 2)  # a1^dag a2
-    u = np.zeros(basis.size, dtype=np.complex128)
-    u[up_down.indices - 1] = up_down.data  # row r stores column r + 1
-    u_band = band({1: u})
+    _, u = row_product(creation(basis, 1), annihilation(basis, 2))  # a1^dag a2
+    u_band = band({1: u.astype(np.complex128)})
     u_dag = adjoint(u_band)  # a1 a2^dag
     jx = scaled(plus(u_band, u_dag), 0.5 * hbar)
     jy = scaled(minus(u_band, u_dag), -0.5j * hbar)
@@ -82,33 +79,26 @@ def build_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
     return AngularMomentumSet(jx=jx, jy=jy, jz=jz, jtot=jtot, hbar=hbar, basis=basis)
 
 
-def casimir_band(amset: AngularMomentumSet) -> Band:
+def casimir(amset: AngularMomentumSet) -> Band:
     """J^2 = J_x^2 + J_y^2 + J_z^2 as a band: its main diagonal alone on a
     clean set."""
     jx, jy, jz = amset.jx, amset.jy, amset.jz
     return plus(plus(product(jx, jx), product(jy, jy)), product(jz, jz))
 
 
-def casimir(amset: AngularMomentumSet) -> sp.csr_matrix:
-    """J^2 as a canonical matrix; block diagonal and Hermitian."""
-    return to_csr(casimir_band(amset), amset.basis.size)
-
-
 def casimir_residual(
     amset: AngularMomentumSet, epsilon: float, *, cas: Band | None = None
-) -> sp.csr_matrix:
-    """J^2 - J (J + epsilon hbar 1) as a canonical matrix.
+) -> Band:
+    """J^2 - J (J + epsilon hbar 1) as a band.
 
     With epsilon = 1 (boson commutators) this vanishes identically on the
     whole truncated space: the square of the angular momentum is
     j(j+1) hbar^2, not j^2 hbar^2.  With epsilon = 0 it reduces to
     hbar J, the gap between the quantum and the classical square.
     Intermediate epsilon just evaluates the same formula.  ``cas`` is
-    the band of J^2 when the caller already holds it; by default it is
-    built here.
+    J^2 when the caller already holds it; by default it is built here.
     """
     if cas is None:
-        cas = casimir_band(amset)
+        cas = casimir(amset)
     jt = amset.jtot
-    quadratic = plus(product(jt, jt), scaled(jt, epsilon * amset.hbar))
-    return to_csr(minus(cas, quadratic), amset.basis.size)
+    return minus(cas, plus(product(jt, jt), scaled(jt, epsilon * amset.hbar)))

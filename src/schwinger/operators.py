@@ -1,97 +1,41 @@
 """Operators over a truncated two-mode Fock basis.
 
-The mode ladder operators are canonical, read-only
-``scipy.sparse.csr_matrix`` matrices: column indices sorted within each
-row, duplicate positions merged, exact zeros dropped, and ``data``,
-``indices`` and ``indptr`` frozen.  ``annihilation``, ``creation``,
-``diagonal`` and ``number_operator`` write their arrays in that order
-directly; ``canonical`` and ``from_entries`` put a matrix of unknown
-order in that form.
+A mode ladder operator sends each Fock state to exactly one state, so in
+the basis order it is a *row map*: a pair of read-only arrays
+``(cols, vals)`` of length dim, row r holding ``vals[r]`` at column
+``cols[r]``.  ``vals[r] == 0`` means the row is empty, whatever
+``cols[r]`` holds.  ``annihilation`` and ``creation`` write the two
+arrays directly, and ``row_product`` multiplies two row maps by one
+gather.
 
 Everything built from them is a *band*: a dict that maps each offset p
 to a complex array of length dim whose entry i is the element
-(i, i + p).  An entry of 0 is not stored, as a canonical matrix stores
-exactly its nonzeros; an offset whose array is all zero is left out, and
-any offset may appear.  Every J operator keeps the total occupation, so
-in the basis order it stores only diagonals: J_x and J_y the first
-off-diagonals, J_z, J and a clean J^2 the main one.
+(i, i + p).  An entry of 0 is not stored; an offset whose array is all
+zero is left out, and any offset may appear.  Every J operator keeps the
+total occupation, so in the basis order it stores only diagonals: J_x
+and J_y the first off-diagonals, J_z, J and a clean J^2 the main one.
 
-The band algebra equals scipy's arithmetic on the canonical matrices
-bit for bit.  ``product`` sums the terms of each output entry from 0 in
-scipy's column order, each rounded as scipy's sparse product rounds it,
-and forms a term only where both factors store an entry, so NaN and inf
+The band algebra equals scipy's arithmetic on the canonical CSR
+matrices (sorted, duplicates merged, exact zeros dropped) bit for bit.
+``product`` sums the terms of each output entry from 0 in scipy's
+column order, each rounded as scipy's sparse product rounds it, and
+forms a term only where both factors store an entry, so NaN and inf
 spread as they do through scipy.  ``plus`` and ``minus`` work
 elementwise over the union of the offsets, ``scaled`` multiplies as
 scipy's scalar product does, and ``adjoint`` conjugates and shifts.
-``fro_norm`` and ``max_abs`` read the stored entries in row-major order,
-and ``to_csr`` writes a band as its canonical matrix.
+``fro_norm`` and ``max_abs`` read the stored entries in row-major order.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock import FockBasis, position
 
+# (cols, vals), as the module docstring says
+RowMap = tuple
 # offset -> complex array of length dim, as the module docstring says
 Band = dict
-
-
-def canonical(m: sp.spmatrix) -> sp.csr_matrix:
-    """Sort, merge duplicates, drop exact zeros and freeze a fresh matrix.
-
-    ``m`` must not be shared with any other operator: it is modified in
-    place.
-    """
-    m = m.tocsr()
-    m.sum_duplicates()
-    m.eliminate_zeros()
-    return _freeze(m)
-
-
-def _freeze(m: sp.csr_matrix) -> sp.csr_matrix:
-    for arr in (m.data, m.indices, m.indptr):
-        arr.flags.writeable = False
-    return m
-
-
-def from_entries(dim: int, rows, cols, vals) -> sp.csr_matrix:
-    """Canonicalize raw triplets: sort, merge duplicates, drop exact zeros."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.complex128)
-    if not (rows.shape == cols.shape == vals.shape):
-        raise ValueError("rows, cols and vals must have equal length")
-    if len(rows) and (
-        rows.min() < 0 or cols.min() < 0 or rows.max() >= dim or cols.max() >= dim
-    ):
-        raise ValueError(f"triplet index outside a {dim}x{dim} matrix")
-    m = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=np.complex128)
-    return canonical(m)
-
-
-_INT32_MAX = np.iinfo(np.int32).max
-
-
-def _index_dtype(dim: int, nnz: int):
-    """The index dtype scipy picks for a dim x dim matrix of nnz entries."""
-    return np.int32 if max(dim, nnz) <= _INT32_MAX else np.int64
-
-
-def _frozen(dim: int, data, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:
-    """A frozen matrix from arrays in canonical order: sorted, without
-    duplicates or exact zeros.  They are not checked again.
-
-    The index arrays are handed over in the dtype scipy would pick for
-    them, so that scipy need not scan them to choose it.
-    """
-    index = _index_dtype(dim, len(indices))
-    m = sp.csr_matrix((np.asarray(data, dtype=np.complex128),
-                       indices.astype(index, copy=False), indptr.astype(index, copy=False)),
-                      shape=(dim, dim))
-    m.has_canonical_format = True
-    return _freeze(m)
 
 
 def _check_mode(mode: int):
@@ -99,55 +43,51 @@ def _check_mode(mode: int):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
 
 
-def annihilation(basis: FockBasis, mode: int) -> sp.csr_matrix:
+def _read_only(cols: np.ndarray, vals: np.ndarray) -> RowMap:
+    for arr in (cols, vals):
+        arr.flags.writeable = False
+    return cols, vals
+
+
+def annihilation(basis: FockBasis, mode: int) -> RowMap:
     """Lowering operator of one mode: a_k |..n_k..> = sqrt(n_k) |..n_k - 1..>.
 
-    States with n_k = 0 are annihilated.  The matrix never connects
+    States with n_k = 0 are annihilated.  The operator never connects
     different total-occupation blocks upward, so it is exact everywhere
-    in the truncated space.  Row r holds one entry, sqrt(n_k + 1) at the
-    state one quantum above r, for every r below the top shell, so the
-    arrays are written in canonical order directly.
+    in the truncated space.  Row r holds sqrt(n_k + 1) at the state one
+    quantum above r, for every r below the top shell; the rows of the
+    top shell are empty.
     """
     _check_mode(mode)
-    n1, n2, _ = basis.occupations()
-    below = position(basis.n_max, 0)  # the states with n1 + n2 < n_max
-    n1, n2 = n1[:below], n2[:below]
-    raised = (n1 + 1, n2) if mode == 1 else (n1, n2 + 1)
-    nk = raised[mode - 1]
-    indptr = np.append(np.arange(below + 1), np.full(basis.size - below, below))
-    return _frozen(basis.size, np.sqrt(nk), position(*raised), indptr)
+    n1, n2, total = basis.occupations()
+    nk = n1 if mode == 1 else n2
+    raised = position(n1 + 1, n2) if mode == 1 else position(n1, n2 + 1)
+    below = total < basis.n_max
+    return _read_only(np.where(below, raised, 0), np.where(below, np.sqrt(nk + 1), 0.0))
 
 
-def creation(basis: FockBasis, mode: int) -> sp.csr_matrix:
+def creation(basis: FockBasis, mode: int) -> RowMap:
     """Raising operator of one mode, the transpose of ``annihilation``:
     a_k^dag |..n_k..> = sqrt(n_k + 1) |..n_k + 1..> below the top shell.
 
-    Row r holds one entry, sqrt(n_k) at the state one quantum below r,
-    for every r with n_k > 0, so the arrays are written in canonical
-    order directly.  The mode operators are real, so the transpose is
-    the adjoint.
+    Row r holds sqrt(n_k) at the state one quantum below r; the rows
+    with n_k = 0 are empty.  The mode operators are real, so the
+    transpose is the adjoint.
     """
     _check_mode(mode)
     n1, n2, _ = basis.occupations()
     nk = n1 if mode == 1 else n2
-    rows = np.flatnonzero(nk)
-    lowered = (n1[rows] - 1, n2[rows]) if mode == 1 else (n1[rows], n2[rows] - 1)
-    indptr = np.append(0, np.cumsum(nk != 0))
-    return _frozen(basis.size, np.sqrt(nk[rows]), position(*lowered), indptr)
+    lowered = position(n1 - 1, n2) if mode == 1 else position(n1, n2 - 1)
+    return _read_only(np.where(nk > 0, lowered, 0), np.sqrt(nk))
 
 
-def diagonal(values: np.ndarray) -> sp.csr_matrix:
-    """The canonical diagonal matrix of ``values``, exact zeros dropped."""
-    rows = np.flatnonzero(values)
-    indptr = np.append(0, np.cumsum(values != 0))
-    return _frozen(len(values), values[rows], rows, indptr)
-
-
-def number_operator(basis: FockBasis, mode: int) -> sp.csr_matrix:
-    """Diagonal occupation operator n_k; equals a_k^dag a_k exactly."""
-    _check_mode(mode)
-    n1, n2, _ = basis.occupations()
-    return diagonal(n1 if mode == 1 else n2)
+def row_product(a: RowMap, b: RowMap) -> RowMap:
+    """The row map of the product ab: row r of ``a`` reaches column
+    c = cols_a[r], and row c of ``b`` goes on from there.  Each value is
+    the one product vals_a[r] vals_b[c], as scipy forms the one term of
+    such an entry."""
+    (cols_a, vals_a), (cols_b, vals_b) = a, b
+    return cols_b[cols_a], vals_a * vals_b[cols_a]
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +245,3 @@ def _norm(values: np.ndarray) -> float:
         return float(big * np.sqrt(np.sum((mags / big) ** 2)))
     return float(np.sqrt(total))
 
-
-def to_csr(a: Band, dim: int) -> sp.csr_matrix:
-    """The canonical dim x dim matrix of ``a``."""
-    offsets = sorted(a)
-    values = np.stack([a[p] for p in offsets], axis=1) if offsets else np.zeros((dim, 0))
-    stored = values != 0
-    cols = (np.arange(dim)[:, None] + np.array(offsets, dtype=np.int64))[stored]
-    indptr = np.zeros(dim + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
-    return _frozen(dim, values[stored], cols, indptr)

@@ -15,24 +15,30 @@ the reference for the discs ``verify`` reads off J^2's stored entries.
 ``json_text`` and ``csv_text`` encode a command's document with the
 standard library.
 
+The tests' matrices are canonical CSR: column indices sorted within
+each row, duplicate positions merged, exact zeros dropped, and
+``data``, ``indices`` and ``indptr`` read-only.  ``canonical`` puts a
+matrix in that form and ``from_entries`` makes one of (row, col, value)
+triplets.
+
 ``triplet_annihilation`` and ``triplet_number_operator`` build the mode
-operators from (row, col, value) triplets through ``from_entries``, and
-``arithmetic_set`` the four J operators as sparse arithmetic over them:
-the references for the builders that write canonical CSR directly.
-``identical`` compares two matrices to the bit, index dtypes and
-read-only flags included.
+operators from triplets, and ``arithmetic_set`` the four J operators as
+sparse arithmetic over them.  ``row_map_csr`` writes one of the
+package's row maps as its canonical matrix, and ``ladder`` a mode
+operator.  ``identical`` compares two matrices to the bit, index dtypes
+and read-only flags included.
 
 The package holds each J operator as an ``operators`` band.
-``csr_set`` turns a set of bands into one of canonical matrices through
-``operators.to_csr``, and every oracle that takes a set reads it through
-``csr_set``; ``band_of`` reads a canonical matrix as a band.
-``max_abs``, ``fro_norm`` and ``row_indices`` read the stored entries of
-a matrix.
+``to_csr`` writes a band as its canonical matrix, ``csr_set`` turns a
+set of bands into one of canonical matrices, and every oracle that
+takes a set reads it through ``csr_set``; ``band_of`` reads a canonical
+matrix as a band.  ``max_abs``, ``fro_norm`` and ``row_indices`` read
+the stored entries of a matrix.
 
-``identity``, ``zero``, ``adjoint``, ``multiply``, ``add``, ``scale``
-and ``commutator`` are an operator algebra over canonical CSR matrices
-that passes every result through ``operators.canonical``, and ``equal``
-compares two such matrices array for array.  ``algebra_set``,
+``identity``, ``zero``, ``adjoint``, ``multiply``, ``add``,
+``subtract``, ``scale`` and ``commutator`` are an operator algebra over
+canonical CSR matrices that passes every result through ``canonical``,
+and ``equal`` compares two such matrices array for array.  ``algebra_set``,
 ``algebra_casimir``, ``algebra_casimir_residual`` and
 ``algebra_residuals`` build the J operators, J^2 and the verify
 residuals through that algebra, canonicalizing every intermediate: the
@@ -61,10 +67,64 @@ import scipy.sparse as sp
 
 from schwinger.angular import AngularMomentumSet
 from schwinger.fock import FockBasis, position
-from schwinger.operators import _norm, canonical, from_entries, to_csr
+from schwinger.operators import _norm, annihilation
 from schwinger.classical import sample_amplitudes
 from schwinger.cli import Segments, Table
 from schwinger.spectra import _quarter_sum
+
+
+def canonical(m: sp.spmatrix) -> sp.csr_matrix:
+    """Sort, merge duplicates, drop exact zeros and freeze a fresh matrix.
+
+    ``m`` must not be shared with any other operator: it is modified in
+    place.
+    """
+    m = m.tocsr()
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    for arr in (m.data, m.indices, m.indptr):
+        arr.flags.writeable = False
+    return m
+
+
+def from_entries(dim: int, rows, cols, vals) -> sp.csr_matrix:
+    """Canonicalize raw triplets: sort, merge duplicates, drop exact zeros."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.complex128)
+    if not (rows.shape == cols.shape == vals.shape):
+        raise ValueError("rows, cols and vals must have equal length")
+    if len(rows) and (
+        rows.min() < 0 or cols.min() < 0 or rows.max() >= dim or cols.max() >= dim
+    ):
+        raise ValueError(f"triplet index outside a {dim}x{dim} matrix")
+    m = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=np.complex128)
+    return canonical(m)
+
+
+def row_map_csr(row_map: tuple) -> sp.csr_matrix:
+    """The canonical matrix of the row map ``(cols, vals)``: row r stores
+    vals[r] at column cols[r] unless vals[r] is 0."""
+    cols, vals = row_map
+    rows = np.flatnonzero(vals)
+    return from_entries(len(vals), rows, cols[rows], vals[rows])
+
+
+def ladder(basis: FockBasis, mode: int) -> sp.csr_matrix:
+    """The package's ``annihilation`` of one mode as a canonical matrix."""
+    return row_map_csr(annihilation(basis, mode))
+
+
+def to_csr(a: dict, dim: int) -> sp.csr_matrix:
+    """The canonical dim x dim matrix of the band ``a``."""
+    rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], []
+    for p, values in a.items():
+        stored = np.flatnonzero(values)
+        rows.append(stored)
+        cols.append(stored + p)
+        vals.append(values[stored])
+    return from_entries(dim, np.concatenate(rows), np.concatenate(cols),
+                        np.concatenate(vals or [np.zeros(0)]))
 
 
 def csr_set(amset: AngularMomentumSet) -> AngularMomentumSet:
@@ -657,6 +717,14 @@ def add(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
     return canonical(a + b)
 
 
+def subtract(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    """a - b, as scipy subtracts: an inf in b stays an inf, where a
+    subtraction through ``scale(b, -1.0)`` would make 0 * inf a NaN
+    part."""
+    _check_dims(a, b)
+    return canonical(a - b)
+
+
 def scale(a: sp.csr_matrix, c: complex) -> sp.csr_matrix:
     return canonical(a * complex(c))
 
@@ -666,7 +734,7 @@ def commutator(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
     the identity only below the top shell n1 + n2 = n_max; the deviation
     there is real and expected, not a bug."""
     _check_dims(a, b)
-    return add(multiply(a, b), scale(multiply(b, a), -1.0))
+    return subtract(multiply(a, b), multiply(b, a))
 
 
 # ---------------------------------------------------------------------------
@@ -707,11 +775,11 @@ def algebra_casimir_residual(
         cas = algebra_casimir(amset)
     jt = amset.jtot
     quad = add(multiply(jt, jt), scale(jt, epsilon * amset.hbar))
-    return add(cas, scale(quad, -1.0))
+    return subtract(cas, quad)
 
 
 def _hermiticity_residual(op: sp.csr_matrix) -> float:
-    return max_abs(add(op, scale(adjoint(op), -1.0)))
+    return max_abs(subtract(op, adjoint(op)))
 
 
 def algebra_residuals(amset: AngularMomentumSet) -> dict[str, float]:
@@ -743,6 +811,6 @@ def algebra_residuals(amset: AngularMomentumSet) -> dict[str, float]:
 
     quantum = algebra_casimir_residual(amset, 1.0, cas=cas)
     checks.append(("quadratic_identity_quantum", max_abs(quantum)))
-    classical_form = add(algebra_casimir_residual(amset, 0.0, cas=cas), scale(jt, -hbar))
+    classical_form = subtract(subtract(cas, multiply(jt, jt)), scale(jt, hbar))
     checks.append(("quadratic_identity_classical_form", max_abs(classical_form)))
     return dict(checks)

@@ -26,6 +26,7 @@ from oracles import (
     csr_set,
     extract_block,
     fro_norm,
+    ladder,
     max_abs,
     mean_square_from_spectrum,
     multiply,
@@ -33,6 +34,8 @@ from oracles import (
     scale,
     state_with_j,
     states,
+    to_csr,
+    triplet_number_operator,
 )
 
 N_MAX = 40
@@ -57,7 +60,7 @@ def test_criterion_1_commutation_relations():
         resid = add(commutator(a, b), scale(c, -1j * s.hbar))
         worst = max(worst, fro_norm(resid))
         assert fro_norm(resid) < 1e-11
-    cas = sw.casimir(amset)
+    cas = to_csr(sw.casimir(amset), s.basis.size)
     assert fro_norm(commutator(cas, s.jz)) < 1e-11
     for op in (s.jx, s.jy, s.jz):
         assert fro_norm(commutator(op, s.jtot)) < 1e-11
@@ -68,10 +71,12 @@ def test_criterion_1_commutation_relations():
 
 
 def test_criterion_2_quadratic_identity(amset40):
-    quantum = max_abs(sw.casimir_residual(amset40, 1.0))
+    dim = amset40.basis.size
+    quantum = max_abs(to_csr(sw.casimir_residual(amset40, 1.0), dim))
     assert quantum < 1e-11
     classical_form = max_abs(add(
-        sw.casimir_residual(amset40, 0.0), scale(csr_set(amset40).jtot, -amset40.hbar)
+        to_csr(sw.casimir_residual(amset40, 0.0), dim),
+        scale(csr_set(amset40).jtot, -amset40.hbar),
     ))
     assert classical_form < 1e-12
     report(2, "quadratic-identity",
@@ -169,16 +174,16 @@ def test_criterion_7_dense_oracle():
     worst = 0.0
     for n_max in range(7):
         basis = sw.build_basis(n_max)
-        a1 = sw.annihilation(basis, 1)
-        a2 = sw.annihilation(basis, 2)
+        a1 = ladder(basis, 1)
+        a2 = ladder(basis, 2)
         d1 = dense_annihilation(basis, 1)
         d2 = dense_annihilation(basis, 2)
         pairs = [
             (d1, a1),
             (d2, a2),
             (d1.conj().T, adjoint(a1)),
-            (dense_number(basis, 1), sw.number_operator(basis, 1)),
-            (dense_number(basis, 2), sw.number_operator(basis, 2)),
+            (dense_number(basis, 1), triplet_number_operator(basis, 1)),
+            (dense_number(basis, 2), triplet_number_operator(basis, 2)),
             (d1.conj().T @ d2, multiply(adjoint(a1), a2)),
             (d1 + 2.0 * d2, add(a1, scale(a2, 2.0))),
             (0.5j * d1, scale(a1, 0.5j)),

@@ -19,11 +19,7 @@ import schwinger.angular as angular
 import schwinger.cli as cli
 import schwinger.operators as operators
 import schwinger.spectra as spectra
-from schwinger import (
-    build_basis,
-    build_set,
-    from_entries,
-)
+from schwinger import build_basis, build_set
 from schwinger.cli import (
     CHUNK_RECORDS,
     COUNT_LIMIT,
@@ -45,10 +41,12 @@ from oracles import (
     csv_text,
     equal,
     extract_block,
+    from_entries,
     gershgorin_discs,
     json_text,
     max_abs,
     row_indices,
+    to_csr,
 )
 
 
@@ -117,18 +115,18 @@ OFF_PATTERN_BREAKERS = {
 
 
 def counting_canonical(monkeypatch) -> list:
-    """Patch every module binding of ``operators.canonical`` to record
-    the shape of each matrix it canonicalizes."""
+    """Patch ``sum_duplicates`` of ``csr_matrix`` and ``csc_matrix``, the
+    step that puts a compressed matrix in canonical form, to record the
+    shape of each matrix it canonicalizes."""
     calls = []
-    real = operators.canonical
+    for cls in (sp.csr_matrix, sp.csc_matrix):
+        real = cls.sum_duplicates
 
-    def counting(m):
-        calls.append(m.shape)
-        return real(m)
+        def counting(self, _real=real):
+            calls.append(self.shape)
+            return _real(self)
 
-    for module in (operators, angular, cli):
-        if vars(module).get("canonical") is real:
-            monkeypatch.setattr(module, "canonical", counting)
+        monkeypatch.setattr(cls, "sum_duplicates", counting)
     return calls
 
 
@@ -316,14 +314,14 @@ class TestVerify:
 
     def test_casimir_built_once(self, capsys, monkeypatch):
         calls = []
-        real = angular.casimir_band
+        real = angular.casimir
 
         def counting(amset):
             calls.append(amset)
             return real(amset)
 
-        monkeypatch.setattr(angular, "casimir_band", counting)
-        monkeypatch.setattr(cli, "casimir_band", counting)
+        monkeypatch.setattr(angular, "casimir", counting)
+        monkeypatch.setattr(cli, "casimir", counting)
         code, _, _ = run_cli(capsys, "verify", "--nmax", "6", "--no-meta")
         assert code == 0 and len(calls) == 1
 
@@ -343,13 +341,12 @@ class TestVerify:
         assert code == 1 and calls == []
 
     def test_constructions_counted(self, capsys, monkeypatch):
-        # the ladder product a1^dag a2 alone: a1^dag, a2 and their product
-        # in scipy; every other operator is a band, corrupted or not
+        # the mode operators are row maps and every J operator a band,
+        # corrupted or not: no compressed matrix is built
         calls = counting_constructions(monkeypatch)
         for corrupt in ([], ["--corrupt", "jx,1,3,1e-6"], ["--corrupt", "jx,0,5,1e-3"]):
-            calls.clear()
             code, _, _ = run_cli(capsys, "verify", "--nmax", "5", "--no-meta", *corrupt)
-            assert code == (1 if corrupt else 0) and 0 < len(calls) <= 4
+            assert code == (1 if corrupt else 0) and calls == []
 
     @pytest.mark.parametrize("directive", [None, *sorted(OFF_PATTERN_BREAKERS.values())])
     def test_fallbacks_run_on_pattern_mismatch(self, monkeypatch, directive):
@@ -399,6 +396,10 @@ class TestVerify:
             (4, "jx,1,3,nan", 1.0), (4, "jz,4,4,nan", 0.3), (7, "jy,3,4,nan", 2.0),
             (4, "jtot,2,2,nan", 1.0), (6, "jx,1,2,1e-3", 1e160), (6, "jz,3,3,-1", 1e160),
             (23, "jy,80,8,1e-3", 1e160),
+            # an infinite entry: a product that met an unstored 0 would read
+            # NaN where scipy reads inf
+            (4, "jx,1,2,inf", 1.0), (4, "jz,4,4,-inf", 0.3), (7, "jy,3,4,inf", 2.0),
+            (4, "jtot,2,2,inf", 1.0), (4, "jx,1,3,inf", 0.3),
         ]
     ])
     def test_corrupted_residuals_match_operator_algebra(self, n_max, directive, hbar):
@@ -466,9 +467,10 @@ class TestVerify:
 
 def spread_of_discs(amset, cas) -> np.ndarray:
     """The per-block spread from the oracle's discs of the Hermitian part
-    of ``cas``, a canonical J^2."""
+    of ``cas``, the band of J^2."""
+    discs = gershgorin_discs(to_csr(cas, amset.basis.size))
     return spectra.block_table(range(amset.basis.n_max + 1), amset.hbar,
-                               csr_set(amset).jz.diagonal(), *gershgorin_discs(cas))["spread"]
+                               csr_set(amset).jz.diagonal(), *discs)["spread"]
 
 
 class TestHermiticityResidual:
@@ -482,7 +484,7 @@ class TestHermiticityResidual:
 
     @classmethod
     def assert_same_bits(cls, op: dict, dim: int):
-        m = operators.to_csr(op, dim)
+        m = to_csr(op, dim)
         with np.errstate(invalid="ignore"):
             got, want = cls.residual(op), max_abs(m - m.conj().T)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -559,9 +561,9 @@ class TestCasimirDiscs:
     def test_clean_casimir_stores_no_off_diagonal_entry(self, hbar):
         for n_max in range(41):
             amset = build_set(build_basis(n_max), hbar)
-            cas = angular.casimir(amset)
+            cas = to_csr(angular.casimir(amset), amset.basis.size)
             assert np.array_equal(row_indices(cas), cas.indices), n_max
-            assert set(angular.casimir_band(amset)) <= {0}, n_max
+            assert set(angular.casimir(amset)) <= {0}, n_max
 
     @pytest.mark.parametrize("hbar", [0.5, 1.0, 0.3])
     @pytest.mark.parametrize("row, col, delta", [(1, 2, 1e-6), (3, 5, -2.5e-3), (6, 14, 1e-9)])
@@ -569,7 +571,7 @@ class TestCasimirDiscs:
         amset = build_set(build_basis(5), hbar)
         bad = cli._apply_corruption(amset, ("jx", row, col, delta))
         bad = cli._apply_corruption(bad, ("jx", col, row, delta))
-        spread = cli._blocks(bad, angular.casimir_band(bad), 0)["spread"]
+        spread = cli._blocks(bad, angular.casimir(bad), 0)["spread"]
         assert spread.max() > 0
         assert np.array_equal(spread, spread_of_discs(bad, angular.casimir(bad)))
 
@@ -578,7 +580,7 @@ class TestCasimirDiscs:
         bad = cli._apply_corruption(amset, cli._parse_corruption("jx,1,3,1e-6", amset.basis.size))
         # the check reads the largest spread; a block's own can fall, since
         # the entry now widens only the disc of its row, not of its mirror
-        spread = cli._blocks(bad, angular.casimir_band(bad), 0)["spread"]
+        spread = cli._blocks(bad, angular.casimir(bad), 0)["spread"]
         assert spread.max() >= spread_of_discs(bad, angular.casimir(bad)).max() > 0
         code, _, err = run_cli(capsys, "verify", "--nmax", "4", "--no-meta",
                                "--corrupt", "jx,1,3,1e-6")
@@ -714,10 +716,10 @@ class TestSpectrum:
         assert code == 0 and calls == []
 
     def test_constructions_counted(self, capsys, monkeypatch):
-        # the ladder product a1^dag a2 alone, as for verify
+        # no compressed matrix, as for verify
         calls = counting_constructions(monkeypatch)
         code, _, _ = run_cli(capsys, "spectrum", "--n", "5", "--no-meta")
-        assert code == 0 and 0 < len(calls) <= 4
+        assert code == 0 and calls == []
 
     @pytest.mark.parametrize("flags", [["--tol", "1e-100"], ["--hbar", "1e120"]])
     @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -7,34 +7,31 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import schwinger.operators as operators
-from schwinger import (
-    annihilation,
-    build_basis,
-    build_set,
-    casimir,
-    from_entries,
-    number_operator,
-)
-from schwinger.angular import casimir_band
-from schwinger.operators import canonical, creation, diagonal, to_csr
+from schwinger import annihilation, build_basis, build_set, casimir
+from schwinger.operators import creation, row_product
 
 from conftest import dense_annihilation, dense_number, max_entry_diff
 from oracles import (
     add,
     adjoint,
     band_of,
+    canonical,
     commutator as algebra_commutator,
     csr_set,
     equal,
     fro_norm,
+    from_entries,
     identical,
     identity,
     index_of,
+    ladder,
     max_abs,
     multiply,
     row_indices,
+    row_map_csr,
     scale,
     states,
+    to_csr,
     triplet_annihilation,
     triplet_number_operator,
     zero,
@@ -48,19 +45,19 @@ def entry(op, i, j):
 class TestLadder:
     def test_sqrt1_entry(self):
         basis = build_basis(1)
-        a1 = annihilation(basis, 1)
+        a1 = ladder(basis, 1)
         assert entry(a1, index_of(basis, (0, 0)), index_of(basis, (1, 0))) == 1.0
         assert a1.nnz == 1
 
     def test_sqrt2_entry(self):
         basis = build_basis(2)
-        a1 = annihilation(basis, 1)
+        a1 = ladder(basis, 1)
         got = entry(a1, index_of(basis, (1, 0)), index_of(basis, (2, 0)))
         assert got == pytest.approx(np.sqrt(2), abs=1e-15)
 
     def test_mode2_entry(self):
         basis = build_basis(2)
-        a2 = annihilation(basis, 2)
+        a2 = ladder(basis, 2)
         assert entry(a2, index_of(basis, (1, 0)), index_of(basis, (1, 1))) == 1.0
 
     def test_bad_mode(self):
@@ -69,18 +66,17 @@ class TestLadder:
 
 
 class TestDirectBuilders:
-    """The ladder and number operators, written in canonical order, hold
-    the arrays ``from_entries`` makes of their triplets, to the bit."""
+    """The ladder operators, written as row maps, hold the matrices
+    ``from_entries`` makes of their triplets, to the bit."""
 
     @pytest.mark.parametrize("mode", [1, 2])
     def test_match_triplets(self, mode):
         for n_max in range(41):
             basis = build_basis(n_max)
-            ladder = annihilation(basis, mode)
-            assert identical(ladder, triplet_annihilation(basis, mode)), n_max
-            assert identical(number_operator(basis, mode),
-                             triplet_number_operator(basis, mode)), n_max
-            assert ladder.indices.dtype == ladder.indptr.dtype == np.int32
+            cols, vals = annihilation(basis, mode)
+            assert len(cols) == len(vals) == basis.size
+            assert cols.dtype == np.int64 and vals.dtype == np.float64
+            assert identical(ladder(basis, mode), triplet_annihilation(basis, mode)), n_max
 
     @pytest.mark.parametrize("mode", [1, 2])
     def test_creation_is_the_transpose(self, mode):
@@ -89,23 +85,39 @@ class TestDirectBuilders:
         # imaginary part
         for n_max in range(41):
             basis = build_basis(n_max)
-            raising = creation(basis, mode)
-            assert identical(raising, canonical(annihilation(basis, mode).T.tocsr())), n_max
-            assert raising.indices.dtype == raising.indptr.dtype == np.int32
+            raising = row_map_csr(creation(basis, mode))
+            assert identical(raising, canonical(ladder(basis, mode).T.tocsr())), n_max
 
     def test_creation_bad_mode(self):
         with pytest.raises(ValueError):
             creation(build_basis(1), 0)
 
-    def test_diagonal_drops_exact_zeros_keeps_non_finite(self):
-        values = np.array([0.0, -0.5, 0.0, np.nan, np.inf, -0.0])
-        d = diagonal(values)
-        assert identical(d, from_entries(6, range(6), range(6), values))
-        assert list(d.indices) == [1, 3, 4]
 
-    def test_diagonal_of_zeros_stores_nothing(self):
-        assert identical(diagonal(np.zeros(4)), zero(4))
-        assert diagonal(np.zeros(0)).shape == (0, 0)
+class TestRowProduct:
+    """U = a1^dag a2 from the two row maps is scipy's product of the two
+    triplet-built mode operators to the bit, one entry a row just right
+    of the diagonal."""
+
+    @staticmethod
+    def assert_scipy_bits(n_max):
+        basis = build_basis(n_max)
+        cols, vals = row_product(creation(basis, 1), annihilation(basis, 2))
+        a1, a2 = triplet_annihilation(basis, 1), triplet_annihilation(basis, 2)
+        assert identical(row_map_csr((cols, vals)), canonical(a1.conj().T @ a2)), n_max
+        stored = np.flatnonzero(vals)
+        assert np.array_equal(cols[stored], stored + 1), n_max
+        return vals
+
+    def test_small_cutoffs(self):
+        for n_max in range(41):
+            self.assert_scipy_bits(n_max)
+
+    @pytest.mark.parametrize("n_max", [500, 1000])
+    def test_at_the_cap(self, n_max):
+        # at hbar 2, J_x's offset 1 is U times 1.0
+        vals = self.assert_scipy_bits(n_max)
+        jx = build_set(build_basis(n_max), 2.0).jx
+        assert jx[1].tobytes() == vals.astype(complex).tobytes()
 
 
 class TestIsDiagonal:
@@ -129,71 +141,78 @@ class TestIsDiagonal:
 
     def test_angular_momentum_operators(self):
         amset = build_set(build_basis(7), 0.3)
-        assert set(amset.jz) == set(amset.jtot) == set(casimir_band(amset)) == {0}
+        assert set(amset.jz) == set(amset.jtot) == set(casimir(amset)) == {0}
         assert set(amset.jx) == set(amset.jy) == {-1, 1}
 
 
 class TestAdjoint:
     def test_creation_entry(self):
         basis = build_basis(1)
-        a1d = adjoint(annihilation(basis, 1))
+        a1d = adjoint(ladder(basis, 1))
         assert entry(a1d, index_of(basis, (1, 0)), index_of(basis, (0, 0))) == 1.0
 
     def test_involution(self):
         basis = build_basis(4)
-        for op in (annihilation(basis, 1), annihilation(basis, 2),
-                   number_operator(basis, 1)):
+        for op in (ladder(basis, 1), ladder(basis, 2),
+                   triplet_number_operator(basis, 1)):
             assert equal(adjoint(adjoint(op)), op)
 
     def test_real_diagonal_self_adjoint(self):
-        n1 = number_operator(build_basis(3), 1)
+        n1 = triplet_number_operator(build_basis(3), 1)
         assert equal(adjoint(n1), n1)
 
     def test_product_rule(self):
         basis = build_basis(4)
-        a = annihilation(basis, 1)
-        b = adjoint(annihilation(basis, 2))
+        a = ladder(basis, 1)
+        b = adjoint(ladder(basis, 2))
         lhs = adjoint(multiply(a, b)).toarray()
         rhs = multiply(adjoint(b), adjoint(a)).toarray()
         assert np.max(np.abs(lhs - rhs)) < 1e-14
 
 
 class TestNumberOperator:
+    """n_k is a_k^dag a_k, the ``row_product`` of the two row maps."""
+
+    @staticmethod
+    def number(basis, mode):
+        return row_product(creation(basis, mode), annihilation(basis, mode))
+
     def test_diagonal_values(self):
         basis = build_basis(2)
-        n1 = number_operator(basis, 1)
-        assert np.allclose(np.diag(n1.toarray()), [0, 1, 0, 2, 1, 0])
+        cols, vals = self.number(basis, 1)
+        assert np.array_equal(cols[vals != 0], np.flatnonzero(vals))
+        assert np.allclose(vals, [0, 1, 0, 2, 1, 0])
 
     def test_equals_adag_a(self):
         basis = build_basis(4)
-        a1 = annihilation(basis, 1)
+        a1 = ladder(basis, 1)
         got = multiply(adjoint(a1), a1)
         oracle = dense_annihilation(basis, 1).conj().T @ dense_annihilation(basis, 1)
         assert max_entry_diff(oracle, got) < 1e-13
-        assert max_entry_diff(oracle, number_operator(basis, 1)) < 1e-13
+        assert max_entry_diff(oracle, row_map_csr(self.number(basis, 1))) < 1e-13
 
     def test_total_occupation_trace(self):
         basis = build_basis(2)
-        total = add(number_operator(basis, 1), number_operator(basis, 2))
+        total = add(row_map_csr(self.number(basis, 1)), row_map_csr(self.number(basis, 2)))
         assert np.trace(total.toarray()).real == pytest.approx(8.0)
 
 
 class TestAlgebra:
     def test_identity_law(self):
         basis = build_basis(3)
-        a1 = annihilation(basis, 1)
+        a1 = ladder(basis, 1)
         assert equal(multiply(identity(basis.size), a1), a1)
         assert equal(multiply(a1, identity(basis.size)), a1)
 
     def test_additive_inverse(self):
-        a1 = annihilation(build_basis(3), 1)
+        a1 = ladder(build_basis(3), 1)
         diff = add(a1, scale(a1, -1.0))
         assert diff.nnz == 0
         assert equal(diff, zero(a1.shape[0]))
 
     def test_a_adag_interior_diagonal(self):
         basis = build_basis(4)
-        a1 = annihilation(basis, 1)
+        a1 = ladder(basis, 1)
         prod = multiply(a1, adjoint(a1))
         pos = index_of(basis, (2, 1))
         # n1 + 1 with n1 = 2 on an interior state
@@ -201,12 +220,12 @@ class TestAlgebra:
 
     def test_scale_by_scalar(self):
         basis = build_basis(2)
-        n1 = number_operator(basis, 1)
+        n1 = triplet_number_operator(basis, 1)
         assert np.allclose(scale(n1, 2j).toarray(), 2j * n1.toarray())
 
     def test_dimension_mismatch(self):
-        a = annihilation(build_basis(2), 1)
-        b = annihilation(build_basis(3), 1)
+        a = ladder(build_basis(2), 1)
+        b = ladder(build_basis(3), 1)
         for op in (multiply, add, algebra_commutator):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 op(a, b)
@@ -214,12 +233,12 @@ class TestAlgebra:
 
 class TestCommutator:
     def test_self_commutator(self):
-        a1 = annihilation(build_basis(3), 1)
+        a1 = ladder(build_basis(3), 1)
         assert algebra_commutator(a1, a1).nnz == 0
 
     def test_canonical_below_top_shell(self):
         basis = build_basis(4)
-        a1 = annihilation(basis, 1)
+        a1 = ladder(basis, 1)
         comm = algebra_commutator(a1, adjoint(a1)).toarray()
         for pos, pair in enumerate(states(basis)):
             if pair.total <= basis.n_max - 1:
@@ -233,7 +252,7 @@ class TestCommutator:
         # [a1, a1^dag] picks up -n1 instead of +1 there; assert it, never
         # hide it
         basis = build_basis(4)
-        a1 = annihilation(basis, 1)
+        a1 = ladder(basis, 1)
         comm = algebra_commutator(a1, adjoint(a1)).toarray()
         for pos, (n1, n2) in enumerate(states(basis)):
             if n1 + n2 == basis.n_max:
@@ -243,8 +262,8 @@ class TestCommutator:
         # [a1, a2^dag] = 0 column by column except on the top shell, where
         # the truncated a2^dag annihilates and leaves -a2^dag a1 behind
         basis = build_basis(4)
-        a1 = annihilation(basis, 1)
-        a2 = annihilation(basis, 2)
+        a1 = ladder(basis, 1)
+        a2 = ladder(basis, 2)
         comm = algebra_commutator(a1, adjoint(a2))
         totals = np.array([p.total for p in states(basis)])
         assert comm.nnz > 0
@@ -414,7 +433,7 @@ class TestCleanSetsAtTheCap:
         amset = build_set(build_basis(n_max), hbar)
         m = csr_set(amset)
         jx, jy, jz, jt = amset.jx, amset.jy, amset.jz, amset.jtot
-        cas = casimir_band(amset)
+        cas = casimir(amset)
         cas_m = canonical(m.jx @ m.jx + m.jy @ m.jy + m.jz @ m.jz)
         assert_band_of(cas, cas_m)
         assert set(cas) == {0}
@@ -587,7 +606,7 @@ class TestCommutatorRule:
 
     def test_angular_momentum_operands(self):
         amset = build_set(build_basis(6), 0.3)
-        m, cas = csr_set(amset), casimir(amset)
+        m, cas = csr_set(amset), to_csr(casimir(amset), amset.basis.size)
         for op in (m.jx, m.jy, m.jz):
             for d in (cas, m.jtot, m.jy):
                 self.assert_matches(op, d)
@@ -638,7 +657,7 @@ class TestCommutatorNorm:
 
     def test_angular_momentum_operands(self):
         amset = build_set(build_basis(9), 0.3)
-        m, cas = csr_set(amset), casimir(amset)
+        m, cas = csr_set(amset), to_csr(casimir(amset), amset.basis.size)
         for op in (m.jx, m.jy, m.jz):
             for d in (cas, m.jtot, m.jy):
                 self.assert_same_bits(op, d)
@@ -776,7 +795,7 @@ class TestSquareSum:
         # 2: only their sum is diagonal
         amset = build_set(build_basis(5), 0.3)
         assert set(operators.product(amset.jx, amset.jx)) == {-2, 0, 2}
-        assert set(casimir_band(amset)) == {0}
+        assert set(casimir(amset)) == {0}
         m = csr_set(amset)
         self.assert_identical(m.jx, m.jy, m.jz)
 
@@ -796,7 +815,7 @@ class TestSquareSum:
             for s in sets:
                 m = csr_set(s)
                 want = canonical(m.jx @ m.jx + m.jy @ m.jy + m.jz @ m.jz)
-                assert identical(casimir(s), want), n_max
+                assert identical(to_csr(casimir(s), s.basis.size), want), n_max
 
 
 class TestQuadraticResiduals:
@@ -835,7 +854,7 @@ class TestQuadraticResiduals:
     @pytest.mark.parametrize("hbar", [0.3, 1.0, 1e-30])
     def test_angular_momentum_operands(self, hbar):
         amset = build_set(build_basis(9), hbar)
-        cas, jt = casimir(amset), csr_set(amset).jtot
+        cas, jt = to_csr(casimir(amset), amset.basis.size), csr_set(amset).jtot
         self.assert_same_bits(cas, jt)
         bad = canonical(jt + from_entries(jt.shape[0], [3], [4], [1e-3]))
         self.assert_same_bits(cas, bad)
@@ -844,7 +863,7 @@ class TestQuadraticResiduals:
 class TestBlockConservation:
     def test_hop_operator_preserves_blocks(self):
         basis = build_basis(6)
-        hop = multiply(adjoint(annihilation(basis, 1)), annihilation(basis, 2))
+        hop = multiply(adjoint(ladder(basis, 1)), ladder(basis, 2))
         totals = np.array([p.total for p in states(basis)])
         assert hop.nnz > 0
         assert np.array_equal(totals[row_indices(hop)], totals[hop.indices])
@@ -890,35 +909,30 @@ class TestCanonicalForm:
         assert norm(3.0, 4.0) == 5.0
 
     def test_values_immutable(self):
-        op = annihilation(build_basis(2), 1)
-        with pytest.raises(ValueError):
-            op.data[0] = 7.0
-        amset = build_set(build_basis(2), 1.0)
-        for m in (op, casimir(amset)):
-            for arr in (m.data, m.indices, m.indptr):
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr[0] = 1
+        basis = build_basis(2)
+        amset = build_set(basis, 1.0)
+        arrays = [*annihilation(basis, 1), *creation(basis, 2)]
         for band in (amset.jx, amset.jy, amset.jz, amset.jtot):
-            for arr in band.values():
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr[0] = 1
+            arrays += band.values()
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 class TestDenseOracle:
     @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 5, 6])
     def test_entrywise_agreement(self, n_max):
         basis = build_basis(n_max)
-        a1 = annihilation(basis, 1)
-        a2 = annihilation(basis, 2)
+        a1 = ladder(basis, 1)
+        a2 = ladder(basis, 2)
         d1 = dense_annihilation(basis, 1)
         d2 = dense_annihilation(basis, 2)
         checks = [
             (d1, a1),
             (d2, a2),
             (d1.conj().T, adjoint(a1)),
-            (dense_number(basis, 1), number_operator(basis, 1)),
+            (dense_number(basis, 1), triplet_number_operator(basis, 1)),
             (d1.conj().T @ d2, multiply(adjoint(a1), a2)),
             (d1 + d2, add(a1, a2)),
             (2.5j * d1, scale(a1, 2.5j)),

@@ -1,5 +1,7 @@
 import math
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from oracles import (
     gershgorin_discs,
     jacobi_eigen,
     mean_square_from_spectrum,
+    to_csr,
 )
 
 
@@ -239,8 +242,8 @@ class TestBlockTable:
     @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0, 0.3])
     def test_sparse_operators_read_block_by_block(self, hbar):
         amset = build_set(build_basis(30), hbar)
-        cas = angular.casimir_band(amset)
-        centres, radii = gershgorin_discs(angular.casimir(amset))
+        cas = angular.casimir(amset)
+        centres, radii = gershgorin_discs(to_csr(cas, amset.basis.size))
         jz = csr_set(amset).jz.diagonal()
         table = spectra.block_table(range(31), hbar, jz, centres, radii)
         # verify reads the same discs off the stored entries of J^2
@@ -435,9 +438,12 @@ def test_dense_oracles_not_in_package():
     moved = {"SparseOperator", "identity", "zero", "multiply", "add",
              "scale", "row_indices", "OccupationPair", "ClassicalState", "ClassicalJ",
              "classical_components", "state_with_j", "sample_states", "AngleResult",
-             "gershgorin_discs", "limit_scan"}
+             "gershgorin_discs", "limit_scan", "canonical", "from_entries", "to_csr",
+             "subtract", "row_map_csr", "ladder"}
+    # names deleted with the compressed-matrix layer
+    gone = {"number_operator", "diagonal", "casimir_band"}
     modules = (schwinger, angular, spectra, operators, fock, classical, cli)
-    for oracles in (dense, moved):
+    for oracles in (dense, moved, gone):
         assert not oracles & set(schwinger.__all__)
         for module in modules:
             assert not oracles & set(vars(module))
@@ -454,9 +460,19 @@ def test_dense_oracles_not_in_package():
 def test_public_names():
     assert sorted(schwinger.__all__) == sorted([
         "AngularMomentumSet", "FockBasis", "annihilation", "build_basis", "build_set",
-        "casimir", "casimir_residual", "cos_theta", "from_entries",
-        "number_operator", "sample_amplitudes", "sum_rule_check", "__version__"])
+        "casimir", "casimir_residual", "cos_theta", "sample_amplitudes",
+        "sum_rule_check", "__version__"])
     assert all(hasattr(schwinger, name) for name in schwinger.__all__)
+
+
+@pytest.mark.parametrize("module", ["schwinger", "schwinger.cli"])
+def test_import_loads_no_scipy(module):
+    # a fresh interpreter: the package and its commands run on numpy alone
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_spectra_uses_no_scipy():
