@@ -51,7 +51,7 @@ from .operators import (
 )
 from .spectra import block_table, cos_theta, sum_rule_check
 
-# verify at n_max 1000 (dimension 501501) takes 1.3-2.0 s and 194 MB
+# verify at n_max 1000 (dimension 501501) takes 0.8-1.0 s and 168 MB
 # from the shell, below the 5 s of classical at COUNT_LIMIT on 2 CPUs; at
 # 1500 it took 9 s and 500 MB
 N_MAX_LIMIT = 1000

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from schwinger import (
     casimir,
     casimir_residual,
 )
+from schwinger.operators import plus, product
 
 from conftest import dense_angular_momentum, max_entry_diff
 from oracles import (
@@ -16,6 +19,7 @@ from oracles import (
     algebra_casimir_residual,
     algebra_set,
     arithmetic_set,
+    canonical,
     commutator,
     csr_set,
     equal,
@@ -79,6 +83,13 @@ class TestBuildSet:
         for dense, op in ((dx, amset.jx), (dy, amset.jy), (dz, amset.jz),
                           (dt, amset.jtot)):
             assert max_entry_diff(dense, op) < 1e-13
+
+    def test_stored_offsets(self):
+        # J_x and J_y store the first off-diagonals, J_z, J and J^2 the
+        # main one alone
+        amset = build_set(build_basis(7), 0.3)
+        assert set(amset.jz) == set(amset.jtot) == set(casimir(amset)) == {0}
+        assert set(amset.jx) == set(amset.jy) == {-1, 1}
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 5, 8, 12, 20])
@@ -202,10 +213,40 @@ class TestCasimir:
         diff = add(residual(amset, 0.0), scale(csr_set(amset).jtot, -2.0))
         assert max_abs(diff) < 1e-12
 
+    def test_entries_cancelling_off_the_diagonal(self):
+        # J_x^2 and J_y^2 store offsets -2, 0 and 2, and cancel at -2 and
+        # 2: only their sum is diagonal
+        amset = build_set(build_basis(5), 0.3)
+        assert set(product(amset.jx, amset.jx)) == {-2, 0, 2}
+        assert set(casimir(amset)) == {0}
+        m = csr_set(amset)
+        want = canonical(m.jx @ m.jx + m.jy @ m.jy + m.jz @ m.jz)
+        assert identical(to_csr(casimir(amset), amset.basis.size), want)
+
+    @pytest.mark.parametrize("hbar", [0.3, 1.0, 2.0, 1e-30])
+    def test_casimir_bits(self, hbar):
+        # J^2 holds the bits of scipy's J_x J_x + J_y J_y + J_z J_z, clean
+        # or with an entry off J_z's diagonal, off J_x's band or on it
+        for n_max in (0, 1, 2, 7, 23, 40):
+            amset = build_set(build_basis(n_max), hbar)
+            sets = [amset]
+            if n_max >= 2:
+                for name, row, col in (("jz", 1, 2), ("jx", 0, 5), ("jx", 1, 2)):
+                    bump = np.zeros(amset.basis.size, dtype=complex)
+                    bump[row] = 1e-3 * hbar
+                    bumped = plus(getattr(amset, name), {col - row: bump})
+                    sets.append(dataclasses.replace(amset, **{name: bumped}))
+            for s in sets:
+                m = csr_set(s)
+                want = canonical(m.jx @ m.jx + m.jy @ m.jy + m.jz @ m.jz)
+                assert identical(to_csr(casimir(s), s.basis.size), want), n_max
+
 
 class TestOneExpression:
-    """Each operator, built as one scipy expression, equals the operator
-    algebra's, which canonicalizes every intermediate, to the bit."""
+    """Each band the package builds equals, to the bit, the matrix the
+    oracles build: through their operator algebra, which canonicalizes
+    every intermediate, or as sparse arithmetic over triplet-built
+    modes."""
 
     @pytest.mark.parametrize("hbar", [0.3, 1.0, 2.0, 1e-30])
     @pytest.mark.parametrize("n_max", [0, 1, 7, 40])

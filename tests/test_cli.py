@@ -349,10 +349,10 @@ class TestVerify:
             assert code == (1 if corrupt else 0) and calls == []
 
     @pytest.mark.parametrize("directive", [None, *sorted(OFF_PATTERN_BREAKERS.values())])
-    def test_fallbacks_run_on_pattern_mismatch(self, monkeypatch, directive):
-        # a corruption off the pattern of a clean operator once sent the
-        # residuals it touched through scipy; in the band algebra it is one
-        # more offset, and the battery constructs no compressed matrix
+    def test_battery_builds_no_matrix(self, monkeypatch, directive):
+        # an entry a clean operator leaves unstored is one more stored
+        # entry of its band: clean or corrupted, the battery constructs no
+        # compressed matrix
         amset = build_set(build_basis(4), 0.3)
         if directive:
             amset = cli._apply_corruption(amset, cli._parse_corruption(directive, amset.basis.size))
@@ -496,7 +496,7 @@ class TestHermiticityResidual:
         for op in (amset.jx, amset.jy, amset.jz, amset.jtot):
             self.assert_same_bits(op, amset.basis.size)
 
-    @pytest.mark.parametrize("name, row, col, delta, same_pattern", [
+    @pytest.mark.parametrize("name, row, col, delta, same_offsets", [
         ("jx", 1, 2, 1e-3, True),      # on the band: J_x(2, 1) is stored too
         ("jy", 4, 3, -1e-6, True),
         ("jx", 1, 2, np.nan, True),
@@ -505,14 +505,14 @@ class TestHermiticityResidual:
         ("jx", 1, 3, 1e-3, False),     # off the band: J_x(3, 1) is not stored
         ("jtot", 3, 4, 1e-3, False),
     ])
-    def test_corrupted_operators(self, name, row, col, delta, same_pattern):
-        # same_pattern: the bumped operator stores the offsets it stored
+    def test_corrupted_operators(self, name, row, col, delta, same_offsets):
+        # same_offsets: the bumped operator stores the offsets it stored
         amset = build_set(build_basis(4), 0.3)
         op = getattr(cli._apply_corruption(amset, (name, row, col, delta)), name)
-        assert (set(op) == set(getattr(amset, name))) == same_pattern
+        assert (set(op) == set(getattr(amset, name))) == same_offsets
         self.assert_same_bits(op, amset.basis.size)
 
-    def test_jy_off_the_shared_pattern_takes_its_own(self, capsys):
+    def test_jy_off_its_band_is_its_own_residual(self, capsys):
         # jy,0,5 gives J_y an entry at offset 5, whose mirror at offset -5
         # is not stored: the residual is the entry itself
         amset = build_set(build_basis(4), 0.3)

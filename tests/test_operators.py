@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -118,31 +119,6 @@ class TestRowProduct:
         vals = self.assert_scipy_bits(n_max)
         jx = build_set(build_basis(n_max), 2.0).jx
         assert jx[1].tobytes() == vals.astype(complex).tobytes()
-
-
-class TestIsDiagonal:
-    """A band stores offset 0 alone exactly when its matrix stores no entry
-    off the diagonal."""
-
-    @pytest.mark.parametrize("rows, cols", [
-        ([], []),
-        ([0, 1, 2, 3], [0, 1, 2, 3]),
-        ([1, 3], [1, 3]),
-        ([1], [2]),                # one entry per row, off the diagonal
-        ([0, 1, 2, 3], [0, 2, 1, 3]),
-        ([2, 2], [2, 3]),          # two entries in one row
-        ([0, 3], [0, 2]),
-    ])
-    def test_matches_entry_rows(self, rows, cols):
-        m = from_entries(4, rows, cols, np.ones(len(rows)))
-        b = band_of(m)
-        assert (set(b) <= {0}) == (not np.any(row_indices(m) != m.indices))
-        assert identical(to_csr(b, 4), m)
-
-    def test_angular_momentum_operators(self):
-        amset = build_set(build_basis(7), 0.3)
-        assert set(amset.jz) == set(amset.jtot) == set(casimir(amset)) == {0}
-        assert set(amset.jx) == set(amset.jy) == {-1, 1}
 
 
 class TestAdjoint:
@@ -274,21 +250,20 @@ class TestCommutator:
             assert val == pytest.approx(-np.sqrt(n1 * (n2 + 1)), abs=1e-13)
 
 
-# Gaussian integers in -4..4: every product and sum of them below is exact,
-# so only a non-dyadic factor makes the order of a sum show in the bits
+# Gaussian integers in -4..4, whose products and sums are all exact
 SMALL = st.builds(complex, st.integers(-4, 4), st.integers(-4, 4))
 NON_FINITE = st.sampled_from([complex(np.nan, 0), complex(np.inf, 0),
                               complex(-np.inf, 1), complex(0, np.inf)])
-# entries with a -0.0 part beside the Gaussian integers: every sum and
-# product stays exact, but the sign of a zero part can show in the bits
+# entries with a -0.0 part, whose sign can show in the bits
 SIGNED_ZERO = st.sampled_from([complex(-0.0, 1), complex(2, -0.0), complex(-0.0, -3),
                                complex(-1, -0.0)])
 VALUE = st.one_of(SMALL, SIGNED_ZERO)
-# the non-dyadic factors make products and sums round, so their order,
-# a fused multiply-add or a dropped zero shows in the last bits
-FACTORS = ((1.0, 1.0), (0.1, 0.7))
+# each drawn operand is scaled by a non-dyadic factor, so the order of a
+# sum, a fused multiply-add or a dropped zero shows in the last bits
+FACTORS = (0.1, 0.7)
 # hbar 5e-324 underflows every entry of J_x, J_y, J_z and J to 0
 HBARS = (0.1, 0.3, 1.0, 2.0, 1e-30, 1e30, 5e-324)
+SCALARS = (-1.0, 0.5, 0.0, 1e-300, -1j, 0.3 - 0.7j)
 
 
 def bits(x) -> bytes:
@@ -335,9 +310,9 @@ def assert_band_of(b: dict, want: sp.csr_matrix):
 @st.composite
 def set_operands(draw, count: int):
     """``count`` canonical matrices over the basis of an n_max in 0..40:
-    each J_x, J_y, J_z, J or nothing at an hbar of ``HBARS``, plus up to
-    six ``VALUE`` entries, near its band or at any offset, and maybe one
-    NaN or infinite entry."""
+    J_x, J_y, J_z, J, J_x + J_y or nothing at an hbar of ``HBARS``, plus
+    up to six ``VALUE`` entries near its band or anywhere and maybe one NaN
+    or infinite entry, all scaled by a factor of ``FACTORS``."""
     basis = build_basis(draw(st.integers(0, 40)))
     dim = basis.size
     amset = csr_set(build_set(basis, draw(st.sampled_from(HBARS))))
@@ -345,76 +320,174 @@ def set_operands(draw, count: int):
     offset = st.one_of(st.integers(-3, 3), st.integers(1 - dim, dim - 1))
     out = []
     for _ in range(count):
+        f = draw(st.sampled_from(FACTORS))
         entries = [(i, (i + p) % dim, v)
                    for i, p, v in draw(st.lists(st.tuples(row, offset, VALUE), max_size=6))]
         if draw(st.booleans()):
             entries.append((draw(row), draw(row), draw(NON_FINITE)))
+        # part by part, which keeps the sign of a zero part
+        entries = [(i, j, complex(v.real * f, v.imag * f)) for i, j, v in entries]
         m = from_entries(dim, *zip(*entries)) if entries else zero(dim)
-        base = draw(st.sampled_from([None, "jx", "jy", "jz", "jtot"]))
-        out.append(canonical(getattr(amset, base) + m) if base else m)
+        # J_x + J_y stores complex entries, whose products round through _times
+        names = draw(st.sampled_from(["", "jx", "jy", "jz", "jtot", "jx jy"]))
+        base = sum((getattr(amset, name) for name in names.split()), zero(dim))
+        out.append(canonical(base * f + m))
     return out
+
+
+# Each check holds a band operation, or a residual's form, to the bits of
+# its scipy expression; NaN and inf are drawn on purpose, so none warns.
+
+def check_round_trip(m):
+    """``band_of`` and ``to_csr`` carry ``m`` to its band and back to the
+    bit; the band stores offset 0 alone exactly when m is diagonal, and
+    offset 0 is m's diagonal."""
+    dim = m.shape[0]
+    b = band_of(m)
+    assert_band(b, dim)
+    assert identical(to_csr(b, dim), m)
+    assert (set(b) <= {0}) == np.array_equal(row_indices(m), m.indices)
+    # diagonal() adds each entry to 0, so only a -0.0 part turns +0.0
+    main = b.get(0, np.zeros(dim, dtype=complex))
+    assert (main + 0).tobytes() == m.diagonal().tobytes()
+
+
+@np.errstate(all="ignore")
+def check_product(a, b):
+    assert_band_of(operators.product(band_of(a), band_of(b)), canonical(a @ b))
+
+
+@np.errstate(all="ignore")
+def check_sums(a, b):
+    assert_band_of(operators.plus(band_of(a), band_of(b)), canonical(a + b))
+    assert_band_of(operators.minus(band_of(a), band_of(b)), canonical(a - b))
+
+
+@np.errstate(all="ignore")
+def check_scaled(a, c):
+    assert_band_of(operators.scaled(band_of(a), c), canonical(a * complex(c)))
+
+
+@np.errstate(all="ignore")
+def check_adjoint(a):
+    """The adjoint, and the battery's Hermiticity residual read from it."""
+    b = band_of(a)
+    assert_band_of(operators.adjoint(b), canonical(a.conj().T))
+    got = operators.max_abs(operators.minus(b, operators.adjoint(b)))
+    assert same_float(got, max_abs(a - a.conj().T))
+
+
+@np.errstate(all="ignore")
+def check_commutator(a, b):
+    """[a, b] and its Frobenius norm: the stored entries, exact zeros
+    dropped, summed in row-major order."""
+    got, want = operators.commutator(band_of(a), band_of(b)), canonical(a @ b - b @ a)
+    assert_band_of(got, want)
+    assert same_float(operators.fro_norm(got), fro_norm(want.copy()))
+
+
+@np.errstate(all="ignore")
+def check_norms(a):
+    assert same_float(operators.fro_norm(band_of(a)), fro_norm(a.copy()))
+    assert same_float(operators.max_abs(band_of(a)), max_abs(a))
+
+
+@np.errstate(all="ignore")
+def check_commutator_plus_term(a, b, c, s):
+    """The norm of ``plus(commutator(a, b), scaled(c, s))``, the form of the
+    su(2) residuals, and of ``c * -s - [a, b]`` is the norm of scipy's
+    ``(ab - ba) + c * s``."""
+    ab = operators.commutator(band_of(a), band_of(b))
+    got = operators.fro_norm(operators.plus(ab, operators.scaled(band_of(c), s)))
+    flipped = operators.fro_norm(operators.minus(operators.scaled(band_of(c), -s), ab))
+    want = fro_norm(canonical(a @ b - b @ a + c * s))
+    assert same_float(got, want) and same_float(flipped, want)
+
+
+@np.errstate(all="ignore")
+def check_square_sum(a, b, c):
+    """``plus(plus(product(a, a), product(b, b)), product(c, c))``, the form
+    of J^2, is scipy's ``a @ a + b @ b + c @ c``."""
+    a_, b_, c_ = band_of(a), band_of(b), band_of(c)
+    got = operators.plus(operators.plus(operators.product(a_, a_), operators.product(b_, b_)),
+                         operators.product(c_, c_))
+    assert_band_of(got, canonical(a @ a + b @ b + c @ c))
+
+
+@np.errstate(all="ignore")
+def check_quadratic(c, t, s):
+    """The battery's two groupings of J^2 - J J - hbar J are scipy's
+    ``max_abs(c - (t @ t + t * s))`` and ``max_abs((c - t @ t) - t * s)``."""
+    cb, tb = band_of(c), band_of(t)
+    tt, ts = operators.product(tb, tb), operators.scaled(tb, s)
+    got = (operators.max_abs(operators.minus(cb, operators.plus(tt, ts))),
+           operators.max_abs(operators.minus(operators.minus(cb, tt), ts)))
+    tt, ts = t @ t, t * s
+    assert all(map(same_float, got, (max_abs(c - (tt + ts)), max_abs((c - tt) - ts))))
+
+
+def check_every_operation(ms):
+    """Every operation on each of ``ms`` and on each ordered pair of them."""
+    for a in ms:
+        check_round_trip(a)
+        check_norms(a)
+        check_adjoint(a)
+        for c in SCALARS:
+            check_scaled(a, c)
+    for a, b in itertools.product(ms, repeat=2):
+        check_product(a, b)
+        check_sums(a, b)
+        check_commutator(a, b)
 
 
 class TestBandAlgebra:
     """Every band operation holds the bits of the scipy expression it
     stands for over the canonical matrices, NaN and inf entries, exact
-    cancellations and entries far off the band included."""
-
-    @settings(deadline=None)
-    @given(set_operands(2))
-    def test_product(self, ms):
-        a, b = ms
-        with np.errstate(all="ignore"):
-            got = operators.product(band_of(a), band_of(b))
-            want = canonical(a @ b)
-        assert_band_of(got, want)
-
-    @settings(deadline=None)
-    @given(set_operands(2))
-    def test_plus_and_minus(self, ms):
-        a, b = ms
-        with np.errstate(all="ignore"):
-            assert_band_of(operators.plus(band_of(a), band_of(b)), canonical(a + b))
-            assert_band_of(operators.minus(band_of(a), band_of(b)), canonical(a - b))
-
-    @settings(deadline=None)
-    @given(set_operands(1), st.sampled_from([-1.0, 0.5, 0.0, 1e-300, -1j, 0.3 - 0.7j]))
-    def test_scaled(self, ms, c):
-        (a,) = ms
-        with np.errstate(all="ignore"):
-            assert_band_of(operators.scaled(band_of(a), c), canonical(a * complex(c)))
-
-    @settings(deadline=None)
-    @given(set_operands(1))
-    def test_adjoint(self, ms):
-        (a,) = ms
-        assert_band_of(operators.adjoint(band_of(a)), canonical(a.conj().T))
-
-    @settings(deadline=None)
-    @given(set_operands(2))
-    def test_commutator(self, ms):
-        a, b = ms
-        with np.errstate(all="ignore"):
-            got = operators.commutator(band_of(a), band_of(b))
-            want = canonical(a @ b - b @ a)
-        assert_band_of(got, want)
-
-    @settings(deadline=None)
-    @given(set_operands(1))
-    def test_norms(self, ms):
-        (a,) = ms
-        for f in (1.0, 0.1):
-            with np.errstate(all="ignore"):
-                m = canonical(a * f)
-                assert same_float(operators.fro_norm(band_of(m)), fro_norm(m.copy()))
-                assert same_float(operators.max_abs(band_of(m)), max_abs(m))
+    cancellations and entries far off the band included, on drawn
+    operands scaled by non-dyadic factors and on fixed ones."""
 
     @settings(deadline=None)
     @given(set_operands(1))
     def test_to_csr_round_trip(self, ms):
-        (a,) = ms
-        assert_band(band_of(a), a.shape[0])
-        assert identical(to_csr(band_of(a), a.shape[0]), a)
+        check_round_trip(*ms)
+
+    @settings(deadline=None)
+    @given(set_operands(2))
+    def test_product(self, ms):
+        check_product(*ms)
+
+    @settings(deadline=None)
+    @given(set_operands(2))
+    def test_plus_and_minus(self, ms):
+        check_sums(*ms)
+
+    @settings(deadline=None)
+    @given(set_operands(1), st.sampled_from(SCALARS))
+    def test_scaled(self, ms, c):
+        check_scaled(*ms, c)
+
+    @settings(deadline=None)
+    @given(set_operands(1))
+    def test_adjoint(self, ms):
+        check_adjoint(*ms)
+
+    @settings(deadline=None)
+    @given(set_operands(2))
+    def test_commutator(self, ms):
+        check_commutator(*ms)
+
+    @settings(deadline=None)
+    @given(set_operands(1))
+    def test_norms(self, ms):
+        check_norms(*ms)
+
+    @settings(deadline=None)
+    @given(set_operands(3), st.sampled_from(SCALARS))
+    def test_battery_forms(self, ms, s):
+        a, b, c = ms
+        check_commutator_plus_term(a, b, c, s)
+        check_square_sum(a, b, c)
+        check_quadratic(c, a, s)
 
     def test_empty_band(self):
         for dim in (0, 1, 6):
@@ -422,442 +495,69 @@ class TestBandAlgebra:
         assert operators.product({}, {}) == operators.plus({}, {}) == {}
         assert operators.fro_norm({}) == operators.max_abs({}) == 0.0
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_complex_diagonal_rounds_as_products(self, seed):
+        # non-dyadic complex entries on both sides: numpy's complex
+        # multiply may fuse a product into the sum, scipy's does not; the
+        # 300 entries of ``a`` also give a @ a sums of many terms
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(0, 40, (2, 300))
+        a = from_entries(40, rows, cols, rng.normal(size=300) + 1j * rng.normal(size=300))
+        d = from_entries(40, range(40), range(40), rng.normal(size=40) + 1j * rng.normal(size=40))
+        check_every_operation([a, d])
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_exact_zeros_among_many_entries(self, seed):
+        # entries of [a, d] between rows of equal d are exact zeros; past 8
+        # values, the norm's pairwise sum rounds otherwise with them kept
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(0, 60, (2, 600))
+        a = from_entries(60, rows, cols, rng.normal(size=600) + 1j * rng.normal(size=600))
+        d = from_entries(60, range(60), range(60), 0.3 * rng.integers(1, 4, 60))
+        check_every_operation([a, d])
+
+    @pytest.mark.parametrize("hbar", [0.3, 1.0, 1e-30])
+    def test_angular_momentum_sets(self, hbar):
+        # J_x, J_y, J_z, J and J^2, as built and scaled by FACTORS, of a clean
+        # set and with an entry off J_x's band (3, 8) or off J's diagonal (3, 4)
+        clean = build_set(build_basis(6), hbar)
+        dim = clean.basis.size
+        bump = np.where(np.arange(dim) == 3, 1e-3 * hbar, 0j)
+        for amset in (clean, dataclasses.replace(clean, jx={**clean.jx, 5: bump}),
+                      dataclasses.replace(clean, jtot={**clean.jtot, 1: bump})):
+            bands = (amset.jx, amset.jy, amset.jz, amset.jtot, casimir(amset))
+            built = [to_csr(op, dim) for op in bands]
+            for op, m in zip(bands, built):
+                assert [(p, x.tobytes()) for p, x in sorted(band_of(m).items())] \
+                    == [(p, x.tobytes()) for p, x in sorted(op.items())]
+            for ms in (built, [canonical(m * f) for m, f in zip(built, itertools.cycle(FACTORS))]):
+                check_every_operation(ms)
+                jx, jy, jz, jt, cas = ms
+                for a, b, c in ((jx, jy, jz), (jy, jz, jx), (jz, jx, jy)):
+                    check_commutator_plus_term(a, b, c, -1j * hbar)
+                check_square_sum(jx, jy, jz)
+                check_quadratic(cas, jt, hbar)
+        assert [operators.max_abs(operators.minus(op, operators.adjoint(op)))
+                for op in (clean.jx, clean.jy, clean.jz, clean.jtot)] == [0.0] * 4
+
 
 class TestCleanSetsAtTheCap:
-    """The products, sums and norms the battery takes of clean sets at
-    n_max 500 and at the 1000 cap, against scipy over their matrices."""
+    """J^2 and the residuals the battery takes of clean sets at n_max 500
+    and at the 1000 cap, against scipy over their matrices."""
 
     @pytest.mark.parametrize("n_max", [500, 1000])
     def test_battery_operations(self, n_max):
         hbar = 0.3
         amset = build_set(build_basis(n_max), hbar)
-        m = csr_set(amset)
-        jx, jy, jz, jt = amset.jx, amset.jy, amset.jz, amset.jtot
-        cas = casimir(amset)
-        cas_m = canonical(m.jx @ m.jx + m.jy @ m.jy + m.jz @ m.jz)
-        assert_band_of(cas, cas_m)
+        m, cas = csr_set(amset), casimir(amset)
         assert set(cas) == {0}
-        got = operators.fro_norm(operators.plus(operators.commutator(jx, jy),
-                                                operators.scaled(jz, -1j * hbar)))
-        want = fro_norm(canonical(m.jx @ m.jy - m.jy @ m.jx + m.jz * (-1j * hbar)))
-        assert bits(got) == bits(want)
-        for op, op_m in ((jx, m.jx), (jz, m.jz)):
-            got = operators.fro_norm(operators.commutator(cas, op))
-            assert bits(got) == bits(fro_norm(canonical(cas_m @ op_m - op_m @ cas_m)))
-        got = operators.max_abs(operators.minus(jy, operators.adjoint(jy)))
-        assert bits(got) == bits(max_abs(m.jy - m.jy.conj().T))
-        quantum = operators.minus(cas, operators.plus(operators.product(jt, jt),
-                                                      operators.scaled(jt, hbar)))
-        assert bits(operators.max_abs(quantum)) == bits(max_abs(cas_m - (m.jtot @ m.jtot
-                                                                        + m.jtot * hbar)))
-
-
-@st.composite
-def near_diagonal(draw, dim: int, off_diagonal: int, non_finite: bool):
-    """A canonical dim x dim matrix with a random diagonal of ``VALUE``s,
-    up to ``off_diagonal`` entries off it and, with ``non_finite``, maybe
-    one NaN or infinite entry."""
-    index = st.integers(0, dim - 1)
-    entries = [(i, i, draw(VALUE)) for i in range(dim)]
-    if dim > 1:
-        shifted = st.tuples(index, st.integers(1, dim - 1), VALUE)
-        entries += [(i, (i + shift) % dim, v)
-                    for i, shift, v in draw(st.lists(shifted, max_size=off_diagonal))]
-    if non_finite and draw(st.booleans()):
-        entries.append((draw(index), draw(index), draw(NON_FINITE)))
-    return from_entries(dim, *zip(*entries))
-
-
-@st.composite
-def near_diagonal_pair(draw, off_diagonal: int, non_finite: bool):
-    dim = draw(st.integers(1, 7))
-    return tuple(draw(near_diagonal(dim, off_diagonal, non_finite)) for _ in range(2))
-
-
-class TestOperand:
-    """``band_of`` and ``to_csr`` carry a canonical matrix to its band and
-    back with every stored entry kept to the bit, signed zero parts
-    included, and the band's offset 0 is the matrix's diagonal."""
-
-    @settings(deadline=None)
-    @given(near_diagonal_pair(off_diagonal=2, non_finite=True))
-    def test_reads_diagonal_matrices_as_vectors(self, pair):
-        for m in pair:
-            b = band_of(m)
-            assert identical(to_csr(b, m.shape[0]), m)
-            # diagonal() adds each entry to 0, so only a -0.0 part turns +0.0
-            main = b.get(0, np.zeros(m.shape[0], dtype=complex))
-            assert (main + 0).tobytes() == m.diagonal().tobytes()
-
-    def test_angular_momentum_operators(self):
-        amset = build_set(build_basis(6), 0.3)
-        for op in (amset.jx, amset.jy, amset.jz, amset.jtot):
-            back = band_of(to_csr(op, amset.basis.size))
-            assert back.keys() == op.keys()
-            assert all(back[p].tobytes() == op[p].tobytes() for p in op)
-
-
-@st.composite
-def random_pattern(draw):
-    """A canonical matrix of distinct nonzero entries on a random
-    pattern, closed under transposition half the time."""
-    dim = draw(st.integers(1, 9))
-    index = st.integers(0, dim - 1)
-    pairs = draw(st.lists(st.tuples(index, index), max_size=3 * dim))
-    if draw(st.booleans()):
-        pairs += [(j, i) for i, j in pairs]
-    pairs = sorted(set(pairs))
-    rows, cols = zip(*pairs) if pairs else ((), ())
-    return from_entries(dim, rows, cols, np.arange(1, len(pairs) + 1) * (1 - 0.5j))
-
-
-def hermiticity(op: dict) -> float:
-    """The battery's Hermiticity residual of a band."""
-    return operators.max_abs(operators.minus(op, operators.adjoint(op)))
-
-
-class TestTransposeOrder:
-    """``adjoint`` moves each entry of a band to its mirror, on any
-    pattern, so the Hermiticity residual is read off the bands alone."""
-
-    @settings(deadline=None)
-    @given(random_pattern())
-    def test_matches_tocsc(self, m):
-        assert_band_of(operators.adjoint(band_of(m)), canonical(m.conj().T))
-        assert bits(hermiticity(band_of(m))) == bits(max_abs(m - m.conj().T))
-
-    def test_asymmetric_pattern_takes_the_difference_matrix(self):
-        m = from_entries(4, [0, 1, 1], [1, 0, 3], [1.0, 2j, -0.5])
-        assert bits(hermiticity(band_of(m))) == bits(max_abs(m - m.conj().T))
-
-    def test_one_order_serves_jx_and_jy(self):
-        amset = build_set(build_basis(6), 0.3)
-        for op in (amset.jx, amset.jy):
-            mirrored = operators.adjoint(op)
-            assert mirrored.keys() == op.keys()
-            assert all(np.array_equal(mirrored[p], op[p]) for p in op)
-        assert [hermiticity(op) for op in (amset.jx, amset.jy, amset.jz, amset.jtot)] \
-            == [0.0] * 4
-
-
-@st.composite
-def split_operands(draw, off_diagonal: int, non_finite: bool):
-    """(A, D): a random sparse A and a D with a random diagonal, up to
-    ``off_diagonal`` entries off it, and with ``non_finite`` one entry of
-    D, on or off its diagonal, NaN or infinite."""
-    dim = draw(st.integers(1, 7))
-    index = st.integers(0, dim - 1)
-    a = draw(st.lists(st.tuples(index, index, SMALL), max_size=3 * dim))
-    d = [(i, i, draw(SMALL)) for i in range(dim)]
-    if dim > 1:
-        shifted = st.tuples(index, st.integers(1, dim - 1), SMALL)
-        d += [(i, (i + shift) % dim, v)
-              for i, shift, v in draw(st.lists(shifted, max_size=off_diagonal))]
-    if non_finite:
-        d.append((draw(index), draw(index), draw(NON_FINITE)))
-    return tuple(from_entries(dim, *zip(*entries)) if entries else zero(dim)
-                 for entries in (a, d))
-
-
-def scipy_commutator(a, b):
-    """[a, b] as scipy's sum of its products, canonical."""
-    return canonical(a @ b - b @ a)
-
-
-class TestCommutatorRule:
-    """``commutator`` holds the bits of scipy's ab - ba, whether ``b`` is
-    diagonal or not, NaN and inf entries included."""
-
-    @staticmethod
-    def assert_matches(a, d):
-        for fa, fd in FACTORS:
-            with np.errstate(invalid="ignore", over="ignore"):
-                got = operators.commutator(band_of(a * fa), band_of(d * fd))
-                want = scipy_commutator(canonical(a * fa), canonical(d * fd))
-            assert_band_of(got, want)
-
-    @settings(deadline=None)
-    @given(split_operands(off_diagonal=0, non_finite=False))
-    def test_diagonal(self, operands):
-        self.assert_matches(*operands)
-
-    @settings(deadline=None)
-    @given(split_operands(off_diagonal=3, non_finite=False))
-    def test_few_off_diagonal_entries(self, operands):
-        self.assert_matches(*operands)
-
-    @settings(deadline=None)
-    @given(split_operands(off_diagonal=2, non_finite=True))
-    def test_non_finite_entries_kept(self, operands):
-        self.assert_matches(*operands)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_complex_diagonal_rounds_as_products(self, seed):
-        # non-dyadic complex entries on both sides: numpy's complex
-        # multiply may fuse a product into the sum, scipy's does not
-        rng = np.random.default_rng(seed)
-        dim = 40
-        rows, cols = rng.integers(0, dim, (2, 300))
-        a = from_entries(dim, rows, cols, rng.normal(size=300) + 1j * rng.normal(size=300))
-        idx = np.arange(dim)
-        d = from_entries(dim, idx, idx, rng.normal(size=dim) + 1j * rng.normal(size=dim))
-        self.assert_matches(a, d)
-        self.assert_matches(d, a)
-
-    def test_angular_momentum_operands(self):
-        amset = build_set(build_basis(6), 0.3)
-        m, cas = csr_set(amset), to_csr(casimir(amset), amset.basis.size)
-        for op in (m.jx, m.jy, m.jz):
-            for d in (cas, m.jtot, m.jy):
-                self.assert_matches(op, d)
-
-
-class TestCommutatorNorm:
-    """``fro_norm(commutator(a, d))`` is the norm of scipy's ab - ba to the
-    bit: the stored entries, exact zeros dropped, in row-major order."""
-
-    @staticmethod
-    def assert_same_bits(a, d):
-        # the non-dyadic factors make the sum of squares round, so its
-        # order and the dropped zeros show in the last bits
-        for fa, fd in FACTORS:
-            with np.errstate(invalid="ignore", over="ignore"):
-                got = operators.fro_norm(operators.commutator(band_of(a * fa), band_of(d * fd)))
-                want = fro_norm(scipy_commutator(canonical(a * fa), canonical(d * fd)))
-            assert same_float(got, want)
-
-    @settings(deadline=None)
-    @given(split_operands(off_diagonal=0, non_finite=False))
-    def test_diagonal(self, operands):
-        self.assert_same_bits(*operands)
-
-    @settings(deadline=None)
-    @given(split_operands(off_diagonal=3, non_finite=False))
-    def test_few_off_diagonal_entries(self, operands):
-        self.assert_same_bits(*operands)
-
-    @settings(deadline=None)
-    @given(split_operands(off_diagonal=2, non_finite=True))
-    def test_non_finite_entries(self, operands):
-        self.assert_same_bits(*operands)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_exact_zeros_among_many_entries(self, seed):
-        # entries between rows of equal delta give exact zeros; past 8
-        # values the pairwise sum rounds differently with them kept
-        # (seeds 6 and 7 show it)
-        rng = np.random.default_rng(seed)
-        dim = 60
-        rows, cols = rng.integers(0, dim, (2, 600))
-        vals = rng.normal(size=600) + 1j * rng.normal(size=600)
-        a = from_entries(dim, rows, cols, vals)
-        idx = np.arange(dim)
-        d = from_entries(dim, idx, idx, 0.3 * rng.integers(1, 4, dim))
-        self.assert_same_bits(a, d)
-
-    def test_angular_momentum_operands(self):
-        amset = build_set(build_basis(9), 0.3)
-        m, cas = csr_set(amset), to_csr(casimir(amset), amset.basis.size)
-        for op in (m.jx, m.jy, m.jz):
-            for d in (cas, m.jtot, m.jy):
-                self.assert_same_bits(op, d)
-
-
-@st.composite
-def shared_pattern_operands(draw, dim: int | None = None):
-    """(A, B) on one pattern that holds (j, i) with every (i, j), so AB
-    and BA store the same pattern, as J_x J_y and J_y J_x do."""
-    dim = dim or draw(st.integers(1, 7))
-    index = st.integers(0, dim - 1)
-    pairs = draw(st.lists(st.tuples(index, index), max_size=2 * dim))
-    rows, cols = zip(*{*pairs, *((j, i) for i, j in pairs)}) if pairs else ((), ())
-    return tuple(from_entries(dim, rows, cols,
-                              draw(st.lists(VALUE.filter(bool), min_size=len(rows),
-                                            max_size=len(rows))))
-                 for _ in range(2))
-
-
-class TestCommutatorPlusTerm:
-    """The norm of ``plus(commutator(a, b), scaled(c, s))`` is the norm of
-    scipy's ``(ab - ba) + c * s`` to the bit, whether ``c`` stores the
-    commutator's pattern or not.  It also equals the norm of
-    ``c * -s - [a, b]``, the other form of the same residual."""
-
-    @staticmethod
-    def assert_same_bits(a, b, c):
-        for (fa, fb), s in zip(FACTORS, (-1j, 0.3 - 0.7j)):
-            with np.errstate(invalid="ignore", over="ignore"):
-                a_, b_, c_ = canonical(a * fa), canonical(b * fb), canonical(c * 0.3)
-                ab = operators.commutator(band_of(a_), band_of(b_))
-                got = operators.fro_norm(operators.plus(ab, operators.scaled(band_of(c_), s)))
-                flipped = operators.fro_norm(operators.minus(operators.scaled(band_of(c_), -s),
-                                                             ab))
-                want = fro_norm(canonical(a_ @ b_ - b_ @ a_ + c_ * s))
-            assert same_float(got, want) and same_float(flipped, want)
-
-    @staticmethod
-    def pattern(a, b):
-        """The index arrays of scipy's commutator."""
-        return scipy_commutator(a, b)
-
-    @settings(deadline=None)
-    @given(split_operands(off_diagonal=2, non_finite=True), st.data())
-    def test_on_the_pattern(self, operands, data):
-        a, b = operands
-        with np.errstate(invalid="ignore"):
-            p = self.pattern(a, b)
-        values = data.draw(st.lists(VALUE.filter(bool), min_size=p.nnz, max_size=p.nnz))
-        c = canonical(sp.csr_matrix((np.array(values, dtype=complex), p.indices.copy(),
-                                     p.indptr.copy()), shape=p.shape))
-        self.assert_same_bits(a, b, c)
-
-    @settings(deadline=None)
-    @given(split_operands(off_diagonal=2, non_finite=True), st.data())
-    def test_off_the_pattern(self, operands, data):
-        a, b = operands
-        dim = a.shape[0]
-        entries = data.draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1),
-                                               VALUE), max_size=3 * dim))
-        c = from_entries(dim, *zip(*entries)) if entries else zero(dim)
-        self.assert_same_bits(a, b, c)
-
-    @settings(deadline=None)
-    @given(shared_pattern_operands(), st.data())
-    def test_products_on_one_pattern(self, operands, data):
-        a, b = operands
-        p = self.pattern(a, b)
-        values = data.draw(st.lists(VALUE.filter(bool), min_size=p.nnz, max_size=p.nnz))
-        on = canonical(sp.csr_matrix((np.array(values, dtype=complex), p.indices.copy(),
-                                      p.indptr.copy()), shape=p.shape))
-        self.assert_same_bits(a, b, on)
-        self.assert_same_bits(a, b, a)
-
-    @pytest.mark.parametrize("hbar", [0.3, 1.0, 1e-30])
-    def test_angular_momentum_operands(self, hbar):
-        m = csr_set(build_set(build_basis(9), hbar))
-        jx, jy, jz = m.jx, m.jy, m.jz
-        for a, b, c in ((jx, jy, jz), (jy, jz, jx), (jz, jx, jy)):
-            self.assert_same_bits(a, b, c)
-        # an entry far off J_x's band
-        bad = canonical(jx + from_entries(jx.shape[0], [0], [5], [1e-3]))
-        self.assert_same_bits(jy, jz, bad)
-        self.assert_same_bits(bad, jz, jy)
-
-
-@st.composite
-def square_operands(draw, off_diagonal: int, non_finite: bool):
-    """(A, B, X) of one size: A and B either on one pattern that holds
-    (j, i) with every (i, j), so A A and B B store the same pattern as
-    J_x J_x and J_y J_y do, or drawn like X as ``near_diagonal``."""
-    dim = draw(st.integers(1, 7))
-    x = draw(near_diagonal(dim, off_diagonal, non_finite))
-    if draw(st.booleans()):
-        a, b = draw(shared_pattern_operands(dim))
-    else:
-        a, b = (draw(near_diagonal(dim, off_diagonal, non_finite)) for _ in range(2))
-    return a, b, x
-
-
-class TestSquareSum:
-    """``plus(plus(product(a, a), product(b, b)), product(x, x))``, the form
-    of J^2, is ``canonical(a @ a + b @ b + x @ x)`` to the bit: data,
-    index dtypes and read-only flags, only the sign of a NaN part free."""
-
-    @staticmethod
-    def assert_identical(a, b, x):
-        for fa, fx in FACTORS:
-            with np.errstate(invalid="ignore", over="ignore"):
-                a_, b_, x_ = (band_of(canonical(m * f)) for m, f in ((a, fa), (b, fa), (x, fx)))
-                got = operators.plus(operators.plus(operators.product(a_, a_),
-                                                    operators.product(b_, b_)),
-                                     operators.product(x_, x_))
-                a_, b_, x_ = a * fa, b * fa, x * fx
-                want = canonical(a_ @ a_ + b_ @ b_ + x_ @ x_)
-            assert_band_of(got, want)
-
-    @settings(deadline=None)
-    @given(square_operands(off_diagonal=0, non_finite=False))
-    def test_diagonal(self, operands):
-        self.assert_identical(*operands)
-
-    @settings(deadline=None)
-    @given(square_operands(off_diagonal=2, non_finite=False))
-    def test_few_off_diagonal_entries(self, operands):
-        self.assert_identical(*operands)
-
-    @settings(deadline=None)
-    @given(square_operands(off_diagonal=1, non_finite=True))
-    def test_non_finite_entries(self, operands):
-        self.assert_identical(*operands)
-
-    def test_entries_cancelling_off_the_diagonal(self):
-        # J_x^2 and J_y^2 store offsets -2, 0 and 2, and cancel at -2 and
-        # 2: only their sum is diagonal
-        amset = build_set(build_basis(5), 0.3)
-        assert set(operators.product(amset.jx, amset.jx)) == {-2, 0, 2}
-        assert set(casimir(amset)) == {0}
-        m = csr_set(amset)
-        self.assert_identical(m.jx, m.jy, m.jz)
-
-    @pytest.mark.parametrize("hbar", [0.3, 1.0, 2.0, 1e-30])
-    def test_casimir_bits(self, hbar):
-        # J^2 holds the bits of the one scipy expression, clean or with an
-        # entry off J_z's diagonal, off J_x's band or on it
-        for n_max in (0, 1, 2, 7, 23, 40):
-            amset = build_set(build_basis(n_max), hbar)
-            sets = [amset]
-            if n_max >= 2:
-                for name, row, col in (("jz", 1, 2), ("jx", 0, 5), ("jx", 1, 2)):
-                    bump = np.zeros(amset.basis.size, dtype=complex)
-                    bump[row] = 1e-3 * hbar
-                    bumped = operators.plus(getattr(amset, name), {col - row: bump})
-                    sets.append(dataclasses.replace(amset, **{name: bumped}))
-            for s in sets:
-                m = csr_set(s)
-                want = canonical(m.jx @ m.jx + m.jy @ m.jy + m.jz @ m.jz)
-                assert identical(to_csr(casimir(s), s.basis.size), want), n_max
-
-
-class TestQuadraticResiduals:
-    """The battery's two groupings of J^2 - J J - hbar J are
-    ``max_abs(c - (t @ t + t * s))`` and ``max_abs((c - t @ t) - t * s)``
-    of scipy to the bit."""
-
-    @staticmethod
-    def assert_same_bits(c, t):
-        for (fc, ft), s in zip(FACTORS, (1.0, 0.3)):
-            with np.errstate(invalid="ignore", over="ignore"):
-                c_, t_ = canonical(c * fc), canonical(t * ft)
-                cb, tb = band_of(c_), band_of(t_)
-                tt, ts = operators.product(tb, tb), operators.scaled(tb, s)
-                got = (operators.max_abs(operators.minus(cb, operators.plus(tt, ts))),
-                       operators.max_abs(operators.minus(operators.minus(cb, tt), ts)))
-                tt, ts = t_ @ t_, t_ * s
-                want = (max_abs(c_ - (tt + ts)), max_abs((c_ - tt) - ts))
-            assert all(map(same_float, got, want))
-
-    @settings(deadline=None)
-    @given(near_diagonal_pair(off_diagonal=0, non_finite=False))
-    def test_diagonal(self, pair):
-        self.assert_same_bits(*pair)
-
-    @settings(deadline=None)
-    @given(near_diagonal_pair(off_diagonal=2, non_finite=False))
-    def test_few_off_diagonal_entries(self, pair):
-        self.assert_same_bits(*pair)
-
-    @settings(deadline=None)
-    @given(near_diagonal_pair(off_diagonal=1, non_finite=True))
-    def test_non_finite_entries(self, pair):
-        self.assert_same_bits(*pair)
-
-    @pytest.mark.parametrize("hbar", [0.3, 1.0, 1e-30])
-    def test_angular_momentum_operands(self, hbar):
-        amset = build_set(build_basis(9), hbar)
-        cas, jt = to_csr(casimir(amset), amset.basis.size), csr_set(amset).jtot
-        self.assert_same_bits(cas, jt)
-        bad = canonical(jt + from_entries(jt.shape[0], [3], [4], [1e-3]))
-        self.assert_same_bits(cas, bad)
+        assert_band_of(cas, canonical(m.jx @ m.jx + m.jy @ m.jy + m.jz @ m.jz))
+        check_commutator_plus_term(m.jx, m.jy, m.jz, -1j * hbar)
+        cas_m = to_csr(cas, amset.basis.size)
+        for op in (m.jx, m.jz):
+            check_commutator(cas_m, op)
+        check_adjoint(m.jy)
+        check_quadratic(cas_m, m.jtot, hbar)
 
 
 class TestBlockConservation:
