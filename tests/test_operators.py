@@ -307,6 +307,14 @@ def assert_band_of(b: dict, want: sp.csr_matrix):
     assert identical(nan_parts_unsigned(to_csr(b, dim)), nan_parts_unsigned(want))
 
 
+def from_scaled_entries(dim: int, entries, f: float) -> sp.csr_matrix:
+    """The canonical matrix of the (row, col, value) ``entries`` with each
+    value scaled by ``f`` part by part, which keeps the sign of a zero
+    part."""
+    entries = [(i, j, complex(v.real * f, v.imag * f)) for i, j, v in entries]
+    return from_entries(dim, *zip(*entries)) if entries else zero(dim)
+
+
 @st.composite
 def set_operands(draw, count: int):
     """``count`` canonical matrices over the basis of an n_max in 0..40:
@@ -325,9 +333,7 @@ def set_operands(draw, count: int):
                    for i, p, v in draw(st.lists(st.tuples(row, offset, VALUE), max_size=6))]
         if draw(st.booleans()):
             entries.append((draw(row), draw(row), draw(NON_FINITE)))
-        # part by part, which keeps the sign of a zero part
-        entries = [(i, j, complex(v.real * f, v.imag * f)) for i, j, v in entries]
-        m = from_entries(dim, *zip(*entries)) if entries else zero(dim)
+        m = from_scaled_entries(dim, entries, f)
         # J_x + J_y stores complex entries, whose products round through _times
         names = draw(st.sampled_from(["", "jx", "jy", "jz", "jtot", "jx jy"]))
         base = sum((getattr(amset, name) for name in names.split()), zero(dim))
@@ -440,6 +446,18 @@ def check_every_operation(ms):
         check_commutator(a, b)
 
 
+def exact_zero_operands(seed: int) -> list:
+    """A with 600 random complex entries and a diagonal D of 60 values in
+    0.3, 0.6 and 0.9: the entries of [A, D] between rows of equal D are
+    exact zeros, and past 8 values the norm's pairwise sum rounds
+    otherwise with them kept (seeds 6 and 7 show it)."""
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(0, 60, (2, 600))
+    a = from_entries(60, rows, cols, rng.normal(size=600) + 1j * rng.normal(size=600))
+    d = from_entries(60, range(60), range(60), 0.3 * rng.integers(1, 4, 60))
+    return [a, d]
+
+
 class TestBandAlgebra:
     """Every band operation holds the bits of the scipy expression it
     stands for over the canonical matrices, NaN and inf entries, exact
@@ -508,37 +526,303 @@ class TestBandAlgebra:
 
     @pytest.mark.parametrize("seed", [6, 7])
     def test_exact_zeros_among_many_entries(self, seed):
-        # entries of [a, d] between rows of equal d are exact zeros; past 8
-        # values, the norm's pairwise sum rounds otherwise with them kept
-        rng = np.random.default_rng(seed)
-        rows, cols = rng.integers(0, 60, (2, 600))
-        a = from_entries(60, rows, cols, rng.normal(size=600) + 1j * rng.normal(size=600))
-        d = from_entries(60, range(60), range(60), 0.3 * rng.integers(1, 4, 60))
-        check_every_operation([a, d])
+        check_every_operation(exact_zero_operands(seed))
 
-    @pytest.mark.parametrize("hbar", [0.3, 1.0, 1e-30])
-    def test_angular_momentum_sets(self, hbar):
-        # J_x, J_y, J_z, J and J^2, as built and scaled by FACTORS, of a clean
-        # set and with an entry off J_x's band (3, 8) or off J's diagonal (3, 4)
-        clean = build_set(build_basis(6), hbar)
-        dim = clean.basis.size
-        bump = np.where(np.arange(dim) == 3, 1e-3 * hbar, 0j)
-        for amset in (clean, dataclasses.replace(clean, jx={**clean.jx, 5: bump}),
-                      dataclasses.replace(clean, jtot={**clean.jtot, 1: bump})):
-            bands = (amset.jx, amset.jy, amset.jz, amset.jtot, casimir(amset))
-            built = [to_csr(op, dim) for op in bands]
-            for op, m in zip(bands, built):
-                assert [(p, x.tobytes()) for p, x in sorted(band_of(m).items())] \
-                    == [(p, x.tobytes()) for p, x in sorted(op.items())]
-            for ms in (built, [canonical(m * f) for m, f in zip(built, itertools.cycle(FACTORS))]):
-                check_every_operation(ms)
-                jx, jy, jz, jt, cas = ms
-                for a, b, c in ((jx, jy, jz), (jy, jz, jx), (jz, jx, jy)):
-                    check_commutator_plus_term(a, b, c, -1j * hbar)
-                check_square_sum(jx, jy, jz)
-                check_quadratic(cas, jt, hbar)
-        assert [operators.max_abs(operators.minus(op, operators.adjoint(op)))
-                for op in (clean.jx, clean.jy, clean.jz, clean.jtot)] == [0.0] * 4
+
+# The classes below group the fixed and drawn cases of each operation
+# under the names their tests have long carried; every case runs the
+# check functions above.
+
+@st.composite
+def near_diagonal_operands(draw, off_diagonal: tuple, non_finite: bool = False):
+    """One canonical matrix per entry of ``off_diagonal``, all of one size
+    in 1..7 and each scaled by a factor of ``FACTORS``: a diagonal of
+    ``VALUE``s, up to that many ``VALUE`` entries off it and, with
+    ``non_finite``, maybe one NaN or infinite entry."""
+    dim = draw(st.integers(1, 7))
+    index = st.integers(0, dim - 1)
+    out = []
+    for count in off_diagonal:
+        entries = [(i, i, draw(VALUE)) for i in range(dim)]
+        if dim > 1:
+            shifted = st.tuples(index, st.integers(1, dim - 1), VALUE)
+            entries += [(i, (i + shift) % dim, v)
+                        for i, shift, v in draw(st.lists(shifted, max_size=count))]
+        if non_finite and draw(st.booleans()):
+            entries.append((draw(index), draw(index), draw(NON_FINITE)))
+        out.append(from_scaled_entries(dim, entries, draw(st.sampled_from(FACTORS))))
+    return out
+
+
+@st.composite
+def transpose_closed_operands(draw, count: int):
+    """``count`` canonical matrices of one size in 1..7 on one drawn
+    pattern that holds (j, i) with every (i, j), so their products store
+    one pattern as J_x J_y and J_y J_x do; nonzero ``VALUE``s, each
+    matrix scaled by a factor of ``FACTORS``."""
+    dim = draw(st.integers(1, 7))
+    index = st.integers(0, dim - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=2 * dim))
+    pattern = sorted({*pairs, *((j, i) for i, j in pairs)})
+    values = st.lists(VALUE.filter(bool), min_size=len(pattern), max_size=len(pattern))
+    return [from_scaled_entries(dim, [(i, j, v) for (i, j), v in zip(pattern, draw(values))],
+                                draw(st.sampled_from(FACTORS)))
+            for _ in range(count)]
+
+
+def square_operands(off_diagonal: int, non_finite: bool = False):
+    """Three near-diagonal operands, or three on one transposition-closed
+    pattern, whose squares then store one pattern as J_x^2 and J_y^2 do."""
+    return st.one_of(near_diagonal_operands((off_diagonal,) * 3, non_finite),
+                     transpose_closed_operands(3))
+
+
+def on_the_pattern(data, m: sp.csr_matrix) -> sp.csr_matrix:
+    """Nonzero drawn ``VALUE``s, scaled by 0.3, on the pattern of ``m``."""
+    values = data.draw(st.lists(VALUE.filter(bool), min_size=m.nnz, max_size=m.nnz))
+    return from_scaled_entries(m.shape[0], zip(row_indices(m), m.indices, values), 0.3)
+
+
+J_HBARS = (0.3, 1.0, 1e-30)
+
+
+def angular_momentum_sets(hbar: float):
+    """A clean set at n_max 6, and that set with an entry off J_x's band
+    at (3, 8) or off J's diagonal at (3, 4)."""
+    clean = build_set(build_basis(6), hbar)
+    bump = np.where(np.arange(clean.basis.size) == 3, 1e-3 * hbar, 0j)
+    return (clean, dataclasses.replace(clean, jx={**clean.jx, 5: bump}),
+            dataclasses.replace(clean, jtot={**clean.jtot, 1: bump}))
+
+
+def set_bands(amset) -> tuple:
+    return amset.jx, amset.jy, amset.jz, amset.jtot, casimir(amset)
+
+
+def angular_momentum_operands(hbar: float):
+    """J_x, J_y, J_z, J and J^2 of each of ``angular_momentum_sets`` as
+    matrices, as built and scaled by ``FACTORS``."""
+    for amset in angular_momentum_sets(hbar):
+        built = [to_csr(op, amset.basis.size) for op in set_bands(amset)]
+        yield built
+        yield [canonical(m * f) for m, f in zip(built, itertools.cycle(FACTORS))]
+
+
+class TestIsDiagonal:
+    """A band stores offset 0 alone exactly when its matrix stores no entry
+    off the diagonal."""
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([], []),
+        ([0, 1, 2, 3], [0, 1, 2, 3]),
+        ([1, 3], [1, 3]),
+        ([1], [2]),                # one entry per row, off the diagonal
+        ([0, 1, 2, 3], [0, 2, 1, 3]),
+        ([2, 2], [2, 3]),          # two entries in one row
+        ([0, 3], [0, 2]),
+    ])
+    def test_matches_entry_rows(self, rows, cols):
+        check_round_trip(from_entries(4, rows, cols, np.ones(len(rows))))
+
+
+class TestOperand:
+    """``band_of`` and ``to_csr`` carry a canonical matrix to its band and
+    back with every stored entry kept to the bit, signed zero parts
+    included, and the band's offset 0 is the matrix's diagonal."""
+
+    @settings(deadline=None)
+    @given(near_diagonal_operands((2, 2), non_finite=True))
+    def test_reads_diagonal_matrices_as_vectors(self, ms):
+        for m in ms:
+            check_round_trip(m)
+
+    def test_angular_momentum_operators(self):
+        for hbar in J_HBARS:
+            for amset in angular_momentum_sets(hbar):
+                for op in set_bands(amset):
+                    back = band_of(to_csr(op, amset.basis.size))
+                    assert [(p, x.tobytes()) for p, x in sorted(back.items())] \
+                        == [(p, x.tobytes()) for p, x in sorted(op.items())]
+            for ms in angular_momentum_operands(hbar):
+                for m in ms:
+                    check_round_trip(m)
+
+
+class TestTransposeOrder:
+    """``adjoint`` moves each entry of a band to its mirror, on any
+    pattern, so the Hermiticity residual is read off the bands alone."""
+
+    @settings(deadline=None)
+    @given(st.one_of(near_diagonal_operands((21,)), transpose_closed_operands(1)))
+    def test_matches_tocsc(self, ms):
+        check_adjoint(*ms)
+
+    def test_asymmetric_pattern_takes_the_difference_matrix(self):
+        check_adjoint(from_entries(4, [0, 1, 1], [1, 0, 3], [1.0, 2j, -0.5]))
+
+    def test_one_order_serves_jx_and_jy(self):
+        for hbar in J_HBARS:
+            for ms in angular_momentum_operands(hbar):
+                for m in ms:
+                    check_adjoint(m)
+            clean = angular_momentum_sets(hbar)[0]
+            for op in (clean.jx, clean.jy):
+                mirrored = operators.adjoint(op)
+                assert mirrored.keys() == op.keys()
+                assert all(np.array_equal(mirrored[p], op[p]) for p in op)
+            assert [operators.max_abs(operators.minus(op, operators.adjoint(op)))
+                    for op in (clean.jx, clean.jy, clean.jz, clean.jtot)] == [0.0] * 4
+
+
+class TestCommutatorRule:
+    """``commutator`` holds the bits of scipy's ab - ba, whether ``b`` is
+    diagonal or not, NaN and inf entries included."""
+
+    @settings(deadline=None)
+    @given(near_diagonal_operands((21, 0)))
+    def test_diagonal(self, ms):
+        check_commutator(*ms)
+
+    @settings(deadline=None)
+    @given(near_diagonal_operands((21, 3)))
+    def test_few_off_diagonal_entries(self, ms):
+        check_commutator(*ms)
+
+    @settings(deadline=None)
+    @given(near_diagonal_operands((21, 2), non_finite=True))
+    def test_non_finite_entries_kept(self, ms):
+        check_commutator(*ms)
+
+    def test_angular_momentum_operands(self):
+        # every product, sum and commutator of two of J_x, J_y, J_z, J, J^2
+        for hbar in J_HBARS:
+            for ms in angular_momentum_operands(hbar):
+                for a, b in itertools.product(ms, repeat=2):
+                    check_product(a, b)
+                    check_sums(a, b)
+                    check_commutator(a, b)
+
+
+class TestCommutatorNorm:
+    """``fro_norm(commutator(d, a))`` is the norm of scipy's da - ad to the
+    bit, the near-diagonal operand first: the stored entries, exact zeros
+    dropped, in row-major order."""
+
+    @settings(deadline=None)
+    @given(near_diagonal_operands((0, 21)))
+    def test_diagonal(self, ms):
+        check_commutator(*ms)
+
+    @settings(deadline=None)
+    @given(near_diagonal_operands((3, 21)))
+    def test_few_off_diagonal_entries(self, ms):
+        check_commutator(*ms)
+
+    @settings(deadline=None)
+    @given(near_diagonal_operands((2, 21), non_finite=True))
+    def test_non_finite_entries(self, ms):
+        check_commutator(*ms)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_zeros_among_many_entries(self, seed):
+        a, d = exact_zero_operands(seed)
+        check_commutator(d, a)
+        check_commutator(a, d)
+
+    def test_angular_momentum_operands(self):
+        for hbar in J_HBARS:
+            for ms in angular_momentum_operands(hbar):
+                for m in ms:
+                    check_norms(m)
+
+
+class TestCommutatorPlusTerm:
+    """The norm of ``plus(commutator(a, b), scaled(c, s))`` is the norm of
+    scipy's ``(ab - ba) + c * s`` to the bit, whether ``c`` stores the
+    commutator's pattern or not.  It also equals the norm of
+    ``c * -s - [a, b]``, the other form of the same residual."""
+
+    @settings(deadline=None)
+    @given(near_diagonal_operands((21, 2), non_finite=True), st.sampled_from(SCALARS),
+           st.data())
+    def test_on_the_pattern(self, ms, s, data):
+        a, b = ms
+        with np.errstate(all="ignore"):
+            c = on_the_pattern(data, canonical(a @ b - b @ a))
+        check_commutator_plus_term(a, b, c, s)
+
+    @settings(deadline=None)
+    @given(near_diagonal_operands((21, 2, 21), non_finite=True), st.sampled_from(SCALARS))
+    def test_off_the_pattern(self, ms, s):
+        check_commutator_plus_term(*ms, s)
+
+    @settings(deadline=None)
+    @given(transpose_closed_operands(2), st.sampled_from(SCALARS), st.data())
+    def test_products_on_one_pattern(self, ms, s, data):
+        a, b = ms
+        check_commutator_plus_term(a, b, on_the_pattern(data, canonical(a @ b - b @ a)), s)
+        check_commutator_plus_term(a, b, a, s)
+
+    @pytest.mark.parametrize("hbar", J_HBARS)
+    def test_angular_momentum_operands(self, hbar):
+        # the su(2) residuals, and every operand scaled
+        for ms in angular_momentum_operands(hbar):
+            jx, jy, jz = ms[:3]
+            for a, b, c in ((jx, jy, jz), (jy, jz, jx), (jz, jx, jy)):
+                check_commutator_plus_term(a, b, c, -1j * hbar)
+            for m in ms:
+                for c in SCALARS:
+                    check_scaled(m, c)
+
+
+class TestSquareSum:
+    """``plus(plus(product(a, a), product(b, b)), product(x, x))``, the form
+    of J^2, is ``canonical(a @ a + b @ b + x @ x)`` to the bit: data,
+    index dtypes and read-only flags, only the sign of a NaN part free."""
+
+    @settings(deadline=None)
+    @given(square_operands(0))
+    def test_diagonal(self, ms):
+        check_square_sum(*ms)
+
+    @settings(deadline=None)
+    @given(square_operands(2))
+    def test_few_off_diagonal_entries(self, ms):
+        check_square_sum(*ms)
+
+    @settings(deadline=None)
+    @given(square_operands(1, non_finite=True))
+    def test_non_finite_entries(self, ms):
+        check_square_sum(*ms)
+
+
+class TestQuadraticResiduals:
+    """The battery's two groupings of J^2 - J J - hbar J are
+    ``max_abs(c - (t @ t + t * s))`` and ``max_abs((c - t @ t) - t * s)``
+    of scipy to the bit."""
+
+    @settings(deadline=None)
+    @given(near_diagonal_operands((0, 0)), st.sampled_from(HBARS))
+    def test_diagonal(self, ms, s):
+        check_quadratic(*ms, s)
+
+    @settings(deadline=None)
+    @given(near_diagonal_operands((2, 2)), st.sampled_from(HBARS))
+    def test_few_off_diagonal_entries(self, ms, s):
+        check_quadratic(*ms, s)
+
+    @settings(deadline=None)
+    @given(near_diagonal_operands((1, 1), non_finite=True), st.sampled_from(HBARS))
+    def test_non_finite_entries(self, ms, s):
+        check_quadratic(*ms, s)
+
+    @pytest.mark.parametrize("hbar", J_HBARS)
+    def test_angular_momentum_operands(self, hbar):
+        # J^2 as its square sum, and both groupings of J^2 - J J - hbar J
+        for ms in angular_momentum_operands(hbar):
+            jx, jy, jz, jt, cas = ms
+            check_square_sum(jx, jy, jz)
+            check_quadratic(cas, jt, hbar)
 
 
 class TestCleanSetsAtTheCap:
