@@ -32,7 +32,9 @@ from .operators import (
     plus,
     product,
     row_product,
+    row_windows,
     scaled,
+    window,
 )
 
 
@@ -81,24 +83,42 @@ def build_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
 
 def casimir(amset: AngularMomentumSet) -> Band:
     """J^2 = J_x^2 + J_y^2 + J_z^2 as a band: its main diagonal alone on a
-    clean set."""
+    clean set.  It is summed over the ``row_windows`` of the basis, each
+    written into the whole arrays as it is done."""
     jx, jy, jz = amset.jx, amset.jy, amset.jz
-    return plus(plus(product(jx, jx), product(jy, jy)), product(jz, jz))
+    dim = amset.basis.size
+    out = {}
+    for rows in row_windows(dim):
+        part = plus(plus(product(jx, jx, rows), product(jy, jy, rows)), product(jz, jz, rows))
+        if rows is None:
+            return part
+        for p, values in part.items():
+            if p not in out:
+                out[p] = np.zeros(dim, dtype=np.complex128)
+            out[p][rows] = values
+    return out
 
 
 def casimir_residual(
-    amset: AngularMomentumSet, epsilon: float, *, cas: Band | None = None
+    amset: AngularMomentumSet, epsilon: float, *, rows: slice | None = None,
+    cas: Band | None = None, jj: Band | None = None, ej: Band | None = None,
 ) -> Band:
-    """J^2 - J (J + epsilon hbar 1) as a band.
+    """J^2 - J (J + epsilon hbar 1) as a band, over the row window
+    ``rows`` (every row by default).
 
     With epsilon = 1 (boson commutators) this vanishes identically on the
     whole truncated space: the square of the angular momentum is
     j(j+1) hbar^2, not j^2 hbar^2.  With epsilon = 0 it reduces to
     hbar J, the gap between the quantum and the classical square.
-    Intermediate epsilon just evaluates the same formula.  ``cas`` is
-    J^2 when the caller already holds it; by default it is built here.
+    Intermediate epsilon just evaluates the same formula.  ``cas``, ``jj``
+    and ``ej`` are J^2, J J and epsilon hbar J over ``rows`` when the
+    caller already holds them; by default they are formed here.
     """
-    if cas is None:
-        cas = casimir(amset)
     jt = amset.jtot
-    return minus(cas, plus(product(jt, jt), scaled(jt, epsilon * amset.hbar)))
+    if cas is None:
+        cas = window(casimir(amset), rows)
+    if jj is None:
+        jj = product(jt, jt, rows)
+    if ej is None:
+        ej = scaled(window(jt, rows), epsilon * amset.hbar)
+    return minus(cas, plus(jj, ej))

@@ -24,6 +24,14 @@ spread as they do through scipy.  ``plus`` and ``minus`` work
 elementwise over the union of the offsets, ``scaled`` multiplies as
 scipy's scalar product does, and ``adjoint`` conjugates and shifts.
 ``fro_norm`` and ``max_abs`` read the stored entries in row-major order.
+
+``product``, ``adjoint`` and ``commutator`` also evaluate one row window
+``rows=slice(r0, r1)`` of their result: a band whose arrays have length
+r1 - r0, entry k holding the element (r0 + k, r0 + k + p), read off the
+factors' whole arrays at the shifted rows.  Its rows equal rows r0:r1 of
+the whole result bit for bit.  ``row_windows`` cuts a basis into windows
+of ``WINDOW_ROWS`` rows, so the temporaries of a long chain of
+operations stay small and are reused, not faulted in afresh.
 """
 
 from __future__ import annotations
@@ -36,6 +44,9 @@ from .fock import FockBasis, position
 RowMap = tuple
 # offset -> complex array of length dim, as the module docstring says
 Band = dict
+
+# rows per window of ``row_windows``: a window's complex array is 128 KiB
+WINDOW_ROWS = 8192
 
 
 def _check_mode(mode: int):
@@ -98,10 +109,33 @@ def band(diagonals: dict) -> Band:
     return {p: values for p, values in diagonals.items() if values.any()}
 
 
-def rows_of(p: int, dim: int) -> slice:
-    """The rows i whose entry (i, i + p) lies inside a dim x dim matrix;
-    ``rows_of(-p, dim)`` are those entries' columns."""
-    return slice(max(0, -p), dim - max(0, p))
+def rows_of(p: int, dim: int, rows: slice | None = None) -> slice:
+    """The rows i whose entry (i, i + p) lies inside a dim x dim matrix,
+    and inside the row window ``rows`` when one is given (an empty slice
+    when none does); ``rows_of(-p, dim)`` are those entries' columns."""
+    r0, r1 = _bounds(rows, dim)
+    start = max(r0, -p)
+    return slice(start, max(start, min(r1, dim - p)))
+
+
+def _bounds(rows: slice | None, dim: int) -> tuple[int, int]:
+    """The first and the past-last row of the window ``rows``."""
+    return (0, dim) if rows is None else rows.indices(dim)[:2]
+
+
+def row_windows(dim: int) -> list:
+    """Row windows of ``WINDOW_ROWS`` rows covering a dim x dim matrix in
+    order; ``[None]``, every row at once, when one window covers it."""
+    if dim <= WINDOW_ROWS:
+        return [None]
+    return [slice(r, r + WINDOW_ROWS) for r in range(0, dim, WINDOW_ROWS)]
+
+
+def window(a: Band, rows: slice | None) -> Band:
+    """Rows ``rows`` of the band ``a``, as views of its arrays (``a``
+    itself when None).  An array may be all zero there; ``minus``,
+    ``max_abs`` and ``magnitudes`` read it as an unstored offset."""
+    return a if rows is None else {p: x[rows] for p, x in a.items()}
 
 
 def _times(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -123,31 +157,36 @@ def _plain(x: np.ndarray) -> bool:
     return not x.imag.any() or not x.real.any()
 
 
-def product(a: Band, b: Band) -> Band:
-    """The band of the matrix product ab.
+def product(a: Band, b: Band, rows: slice | None = None) -> Band:
+    """The band of the matrix product ab, over the row window ``rows``
+    (every row by default).
 
     Entry (i, i + p + q) gathers the terms a(i, i + p) b(i + p, i + p + q)
     with p ascending, scipy's column order, onto a sum that starts from
     0.  A term is formed only where both factors store an entry: when
     the terms of one (p, q) do not sum to a finite value, those with an
     unstored factor are reset to 0, so a stored inf or NaN meets no
-    unstored 0.
+    unstored 0.  Every step is elementwise, so a window's entries do not
+    depend on where the window lies.
     """
     out = {}
     spare = None  # holds a term to add onto a sum already begun
     for p, x in sorted(a.items()):
-        dim = len(x)
-        rows, cols = rows_of(p, dim), rows_of(-p, dim)
-        xs = x[rows]
+        r0, r1 = _bounds(rows, len(x))
+        own = rows_of(p, len(x), rows)
+        lo, hi = own.start, own.stop
+        if lo == hi:
+            continue
+        xs = x[lo:hi]
         x_plain = _plain(xs)
         for q, y in b.items():
-            ys = y[cols]
+            ys = y[lo + p:hi + p]
             begun = p + q in out
             if not begun:
-                out[p + q] = np.zeros(dim, dtype=np.complex128)
+                out[p + q] = np.zeros(r1 - r0, dtype=np.complex128)
             elif spare is None:
-                spare = np.empty(dim, dtype=np.complex128)
-            term = (spare if begun else out[p + q])[rows]
+                spare = np.empty(r1 - r0, dtype=np.complex128)
+            term = (spare if begun else out[p + q])[lo - r0:hi - r0]
             if x_plain or _plain(ys):
                 np.multiply(xs, ys, out=term)
             else:
@@ -155,7 +194,7 @@ def product(a: Band, b: Band) -> Band:
             if not np.isfinite(term.sum()):
                 term[(xs == 0) | (ys == 0)] = 0
             if begun:
-                out[p + q][rows] += term
+                out[p + q][lo - r0:hi - r0] += term
             else:
                 term += 0  # the sum starts from 0, which turns a -0.0 part to 0.0
     return band(out)
@@ -196,19 +235,23 @@ def scaled(a: Band, c: complex) -> Band:
     return band({p: x * c for p, x in a.items()})
 
 
-def adjoint(a: Band) -> Band:
-    """The conjugate transpose: entry (i + p, i) is conj(a(i, i + p))."""
+def adjoint(a: Band, rows: slice | None = None) -> Band:
+    """The conjugate transpose over the row window ``rows`` (every row by
+    default): entry (i + p, i) is conj(a(i, i + p))."""
     out = {}
     for p, x in a.items():
-        dim = len(x)
-        out[-p] = np.zeros_like(x)
-        np.conjugate(x[rows_of(p, dim)], out=out[-p][rows_of(-p, dim)])
-    return out
+        r0, r1 = _bounds(rows, len(x))
+        own = rows_of(-p, len(x), rows)
+        lo, hi = own.start, own.stop
+        if lo < hi:
+            out[-p] = np.zeros(r1 - r0, dtype=np.complex128)
+            np.conjugate(x[lo - p:hi - p], out=out[-p][lo - r0:hi - r0])
+    return out if rows is None else band(out)
 
 
-def commutator(a: Band, b: Band) -> Band:
-    """ab - ba."""
-    return _combine(np.subtract, product(a, b), product(b, a), into_a=True)
+def commutator(a: Band, b: Band, rows: slice | None = None) -> Band:
+    """ab - ba, over the row window ``rows`` (every row by default)."""
+    return _combine(np.subtract, product(a, b, rows), product(b, a, rows), into_a=True)
 
 
 def _stored(a: Band) -> np.ndarray:
@@ -227,21 +270,27 @@ def max_abs(a: Band) -> float:
     return float(np.max([np.max(np.abs(x)) for x in a.values()], initial=0.0))
 
 
+def magnitudes(a: Band) -> np.ndarray:
+    """The magnitudes of the stored entries of ``a`` in row-major order."""
+    return np.abs(_stored(a))
+
+
 def fro_norm(a: Band) -> float:
     """Frobenius norm over the stored entries of ``a``, summed in
     row-major order as over the ``data`` of its canonical matrix."""
-    return _norm(_stored(a))
+    return window_norm([magnitudes(a)])
 
 
-def _norm(values: np.ndarray) -> float:
-    """sqrt(sum |v|^2) over ``values`` in their order, except when that sum
-    overflows: then the entries are first scaled by the largest
-    magnitude, so a norm that fits in a double comes out finite."""
-    mags = np.abs(values)
+def window_norm(parts: list) -> float:
+    """The ``fro_norm`` of a band from the ``magnitudes`` of its row
+    windows, in row order: sqrt(sum |v|^2) over them all in that order,
+    except when that sum overflows: then the entries are first scaled by
+    the largest magnitude, so a norm that fits in a double comes out
+    finite."""
+    mags = parts[0] if len(parts) == 1 else np.concatenate(parts)
     with np.errstate(over="ignore"):
         total = np.sum(mags ** 2)
     if np.isinf(total) and np.isfinite(mags.max()):
         big = mags.max()
         return float(big * np.sqrt(np.sum((mags / big) ** 2)))
     return float(np.sqrt(total))
-

@@ -67,7 +67,7 @@ import scipy.sparse as sp
 
 from schwinger.angular import AngularMomentumSet
 from schwinger.fock import FockBasis, position
-from schwinger.operators import _norm, annihilation
+from schwinger.operators import annihilation, window_norm
 from schwinger.classical import sample_amplitudes
 from schwinger.cli import Segments, Table
 from schwinger.spectra import _quarter_sum
@@ -161,7 +161,7 @@ def fro_norm(m: sp.csr_matrix) -> float:
     """Frobenius norm over the stored entries of ``m``, summed in row-major
     order: the column indices of each row are sorted in place first."""
     m.sort_indices()
-    return _norm(m.data)
+    return window_norm([np.abs(m.data)])
 
 
 def row_indices(m: sp.csr_matrix) -> np.ndarray:

@@ -424,6 +424,68 @@ class TestVerify:
         for name, value in want.items():
             assert got[name] == value or (math.isnan(got[name]) and math.isnan(value)), name
 
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("hbar", [1e-150, 1e-30, 0.3, 1.0, 1e30, 1e150])
+    def test_windows_keep_residuals(self, monkeypatch, rows, hbar):
+        # corruptions on and off the band, and far off it: one whose
+        # mirror and one whose row and column lie in other windows
+        sets = [(n_max, None) for n_max in (0, 1, 30)] + [
+            (4, ("jz", 4, 4, -1.0)), (12, ("jx", 20, 27, 1e-3)), (13, ("jtot", 63, 64, 0.37)),
+            (12, ("jx", 63, 64, 1e-3)), (30, ("jy", 400, 5, 1e-3)),
+        ]
+        for n_max, corruption in sets:
+            if rows == 1 and n_max > 13:
+                continue  # 496 one-row windows; the smaller sets cover that size
+            amset = build_set(build_basis(n_max), hbar)
+            if corruption:
+                name, row, col, delta = corruption
+                amset = cli._apply_corruption(amset, (name, row, col, delta * hbar))
+            self.assert_windows_keep_residuals(monkeypatch, amset, rows)
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("n_max, directive, hbar", [
+        (4, "jx,1,2,inf", 1.0), (4, "jz,4,4,-inf", 0.3), (7, "jy,3,4,inf", 2.0),
+        (4, "jtot,2,2,inf", 1.0), (4, "jx,1,3,inf", 0.3),
+    ])
+    def test_windows_keep_infinite_residuals(self, monkeypatch, rows, n_max, directive, hbar):
+        name, row, col, delta = directive.split(",")
+        amset = cli._apply_corruption(build_set(build_basis(n_max), hbar),
+                                      (name, int(row), int(col), float(delta)))
+        self.assert_windows_keep_residuals(monkeypatch, amset, rows)
+
+    @staticmethod
+    def assert_windows_keep_residuals(monkeypatch, amset, rows):
+        """``run_battery``'s 23 residuals over windows of ``rows`` rows are
+        the residuals of one window to the bit."""
+        with np.errstate(all="ignore"):
+            want, _ = cli.run_battery(amset, 1e-12)
+            with monkeypatch.context() as m:
+                m.setattr(operators, "WINDOW_ROWS", rows)
+                got, _ = cli.run_battery(amset, 1e-12)
+        assert len(got) == len(want) == 23
+        for g, w in zip(got, want):
+            assert g["name"] == w["name"]
+            assert np.float64(g["max_residual"]).tobytes() == np.float64(w["max_residual"]).tobytes() \
+                or math.isnan(g["max_residual"]) and math.isnan(w["max_residual"]), g["name"]
+
+    @pytest.mark.parametrize("directive, name", [
+        # the mirror entry (8192, 8191) lies in the next window of 8192 rows
+        ("jx,8191,8192,1e-3", "hermitian_jx"),
+        # an offset of -19995, from the third window into the first
+        ("jy,20000,5,1e-3", "hermitian_jy"),
+    ])
+    def test_corruption_across_windows_fails(self, capsys, directive, name):
+        assert operators.row_windows(build_basis(200).size)[2] == slice(16384, 24576)
+        code, _, err = run_cli(capsys, "verify", "--nmax", "200", "--tol", "1e-6", "--no-meta",
+                               "--corrupt", directive)
+        assert code == 1 and f"FAILED {name}:" in err
+
+    def test_documented_cap_passes(self, capsys):
+        # n_max 500 takes 16 windows
+        assert len(operators.row_windows(build_basis(500).size)) == 16
+        code, _, err = run_cli(capsys, "verify", "--nmax", "500", "--tol", "1e-6", "--no-meta")
+        assert (code, err) == (0, "")
+
     @pytest.mark.parametrize("name, directive", sorted(OFF_PATTERN_BREAKERS.items()))
     def test_off_diagonal_operand_fails(self, capsys, name, directive):
         code, _, err = run_cli(capsys, "verify", "--nmax", "4", "--no-meta",

@@ -432,6 +432,31 @@ def check_quadratic(c, t, s):
     assert all(map(same_float, got, (max_abs(c - (tt + ts)), max_abs((c - tt) - ts))))
 
 
+# window sizes of the windowed operations; 10**6 rows cover every basis drawn
+WINDOW_SIZES = (1, 2, 3, 7, 64, 10**6)
+
+
+@np.errstate(all="ignore")
+def check_windows(a, b, r0: int):
+    """``product``, ``adjoint`` and ``commutator`` over rows r0:r0 + size
+    are those rows of the whole result bit for bit, for every size of
+    ``WINDOW_SIZES``, and over the last window of each size too."""
+    A, B = band_of(a), band_of(b)
+    dim = a.shape[0]
+    wholes = [(operators.product, (A, B)), (operators.product, (B, A)),
+              (operators.adjoint, (A,)), (operators.commutator, (A, B))]
+    for op, args in wholes:
+        whole = op(*args)
+        for size in WINDOW_SIZES:
+            for start in (r0, max(0, dim - size)):
+                rows = slice(start, start + size)
+                got = op(*args, rows=rows)
+                want = operators.band(operators.window(whole, rows))
+                assert got.keys() == want.keys(), (op.__name__, rows)
+                for p, values in got.items():
+                    assert values.tobytes() == want[p].tobytes(), (op.__name__, rows, p)
+
+
 def check_every_operation(ms):
     """Every operation on each of ``ms`` and on each ordered pair of them."""
     for a in ms:
@@ -444,6 +469,18 @@ def check_every_operation(ms):
         check_product(a, b)
         check_sums(a, b)
         check_commutator(a, b)
+
+
+def complex_operands(seed: int) -> list:
+    """A with 300 random complex entries and a diagonal D of 40: the
+    non-dyadic complex entries on both sides show where numpy's complex
+    multiply fuses a product into the sum, which scipy's does not, and
+    A @ A sums many terms."""
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(0, 40, (2, 300))
+    a = from_entries(40, rows, cols, rng.normal(size=300) + 1j * rng.normal(size=300))
+    d = from_entries(40, range(40), range(40), rng.normal(size=40) + 1j * rng.normal(size=40))
+    return [a, d]
 
 
 def exact_zero_operands(seed: int) -> list:
@@ -507,6 +544,17 @@ class TestBandAlgebra:
         check_square_sum(a, b, c)
         check_quadratic(c, a, s)
 
+    @settings(deadline=None)
+    @given(set_operands(2), st.data())
+    def test_windows(self, ms, data):
+        check_windows(*ms, data.draw(st.integers(0, ms[0].shape[0] - 1)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_windows_of_fixed_operands(self, seed):
+        for ms in (complex_operands(seed), exact_zero_operands(seed + 4)):
+            for a, b in itertools.permutations(ms):
+                check_windows(a, b, 5 + 9 * seed)
+
     def test_empty_band(self):
         for dim in (0, 1, 6):
             assert identical(to_csr({}, dim), zero(dim))
@@ -515,14 +563,7 @@ class TestBandAlgebra:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_complex_diagonal_rounds_as_products(self, seed):
-        # non-dyadic complex entries on both sides: numpy's complex
-        # multiply may fuse a product into the sum, scipy's does not; the
-        # 300 entries of ``a`` also give a @ a sums of many terms
-        rng = np.random.default_rng(seed)
-        rows, cols = rng.integers(0, 40, (2, 300))
-        a = from_entries(40, rows, cols, rng.normal(size=300) + 1j * rng.normal(size=300))
-        d = from_entries(40, range(40), range(40), rng.normal(size=40) + 1j * rng.normal(size=40))
-        check_every_operation([a, d])
+        check_every_operation(complex_operands(seed))
 
     @pytest.mark.parametrize("seed", [6, 7])
     def test_exact_zeros_among_many_entries(self, seed):
