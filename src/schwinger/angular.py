@@ -34,7 +34,6 @@ from .operators import (
     row_product,
     row_windows,
     scaled,
-    window,
 )
 
 
@@ -100,25 +99,25 @@ def casimir(amset: AngularMomentumSet) -> Band:
 
 
 def casimir_residual(
-    amset: AngularMomentumSet, epsilon: float, *, rows: slice | None = None,
+    amset: AngularMomentumSet, epsilon: float, *,
     cas: Band | None = None, jj: Band | None = None, ej: Band | None = None,
 ) -> Band:
-    """J^2 - J (J + epsilon hbar 1) as a band, over the row window
-    ``rows`` (every row by default).
+    """J^2 - J (J + epsilon hbar 1) as a band.
 
     With epsilon = 1 (boson commutators) this vanishes identically on the
     whole truncated space: the square of the angular momentum is
     j(j+1) hbar^2, not j^2 hbar^2.  With epsilon = 0 it reduces to
     hbar J, the gap between the quantum and the classical square.
     Intermediate epsilon just evaluates the same formula.  ``cas``, ``jj``
-    and ``ej`` are J^2, J J and epsilon hbar J over ``rows`` when the
-    caller already holds them; by default they are formed here.
+    and ``ej`` are J^2, J J and epsilon hbar J when the caller already
+    holds them, over one row window say; by default each is built here
+    over every row.
     """
     jt = amset.jtot
     if cas is None:
-        cas = window(casimir(amset), rows)
+        cas = casimir(amset)
     if jj is None:
-        jj = product(jt, jt, rows)
+        jj = product(jt, jt)
     if ej is None:
-        ej = scaled(window(jt, rows), epsilon * amset.hbar)
+        ej = scaled(jt, epsilon * amset.hbar)
     return minus(cas, plus(jj, ej))

@@ -519,7 +519,7 @@ def run_battery(amset: AngularMomentumSet, tol: float):
     quantum, classical = [], []
     for rows in windows:
         cas_rows, jj, hj = window(cas, rows), product(jt, jt, rows), scaled(window(jt, rows), hbar)
-        quantum.append(max_abs(casimir_residual(amset, 1.0, rows=rows, cas=cas_rows, jj=jj, ej=hj)))
+        quantum.append(max_abs(casimir_residual(amset, 1.0, cas=cas_rows, jj=jj, ej=hj)))
         classical.append(max_abs(minus(minus(cas_rows, jj), hj)))
     checks.append(("quadratic_identity_quantum", _largest(quantum)))
     checks.append(("quadratic_identity_classical_form", _largest(classical)))

@@ -287,10 +287,16 @@ def window_norm(parts: list) -> float:
     except when that sum overflows: then the entries are first scaled by
     the largest magnitude, so a norm that fits in a double comes out
     finite."""
-    mags = parts[0] if len(parts) == 1 else np.concatenate(parts)
     with np.errstate(over="ignore"):
-        total = np.sum(mags ** 2)
-    if np.isinf(total) and np.isfinite(mags.max()):
+        if len(parts) == 1:
+            squares = parts[0] ** 2
+        else:
+            squares = np.concatenate(parts)
+            np.square(squares, out=squares)
+        total = np.sum(squares)
+    if np.isinf(total):
+        mags = parts[0] if len(parts) == 1 else np.concatenate(parts)
         big = mags.max()
-        return float(big * np.sqrt(np.sum((mags / big) ** 2)))
+        if np.isfinite(big):
+            return float(big * np.sqrt(np.sum((mags / big) ** 2)))
     return float(np.sqrt(total))
