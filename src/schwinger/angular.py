@@ -28,6 +28,7 @@ from .operators import (
     annihilation,
     band,
     creation,
+    frozen,
     minus,
     plus,
     product,
@@ -74,28 +75,27 @@ def build_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
     n1, n2, total = basis.occupations()
     jz = band({0: ((n1 - n2) * (0.5 * hbar)).astype(np.complex128)})
     jtot = band({0: (total * (0.5 * hbar)).astype(np.complex128)})
-    for op in (jx, jy, jz, jtot):
-        for values in op.values():
-            values.flags.writeable = False
-    return AngularMomentumSet(jx=jx, jy=jy, jz=jz, jtot=jtot, hbar=hbar, basis=basis)
+    return AngularMomentumSet(jx=frozen(jx), jy=frozen(jy), jz=frozen(jz), jtot=frozen(jtot),
+                              hbar=hbar, basis=basis)
 
 
 def casimir(amset: AngularMomentumSet) -> Band:
     """J^2 = J_x^2 + J_y^2 + J_z^2 as a band: its main diagonal alone on a
     clean set.  It is summed over the ``row_windows`` of the basis, each
-    written into the whole arrays as it is done."""
+    written into the whole arrays as it is done, and returned
+    ``frozen`` like the operators."""
     jx, jy, jz = amset.jx, amset.jy, amset.jz
     dim = amset.basis.size
     out = {}
     for rows in row_windows(dim):
         part = plus(plus(product(jx, jx, rows), product(jy, jy, rows)), product(jz, jz, rows))
         if rows is None:
-            return part
+            return frozen(part)
         for p, values in part.items():
             if p not in out:
                 out[p] = np.zeros(dim, dtype=np.complex128)
             out[p][rows] = values
-    return out
+    return frozen(out)
 
 
 def casimir_residual(

@@ -41,6 +41,7 @@ from .operators import (
     Band,
     adjoint,
     commutator,
+    frozen,
     magnitudes,
     max_abs,
     minus,
@@ -54,7 +55,7 @@ from .operators import (
 )
 from .spectra import block_table, cos_theta, sum_rule_check
 
-# verify at n_max 1000 (dimension 501501) takes 0.6-0.9 s and 134 MB
+# verify at n_max 1000 (dimension 501501) takes 0.5-0.6 s and 134 MB
 # from the shell, below the 5 s of classical at COUNT_LIMIT on 2 CPUs; at
 # 1500 it took 9 s and 500 MB
 N_MAX_LIMIT = 1000
@@ -567,11 +568,13 @@ def _parse_corruption(directive: str, dim: int) -> tuple[str, int, int, float]:
 
 
 def _apply_corruption(amset: AngularMomentumSet, corruption) -> AngularMomentumSet:
-    """Test hook: add DELTA to entry (ROW, COL) of operator OP."""
+    """Test hook: add DELTA to entry (ROW, COL) of operator OP, whose
+    arrays stay read-only like those of ``build_set``."""
     name, row, col, delta = corruption
     bump = np.zeros(amset.basis.size, dtype=np.complex128)
     bump[row] = delta
-    return dataclasses.replace(amset, **{name: plus(getattr(amset, name), {col - row: bump})})
+    return dataclasses.replace(
+        amset, **{name: frozen(plus(getattr(amset, name), {col - row: bump}))})
 
 
 def cmd_verify(n_max: int, hbar: float, tol: float, corruption: tuple | None = None):

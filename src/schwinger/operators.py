@@ -25,6 +25,17 @@ elementwise over the union of the offsets, ``scaled`` multiplies as
 scipy's scalar product does, and ``adjoint`` conjugates and shifts.
 ``fro_norm`` and ``max_abs`` read the stored entries in row-major order.
 
+``product`` takes two facts about each factor's whole array: whether
+every entry is real or every one imaginary (then numpy's complex
+multiply rounds as scipy's product does) and whether every entry is
+finite.  It works them out once for an array that is read-only and
+owns its data (``frozen`` makes a band's arrays so) and keeps them
+while the array lives; a writable array is probed on every call.  The
+reset that keeps a stored inf or NaN from meeting an unstored 0 runs
+only for terms with a factor that stores a non-finite entry.
+``commutator`` drops the all-zero offsets of its result once, in its
+subtraction, not in each product.
+
 ``product``, ``adjoint`` and ``commutator`` also evaluate one row window
 ``rows=slice(r0, r1)`` of their result: a band whose arrays have length
 r1 - r0, entry k holding the element (r0 + k, r0 + k + p), read off the
@@ -35,6 +46,9 @@ operations stay small and are reused, not faulted in afresh.
 """
 
 from __future__ import annotations
+
+import functools
+import weakref
 
 import numpy as np
 
@@ -109,6 +123,14 @@ def band(diagonals: dict) -> Band:
     return {p: values for p, values in diagonals.items() if values.any()}
 
 
+def frozen(a: Band) -> Band:
+    """``a``, its arrays made read-only, so that ``product`` works out
+    their facts once."""
+    for values in a.values():
+        values.flags.writeable = False
+    return a
+
+
 def rows_of(p: int, dim: int, rows: slice | None = None) -> slice:
     """The rows i whose entry (i, i + p) lies inside a dim x dim matrix,
     and inside the row window ``rows`` when one is given (an empty slice
@@ -157,6 +179,31 @@ def _plain(x: np.ndarray) -> bool:
     return not x.imag.any() or not x.real.any()
 
 
+# id of a read-only array -> (a weak reference to it, its ``_facts``);
+# shared by every caller, as an array's facts are the same for all of them
+_FACTS: dict = {}
+
+
+def _facts(x: np.ndarray) -> tuple[bool, bool] | None:
+    """(plain, finite) of the whole array ``x``: ``_plain(x)``, and whether
+    no entry is inf or NaN.  None when ``x`` is writable or a view, whose
+    entries may change between calls.
+
+    A read-only array that owns its data keeps it, so its facts are
+    worked out on its first use and kept while it lives, looked up by
+    its id and checked against a weak reference to it.
+    """
+    if x.flags.writeable or x.base is not None:
+        return None
+    entry = _FACTS.get(id(x))
+    if entry is None or entry[0]() is not x:
+        # the entry leaves with x: the reference's callback pops it
+        # (the reference itself is pop's default)
+        ref = weakref.ref(x, functools.partial(_FACTS.pop, id(x)))
+        entry = _FACTS[id(x)] = (ref, (_plain(x), bool(np.isfinite(x).all())))
+    return entry[1]
+
+
 def product(a: Band, b: Band, rows: slice | None = None) -> Band:
     """The band of the matrix product ab, over the row window ``rows``
     (every row by default).
@@ -169,6 +216,26 @@ def product(a: Band, b: Band, rows: slice | None = None) -> Band:
     unstored 0.  Every step is elementwise, so a window's entries do not
     depend on where the window lies.
     """
+    return band(_product(a, b, rows))
+
+
+def _product(a: Band, b: Band, rows: slice | None) -> dict:
+    """``product`` with the offsets that are all zero kept.
+
+    Three shortcuts keep its bits:
+
+    - A factor's plainness is that of its whole array (``_facts``) when
+      the array is read-only.  Every window of a plain array is plain,
+      and on a factor that is not plain ``_times`` rounds as numpy's
+      multiply does where its window happens to be plain.
+    - The reset is tried only when a factor stores a non-finite entry
+      (or may, being writable).  When both factors are finite, an
+      unstored factor makes its term a zero, and the reset could only
+      change that zero's sign; the sum, which starts from +0, holds
+      +0 either way.
+    - A new output offset is zeroed only outside the rows of its first
+      term, which that term writes.
+    """
     out = {}
     spare = None  # holds a term to add onto a sum already begun
     for p, x in sorted(a.items()):
@@ -178,26 +245,31 @@ def product(a: Band, b: Band, rows: slice | None = None) -> Band:
         if lo == hi:
             continue
         xs = x[lo:hi]
-        x_plain = _plain(xs)
+        x_facts = _facts(x)
+        x_plain = x_facts[0] if x_facts else _plain(xs)
         for q, y in b.items():
             ys = y[lo + p:hi + p]
+            y_facts = _facts(y)
             begun = p + q in out
             if not begun:
-                out[p + q] = np.zeros(r1 - r0, dtype=np.complex128)
+                total = out[p + q] = np.empty(r1 - r0, dtype=np.complex128)
+                total[:lo - r0] = 0
+                total[hi - r0:] = 0
             elif spare is None:
                 spare = np.empty(r1 - r0, dtype=np.complex128)
             term = (spare if begun else out[p + q])[lo - r0:hi - r0]
-            if x_plain or _plain(ys):
+            if x_plain or (y_facts[0] if y_facts else _plain(ys)):
                 np.multiply(xs, ys, out=term)
             else:
                 _times(xs, ys, term)
-            if not np.isfinite(term.sum()):
+            finite = x_facts and y_facts and x_facts[1] and y_facts[1]
+            if not finite and not np.isfinite(term.sum()):
                 term[(xs == 0) | (ys == 0)] = 0
             if begun:
                 out[p + q][lo - r0:hi - r0] += term
             else:
                 term += 0  # the sum starts from 0, which turns a -0.0 part to 0.0
-    return band(out)
+    return out
 
 
 def _combine(ufunc, a: Band, b: Band, *, into_a: bool = False) -> Band:
@@ -250,8 +322,14 @@ def adjoint(a: Band, rows: slice | None = None) -> Band:
 
 
 def commutator(a: Band, b: Band, rows: slice | None = None) -> Band:
-    """ab - ba, over the row window ``rows`` (every row by default)."""
-    return _combine(np.subtract, product(a, b, rows), product(b, a, rows), into_a=True)
+    """ab - ba, over the row window ``rows`` (every row by default).
+
+    The products keep their offsets that are all zero, and the
+    subtraction drops those of the difference: an all-zero offset of a
+    product holds +0 in every entry (a sum that starts from +0 never
+    reads -0), so subtracting it, or from it, gives the bits of
+    subtracting 0 as the offset's absence does."""
+    return _combine(np.subtract, _product(a, b, rows), _product(b, a, rows), into_a=True)
 
 
 def _stored(a: Band) -> np.ndarray:

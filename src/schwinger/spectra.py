@@ -30,7 +30,7 @@ def block_table(two_js, hbar: float, jz_diag, cas_centres, cas_radii) -> dict:
     Returns a dict of arrays indexed by block, except ``levels``, which
     holds every block's J_z levels in absolute units (hbar times m),
     each block's sorted descending with NaN first, beginning at
-    ``starts``:
+    ``starts``; the others are:
 
     - ``casimir``: the J^2 trace over the block dimension, which is the
       mean J^2 eigenvalue exactly;
@@ -48,6 +48,12 @@ def block_table(two_js, hbar: float, jz_diag, cas_centres, cas_radii) -> dict:
       from the levels rounded to the nearest multiple of hbar/2; a NaN
       level fails it.
 
+    The levels are sorted only when some block's are not strictly
+    decreasing already; a clean J_z's are.  A strictly decreasing block
+    has one sorted order, its own, so skipping the sort keeps its bits.
+    A -0.0 next to a 0.0, two equal levels and a NaN are not strictly
+    decreasing, so the sort still sets their order.
+
     The sums are segment sums, so at a non-dyadic hbar ``casimir`` and
     ``mean_square`` can differ from a per-block ``np.mean`` in the last
     bits.
@@ -58,8 +64,12 @@ def block_table(two_js, hbar: float, jz_diag, cas_centres, cas_radii) -> dict:
     block = np.repeat(np.arange(len(sizes)), sizes)
     n = two_j[block]
     jz = np.real(jz_diag)
-    # ascending by level within descending blocks, then reversed
-    levels = jz[np.lexsort((jz, -block))[::-1]]
+    # each block's levels strictly decreasing, the last of a block
+    # compared with nothing
+    ordered = jz[:-1] > jz[1:]
+    ordered[starts[1:] - 1] = True
+    # else ascending by level within descending blocks, then reversed
+    levels = jz.copy() if ordered.all() else jz[np.lexsort((jz, -block))[::-1]]
     casimir = np.add.reduceat(cas_centres, starts) / sizes
     spread = (np.maximum.reduceat(cas_centres + cas_radii, starts)
               - np.minimum.reduceat(cas_centres - cas_radii, starts))

@@ -358,9 +358,22 @@ def check_round_trip(m):
     assert (main + 0).tobytes() == m.diagonal().tobytes()
 
 
+def bands_of(ms, frozen: bool) -> list:
+    """The bands of the matrices ``ms``; with ``frozen`` their arrays are
+    read-only, and ``product`` keeps the facts it works out about them."""
+    bands = [band_of(m) for m in ms]
+    return [operators.frozen(b) for b in bands] if frozen else bands
+
+
 @np.errstate(all="ignore")
 def check_product(a, b):
-    assert_band_of(operators.product(band_of(a), band_of(b)), canonical(a @ b))
+    """ab of writable bands, which ``product`` probes on every call, and of
+    frozen ones, twice: the second call reads the facts the first kept."""
+    want = canonical(a @ b)
+    for frozen in (False, True):
+        A, B = bands_of((a, b), frozen)
+        for _ in range(1 + frozen):
+            assert_band_of(operators.product(A, B), want)
 
 
 @np.errstate(all="ignore")
@@ -438,23 +451,27 @@ WINDOW_SIZES = (1, 2, 3, 7, 64, 10**6)
 
 @np.errstate(all="ignore")
 def check_windows(a, b, r0: int):
-    """``product``, ``adjoint`` and ``commutator`` over rows r0:r0 + size
-    are those rows of the whole result bit for bit, for every size of
+    """``product``, ``adjoint`` and ``commutator`` of writable and of
+    frozen bands are scipy's, and over rows r0:r0 + size they are those
+    rows of the whole result bit for bit, for every size of
     ``WINDOW_SIZES``, and over the last window of each size too."""
-    A, B = band_of(a), band_of(b)
     dim = a.shape[0]
-    wholes = [(operators.product, (A, B)), (operators.product, (B, A)),
-              (operators.adjoint, (A,)), (operators.commutator, (A, B))]
-    for op, args in wholes:
-        whole = op(*args)
-        for size in WINDOW_SIZES:
-            for start in (r0, max(0, dim - size)):
-                rows = slice(start, start + size)
-                got = op(*args, rows=rows)
-                want = operators.band(operators.window(whole, rows))
-                assert got.keys() == want.keys(), (op.__name__, rows)
-                for p, values in got.items():
-                    assert values.tobytes() == want[p].tobytes(), (op.__name__, rows, p)
+    for frozen in (False, True):
+        A, B = bands_of((a, b), frozen)
+        wholes = [(operators.product, (A, B), a @ b), (operators.product, (B, A), b @ a),
+                  (operators.adjoint, (A,), a.conj().T),
+                  (operators.commutator, (A, B), a @ b - b @ a)]
+        for op, args, matrix in wholes:
+            whole = op(*args)
+            assert_band_of(whole, canonical(matrix))
+            for size in WINDOW_SIZES:
+                for start in (r0, max(0, dim - size)):
+                    rows = slice(start, start + size)
+                    got = op(*args, rows=rows)
+                    want = operators.band(operators.window(whole, rows))
+                    assert got.keys() == want.keys(), (op.__name__, frozen, rows)
+                    for p, values in got.items():
+                        assert values.tobytes() == want[p].tobytes(), (op.__name__, frozen, rows, p)
 
 
 def check_every_operation(ms):
@@ -493,6 +510,22 @@ def exact_zero_operands(seed: int) -> list:
     a = from_entries(60, rows, cols, rng.normal(size=600) + 1j * rng.normal(size=600))
     d = from_entries(60, range(60), range(60), 0.3 * rng.integers(1, 4, 60))
     return [a, d]
+
+
+def non_finite_operands(seed: int) -> list:
+    """J_x + J_y at n_max 10, scaled by 0.7, with an inf or a NaN at two
+    random entries on or near its band, among exact zeros; and a
+    diagonal D of 0.3, 0.6, 0.9 or an exact 0.  In their products a
+    stored inf or NaN meets D's exact zeros and J's unstored entries."""
+    rng = np.random.default_rng(seed)
+    amset = csr_set(build_set(build_basis(10), 1.0))
+    dim = amset.jx.shape[0]
+    rows = rng.integers(0, dim, 2)
+    cols = np.clip(rows + rng.integers(-2, 3, 2), 0, dim - 1)
+    bad = rng.choice([np.inf, -np.inf, np.nan, complex(0, np.inf)], 2)
+    j = canonical((amset.jx + amset.jy) * 0.7 + from_entries(dim, rows, cols, bad))
+    d = from_entries(dim, range(dim), range(dim), 0.3 * rng.integers(0, 4, dim))
+    return [j, d]
 
 
 class TestBandAlgebra:
@@ -551,9 +584,37 @@ class TestBandAlgebra:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_windows_of_fixed_operands(self, seed):
-        for ms in (complex_operands(seed), exact_zero_operands(seed + 4)):
+        for ms in (complex_operands(seed), exact_zero_operands(seed + 4),
+                   non_finite_operands(seed)):
             for a, b in itertools.permutations(ms):
                 check_windows(a, b, 5 + 9 * seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_non_finite_entries_among_zeros(self, seed):
+        for a, b in itertools.product(non_finite_operands(seed), repeat=2):
+            check_product(a, b)
+
+    @np.errstate(all="ignore")
+    def test_product_reads_what_a_band_holds_now(self):
+        """A band's arrays change between two products: in place while
+        writable, and after being frozen, used and made writable again.
+        Each product is that of the band's contents at its call: no fact
+        worked out before the change survives it."""
+        amset = csr_set(build_set(build_basis(6), 1.0))
+        a, b = canonical(amset.jx * 0.7), canonical(amset.jy * 0.1)
+        B = band_of(b)
+        for refreeze in (False, True):
+            A = band_of(a)
+            if refreeze:
+                operators.frozen(A)
+            assert_band_of(operators.product(A, B), canonical(a @ b))
+            A[1].flags.writeable = True
+            # a complex entry next to an inf, at rows where J_y stores
+            # entries and where it stores none
+            A[1][2], A[1][3] = complex(0.3, 0.7), np.inf
+            A[1][5] = np.nan
+            got = to_csr(A, a.shape[0])
+            assert_band_of(operators.product(A, B), canonical(got @ b))
 
     def test_empty_band(self):
         for dim in (0, 1, 6):

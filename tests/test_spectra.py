@@ -266,6 +266,62 @@ class TestBlockTable:
                 assert table["mean_square"][n] == mean_square_from_spectrum(ref)
 
 
+def lexsorted_levels(two_js, jz) -> np.ndarray:
+    """Each block's levels sorted descending with NaN first, as
+    ``block_table`` returns them: ascending by level within descending
+    blocks by ``np.lexsort``, then reversed."""
+    sizes = np.asarray(two_js) + 1
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    jz = np.real(jz)
+    return jz[np.lexsort((jz, -block))[::-1]]
+
+
+class TestBlockTableOrder:
+    """``block_table`` sorts the levels only when some block's are not
+    strictly decreasing; either way its ``levels`` are those of a sort
+    to the bit."""
+
+    def table_levels(self, two_js, jz) -> np.ndarray:
+        n = len(jz)
+        levels = spectra.block_table(two_js, 1.0, jz, np.zeros(n), np.zeros(n))["levels"]
+        assert levels.tobytes() == lexsorted_levels(two_js, jz).tobytes()
+        return levels
+
+    @pytest.mark.parametrize("two_js, jz, unchanged", [
+        # ordered blocks, each starting above the last level before it
+        ([0, 1, 2], [0.0, 0.5, -0.5, 1.0, 0.0, -1.0], True),
+        # a -0.0/0.0 tie, which the sort reverses
+        ([0, 3], [0.0, 1.0, 0.0, -0.0, -1.0], False),
+        # two equal levels
+        ([0, 3], [0.0, 1.0, 0.5, 0.5, -1.0], True),
+        # a NaN, which the sort puts first
+        ([0, 3], [0.0, 1.0, np.nan, -1.0, 7.0], False),
+        # one shuffled block between ordered ones
+        ([0, 2, 3], [0.0, -1.0, 1.0, 0.0, 1.5, 0.5, -0.5, -1.5], False),
+    ], ids=["ordered", "signed_zero_tie", "equal_levels", "nan", "one_shuffled"])
+    def test_matches_lexsort(self, two_js, jz, unchanged):
+        jz = np.array(jz)
+        assert (self.table_levels(two_js, jz).tobytes() == jz.tobytes()) == unchanged
+
+    def test_clean_set_is_already_ordered(self):
+        amset = build_set(build_basis(12), 0.3)
+        jz = amset.jz[0].real
+        assert self.table_levels(range(13), jz).tobytes() == jz.tobytes()
+
+    @pytest.mark.parametrize("directive", ["jz,4,4,1e-6", "jz,4,4,-0.6", "jz,3,3,-0.3",
+                                           "jz,5,4,1e-3", "jz,0,0,1e300"])
+    def test_corrupted_verify(self, directive):
+        """The levels of ``verify --corrupt`` runs, some of which keep each
+        block strictly decreasing and some of which do not."""
+        amset = build_set(build_basis(6), 0.3)
+        corrupted = cli._apply_corruption(amset, cli._parse_corruption(directive, amset.basis.size))
+        jz = corrupted.jz[0]
+        # a level of 1e300 overflows J^2 and the table's sums, as verify allows
+        with np.errstate(all="ignore"):
+            levels = cli._blocks(corrupted, angular.casimir(corrupted), 0)["levels"]
+        assert levels.tobytes() == lexsorted_levels(range(7), jz).tobytes()
+
+
 class TestSumRule:
     @pytest.mark.parametrize(
         "two_j, quarters",
