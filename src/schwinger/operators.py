@@ -25,14 +25,14 @@ elementwise over the union of the offsets, ``scaled`` multiplies as
 scipy's scalar product does, and ``adjoint`` conjugates and shifts.
 ``fro_norm`` and ``max_abs`` read the stored entries in row-major order.
 
-``product`` takes two facts about each factor's whole array: whether
-every entry is real or every one imaginary (then numpy's complex
-multiply rounds as scipy's product does) and whether every entry is
-finite.  It works them out once for an array that is read-only and
-owns its data (``frozen`` makes a band's arrays so) and keeps them
-while the array lives; a writable array is probed on every call.  The
+``product`` takes two facts about every factor from its whole array:
+whether every entry is real or every one imaginary (then numpy's
+complex multiply rounds as scipy's product does) and whether every
+entry is finite.  It keeps them for an array that is read-only and
+owns its data (``frozen`` makes a band's arrays so) while the array
+lives, and probes a writable array or a view whole on every call.  The
 reset that keeps a stored inf or NaN from meeting an unstored 0 runs
-only for terms with a factor that stores a non-finite entry.
+exactly for the terms of a factor that stores a non-finite entry.
 ``commutator`` drops the all-zero offsets of its result once, in its
 subtraction, not in each product.
 
@@ -184,23 +184,25 @@ def _plain(x: np.ndarray) -> bool:
 _FACTS: dict = {}
 
 
-def _facts(x: np.ndarray) -> tuple[bool, bool] | None:
+def _facts(x: np.ndarray) -> tuple[bool, bool]:
     """(plain, finite) of the whole array ``x``: ``_plain(x)``, and whether
-    no entry is inf or NaN.  None when ``x`` is writable or a view, whose
-    entries may change between calls.
+    no entry is inf or NaN.
 
     A read-only array that owns its data keeps it, so its facts are
     worked out on its first use and kept while it lives, looked up by
-    its id and checked against a weak reference to it.
+    its id and checked against a weak reference to it.  A writable array
+    or a view, whose entries may change between calls, is probed whole
+    on every call.
     """
     if x.flags.writeable or x.base is not None:
-        return None
+        return _plain(x), bool(np.isfinite(x).all())
     entry = _FACTS.get(id(x))
     if entry is None or entry[0]() is not x:
         # the entry leaves with x: the reference's callback pops it
-        # (the reference itself is pop's default)
+        # (the reference itself is pop's default); a view of x is
+        # probed whole
         ref = weakref.ref(x, functools.partial(_FACTS.pop, id(x)))
-        entry = _FACTS[id(x)] = (ref, (_plain(x), bool(np.isfinite(x).all())))
+        entry = _FACTS[id(x)] = (ref, _facts(x.view()))
     return entry[1]
 
 
@@ -222,17 +224,16 @@ def product(a: Band, b: Band, rows: slice | None = None) -> Band:
 def _product(a: Band, b: Band, rows: slice | None) -> dict:
     """``product`` with the offsets that are all zero kept.
 
-    Three shortcuts keep its bits:
+    Two shortcuts keep its bits:
 
-    - A factor's plainness is that of its whole array (``_facts``) when
-      the array is read-only.  Every window of a plain array is plain,
-      and on a factor that is not plain ``_times`` rounds as numpy's
-      multiply does where its window happens to be plain.
-    - The reset is tried only when a factor stores a non-finite entry
-      (or may, being writable).  When both factors are finite, an
-      unstored factor makes its term a zero, and the reset could only
-      change that zero's sign; the sum, which starts from +0, holds
-      +0 either way.
+    - A factor's plainness and finiteness are those of its whole array
+      (``_facts``), not of its window.  Every window of a plain array is
+      plain; where the window of an array that is not plain is plain,
+      ``_times`` runs in place of numpy's multiply, and both round as
+      scipy does there.  The reset runs exactly when a factor stores an
+      inf or a NaN anywhere: where both factors of a term are finite, an
+      unstored factor makes the term a zero, and the reset could only
+      turn a -0 into +0, which a sum that starts from +0 cannot tell.
     - A new output offset is zeroed only outside the rows of its first
       term, which that term writes.
     """
@@ -245,11 +246,10 @@ def _product(a: Band, b: Band, rows: slice | None) -> dict:
         if lo == hi:
             continue
         xs = x[lo:hi]
-        x_facts = _facts(x)
-        x_plain = x_facts[0] if x_facts else _plain(xs)
+        x_plain, x_finite = _facts(x)
         for q, y in b.items():
             ys = y[lo + p:hi + p]
-            y_facts = _facts(y)
+            y_plain, y_finite = _facts(y)
             begun = p + q in out
             if not begun:
                 total = out[p + q] = np.empty(r1 - r0, dtype=np.complex128)
@@ -258,12 +258,11 @@ def _product(a: Band, b: Band, rows: slice | None) -> dict:
             elif spare is None:
                 spare = np.empty(r1 - r0, dtype=np.complex128)
             term = (spare if begun else out[p + q])[lo - r0:hi - r0]
-            if x_plain or (y_facts[0] if y_facts else _plain(ys)):
+            if x_plain or y_plain:
                 np.multiply(xs, ys, out=term)
             else:
                 _times(xs, ys, term)
-            finite = x_facts and y_facts and x_facts[1] and y_facts[1]
-            if not finite and not np.isfinite(term.sum()):
+            if not (x_finite and y_finite):
                 term[(xs == 0) | (ys == 0)] = 0
             if begun:
                 out[p + q][lo - r0:hi - r0] += term
@@ -332,25 +331,23 @@ def commutator(a: Band, b: Band, rows: slice | None = None) -> Band:
     return _combine(np.subtract, _product(a, b, rows), _product(b, a, rows), into_a=True)
 
 
-def _stored(a: Band) -> np.ndarray:
-    """The stored entries of ``a`` in row-major order."""
-    if len(a) == 1:
-        (values,) = a.values()
-    elif a:
-        values = np.stack([a[p] for p in sorted(a)], axis=1).ravel()
-    else:
-        return np.zeros(0, dtype=np.complex128)
-    return values[values != 0]
-
-
 def max_abs(a: Band) -> float:
     """Largest stored-entry magnitude of ``a`` (0 when it stores none)."""
     return float(np.max([np.max(np.abs(x)) for x in a.values()], initial=0.0))
 
 
 def magnitudes(a: Band) -> np.ndarray:
-    """The magnitudes of the stored entries of ``a`` in row-major order."""
-    return np.abs(_stored(a))
+    """The magnitudes of the stored entries of ``a`` in row-major order.
+
+    Each offset's magnitudes are taken first, then interleaved row by
+    row, and the zeros dropped: |v| is 0 exactly when v is 0, a NaN or
+    inf part gives NaN or inf, and |v| does not depend on where v sits,
+    so these are the magnitudes of the stored entries to the bit."""
+    mags = np.empty((max(map(len, a.values()), default=0), len(a)))
+    for j, p in enumerate(sorted(a)):
+        np.abs(a[p], out=mags[:, j])
+    mags = mags.ravel()
+    return mags[mags != 0]
 
 
 def fro_norm(a: Band) -> float:

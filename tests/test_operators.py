@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -405,10 +407,25 @@ def check_commutator(a, b):
     assert same_float(operators.fro_norm(got), fro_norm(want.copy()))
 
 
+# rows per window of the ``magnitudes`` check
+NORM_WINDOW = 7
+
+
 @np.errstate(all="ignore")
 def check_norms(a):
-    assert same_float(operators.fro_norm(band_of(a)), fro_norm(a.copy()))
-    assert same_float(operators.max_abs(band_of(a)), max_abs(a))
+    """``fro_norm`` and ``max_abs`` of the canonical matrix ``a``, and
+    ``magnitudes`` of its band and of each window of ``NORM_WINDOW`` rows
+    (an offset may be all zero there): the magnitudes of a's stored
+    entries of those rows in row-major order, to the bit."""
+    b = band_of(a)
+    assert same_float(operators.fro_norm(b), fro_norm(a.copy()))
+    assert same_float(operators.max_abs(b), max_abs(a))
+    assert operators.magnitudes(b).tobytes() == np.abs(a.data).tobytes()
+    for r0 in range(0, a.shape[0], NORM_WINDOW):
+        rows = slice(r0, r0 + NORM_WINDOW)
+        got = operators.magnitudes(operators.window(b, rows))
+        want = np.abs(a.data[a.indptr[r0]:a.indptr[min(r0 + NORM_WINDOW, a.shape[0])]])
+        assert got.tobytes() == want.tobytes(), rows
 
 
 @np.errstate(all="ignore")
@@ -528,6 +545,41 @@ def non_finite_operands(seed: int) -> list:
     return [j, d]
 
 
+def window_fact_operands(seed: int) -> list:
+    """Two bands at n_max 10 whose windows' facts are not their whole
+    arrays': C stores real entries on and near its band up to row 40 and
+    complex ones past it, so a window of the first 40 rows is plain while
+    C is not; F stores complex entries, one of them an inf past row
+    60, at every other place of C's pattern, so a window that ends before
+    it is finite while F is not."""
+    rng = np.random.default_rng(seed)
+    dim = build_basis(10).size
+    rows = np.repeat(np.arange(dim), 3)
+    cols = np.clip(rows + np.tile([-1, 0, 1], dim), 0, dim - 1)
+    parts = 0.7 * rng.normal(size=(2, len(rows)))
+    c = from_entries(dim, rows, cols, parts[0] + 1j * np.where(rows < 40, 0.0, parts[1]))
+    rows, cols = rows[::2], cols[::2]
+    values = 0.1 * rng.normal(size=len(rows)) + 0.3j * rng.normal(size=len(rows))
+    values[rng.choice(np.flatnonzero(rows > 60))] = rng.choice([np.inf, complex(0, -np.inf)])
+    return [c, from_entries(dim, rows, cols, values)]
+
+
+def magnitude_operands() -> list:
+    """Bands of 0, 1 and 3 offsets over 20 rows, with -0.0 parts,
+    subnormal, inf and NaN entries; offset 9 of the last is stored in
+    rows 0 and 2 alone (row 1 adds an exact zero), so it is all zero in
+    every later window."""
+    special = [complex(-0.0, 0.3), complex(0.7, -0.0), 5e-324, complex(-0.0, -5e-324),
+               np.inf, complex(0, -np.inf), np.nan, complex(np.nan, 1), complex(np.inf, np.nan)]
+    rng = np.random.default_rng(27)
+    rows = np.arange(20)
+    values = 0.1 * rng.normal(size=20) + 0.7j * rng.normal(size=20)
+    values[::2] = special + [0.1]
+    three = from_entries(20, [*rows, *rows[1:], 0, 1, 2], [*rows, *rows[1:] - 1, 9, 10, 11],
+                         [*values, *values[::-1][1:], -0.3, complex(0, -0.0), np.nan])
+    return [zero(20), from_entries(20, rows, rows, values), three]
+
+
 class TestBandAlgebra:
     """Every band operation holds the bits of the scipy expression it
     stands for over the canonical matrices, NaN and inf entries, exact
@@ -569,6 +621,10 @@ class TestBandAlgebra:
     def test_norms(self, ms):
         check_norms(*ms)
 
+    def test_norms_of_fixed_bands(self):
+        for a in magnitude_operands():
+            check_norms(a)
+
     @settings(deadline=None)
     @given(set_operands(3), st.sampled_from(SCALARS))
     def test_battery_forms(self, ms, s):
@@ -585,7 +641,7 @@ class TestBandAlgebra:
     @pytest.mark.parametrize("seed", range(4))
     def test_windows_of_fixed_operands(self, seed):
         for ms in (complex_operands(seed), exact_zero_operands(seed + 4),
-                   non_finite_operands(seed)):
+                   non_finite_operands(seed), window_fact_operands(seed)):
             for a, b in itertools.permutations(ms):
                 check_windows(a, b, 5 + 9 * seed)
 
@@ -615,6 +671,37 @@ class TestBandAlgebra:
             A[1][5] = np.nan
             got = to_csr(A, a.shape[0])
             assert_band_of(operators.product(A, B), canonical(got @ b))
+
+    def test_facts_leave_with_their_arrays(self):
+        """Every fact ``product`` keeps leaves the memo when its array dies."""
+        gc.collect()
+        start = len(operators._FACTS)
+        for n_max in (3, 6):
+            amset = build_set(build_basis(n_max), 0.3)
+            cas = casimir(amset)
+            operators.commutator(cas, amset.jx)
+            assert len(operators._FACTS) > start
+            del amset, cas
+        gc.collect()
+        assert len(operators._FACTS) == start
+
+    @np.errstate(all="ignore")
+    def test_dead_reference_is_worked_out_again(self):
+        """An entry whose weak reference is dead, under the id of a live
+        array, gives way to that array's own facts."""
+        amset = csr_set(build_set(build_basis(6), 1.0))
+        a = canonical((amset.jx + amset.jy) * 0.7 + from_entries(28, [3], [4], [np.inf]))
+        b = canonical(amset.jy * 0.1)
+        A, B = bands_of((a, b), frozen=True)
+        dead = weakref.ref(np.zeros(1))
+        assert dead() is None
+        for x in A.values():
+            # plain and finite, which A's arrays are not
+            operators._FACTS[id(x)] = (dead, (True, True))
+        assert_band_of(operators.product(A, B), canonical(a @ b))
+        for x in A.values():
+            assert operators._FACTS[id(x)][0]() is x
+            assert operators._facts(x) == (operators._plain(x), bool(np.isfinite(x).all()))
 
     def test_empty_band(self):
         for dim in (0, 1, 6):
