@@ -177,10 +177,10 @@ def _float_texts(values: list, fmt: str) -> list[str]:
     return list(map(float.__repr__, values))
 
 
-def _segment_cells(column: Segments, fmt: str, depth: int) -> list[str]:
+def _segment_cells(column: Segments, fmt: str) -> list[str]:
     """The ``fmt`` text of each list of ``column``: its items ``;``-joined
-    in CSV and laid out as ``json.dumps(indent=2)`` lays them out at
-    ``depth`` in JSON.
+    in CSV and laid out as ``json.dumps(indent=2)`` lays them out in JSON,
+    as the field of a record in a top-level list.
 
     Each distinct value is formatted once; values are told apart by
     their bits, so -0.0 and 0.0 keep their own texts.
@@ -192,13 +192,13 @@ def _segment_cells(column: Segments, fmt: str, depth: int) -> list[str]:
     cuts = (column.bounds - lo).tolist()
     if fmt == "csv":
         return [";".join(items[a:b]) for a, b in zip(cuts, cuts[1:])]
-    pad = "\n" + "  " * (depth + 1)
-    close = "\n" + "  " * depth + "]"
+    # a record's field sits at depth 3, its list items at depth 4
+    pad, close = "\n" + "  " * 4, "\n" + "  " * 3 + "]"
     return ["[" + pad + ("," + pad).join(items[a:b]) + close if b > a else "[]"
             for a, b in zip(cuts, cuts[1:])]
 
 
-def _cells(cells, fmt: str, depth: int) -> list[str]:
+def _cells(cells, fmt: str) -> list[str]:
     """The ``fmt`` text of each cell: a float with 17 significant digits
     in CSV and as ``repr`` in JSON, a bool as ``true`` or ``false``, and
     each list of a ``Segments`` column as ``_segment_cells`` writes it.
@@ -207,11 +207,11 @@ def _cells(cells, fmt: str, depth: int) -> list[str]:
     a time.
     """
     if isinstance(cells, Segments):
-        return _segment_cells(cells, fmt, depth)
+        return _segment_cells(cells, fmt)
     cells = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
     kinds = set(map(type, cells))
     if len(kinds) != 1:
-        return [text for cell in cells for text in _cells([cell], fmt, depth)]
+        return [text for cell in cells for text in _cells([cell], fmt)]
     (kind,) = kinds
     if issubclass(kind, bool):
         return ["true" if v else "false" for v in cells]
@@ -235,7 +235,6 @@ class _Records:
     template: str
     sep: str
     fmt: str
-    depth: int
 
 
 def _chunk(records: _Records, lo: int) -> str:
@@ -247,7 +246,7 @@ def _chunk(records: _Records, lo: int) -> str:
     survive a fork.
     """
     cells = [_cells(records.table.columns[name][lo:lo + CHUNK_RECORDS],
-                    records.fmt, records.depth) for name in records.names]
+                    records.fmt) for name in records.names]
     return records.sep.join(map(records.template.__mod__, zip(*cells)))
 
 
@@ -270,7 +269,7 @@ def _json_pieces(doc: dict) -> list:
     for i, (key, value) in enumerate(doc.items()):
         pieces.append(("," if i else "") + "\n  " + json.dumps(key) + ": ")
         if not isinstance(value, Table):
-            pieces.append(_cells([value], "json", 1)[0])
+            pieces.append(_cells([value], "json")[0])
         elif not len(value):
             pieces.append("[]")
         else:
@@ -278,7 +277,7 @@ def _json_pieces(doc: dict) -> list:
             fields = ",\n      ".join(
                 json.dumps(name).replace("%", "%%") + ": %s" for name in names)
             template = "    {\n      " + fields + "\n    }"
-            records = _Records(value, names, template, ",\n", "json", 3)
+            records = _Records(value, names, template, ",\n", "json")
             pieces += ["[\n", *_chunks(records), "\n  ]"]
     pieces.append("\n}\n")
     return pieces
@@ -298,7 +297,7 @@ def _csv_pieces(tables: list[Table]) -> list:
         names = [c for c in header if c in table.columns]
         template = ",".join(table.record.replace("%", "%%") if c == "record"
                             else "%s" if c in table.columns else "" for c in header)
-        pieces += _chunks(_Records(table, names, template + "\n", "", "csv", 0))
+        pieces += _chunks(_Records(table, names, template + "\n", "", "csv"))
     return pieces
 
 
@@ -461,14 +460,14 @@ def _verdict(checks: list[dict], tol: float) -> int:
     """Print one FAILED line per failed check to stderr; the exit code."""
     failed = [c for c in checks if not c["pass"]]
     for c in failed:
-        residual, limit = _cells([c["max_residual"], tol], "csv", 0)
+        residual, limit = _cells([c["max_residual"], tol], "csv")
         print(f"FAILED {c['name']}: max_residual {residual} > tol {limit}", file=sys.stderr)
     return EXIT_FAILED if failed else EXIT_OK
 
 
 def _largest(parts: list) -> float:
     """The NaN-propagating max of a check's maxima over the row windows."""
-    return parts[0] if len(parts) == 1 else float(np.max(parts))
+    return float(np.max(parts))
 
 
 def run_battery(amset: AngularMomentumSet, tol: float):

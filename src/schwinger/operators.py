@@ -17,13 +17,15 @@ and J_y the first off-diagonals, J_z, J and a clean J^2 the main one.
 
 The band algebra equals scipy's arithmetic on the canonical CSR
 matrices (sorted, duplicates merged, exact zeros dropped) bit for bit.
-``product`` sums the terms of each output entry from 0 in scipy's
-column order, each rounded as scipy's sparse product rounds it, and
-forms a term only where both factors store an entry, so NaN and inf
-spread as they do through scipy.  ``plus`` and ``minus`` work
-elementwise over the union of the offsets, ``scaled`` multiplies as
-scipy's scalar product does, and ``adjoint`` conjugates and shifts.
-``fro_norm`` and ``max_abs`` read the stored entries in row-major order.
+``product`` adds the terms of each output entry onto a zero in scipy's
+column order, each term formed in one buffer and rounded as scipy's
+sparse product rounds it, and forms a term only where both factors
+store an entry, so NaN and inf spread as they do through scipy.
+``plus`` and ``minus`` work elementwise over the union of the offsets,
+``scaled`` multiplies as scipy's scalar product does, and ``adjoint``
+conjugates and shifts.
+``max_abs`` reads the stored entries, and ``magnitudes`` and
+``window_norm`` give their Frobenius norm, in row-major order.
 
 ``product`` takes two facts about every factor from its whole array:
 whether every entry is real or every one imaginary (then numpy's
@@ -224,21 +226,20 @@ def product(a: Band, b: Band, rows: slice | None = None) -> Band:
 def _product(a: Band, b: Band, rows: slice | None) -> dict:
     """``product`` with the offsets that are all zero kept.
 
-    Two shortcuts keep its bits:
-
-    - A factor's plainness and finiteness are those of its whole array
-      (``_facts``), not of its window.  Every window of a plain array is
-      plain; where the window of an array that is not plain is plain,
-      ``_times`` runs in place of numpy's multiply, and both round as
-      scipy does there.  The reset runs exactly when a factor stores an
-      inf or a NaN anywhere: where both factors of a term are finite, an
-      unstored factor makes the term a zero, and the reset could only
-      turn a -0 into +0, which a sum that starts from +0 cannot tell.
-    - A new output offset is zeroed only outside the rows of its first
-      term, which that term writes.
+    Every output offset starts as +0, and each term is formed in one
+    buffer and added onto it: a sum that starts from +0 never reads -0,
+    and the rows outside every term's range stay +0.  One shortcut keeps
+    its bits: a factor's plainness and finiteness are those of its whole
+    array (``_facts``), not of its window.  Every window of a plain array
+    is plain; where the window of an array that is not plain is plain,
+    ``_times`` runs in place of numpy's multiply, and both round as scipy
+    does there.  The reset runs exactly when a factor stores an inf or a
+    NaN anywhere: where both factors of a term are finite, an unstored
+    factor makes the term a zero, and the reset could only turn a -0
+    into +0, which a sum that starts from +0 cannot tell.
     """
     out = {}
-    spare = None  # holds a term to add onto a sum already begun
+    spare = None  # the term buffer
     for p, x in sorted(a.items()):
         r0, r1 = _bounds(rows, len(x))
         own = rows_of(p, len(x), rows)
@@ -250,40 +251,33 @@ def _product(a: Band, b: Band, rows: slice | None) -> dict:
         for q, y in b.items():
             ys = y[lo + p:hi + p]
             y_plain, y_finite = _facts(y)
-            begun = p + q in out
-            if not begun:
-                total = out[p + q] = np.empty(r1 - r0, dtype=np.complex128)
-                total[:lo - r0] = 0
-                total[hi - r0:] = 0
-            elif spare is None:
+            if p + q not in out:
+                out[p + q] = np.zeros(r1 - r0, dtype=np.complex128)
+            if spare is None:
                 spare = np.empty(r1 - r0, dtype=np.complex128)
-            term = (spare if begun else out[p + q])[lo - r0:hi - r0]
+            term = spare[lo - r0:hi - r0]
             if x_plain or y_plain:
                 np.multiply(xs, ys, out=term)
             else:
                 _times(xs, ys, term)
             if not (x_finite and y_finite):
                 term[(xs == 0) | (ys == 0)] = 0
-            if begun:
-                out[p + q][lo - r0:hi - r0] += term
-            else:
-                term += 0  # the sum starts from 0, which turns a -0.0 part to 0.0
+            out[p + q][lo - r0:hi - r0] += term
     return out
 
 
-def _combine(ufunc, a: Band, b: Band, *, into_a: bool = False) -> Band:
+def _combine(ufunc, a: Band, b: Band) -> Band:
     """``ufunc`` of a and b entry by entry over the union of their
     offsets, an unstored entry read as 0, as scipy combines two
-    canonical matrices.  With ``into_a`` the arrays of ``a``, which no
-    one else holds, take the results."""
+    canonical matrices."""
     out = {}
     for p in a.keys() | b.keys():
         if p not in b:
-            values = ufunc(a[p], 0, out=a[p] if into_a else None)
+            values = ufunc(a[p], 0)
         elif p not in a:
             values = ufunc(0, b[p])
         else:
-            values = ufunc(a[p], b[p], out=a[p] if into_a else None)
+            values = ufunc(a[p], b[p])
         if values.any():
             out[p] = values
     return out
@@ -328,7 +322,7 @@ def commutator(a: Band, b: Band, rows: slice | None = None) -> Band:
     product holds +0 in every entry (a sum that starts from +0 never
     reads -0), so subtracting it, or from it, gives the bits of
     subtracting 0 as the offset's absence does."""
-    return _combine(np.subtract, _product(a, b, rows), _product(b, a, rows), into_a=True)
+    return minus(_product(a, b, rows), _product(b, a, rows))
 
 
 def max_abs(a: Band) -> float:
@@ -350,27 +344,18 @@ def magnitudes(a: Band) -> np.ndarray:
     return mags[mags != 0]
 
 
-def fro_norm(a: Band) -> float:
-    """Frobenius norm over the stored entries of ``a``, summed in
-    row-major order as over the ``data`` of its canonical matrix."""
-    return window_norm([magnitudes(a)])
-
-
 def window_norm(parts: list) -> float:
-    """The ``fro_norm`` of a band from the ``magnitudes`` of its row
+    """The Frobenius norm of a band from the ``magnitudes`` of its row
     windows, in row order: sqrt(sum |v|^2) over them all in that order,
-    except when that sum overflows: then the entries are first scaled by
-    the largest magnitude, so a norm that fits in a double comes out
-    finite."""
+    summed as over the ``data`` of its canonical matrix, except when that
+    sum overflows: then the entries are first scaled by the largest
+    magnitude, so a norm that fits in a double comes out finite."""
     with np.errstate(over="ignore"):
-        if len(parts) == 1:
-            squares = parts[0] ** 2
-        else:
-            squares = np.concatenate(parts)
-            np.square(squares, out=squares)
+        squares = np.concatenate(parts)
+        np.square(squares, out=squares)
         total = np.sum(squares)
     if np.isinf(total):
-        mags = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        mags = np.concatenate(parts)
         big = mags.max()
         if np.isfinite(big):
             return float(big * np.sqrt(np.sum((mags / big) ** 2)))

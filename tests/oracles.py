@@ -67,7 +67,7 @@ import scipy.sparse as sp
 
 from schwinger.angular import AngularMomentumSet
 from schwinger.fock import FockBasis, position
-from schwinger.operators import annihilation, window_norm
+from schwinger.operators import annihilation
 from schwinger.classical import sample_amplitudes
 from schwinger.cli import Segments, Table
 from schwinger.spectra import _quarter_sum
@@ -161,7 +161,16 @@ def fro_norm(m: sp.csr_matrix) -> float:
     """Frobenius norm over the stored entries of ``m``, summed in row-major
     order: the column indices of each row are sorted in place first."""
     m.sort_indices()
-    return window_norm([np.abs(m.data)])
+    mags = np.abs(m.data)
+    with np.errstate(over="ignore"):
+        total = np.sum(mags ** 2)
+    if np.isinf(total):
+        # scaled by the largest magnitude, a norm that fits in a double
+        # comes out finite
+        big = mags.max()
+        if np.isfinite(big):
+            return float(big * np.sqrt(np.sum((mags / big) ** 2)))
+    return float(np.sqrt(total))
 
 
 def row_indices(m: sp.csr_matrix) -> np.ndarray:
