@@ -81,16 +81,15 @@ def build_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
 
 def casimir(amset: AngularMomentumSet) -> Band:
     """J^2 = J_x^2 + J_y^2 + J_z^2 as a band: its main diagonal alone on a
-    clean set.  It is summed over the ``row_windows`` of the basis, each
-    written into the whole arrays as it is done, and returned
-    ``frozen`` like the operators."""
+    clean set.  It is summed over the ``row_windows`` of the basis, one
+    window on a basis of at most ``WINDOW_ROWS`` rows, each written into
+    the whole arrays as it is done, and returned ``frozen`` like the
+    operators."""
     jx, jy, jz = amset.jx, amset.jy, amset.jz
     dim = amset.basis.size
     out = {}
     for rows in row_windows(dim):
         part = plus(plus(product(jx, jx, rows), product(jy, jy, rows)), product(jz, jz, rows))
-        if rows is None:
-            return frozen(part)
         for p, values in part.items():
             if p not in out:
                 out[p] = np.zeros(dim, dtype=np.complex128)

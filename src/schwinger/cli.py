@@ -422,7 +422,7 @@ def _diagonal(op: Band, dim: int) -> np.ndarray:
     return op[0] if 0 in op else np.zeros(dim, dtype=np.complex128)
 
 
-def _block_leak_residual(ops: tuple, totals: np.ndarray, rows: slice | None) -> float:
+def _block_leak_residual(ops: tuple, totals: np.ndarray, rows: slice) -> float:
     """Largest entry of the bands ``ops`` in the row window ``rows``
     connecting different constant-n blocks (should be 0); ``totals`` is
     n of every state."""
@@ -496,8 +496,7 @@ def run_battery(amset: AngularMomentumSet, tol: float):
     deviations = []
     for rows in windows:
         # J must be diagonal with entry hbar*n/2 at every state
-        n = totals if rows is None else totals[rows]
-        deviations.append(max_abs(minus(window(jt, rows), {0: 0.5 * hbar * n + 0j})))
+        deviations.append(max_abs(minus(window(jt, rows), {0: 0.5 * hbar * totals[rows] + 0j})))
     checks.append(("total_momentum_diagonal", _largest(deviations)))
 
     for name, a, b, c in (("commutator_xy_z", jx, jy, jz), ("commutator_yz_x", jy, jz, jx),

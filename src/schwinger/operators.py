@@ -31,20 +31,22 @@ conjugates and shifts.
 whether every entry is real or every one imaginary (then numpy's
 complex multiply rounds as scipy's product does) and whether every
 entry is finite.  It keeps them for an array that is read-only and
-owns its data (``frozen`` makes a band's arrays so) while the array
-lives, and probes a writable array or a view whole on every call.  The
-reset that keeps a stored inf or NaN from meeting an unstored 0 runs
-exactly for the terms of a factor that stores a non-finite entry.
+owns its data (``frozen`` makes a band's arrays so, and forgets what
+it kept for them) while the array lives, and probes a writable array
+or a view whole on every call.  The reset that keeps a stored inf or
+NaN from meeting an unstored 0 runs exactly for the terms of a factor
+that stores a non-finite entry.
 ``commutator`` drops the all-zero offsets of its result once, in its
 subtraction, not in each product.
 
-``product``, ``adjoint`` and ``commutator`` also evaluate one row window
-``rows=slice(r0, r1)`` of their result: a band whose arrays have length
-r1 - r0, entry k holding the element (r0 + k, r0 + k + p), read off the
-factors' whole arrays at the shifted rows.  Its rows equal rows r0:r1 of
-the whole result bit for bit.  ``row_windows`` cuts a basis into windows
-of ``WINDOW_ROWS`` rows, so the temporaries of a long chain of
-operations stay small and are reused, not faulted in afresh.
+``product``, ``adjoint`` and ``commutator`` evaluate their result over
+one row window ``rows=slice(r0, r1)``, every row by default: a band
+whose arrays have length r1 - r0, entry k holding the element
+(r0 + k, r0 + k + p), read off the factors' whole arrays at the shifted
+rows.  Its rows equal rows r0:r1 of the whole result bit for bit.
+``row_windows`` cuts a basis into slices of ``WINDOW_ROWS`` rows, so
+the temporaries of a long chain of operations stay small and are
+reused, not faulted in afresh.
 """
 
 from __future__ import annotations
@@ -127,39 +129,36 @@ def band(diagonals: dict) -> Band:
 
 def frozen(a: Band) -> Band:
     """``a``, its arrays made read-only, so that ``product`` works out
-    their facts once."""
+    their facts once.  An array changed after ``frozen`` must pass
+    through it again: its facts are then worked out afresh."""
     for values in a.values():
         values.flags.writeable = False
+        _FACTS.pop(id(values), None)
     return a
 
 
-def rows_of(p: int, dim: int, rows: slice | None = None) -> slice:
-    """The rows i whose entry (i, i + p) lies inside a dim x dim matrix,
-    and inside the row window ``rows`` when one is given (an empty slice
-    when none does); ``rows_of(-p, dim)`` are those entries' columns."""
-    r0, r1 = _bounds(rows, dim)
+def rows_of(p: int, dim: int, rows: slice = slice(None)) -> slice:
+    """The rows i whose entry (i, i + p) lies inside a dim x dim matrix
+    and inside the row window ``rows``, every row by default (an empty
+    slice when none does); ``rows_of(-p, dim)`` are those entries'
+    columns."""
+    r0, r1, _ = rows.indices(dim)
     start = max(r0, -p)
     return slice(start, max(start, min(r1, dim - p)))
 
 
-def _bounds(rows: slice | None, dim: int) -> tuple[int, int]:
-    """The first and the past-last row of the window ``rows``."""
-    return (0, dim) if rows is None else rows.indices(dim)[:2]
-
-
 def row_windows(dim: int) -> list:
     """Row windows of ``WINDOW_ROWS`` rows covering a dim x dim matrix in
-    order; ``[None]``, every row at once, when one window covers it."""
-    if dim <= WINDOW_ROWS:
-        return [None]
+    order, each a slice; the last may reach past row dim, which cuts it
+    short, so a basis of at most ``WINDOW_ROWS`` rows is one window."""
     return [slice(r, r + WINDOW_ROWS) for r in range(0, dim, WINDOW_ROWS)]
 
 
-def window(a: Band, rows: slice | None) -> Band:
-    """Rows ``rows`` of the band ``a``, as views of its arrays (``a``
-    itself when None).  An array may be all zero there; ``minus``,
-    ``max_abs`` and ``magnitudes`` read it as an unstored offset."""
-    return a if rows is None else {p: x[rows] for p, x in a.items()}
+def window(a: Band, rows: slice) -> Band:
+    """Rows ``rows`` of the band ``a``, as views of its arrays.  An array
+    may be all zero there; ``minus``, ``max_abs`` and ``magnitudes`` read
+    it as an unstored offset."""
+    return {p: x[rows] for p, x in a.items()}
 
 
 def _times(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -208,7 +207,7 @@ def _facts(x: np.ndarray) -> tuple[bool, bool]:
     return entry[1]
 
 
-def product(a: Band, b: Band, rows: slice | None = None) -> Band:
+def product(a: Band, b: Band, rows: slice = slice(None)) -> Band:
     """The band of the matrix product ab, over the row window ``rows``
     (every row by default).
 
@@ -223,7 +222,7 @@ def product(a: Band, b: Band, rows: slice | None = None) -> Band:
     return band(_product(a, b, rows))
 
 
-def _product(a: Band, b: Band, rows: slice | None) -> dict:
+def _product(a: Band, b: Band, rows: slice) -> dict:
     """``product`` with the offsets that are all zero kept.
 
     Every output offset starts as +0, and each term is formed in one
@@ -241,7 +240,7 @@ def _product(a: Band, b: Band, rows: slice | None) -> dict:
     out = {}
     spare = None  # the term buffer
     for p, x in sorted(a.items()):
-        r0, r1 = _bounds(rows, len(x))
+        r0, r1, _ = rows.indices(len(x))
         own = rows_of(p, len(x), rows)
         lo, hi = own.start, own.stop
         if lo == hi:
@@ -272,12 +271,7 @@ def _combine(ufunc, a: Band, b: Band) -> Band:
     canonical matrices."""
     out = {}
     for p in a.keys() | b.keys():
-        if p not in b:
-            values = ufunc(a[p], 0)
-        elif p not in a:
-            values = ufunc(0, b[p])
-        else:
-            values = ufunc(a[p], b[p])
+        values = ufunc(a.get(p, 0), b.get(p, 0))
         if values.any():
             out[p] = values
     return out
@@ -300,21 +294,21 @@ def scaled(a: Band, c: complex) -> Band:
     return band({p: x * c for p, x in a.items()})
 
 
-def adjoint(a: Band, rows: slice | None = None) -> Band:
+def adjoint(a: Band, rows: slice = slice(None)) -> Band:
     """The conjugate transpose over the row window ``rows`` (every row by
     default): entry (i + p, i) is conj(a(i, i + p))."""
     out = {}
     for p, x in a.items():
-        r0, r1 = _bounds(rows, len(x))
+        r0, r1, _ = rows.indices(len(x))
         own = rows_of(-p, len(x), rows)
         lo, hi = own.start, own.stop
         if lo < hi:
             out[-p] = np.zeros(r1 - r0, dtype=np.complex128)
             np.conjugate(x[lo - p:hi - p], out=out[-p][lo - r0:hi - r0])
-    return out if rows is None else band(out)
+    return band(out)
 
 
-def commutator(a: Band, b: Band, rows: slice | None = None) -> Band:
+def commutator(a: Band, b: Band, rows: slice = slice(None)) -> Band:
     """ab - ba, over the row window ``rows`` (every row by default).
 
     The products keep their offsets that are all zero, and the

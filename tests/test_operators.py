@@ -651,6 +651,19 @@ class TestBandAlgebra:
             for a, b in itertools.permutations(ms):
                 check_windows(a, b, 5 + 9 * seed)
 
+    @pytest.mark.parametrize("dim", [1, 8128, 8192, 8256, 16385, 125751])
+    def test_row_windows_tile_the_rows(self, dim):
+        """``row_windows`` gives slices that start at row 0, follow on one
+        from the next, hold at most ``WINDOW_ROWS`` rows each and cover
+        every row of the basis exactly once."""
+        windows = operators.row_windows(dim)
+        assert all(isinstance(rows, slice) for rows in windows)
+        assert windows[0].start == 0
+        assert all(a.stop == b.start for a, b in zip(windows, windows[1:]))
+        covered = [range(dim)[rows] for rows in windows]
+        assert all(0 < len(r) <= operators.WINDOW_ROWS for r in covered)
+        assert [i for r in covered for i in r] == list(range(dim))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_non_finite_entries_among_zeros(self, seed):
         for a, b in itertools.product(non_finite_operands(seed), repeat=2):
@@ -659,9 +672,10 @@ class TestBandAlgebra:
     @np.errstate(all="ignore")
     def test_product_reads_what_a_band_holds_now(self):
         """A band's arrays change between two products: in place while
-        writable, and after being frozen, used and made writable again.
-        Each product is that of the band's contents at its call: no fact
-        worked out before the change survives it."""
+        writable, and after being frozen, used and made writable again,
+        and then frozen once more.  Each product is that of the band's
+        contents at its call: no fact worked out before the change
+        survives it."""
         amset = csr_set(build_set(build_basis(6), 1.0))
         a, b = canonical(amset.jx * 0.7), canonical(amset.jy * 0.1)
         B = band_of(b)
@@ -677,6 +691,9 @@ class TestBandAlgebra:
             A[1][5] = np.nan
             got = to_csr(A, a.shape[0])
             assert_band_of(operators.product(A, B), canonical(got @ b))
+            if refreeze:
+                operators.frozen(A)
+                assert_band_of(operators.product(A, B), canonical(got @ b))
 
     def test_facts_leave_with_their_arrays(self):
         """Every fact ``product`` keeps leaves the memo when its array dies."""
