@@ -17,6 +17,7 @@ first off-diagonals, J_z and J the main diagonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,8 @@ def build_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
     J_z and J are written straight from the occupations as
     (n1 -+ n2) hbar/2.
     """
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
     _, u = row_product(creation(basis, 1), annihilation(basis, 2))  # a1^dag a2
     u_band = band({1: u.astype(np.complex128)})
     u_dag = adjoint(u_band)  # a1 a2^dag

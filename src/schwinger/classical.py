@@ -59,8 +59,8 @@ def sample_amplitudes(
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    if amplitude_bound <= 0:
-        raise ValueError(f"amplitude_bound must be positive, got {amplitude_bound}")
+    if not (math.isfinite(amplitude_bound) and amplitude_bound > 0):
+        raise ValueError(f"amplitude_bound must be positive and finite, got {amplitude_bound}")
     u = (_lcg_states(seed, 4 * count) >> np.uint64(11)).astype(np.float64) / _TWO53
     u_r1, u_t1, u_r2, u_t2 = u.reshape(count, 4).T
     r1 = amplitude_bound * np.sqrt(u_r1)

@@ -30,12 +30,12 @@ conjugates and shifts.
 ``product`` takes two facts about every factor from its whole array:
 whether every entry is real or every one imaginary (then numpy's
 complex multiply rounds as scipy's product does) and whether every
-entry is finite.  It keeps them for an array that is read-only and
-owns its data (``frozen`` makes a band's arrays so, and forgets what
-it kept for them) while the array lives, and probes a writable array
-or a view whole on every call.  The reset that keeps a stored inf or
-NaN from meeting an unstored 0 runs exactly for the terms of a factor
-that stores a non-finite entry.
+entry is finite.  ``frozen`` works out the facts of a band's arrays as
+it makes them read-only and returns the band to use, a ``Frozen`` band
+holding them; ``product`` trusts them while an array stays read-only
+and owns its data, and probes any other array whole on every call.
+The reset that keeps a stored inf or NaN from meeting an unstored 0
+runs exactly for the terms of a factor that stores a non-finite entry.
 ``commutator`` drops the all-zero offsets of its result once, in its
 subtraction, not in each product.
 
@@ -50,9 +50,6 @@ reused, not faulted in afresh.
 """
 
 from __future__ import annotations
-
-import functools
-import weakref
 
 import numpy as np
 
@@ -127,14 +124,24 @@ def band(diagonals: dict) -> Band:
     return {p: values for p, values in diagonals.items() if values.any()}
 
 
-def frozen(a: Band) -> Band:
-    """``a``, its arrays made read-only, so that ``product`` works out
-    their facts once.  An array changed after ``frozen`` must pass
-    through it again: its facts are then worked out afresh."""
-    for values in a.values():
+class Frozen(dict):
+    """A band made by ``frozen``: its arrays read-only, and ``facts[p]`` the
+    ``_facts`` of its array at offset p, worked out as it was made."""
+
+    facts: dict
+
+
+def frozen(a: Band) -> Frozen:
+    """``a`` as a ``Frozen`` band, the one to use: its arrays made
+    read-only and their facts worked out once, for ``product`` to trust
+    while an array stays read-only and owns its data.  An array changed
+    after ``frozen`` must pass through it again."""
+    out = Frozen(a)
+    out.facts = {}
+    for p, values in out.items():
         values.flags.writeable = False
-        _FACTS.pop(id(values), None)
-    return a
+        out.facts[p] = _facts(values)
+    return out
 
 
 def rows_of(p: int, dim: int, rows: slice = slice(None)) -> slice:
@@ -180,31 +187,20 @@ def _plain(x: np.ndarray) -> bool:
     return not x.imag.any() or not x.real.any()
 
 
-# id of a read-only array -> (a weak reference to it, its ``_facts``);
-# shared by every caller, as an array's facts are the same for all of them
-_FACTS: dict = {}
-
-
 def _facts(x: np.ndarray) -> tuple[bool, bool]:
     """(plain, finite) of the whole array ``x``: ``_plain(x)``, and whether
-    no entry is inf or NaN.
+    no entry is inf or NaN."""
+    return _plain(x), bool(np.isfinite(x).all())
 
-    A read-only array that owns its data keeps it, so its facts are
-    worked out on its first use and kept while it lives, looked up by
-    its id and checked against a weak reference to it.  A writable array
-    or a view, whose entries may change between calls, is probed whole
-    on every call.
-    """
-    if x.flags.writeable or x.base is not None:
-        return _plain(x), bool(np.isfinite(x).all())
-    entry = _FACTS.get(id(x))
-    if entry is None or entry[0]() is not x:
-        # the entry leaves with x: the reference's callback pops it
-        # (the reference itself is pop's default); a view of x is
-        # probed whole
-        ref = weakref.ref(x, functools.partial(_FACTS.pop, id(x)))
-        entry = _FACTS[id(x)] = (ref, _facts(x.view()))
-    return entry[1]
+
+def _facts_in(a: Band, p: int) -> tuple[bool, bool]:
+    """The ``_facts`` of ``a[p]``: those ``frozen`` kept when ``a`` is
+    ``Frozen`` and the array is still read-only and owns its data, else
+    probed now, as a writable array or a view may have changed."""
+    x = a[p]
+    if isinstance(a, Frozen) and not x.flags.writeable and x.base is None:
+        return a.facts[p]
+    return _facts(x)
 
 
 def product(a: Band, b: Band, rows: slice = slice(None)) -> Band:
@@ -229,10 +225,10 @@ def _product(a: Band, b: Band, rows: slice) -> dict:
     buffer and added onto it: a sum that starts from +0 never reads -0,
     and the rows outside every term's range stay +0.  One shortcut keeps
     its bits: a factor's plainness and finiteness are those of its whole
-    array (``_facts``), not of its window.  Every window of a plain array
-    is plain; where the window of an array that is not plain is plain,
-    ``_times`` runs in place of numpy's multiply, and both round as scipy
-    does there.  The reset runs exactly when a factor stores an inf or a
+    array (``_facts_in``), not of its window.  Every window of a plain
+    array is plain; where the window of an array that is not plain is
+    plain, ``_times`` runs in place of numpy's multiply, and both round as
+    scipy does there.  The reset runs exactly when a factor stores an inf or a
     NaN anywhere: where both factors of a term are finite, an unstored
     factor makes the term a zero, and the reset could only turn a -0
     into +0, which a sum that starts from +0 cannot tell.
@@ -246,10 +242,10 @@ def _product(a: Band, b: Band, rows: slice) -> dict:
         if lo == hi:
             continue
         xs = x[lo:hi]
-        x_plain, x_finite = _facts(x)
+        x_plain, x_finite = _facts_in(a, p)
         for q, y in b.items():
             ys = y[lo + p:hi + p]
-            y_plain, y_finite = _facts(y)
+            y_plain, y_finite = _facts_in(b, q)
             if p + q not in out:
                 out[p + q] = np.zeros(r1 - r0, dtype=np.complex128)
             if spare is None:

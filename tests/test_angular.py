@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -76,6 +77,11 @@ class TestBuildSet:
     def test_invalid_hbar(self):
         with pytest.raises(ValueError):
             build_set(build_basis(1), 0.0)
+
+    @pytest.mark.parametrize("hbar", [math.nan, math.inf])
+    def test_non_finite_hbar_rejected(self, hbar):
+        with pytest.raises(ValueError, match="finite"):
+            build_set(build_basis(3), hbar)
 
     def test_matches_dense_construction(self):
         basis = build_basis(5)

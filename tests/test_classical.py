@@ -166,3 +166,8 @@ class TestJumpedGenerator:
             sample_amplitudes(0, 1.0, seed=0)
         with pytest.raises(ValueError):
             sample_amplitudes(1, -1.0, seed=0)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf])
+    def test_non_finite_bound_rejected(self, bound):
+        with pytest.raises(ValueError, match="finite"):
+            sample_amplitudes(4, bound, seed=0)

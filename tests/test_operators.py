@@ -1,8 +1,6 @@
 import dataclasses
-import gc
 import itertools
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -682,7 +680,7 @@ class TestBandAlgebra:
         for refreeze in (False, True):
             A = band_of(a)
             if refreeze:
-                operators.frozen(A)
+                A = operators.frozen(A)
             assert_band_of(operators.product(A, B), canonical(a @ b))
             A[1].flags.writeable = True
             # a complex entry next to an inf, at rows where J_y stores
@@ -692,39 +690,37 @@ class TestBandAlgebra:
             got = to_csr(A, a.shape[0])
             assert_band_of(operators.product(A, B), canonical(got @ b))
             if refreeze:
-                operators.frozen(A)
+                A = operators.frozen(A)
                 assert_band_of(operators.product(A, B), canonical(got @ b))
 
-    def test_facts_leave_with_their_arrays(self):
-        """Every fact ``product`` keeps leaves the memo when its array dies."""
-        gc.collect()
-        start = len(operators._FACTS)
-        for n_max in (3, 6):
-            amset = build_set(build_basis(n_max), 0.3)
-            cas = casimir(amset)
-            operators.commutator(cas, amset.jx)
-            assert len(operators._FACTS) > start
-            del amset, cas
-        gc.collect()
-        assert len(operators._FACTS) == start
+    def test_frozen_facts_are_probed_once(self, monkeypatch):
+        """``frozen`` probes each array of a band once, and products of the
+        ``Frozen`` band it returns probe nothing.  A writable band, a frozen
+        band of views and a frozen band whose array was made writable again
+        are probed on every call, on either side of the product."""
+        amset = build_set(build_basis(6), 0.3)
+        jx, jy = amset.jx, amset.jy
+        probed = []
+        probe = operators._facts
+        monkeypatch.setattr(operators, "_facts", lambda x: probed.append(x) or probe(x))
+        for _ in range(3):
+            operators.product(jx, jy)
+            operators.commutator(jy, jx)
+        assert probed == []
+        fresh = operators.frozen({p: x.copy() for p, x in jx.items()})
+        assert [id(x) for x in probed] == [id(x) for x in fresh.values()]
 
-    @np.errstate(all="ignore")
-    def test_dead_reference_is_worked_out_again(self):
-        """An entry whose weak reference is dead, under the id of a live
-        array, gives way to that array's own facts."""
-        amset = csr_set(build_set(build_basis(6), 1.0))
-        a = canonical((amset.jx + amset.jy) * 0.7 + from_entries(28, [3], [4], [np.inf]))
-        b = canonical(amset.jy * 0.1)
-        A, B = bands_of((a, b), frozen=True)
-        dead = weakref.ref(np.zeros(1))
-        assert dead() is None
-        for x in A.values():
-            # plain and finite, which A's arrays are not
-            operators._FACTS[id(x)] = (dead, (True, True))
-        assert_band_of(operators.product(A, B), canonical(a @ b))
-        for x in A.values():
-            assert operators._FACTS[id(x)][0]() is x
-            assert operators._facts(x) == (operators._plain(x), bool(np.isfinite(x).all()))
+        writable = {p: x.copy() for p, x in jx.items()}
+        views = operators.frozen({p: x[:] for p, x in jx.items()})
+        rewritten = operators.frozen({p: x.copy() for p, x in jx.items()})
+        rewritten[1].flags.writeable = True
+        for a, untrusted in ((writable, writable.values()), (views, views.values()),
+                             (rewritten, [rewritten[1]])):
+            for _ in range(2):
+                for left, right in ((a, jy), (jy, a)):
+                    probed.clear()
+                    operators.product(left, right)
+                    assert {id(x) for x in probed} == {id(x) for x in untrusted}
 
     def test_empty_band(self):
         for dim in (0, 1, 6):
