@@ -98,26 +98,14 @@ def casimir(amset: AngularMomentumSet) -> Band:
     return frozen(out)
 
 
-def casimir_residual(
-    amset: AngularMomentumSet, epsilon: float, *,
-    cas: Band | None = None, jj: Band | None = None, ej: Band | None = None,
-) -> Band:
+def casimir_residual(amset: AngularMomentumSet, epsilon: float) -> Band:
     """J^2 - J (J + epsilon hbar 1) as a band.
 
     With epsilon = 1 (boson commutators) this vanishes identically on the
     whole truncated space: the square of the angular momentum is
     j(j+1) hbar^2, not j^2 hbar^2.  With epsilon = 0 it reduces to
     hbar J, the gap between the quantum and the classical square.
-    Intermediate epsilon just evaluates the same formula.  ``cas``, ``jj``
-    and ``ej`` are J^2, J J and epsilon hbar J when the caller already
-    holds them, over one row window say; by default each is built here
-    over every row.
+    Intermediate epsilon just evaluates the same formula.
     """
     jt = amset.jtot
-    if cas is None:
-        cas = casimir(amset)
-    if jj is None:
-        jj = product(jt, jt)
-    if ej is None:
-        ej = scaled(jt, epsilon * amset.hbar)
-    return minus(cas, plus(jj, ej))
+    return minus(casimir(amset), plus(product(jt, jt), scaled(jt, epsilon * amset.hbar)))

@@ -34,7 +34,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .angular import AngularMomentumSet, build_set, casimir, casimir_residual
+from .angular import AngularMomentumSet, build_set, casimir
 from .classical import sample_amplitudes
 from .fock import build_basis
 from .operators import (
@@ -404,7 +404,7 @@ def _emit(config: RunConfig, command: str, json_doc: dict, csv_tables: list[Tabl
     with contextlib.ExitStack() as stack:
         fh = stack.enter_context(
             open(config.output_path, "w", encoding="utf-8", newline="")
-            if config.output_path else contextlib.nullcontext(sys.stdout))
+            if config.output_path is not None else contextlib.nullcontext(sys.stdout))
         if not config.no_meta:
             stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
             print(f"# schwinger {__version__} | {command} | {stamp}", file=sys.stderr)
@@ -465,11 +465,6 @@ def _verdict(checks: list[dict], tol: float) -> int:
     return EXIT_FAILED if failed else EXIT_OK
 
 
-def _largest(parts: list) -> float:
-    """The NaN-propagating max of a check's maxima over the row windows."""
-    return float(np.max(parts))
-
-
 def run_battery(amset: AngularMomentumSet, tol: float):
     """Run every verification check; returns (checks, blocks).
 
@@ -479,7 +474,10 @@ def run_battery(amset: AngularMomentumSet, tol: float):
     checks are taken over the ``row_windows`` of the basis, one check at
     a time: a ``max_abs`` check reads the largest of its windows'
     maxima, a Frobenius norm the ``window_norm`` of their magnitudes,
-    the bits of the whole-matrix residual either way.
+    the bits of the whole-matrix residual either way.  The quadratic
+    identity J^2 = J (J + hbar) is read in two rounding orders off each
+    window's one J^2, J J and hbar J: J^2 - (J J + hbar J), the order of
+    ``casimir_residual`` at epsilon 1, and (J^2 - J J) - hbar J.
     """
     hbar = amset.hbar
     jx, jy, jz, jt = amset.jx, amset.jy, amset.jz, amset.jtot
@@ -489,15 +487,14 @@ def run_battery(amset: AngularMomentumSet, tol: float):
 
     for name, op in (("hermitian_jx", jx), ("hermitian_jy", jy),
                      ("hermitian_jz", jz), ("hermitian_jtot", jt)):
-        checks.append((name, _largest([max_abs(minus(window(op, rows), adjoint(op, rows)))
-                                       for rows in windows])))
-    checks.append(("block_structure", _largest([
-        _block_leak_residual((jx, jy, jz, jt), totals, rows) for rows in windows])))
-    deviations = []
-    for rows in windows:
-        # J must be diagonal with entry hbar*n/2 at every state
-        deviations.append(max_abs(minus(window(jt, rows), {0: 0.5 * hbar * totals[rows] + 0j})))
-    checks.append(("total_momentum_diagonal", _largest(deviations)))
+        checks.append((name, float(np.max([max_abs(minus(window(op, rows), adjoint(op, rows)))
+                                           for rows in windows]))))
+    checks.append(("block_structure", float(np.max([
+        _block_leak_residual((jx, jy, jz, jt), totals, rows) for rows in windows]))))
+    # J must be diagonal with entry hbar*n/2 at every state
+    checks.append(("total_momentum_diagonal", float(np.max([
+        max_abs(minus(window(jt, rows), {0: 0.5 * hbar * totals[rows] + 0j}))
+        for rows in windows]))))
 
     for name, a, b, c in (("commutator_xy_z", jx, jy, jz), ("commutator_yz_x", jy, jz, jx),
                           ("commutator_zx_y", jz, jx, jy)):
@@ -518,10 +515,10 @@ def run_battery(amset: AngularMomentumSet, tol: float):
     quantum, classical = [], []
     for rows in windows:
         cas_rows, jj, hj = window(cas, rows), product(jt, jt, rows), scaled(window(jt, rows), hbar)
-        quantum.append(max_abs(casimir_residual(amset, 1.0, cas=cas_rows, jj=jj, ej=hj)))
+        quantum.append(max_abs(minus(cas_rows, plus(jj, hj))))
         classical.append(max_abs(minus(minus(cas_rows, jj), hj)))
-    checks.append(("quadratic_identity_quantum", _largest(quantum)))
-    checks.append(("quadratic_identity_classical_form", _largest(classical)))
+    checks.append(("quadratic_identity_quantum", float(np.max(quantum))))
+    checks.append(("quadratic_identity_classical_form", float(np.max(classical))))
 
     blocks = _blocks(amset, cas, 0)
     for name, column in (
@@ -578,6 +575,13 @@ def _apply_corruption(amset: AngularMomentumSet, corruption) -> AngularMomentumS
 def cmd_verify(n_max: int, hbar: float, tol: float, corruption: tuple | None = None):
     amset = build_set(build_basis(n_max), hbar)
     if corruption:
+        # a DELTA the stored entry absorbs would run the clean battery
+        name, row, col, delta = corruption
+        stored = getattr(amset, name).get(col - row)
+        value = 0.0 if stored is None else stored[row]
+        if value + delta == value:
+            raise UsageError(f"--corrupt DELTA {delta!r} leaves entry ({row},{col}) "
+                             f"of {name} unchanged")
         amset = _apply_corruption(amset, corruption)
     checks, blocks = run_battery(amset, tol)
 

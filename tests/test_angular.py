@@ -264,9 +264,8 @@ class TestOneExpression:
         for name in ("jx", "jy", "jz", "jtot"):
             assert equal(getattr(matrices, name), getattr(reference, name)), name
         assert equal(to_csr(casimir(amset), basis.size), algebra_casimir(reference))
-        cas = casimir(amset)
         for epsilon in (0.0, 0.25, 1.0):
-            assert equal(to_csr(casimir_residual(amset, epsilon, cas=cas), basis.size),
+            assert equal(to_csr(casimir_residual(amset, epsilon), basis.size),
                          algebra_casimir_residual(reference, epsilon))
 
     @pytest.mark.parametrize("rows", [1, 7, 64])

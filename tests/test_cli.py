@@ -505,6 +505,31 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: bad --corrupt value ''; expected OP,ROW,COL,DELTA\n"
 
+    @pytest.mark.parametrize("argv, code, err", [
+        # a zero DELTA, on a stored entry of J_x and on an entry it leaves
+        # unstored, would run the clean battery and exit 0
+        (["--corrupt", "jx,1,2,0"], 2,
+         "error: --corrupt DELTA 0.0 leaves entry (1,2) of jx unchanged\n"),
+        (["--corrupt", "jx,0,5,-0.0"], 2,
+         "error: --corrupt DELTA -0.0 leaves entry (0,5) of jx unchanged\n"),
+        # state 3 is |2,0>, whose J_z entry 1.0 absorbs 1e-30
+        (["--corrupt", "jz,3,3,1e-30"], 2,
+         "error: --corrupt DELTA 1e-30 leaves entry (3,3) of jz unchanged\n"),
+        # at hbar 1e20 the same entry absorbs the bumps CI uses
+        (["--hbar", "1e20", "--corrupt", "jz,3,3,1e-3"], 2,
+         "error: --corrupt DELTA 0.001 leaves entry (3,3) of jz unchanged\n"),
+        (["--corrupt", "jx,1,2,nan"], 2, "error: --corrupt DELTA must be finite, got 'nan'\n"),
+        # a bump that lands on the stored entry breaks the Hermiticity of J_x
+        (["--corrupt", "jx,1,2,1e-3"], 1, "FAILED hermitian_jx: "),
+        # one that lands on an entry J_x leaves unstored is judged by tol alone
+        (["--corrupt", "jx,0,5,5e-324"], 0, ""),
+    ], ids=["zero-stored", "zero-unstored", "absorbed", "absorbed-large-hbar", "nan",
+            "lands", "lands-unstored"])
+    def test_corrupt_must_change_its_entry(self, capsys, argv, code, err):
+        got, out, text = run_cli(capsys, "verify", "--nmax", "2", "--no-meta", *argv)
+        assert got == code and text.startswith(err)
+        assert (out == "") == (code == 2)
+
     def test_csv_json_numeric_parity(self, capsys):
         _, json_out, _ = run_cli(capsys, "verify", "--nmax", "5", "--no-meta")
         _, csv_out, _ = run_cli(
@@ -685,6 +710,15 @@ class TestDeterminism:
             )
             assert code == 2
             assert err.startswith("I/O error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["sumrule", "--two-j-max", "1"],
+                                      ["verify", "--nmax", "2"]])
+    def test_empty_out_is_io_error(self, capsys, argv):
+        # an empty PATH names no file; it does not mean stdout
+        for meta in ([], ["--no-meta"]):
+            code, out, err = run_cli(capsys, *argv, *meta, "--out", "")
+            assert (code, out) == (2, "")
+            assert err == "I/O error: [Errno 2] No such file or directory: ''\n"
 
     def test_thread_env_does_not_change_output(self, capsys, monkeypatch):
         _, base, _ = run_cli(capsys, "verify", "--nmax", "5", "--no-meta")
