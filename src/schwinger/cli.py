@@ -42,7 +42,6 @@ from .operators import (
     adjoint,
     commutator,
     frozen,
-    magnitudes,
     max_abs,
     minus,
     plus,
@@ -51,7 +50,6 @@ from .operators import (
     rows_of,
     scaled,
     window,
-    window_norm,
 )
 from .spectra import block_table, cos_theta, sum_rule_check
 
@@ -472,9 +470,9 @@ def run_battery(amset: AngularMomentumSet, tol: float):
     residual is within tol.  ``blocks`` is the ``block`` Table, one
     record per block in the fixed report schema.  J^2 and the algebraic
     checks are taken over the ``row_windows`` of the basis, one check at
-    a time: a ``max_abs`` check reads the largest of its windows'
-    maxima, a Frobenius norm the ``window_norm`` of their magnitudes,
-    the bits of the whole-matrix residual either way.  The quadratic
+    a time, and each reads the largest entry of its residual: the
+    largest of its windows' ``max_abs``, NaN if any window holds a NaN,
+    the bits of the whole-matrix residual's largest entry.  The quadratic
     identity J^2 = J (J + hbar) is read in two rounding orders off each
     window's one J^2, J J and hbar J: J^2 - (J J + hbar J), the order of
     ``casimir_residual`` at epsilon 1, and (J^2 - J J) - hbar J.
@@ -498,18 +496,18 @@ def run_battery(amset: AngularMomentumSet, tol: float):
 
     for name, a, b, c in (("commutator_xy_z", jx, jy, jz), ("commutator_yz_x", jy, jz, jx),
                           ("commutator_zx_y", jz, jx, jy)):
-        checks.append((name, window_norm([
-            magnitudes(plus(commutator(a, b, rows), scaled(window(c, rows), -1j * hbar)))
-            for rows in windows])))
+        checks.append((name, float(np.max([
+            max_abs(plus(commutator(a, b, rows), scaled(window(c, rows), -1j * hbar)))
+            for rows in windows]))))
     cas = casimir(amset)
     for name, op in (("casimir_commutes_x", jx), ("casimir_commutes_y", jy),
                      ("casimir_commutes_z", jz)):
-        checks.append((name, window_norm([magnitudes(commutator(cas, op, rows))
-                                          for rows in windows])))
+        checks.append((name, float(np.max([max_abs(commutator(cas, op, rows))
+                                           for rows in windows]))))
     for name, op in (("total_commutes_x", jx), ("total_commutes_y", jy),
                      ("total_commutes_z", jz)):
-        checks.append((name, window_norm([magnitudes(commutator(op, jt, rows))
-                                          for rows in windows])))
+        checks.append((name, float(np.max([max_abs(commutator(op, jt, rows))
+                                           for rows in windows]))))
 
     # J^2 - (J J + hbar J) and (J^2 - J J) - hbar J, on one J J and one hbar J
     quantum, classical = [], []
@@ -601,12 +599,12 @@ def cmd_spectrum(n: int, n_max: int, hbar: float, tol: float):
     # n_max is only echoed
     amset = build_set(build_basis(n), hbar)
     block = _blocks(amset, casimir(amset), n)
-    value, mean_square, spread, grid_dev = (
-        float(block[c][0]) for c in ("casimir", "mean_square", "spread", "grid_dev"))
+    value, mean_square, spread = (
+        float(block[c][0]) for c in ("casimir", "mean_square", "spread"))
     levels = {"two_mj": range(n, -n - 1, -2), "jz": block["levels"]}
     json_doc = {"command": "spectrum", "n_max": n_max, "hbar": hbar, "tol": tol,
                 "two_j": n, "casimir": value, "mean_square": mean_square,
-                "max_residual": spread + grid_dev, "rows": Table("row", levels)}
+                "max_residual": spread, "rows": Table("row", levels)}
     rows = Table("row", {"two_j": [n] * (n + 1), **levels,
                          "casimir": [value] * (n + 1),
                          "mean_square": [mean_square] * (n + 1)})

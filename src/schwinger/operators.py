@@ -24,8 +24,7 @@ store an entry, so NaN and inf spread as they do through scipy.
 ``plus`` and ``minus`` work elementwise over the union of the offsets,
 ``scaled`` multiplies as scipy's scalar product does, and ``adjoint``
 conjugates and shifts.
-``max_abs`` reads the stored entries, and ``magnitudes`` and
-``window_norm`` give their Frobenius norm, in row-major order.
+``max_abs`` reads the largest magnitude among the stored entries.
 
 ``product`` takes two facts about every factor from its whole array:
 whether every entry is real or every one imaginary (then numpy's
@@ -163,8 +162,8 @@ def row_windows(dim: int) -> list:
 
 def window(a: Band, rows: slice) -> Band:
     """Rows ``rows`` of the band ``a``, as views of its arrays.  An array
-    may be all zero there; ``minus``, ``max_abs`` and ``magnitudes`` read
-    it as an unstored offset."""
+    may be all zero there; ``minus`` and ``max_abs`` read it as an
+    unstored offset."""
     return {p: x[rows] for p, x in a.items()}
 
 
@@ -318,35 +317,3 @@ def commutator(a: Band, b: Band, rows: slice = slice(None)) -> Band:
 def max_abs(a: Band) -> float:
     """Largest stored-entry magnitude of ``a`` (0 when it stores none)."""
     return float(np.max([np.max(np.abs(x)) for x in a.values()], initial=0.0))
-
-
-def magnitudes(a: Band) -> np.ndarray:
-    """The magnitudes of the stored entries of ``a`` in row-major order.
-
-    Each offset's magnitudes are taken first, then interleaved row by
-    row, and the zeros dropped: |v| is 0 exactly when v is 0, a NaN or
-    inf part gives NaN or inf, and |v| does not depend on where v sits,
-    so these are the magnitudes of the stored entries to the bit."""
-    mags = np.empty((max(map(len, a.values()), default=0), len(a)))
-    for j, p in enumerate(sorted(a)):
-        np.abs(a[p], out=mags[:, j])
-    mags = mags.ravel()
-    return mags[mags != 0]
-
-
-def window_norm(parts: list) -> float:
-    """The Frobenius norm of a band from the ``magnitudes`` of its row
-    windows, in row order: sqrt(sum |v|^2) over them all in that order,
-    summed as over the ``data`` of its canonical matrix, except when that
-    sum overflows: then the entries are first scaled by the largest
-    magnitude, so a norm that fits in a double comes out finite."""
-    with np.errstate(over="ignore"):
-        squares = np.concatenate(parts)
-        np.square(squares, out=squares)
-        total = np.sum(squares)
-    if np.isinf(total):
-        mags = np.concatenate(parts)
-        big = mags.max()
-        if np.isfinite(big):
-            return float(big * np.sqrt(np.sum((mags / big) ** 2)))
-    return float(np.sqrt(total))

@@ -808,15 +808,15 @@ def algebra_residuals(amset: AngularMomentumSet) -> dict[str, float]:
              ("commutator_zx_y", jz, jx, jy)]
     for name, a, b, c in pairs:
         resid = add(commutator(a, b), scale(c, -1j * hbar))
-        checks.append((name, fro_norm(resid)))
+        checks.append((name, max_abs(resid)))
 
     cas = algebra_casimir(amset)
     for name, op in (("casimir_commutes_x", jx), ("casimir_commutes_y", jy),
                      ("casimir_commutes_z", jz)):
-        checks.append((name, fro_norm(commutator(cas, op))))
+        checks.append((name, max_abs(commutator(cas, op))))
     for name, op in (("total_commutes_x", jx), ("total_commutes_y", jy),
                      ("total_commutes_z", jz)):
-        checks.append((name, fro_norm(commutator(op, jt))))
+        checks.append((name, max_abs(commutator(op, jt))))
 
     quantum = algebra_casimir_residual(amset, 1.0, cas=cas)
     checks.append(("quadratic_identity_quantum", max_abs(quantum)))

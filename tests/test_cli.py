@@ -69,7 +69,11 @@ def _smallest_unindexable_nmax():
     return n
 
 
-# one --corrupt directive at --nmax 4 that fails each verify check
+# one --corrupt directive at --nmax 4 that fails each verify check.  State 4
+# is |1,1>, m = 0: a bump d of J_z there moves J^2 by d^2 alone, so
+# jz,4,4,1e-6 fails [J_x, J_y] = i hbar J_z and the J_z grid by 1e-6 but
+# leaves [J^2, J_x] and [J^2, J_y] entries of 7.1e-13, within the default
+# tol; jz,4,4,1e-3 moves J^2 by 1e-6
 CHECK_BREAKERS = {
     "hermitian_jx": "jx,1,3,1e-6",
     "hermitian_jy": "jy,3,5,-1e-6",
@@ -80,8 +84,8 @@ CHECK_BREAKERS = {
     "commutator_xy_z": "jz,4,4,1e-6",
     "commutator_yz_x": "jz,4,4,1e-6",
     "commutator_zx_y": "jz,4,4,1e-6",
-    "casimir_commutes_x": "jz,4,4,1e-6",
-    "casimir_commutes_y": "jz,4,4,1e-6",
+    "casimir_commutes_x": "jz,4,4,1e-3",
+    "casimir_commutes_y": "jz,4,4,1e-3",
     "casimir_commutes_z": "jy,3,5,-1e-6",
     "total_commutes_x": "jtot,2,2,1e-3",
     "total_commutes_y": "jtot,2,2,1e-3",
@@ -276,8 +280,8 @@ class TestVerify:
             assert abs(b["casimir"] - expected) <= 8 * np.spacing(expected)
 
     def test_large_hbar_residuals_finite(self, capsys):
-        # the casimir commutator entries reach about 1e300 here; their
-        # squares overflow, the Frobenius norms must not
+        # the casimir commutator entries reach about 1e300 here, so their
+        # squares would overflow; every residual must stay finite
         code, out, err = run_cli(capsys, "verify", "--nmax", "3", "--hbar", "1e100",
                                  "--no-meta")
         assert code == 1 and "FAILED casimir_commutes_x" in err
@@ -483,7 +487,14 @@ class TestVerify:
     def test_documented_cap_passes(self, capsys):
         # n_max 500 takes 16 windows
         assert len(operators.row_windows(build_basis(500).size)) == 16
-        code, _, err = run_cli(capsys, "verify", "--nmax", "500", "--tol", "1e-6", "--no-meta")
+        code, _, err = run_cli(capsys, "verify", "--nmax", "500", "--tol", "1e-8", "--no-meta")
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("argv", [["--nmax", "24"], ["--nmax", "1000", "--tol", "1e-7"]])
+    def test_clean_set_passes_on_its_largest_entry(self, capsys, argv):
+        # casimir_commutes_x's largest entry reads 2.3e-13 and 2.2e-8 here; a
+        # norm that summed the rounding of every stored entry would fail both
+        code, _, err = run_cli(capsys, "verify", *argv, "--no-meta")
         assert (code, err) == (0, "")
 
     @pytest.mark.parametrize("name, directive", sorted(OFF_PATTERN_BREAKERS.items()))
@@ -757,6 +768,17 @@ class TestSpectrum:
         assert code == 0
         casimir = json.loads(out)["casimir"]
         assert abs(casimir - 3.75e-32) <= 8 * np.spacing(3.75e-32)
+
+    @pytest.mark.parametrize("n, hbar", [(3, "1.0"), (60, "0.3"), (96, "1.0"), (1000, "1.0")])
+    def test_max_residual_is_the_checks(self, capsys, n, hbar):
+        # the document's max_residual is the one casimir_block_spread judges
+        code, out, err = run_cli(capsys, "spectrum", "--n", str(n), "--hbar", hbar,
+                                 "--tol", "1e-300", "--no-meta")
+        residual = json.loads(out)["max_residual"]
+        _, _, [check] = cli.cmd_spectrum(n, n, float(hbar), 1e-300)
+        assert check["name"] == "casimir_block_spread"
+        assert residual == check["max_residual"]
+        assert (code == 1) == (residual > 0) == (f"max_residual {residual:.17g} " in err)
 
     def test_block_must_fit_cutoff(self, capsys):
         code, _, err = run_cli(

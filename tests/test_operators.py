@@ -20,7 +20,6 @@ from oracles import (
     commutator as algebra_commutator,
     csr_set,
     equal,
-    fro_norm,
     from_entries,
     identical,
     identity,
@@ -275,12 +274,6 @@ def same_float(got: float, want: float) -> bool:
     return bits(got) == bits(want) or (math.isnan(got) and math.isnan(want))
 
 
-def band_norm(b: dict) -> float:
-    """The Frobenius norm of the band ``b`` as the battery takes it: the
-    ``window_norm`` of its ``magnitudes`` as one window."""
-    return operators.window_norm([operators.magnitudes(b)])
-
-
 def nan_parts_unsigned(m: sp.csr_matrix) -> sp.csr_matrix:
     """``m`` on the same index arrays, with every NaN real or imaginary
     part made the positive quiet NaN and its data as writeable as m's."""
@@ -404,43 +397,39 @@ def check_adjoint(a):
 
 @np.errstate(all="ignore")
 def check_commutator(a, b):
-    """[a, b] and its Frobenius norm: the stored entries, exact zeros
-    dropped, summed in row-major order."""
+    """[a, b] and its largest entry, the battery's residual of it."""
     got, want = operators.commutator(band_of(a), band_of(b)), canonical(a @ b - b @ a)
     assert_band_of(got, want)
-    assert same_float(band_norm(got), fro_norm(want.copy()))
+    assert same_float(operators.max_abs(got), max_abs(want))
 
 
-# rows per window of the ``magnitudes`` check
+# rows per window of the windowed ``max_abs`` check
 NORM_WINDOW = 7
 
 
 @np.errstate(all="ignore")
 def check_norms(a):
-    """The ``band_norm`` and ``max_abs`` of the canonical matrix ``a``, and
-    ``magnitudes`` of its band and of each window of ``NORM_WINDOW`` rows
-    (an offset may be all zero there): the magnitudes of a's stored
-    entries of those rows in row-major order, to the bit."""
+    """The ``max_abs`` of the band of the canonical matrix ``a``, and of
+    each window of ``NORM_WINDOW`` rows (an offset may be all zero
+    there): the largest magnitude among a's stored entries of those
+    rows, to the bit."""
     b = band_of(a)
-    assert same_float(band_norm(b), fro_norm(a.copy()))
     assert same_float(operators.max_abs(b), max_abs(a))
-    assert operators.magnitudes(b).tobytes() == np.abs(a.data).tobytes()
     for r0 in range(0, a.shape[0], NORM_WINDOW):
         rows = slice(r0, r0 + NORM_WINDOW)
-        got = operators.magnitudes(operators.window(b, rows))
-        want = np.abs(a.data[a.indptr[r0]:a.indptr[min(r0 + NORM_WINDOW, a.shape[0])]])
-        assert got.tobytes() == want.tobytes(), rows
+        got = operators.max_abs(operators.window(b, rows))
+        assert same_float(got, max_abs(a[rows])), rows
 
 
 @np.errstate(all="ignore")
 def check_commutator_plus_term(a, b, c, s):
-    """The norm of ``plus(commutator(a, b), scaled(c, s))``, the form of the
-    su(2) residuals, and of ``c * -s - [a, b]`` is the norm of scipy's
-    ``(ab - ba) + c * s``."""
+    """The largest entry of ``plus(commutator(a, b), scaled(c, s))``, the
+    form of the su(2) residuals, and of ``c * -s - [a, b]`` is that of
+    scipy's ``(ab - ba) + c * s``."""
     ab = operators.commutator(band_of(a), band_of(b))
-    got = band_norm(operators.plus(ab, operators.scaled(band_of(c), s)))
-    flipped = band_norm(operators.minus(operators.scaled(band_of(c), -s), ab))
-    want = fro_norm(canonical(a @ b - b @ a + c * s))
+    got = operators.max_abs(operators.plus(ab, operators.scaled(band_of(c), s)))
+    flipped = operators.max_abs(operators.minus(operators.scaled(band_of(c), -s), ab))
+    want = max_abs(canonical(a @ b - b @ a + c * s))
     assert same_float(got, want) and same_float(flipped, want)
 
 
@@ -726,7 +715,7 @@ class TestBandAlgebra:
         for dim in (0, 1, 6):
             assert identical(to_csr({}, dim), zero(dim))
         assert operators.product({}, {}) == operators.plus({}, {}) == {}
-        assert band_norm({}) == operators.max_abs({}) == 0.0
+        assert operators.max_abs({}) == max_abs(zero(6)) == 0.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_complex_diagonal_rounds_as_products(self, seed):
@@ -912,9 +901,8 @@ class TestCommutatorRule:
 
 
 class TestCommutatorNorm:
-    """``band_norm(commutator(d, a))`` is the norm of scipy's da - ad to the
-    bit, the near-diagonal operand first: the stored entries, exact zeros
-    dropped, in row-major order."""
+    """``max_abs(commutator(d, a))`` is the largest entry of scipy's
+    da - ad to the bit, the near-diagonal operand first."""
 
     @settings(deadline=None)
     @given(near_diagonal_operands((0, 21)))
@@ -945,9 +933,9 @@ class TestCommutatorNorm:
 
 
 class TestCommutatorPlusTerm:
-    """The norm of ``plus(commutator(a, b), scaled(c, s))`` is the norm of
-    scipy's ``(ab - ba) + c * s`` to the bit, whether ``c`` stores the
-    commutator's pattern or not.  It also equals the norm of
+    """The largest entry of ``plus(commutator(a, b), scaled(c, s))`` is that
+    of scipy's ``(ab - ba) + c * s`` to the bit, whether ``c`` stores the
+    commutator's pattern or not.  It also equals that of
     ``c * -s - [a, b]``, the other form of the same residual."""
 
     @settings(deadline=None)
@@ -1092,15 +1080,15 @@ class TestCanonicalForm:
             from_entries(2, [0], [2], [1.0])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_fro_norm_survives_overflowing_squares(self):
+    def test_max_abs_of_entries_whose_squares_overflow(self):
         def norm(*entries):
             m = from_entries(2, [0, 1][:len(entries)], [0, 1][:len(entries)], entries)
-            got = band_norm(band_of(m))
-            assert same_float(got, fro_norm(m.copy()))
+            got = operators.max_abs(band_of(m))
+            assert same_float(got, max_abs(m))
             return got
-        assert abs(norm(3e200, 4e200) - 5e200) <= np.spacing(5e200)
+        assert norm(3e200, 4e200) == 4e200
         assert norm(np.inf) == np.inf
-        assert norm(3.0, 4.0) == 5.0
+        assert norm(3.0, 4.0) == 4.0
 
     def test_values_immutable(self):
         basis = build_basis(2)
