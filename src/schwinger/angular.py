@@ -105,7 +105,9 @@ def casimir_residual(amset: AngularMomentumSet, epsilon: float) -> Band:
     whole truncated space: the square of the angular momentum is
     j(j+1) hbar^2, not j^2 hbar^2.  With epsilon = 0 it reduces to
     hbar J, the gap between the quantum and the classical square.
-    Intermediate epsilon just evaluates the same formula.
+    Intermediate epsilon just evaluates the same formula.  ``verify``
+    takes the epsilon = 1 form window by window, in
+    ``cli._window_residuals``.
     """
     jt = amset.jtot
     return minus(casimir(amset), plus(product(jt, jt), scaled(jt, epsilon * amset.hbar)))

@@ -463,60 +463,56 @@ def _verdict(checks: list[dict], tol: float) -> int:
     return EXIT_FAILED if failed else EXIT_OK
 
 
+def _window_residuals(amset: AngularMomentumSet, cas: Band, rows: slice):
+    """Yield (name, largest entry) of each residual ``verify`` reads over
+    the row window ``rows``, in report order; ``cas`` is J^2.
+
+    The quadratic identity J^2 = J (J + hbar) is read in two rounding
+    orders off the window's one J^2, J J and hbar J: J^2 - (J J + hbar J),
+    the order of ``casimir_residual`` at epsilon 1, and (J^2 - J J) - hbar J.
+    """
+    hbar = amset.hbar
+    jx, jy, jz, jt = amset.jx, amset.jy, amset.jz, amset.jtot
+    _, _, totals = amset.basis.occupations()
+    for name, op in (("hermitian_jx", jx), ("hermitian_jy", jy),
+                     ("hermitian_jz", jz), ("hermitian_jtot", jt)):
+        yield name, max_abs(minus(window(op, rows), adjoint(op, rows)))
+    yield "block_structure", _block_leak_residual((jx, jy, jz, jt), totals, rows)
+    # J must be diagonal with entry hbar*n/2 at every state
+    yield "total_momentum_diagonal", max_abs(
+        minus(window(jt, rows), {0: 0.5 * hbar * totals[rows] + 0j}))
+    for name, a, b, c in (("commutator_xy_z", jx, jy, jz), ("commutator_yz_x", jy, jz, jx),
+                          ("commutator_zx_y", jz, jx, jy)):
+        yield name, max_abs(plus(commutator(a, b, rows), scaled(window(c, rows), -1j * hbar)))
+    for name, op in (("casimir_commutes_x", jx), ("casimir_commutes_y", jy),
+                     ("casimir_commutes_z", jz)):
+        yield name, max_abs(commutator(cas, op, rows))
+    for name, op in (("total_commutes_x", jx), ("total_commutes_y", jy),
+                     ("total_commutes_z", jz)):
+        yield name, max_abs(commutator(op, jt, rows))
+    cas_rows, jj, hj = window(cas, rows), product(jt, jt, rows), scaled(window(jt, rows), hbar)
+    yield "quadratic_identity_quantum", max_abs(minus(cas_rows, plus(jj, hj)))
+    yield "quadratic_identity_classical_form", max_abs(minus(minus(cas_rows, jj), hj))
+
+
 def run_battery(amset: AngularMomentumSet, tol: float):
     """Run every verification check; returns (checks, blocks).
 
     Each check is {"name", "max_residual", "pass"}; pass means the
     residual is within tol.  ``blocks`` is the ``block`` Table, one
-    record per block in the fixed report schema.  J^2 and the algebraic
-    checks are taken over the ``row_windows`` of the basis, one check at
-    a time, and each reads the largest entry of its residual: the
-    largest of its windows' ``max_abs``, NaN if any window holds a NaN,
-    the bits of the whole-matrix residual's largest entry.  The quadratic
-    identity J^2 = J (J + hbar) is read in two rounding orders off each
-    window's one J^2, J J and hbar J: J^2 - (J J + hbar J), the order of
-    ``casimir_residual`` at epsilon 1, and (J^2 - J J) - hbar J.
+    record per block in the fixed report schema.  Each of the
+    ``row_windows`` of the basis is read once for every check of
+    ``_window_residuals``, and each such check reads the largest of its
+    windows' values: NaN if any window holds a NaN, the bits of the
+    whole-matrix residual's largest entry.
     """
-    hbar = amset.hbar
-    jx, jy, jz, jt = amset.jx, amset.jy, amset.jz, amset.jtot
-    _, _, totals = amset.basis.occupations()
-    windows = row_windows(amset.basis.size)
-    checks: list[tuple[str, float]] = []
-
-    for name, op in (("hermitian_jx", jx), ("hermitian_jy", jy),
-                     ("hermitian_jz", jz), ("hermitian_jtot", jt)):
-        checks.append((name, float(np.max([max_abs(minus(window(op, rows), adjoint(op, rows)))
-                                           for rows in windows]))))
-    checks.append(("block_structure", float(np.max([
-        _block_leak_residual((jx, jy, jz, jt), totals, rows) for rows in windows]))))
-    # J must be diagonal with entry hbar*n/2 at every state
-    checks.append(("total_momentum_diagonal", float(np.max([
-        max_abs(minus(window(jt, rows), {0: 0.5 * hbar * totals[rows] + 0j}))
-        for rows in windows]))))
-
-    for name, a, b, c in (("commutator_xy_z", jx, jy, jz), ("commutator_yz_x", jy, jz, jx),
-                          ("commutator_zx_y", jz, jx, jy)):
-        checks.append((name, float(np.max([
-            max_abs(plus(commutator(a, b, rows), scaled(window(c, rows), -1j * hbar)))
-            for rows in windows]))))
     cas = casimir(amset)
-    for name, op in (("casimir_commutes_x", jx), ("casimir_commutes_y", jy),
-                     ("casimir_commutes_z", jz)):
-        checks.append((name, float(np.max([max_abs(commutator(cas, op, rows))
-                                           for rows in windows]))))
-    for name, op in (("total_commutes_x", jx), ("total_commutes_y", jy),
-                     ("total_commutes_z", jz)):
-        checks.append((name, float(np.max([max_abs(commutator(op, jt, rows))
-                                           for rows in windows]))))
-
-    # J^2 - (J J + hbar J) and (J^2 - J J) - hbar J, on one J J and one hbar J
-    quantum, classical = [], []
-    for rows in windows:
-        cas_rows, jj, hj = window(cas, rows), product(jt, jt, rows), scaled(window(jt, rows), hbar)
-        quantum.append(max_abs(minus(cas_rows, plus(jj, hj))))
-        classical.append(max_abs(minus(minus(cas_rows, jj), hj)))
-    checks.append(("quadratic_identity_quantum", float(np.max(quantum))))
-    checks.append(("quadratic_identity_classical_form", float(np.max(classical))))
+    per_window = []
+    for rows in row_windows(amset.basis.size):
+        names, values = zip(*_window_residuals(amset, cas, rows))
+        per_window.append(values)
+    # np.max keeps a NaN of any window, which max and np.nanmax would drop
+    checks = [(name, float(v)) for name, v in zip(names, np.max(per_window, axis=0))]
 
     blocks = _blocks(amset, cas, 0)
     for name, column in (

@@ -2,6 +2,7 @@ import concurrent.futures
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -99,6 +100,30 @@ CHECK_BREAKERS = {
     "mean_square_consistency": "jx,1,2,1e-3",
     "sum_rule_blocks": "jz,3,3,-1",
 }
+
+
+# the 23 verify checks in the order of their records
+REPORT_ORDER = [
+    "hermitian_jx", "hermitian_jy", "hermitian_jz", "hermitian_jtot",
+    "block_structure", "total_momentum_diagonal",
+    "commutator_xy_z", "commutator_yz_x", "commutator_zx_y",
+    "casimir_commutes_x", "casimir_commutes_y", "casimir_commutes_z",
+    "total_commutes_x", "total_commutes_y", "total_commutes_z",
+    "quadratic_identity_quantum", "quadratic_identity_classical_form",
+    "block_dimension", "jz_spectrum_grid", "casimir_block_value",
+    "casimir_block_spread", "mean_square_consistency", "sum_rule_blocks",
+]
+
+
+def readme_check_names() -> list:
+    """The names in the first column of README's table of verify checks,
+    the table under the header row ``| check | residual |``."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rows = itertools.takewhile(lambda line: line.startswith("|"),
+                               lines[lines.index("| check | residual |") + 2:])
+    return [re.match(r"\| `(\w+)` \|", row).group(1) for row in rows]
 
 
 # --corrupt directives at --nmax 4 that store an entry a clean operator
@@ -227,6 +252,21 @@ class TestVerify:
         assert set(checks) == set(CHECK_BREAKERS)
         assert code == 1 and not checks[name]
         assert f"FAILED {name}:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--nmax", "6"],
+        ["--nmax", "6", "--corrupt", "jx,1,3,1e-6"],
+        ["--nmax", "6", "--format", "csv"],
+    ])
+    def test_report_order(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "verify", "--no-meta", *argv)
+        assert code == (1 if "--corrupt" in argv else 0)
+        if "csv" in argv:
+            names = [r["name"] for r in parse_csv(out) if r["record"] == "check"]
+        else:
+            names = [c["name"] for c in json.loads(out)["checks"]]
+        assert names == REPORT_ORDER
+        assert readme_check_names() == REPORT_ORDER
 
     @pytest.mark.parametrize(
         "argv",
@@ -450,6 +490,10 @@ class TestVerify:
     @pytest.mark.parametrize("n_max, directive, hbar", [
         (4, "jx,1,2,inf", 1.0), (4, "jz,4,4,-inf", 0.3), (7, "jy,3,4,inf", 2.0),
         (4, "jtot,2,2,inf", 1.0), (4, "jx,1,3,inf", 0.3),
+        # a NaN lands in a later window than finite ones, which a maximum
+        # through max or np.nanmax would drop
+        (4, "jx,1,3,nan", 1.0), (4, "jz,4,4,nan", 0.3), (7, "jy,3,4,nan", 2.0),
+        (4, "jtot,2,2,nan", 1.0),
     ])
     def test_windows_keep_infinite_residuals(self, monkeypatch, rows, n_max, directive, hbar):
         name, row, col, delta = directive.split(",")
