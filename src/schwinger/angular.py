@@ -25,7 +25,6 @@ import numpy as np
 from .fock import FockBasis
 from .operators import (
     Band,
-    adjoint,
     annihilation,
     band,
     creation,
@@ -61,23 +60,41 @@ def build_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
     while the adjoint is exact there and keeps J_x, J_y Hermitian to the
     last bit.  a1^dag a2 is the ``row_product`` of the two row maps:
     row r moves one quantum from mode 1 to mode 2, the next state of its
-    shell, so its values are the band U at offset 1.  J_x and J_y are
-    (U + U^dag) hbar/2 and (U - U^dag) hbar/2i in the band algebra, and
-    J_z and J are written straight from the occupations as
-    (n1 -+ n2) hbar/2.
+    shell, so its values are the band U at offset 1.
+
+    J_x = (U + U^dag) hbar/2 and J_y = (U - U^dag) hbar/2i are written
+    once, each offset straight into its final array, with the bits of
+    that band algebra: above the diagonal each entry is U times the
+    scalar, and below it U^dag's entry, u or 0 - u, times the scalar,
+    one row down.  The last state of every shell has U = 0, so its
+    product is the 0 that U^dag leaves at row 0.  J_z and J are written
+    straight from the occupations as (n1 -+ n2) hbar/2.  An offset that
+    the scaling leaves all zero (an underflowing hbar) is dropped.
     """
     if not (math.isfinite(hbar) and hbar > 0):
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
-    _, u = row_product(creation(basis, 1), annihilation(basis, 2))  # a1^dag a2
-    u_band = band({1: u.astype(np.complex128)})
-    u_dag = adjoint(u_band)  # a1 a2^dag
-    jx = scaled(plus(u_band, u_dag), 0.5 * hbar)
-    jy = scaled(minus(u_band, u_dag), -0.5j * hbar)
+    u = row_product(creation(basis, 1), annihilation(basis, 2))[1]  # a1^dag a2
+    cx, cy = complex(0.5 * hbar), complex(-0.5j * hbar)
+    jx = {1: np.multiply(u, cx), -1: _lowered(u, cx)}
+    jy = {1: np.multiply(u, cy)}
+    jy[-1] = _lowered(np.subtract(0.0, u, out=u), cy)
     n1, n2, total = basis.occupations()
-    jz = band({0: ((n1 - n2) * (0.5 * hbar)).astype(np.complex128)})
-    jtot = band({0: (total * (0.5 * hbar)).astype(np.complex128)})
-    return AngularMomentumSet(jx=frozen(jx), jy=frozen(jy), jz=frozen(jz), jtot=frozen(jtot),
+    jz, jtot = np.zeros(len(u), dtype=np.complex128), np.zeros(len(u), dtype=np.complex128)
+    np.multiply(n1 - n2, 0.5 * hbar, out=jz.real)
+    np.multiply(total, 0.5 * hbar, out=jtot.real)
+    return AngularMomentumSet(jx=frozen(band(jx)), jy=frozen(band(jy)),
+                              jz=frozen(band({0: jz})), jtot=frozen(band({0: jtot})),
                               hbar=hbar, basis=basis)
+
+
+def _lowered(values: np.ndarray, c: complex) -> np.ndarray:
+    """The complex array whose entry i is ``values[i - 1] * c`` and whose
+    entry 0 is ``values[-1] * c``: the offset +1 entries ``values``,
+    scaled, one row down, where offset -1 holds their mirrors."""
+    out = np.empty(len(values), dtype=np.complex128)
+    np.multiply(values[:-1], c, out=out[1:])
+    np.multiply(values[-1:], c, out=out[:1])
+    return out
 
 
 def casimir(amset: AngularMomentumSet) -> Band:

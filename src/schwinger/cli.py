@@ -36,9 +36,11 @@ import numpy as np
 from . import __version__
 from .angular import AngularMomentumSet, build_set, casimir
 from .classical import sample_amplitudes
-from .fock import build_basis
+from .fock import build_basis, position
 from .operators import (
+    WINDOW_ROWS,
     Band,
+    Frozen,
     adjoint,
     commutator,
     frozen,
@@ -53,9 +55,10 @@ from .operators import (
 )
 from .spectra import block_table, cos_theta, sum_rule_check
 
-# verify at n_max 1000 (dimension 501501) takes 0.5-0.6 s and 134 MB
-# from the shell, below the 5 s of classical at COUNT_LIMIT on 2 CPUs; at
-# 1500 it took 9 s and 500 MB
+# verify at n_max 1000 (dimension 501501) takes 0.4-0.6 s and 100 MB
+# from the shell, 68 MB of it the operators, J^2's diagonal and the
+# occupations it keeps, below the 5 s of classical at COUNT_LIMIT on 2
+# CPUs; at 1500 it took 9 s and 500 MB
 N_MAX_LIMIT = 1000
 
 # The cap on the table commands angle, limit and sumrule, each of which
@@ -415,11 +418,6 @@ def _emit(config: RunConfig, command: str, json_doc: dict, csv_tables: list[Tabl
 # ---------------------------------------------------------------------------
 # verify battery
 
-def _diagonal(op: Band, dim: int) -> np.ndarray:
-    """The main diagonal of the band ``op``."""
-    return op[0] if 0 in op else np.zeros(dim, dtype=np.complex128)
-
-
 def _block_leak_residual(ops: tuple, totals: np.ndarray, rows: slice) -> float:
     """Largest entry of the bands ``ops`` in the row window ``rows``
     connecting different constant-n blocks (should be 0); ``totals`` is
@@ -443,15 +441,47 @@ def _blocks(amset: AngularMomentumSet, cas: Band, first: int) -> dict:
     it stores off the diagonal of that row, entries that leak into other
     blocks included, with the columns ascending.  A clean J^2 stores
     none, so every radius is 0.
+
+    ``block_table`` runs on groups of whole consecutive blocks of at most
+    ``WINDOW_ROWS`` rows, a block longer than that alone, and each
+    group's values are written into the whole table.  Every value of a
+    block, its level order included, depends only on its own rows, so
+    the table has the bits of one call over every block.
     """
-    dim = amset.basis.size
-    rows = slice(amset.basis.block_range(first).start, None)
-    radii = np.zeros(dim - rows.start)
-    for p in sorted(cas):
-        if p:
-            radii += np.abs(cas[p][rows])
-    return block_table(range(first, amset.basis.n_max + 1), amset.hbar,
-                       _diagonal(amset.jz, dim)[rows], _diagonal(cas, dim).real[rows], radii)
+    n_max, hbar = amset.basis.n_max, amset.hbar
+    top = position(first, 0)
+    table = {}
+    for lo, hi in _block_groups(first, n_max + 1):
+        rows = slice(position(lo, 0), position(hi, 0))
+        size = rows.stop - rows.start
+        radii = np.zeros(size)
+        for p in sorted(cas):
+            if p:
+                radii += np.abs(cas[p][rows])
+        jz, centres = (op[0][rows] if 0 in op else np.zeros(size) for op in (amset.jz, cas))
+        part = block_table(range(lo, hi), hbar, jz, np.real(centres), radii)
+        part["starts"] += rows.start - top
+        if not table:
+            table = {key: np.empty(position(n_max + 1, 0) - top if key == "levels"
+                                   else n_max + 1 - first, dtype=values.dtype)
+                     for key, values in part.items()}
+        for key, values in part.items():
+            table[key][slice(rows.start - top, rows.stop - top) if key == "levels"
+                       else slice(lo - first, hi - first)] = values
+    return table
+
+
+def _block_groups(first: int, end: int) -> list:
+    """(lo, hi) pairs cutting blocks ``first`` .. end - 1, block n holding
+    n + 1 rows, into groups of consecutive blocks lo .. hi - 1 of at most
+    ``WINDOW_ROWS`` rows, a block longer than that alone."""
+    groups, lo, rows = [], first, 0
+    for n in range(first, end):
+        if rows + n + 1 > WINDOW_ROWS and n > lo:
+            groups.append((lo, n))
+            lo, rows = n, 0
+        rows += n + 1
+    return groups + [(lo, end)]
 
 
 def _verdict(checks: list[dict], tol: float) -> int:
@@ -495,8 +525,9 @@ def _window_residuals(amset: AngularMomentumSet, cas: Band, rows: slice):
     yield "quadratic_identity_classical_form", max_abs(minus(minus(cas_rows, jj), hj))
 
 
-def run_battery(amset: AngularMomentumSet, tol: float):
-    """Run every verification check; returns (checks, blocks).
+def run_battery(amset: AngularMomentumSet, cas: Band, tol: float):
+    """Run every verification check on ``amset`` and ``cas``, its J^2;
+    returns (checks, blocks).
 
     Each check is {"name", "max_residual", "pass"}; pass means the
     residual is within tol.  ``blocks`` is the ``block`` Table, one
@@ -506,7 +537,6 @@ def run_battery(amset: AngularMomentumSet, tol: float):
     windows' values: NaN if any window holds a NaN, the bits of the
     whole-matrix residual's largest entry.
     """
-    cas = casimir(amset)
     per_window = []
     for rows in row_windows(amset.basis.size):
         names, values = zip(*_window_residuals(amset, cas, rows))
@@ -566,7 +596,17 @@ def _apply_corruption(amset: AngularMomentumSet, corruption) -> AngularMomentumS
         amset, **{name: frozen(plus(getattr(amset, name), {col - row: bump}))})
 
 
+def _stores_finite(*bands: Frozen) -> bool:
+    """Whether no array of the ``frozen`` bands stores inf or NaN, as the
+    facts ``frozen`` worked out say."""
+    return all(finite for op in bands for _, finite in op.facts.values())
+
+
 def cmd_verify(n_max: int, hbar: float, tol: float, corruption: tuple | None = None):
+    """The verify document.  Raises OverflowError as soon as an operator
+    or J^2 stores inf or NaN: such an entry reaches a residual of the
+    battery (a Hermiticity check's, or a quadratic identity's), which
+    ``_emit`` would refuse."""
     amset = build_set(build_basis(n_max), hbar)
     if corruption:
         # a DELTA the stored entry absorbs would run the clean battery
@@ -577,7 +617,12 @@ def cmd_verify(n_max: int, hbar: float, tol: float, corruption: tuple | None = N
             raise UsageError(f"--corrupt DELTA {delta!r} leaves entry ({row},{col}) "
                              f"of {name} unchanged")
         amset = _apply_corruption(amset, corruption)
-    checks, blocks = run_battery(amset, tol)
+    if not _stores_finite(amset.jx, amset.jy, amset.jz, amset.jtot):
+        raise OverflowError("an operator stores a non-finite entry")
+    cas = casimir(amset)
+    if not _stores_finite(cas):
+        raise OverflowError("J^2 stores a non-finite entry")
+    checks, blocks = run_battery(amset, cas, tol)
 
     check_table = _table("check", checks)
     json_doc = {"n_max": n_max, "hbar": hbar, "tol": tol,
@@ -783,11 +828,14 @@ def _dispatch(args):
     if args.command == "verify":
         _require_in_range("--nmax", args.nmax, N_MAX_LIMIT)
         _require_hbar_tol(hbar, tol)
-        if args.corrupt is None:
-            return cmd_verify(args.nmax, hbar, tol), tol, f"--hbar {hbar}"
-        corruption = _parse_corruption(args.corrupt, build_basis(args.nmax).size)
-        flags = f"--hbar {hbar} with --corrupt {args.corrupt}"
-        return cmd_verify(args.nmax, hbar, tol, corruption), tol, flags
+        corruption, flags = None, f"--hbar {hbar}"
+        if args.corrupt is not None:
+            corruption = _parse_corruption(args.corrupt, build_basis(args.nmax).size)
+            flags += f" with --corrupt {args.corrupt}"
+        try:
+            return cmd_verify(args.nmax, hbar, tol, corruption), tol, flags
+        except OverflowError:
+            raise _overflow(flags) from None
     if args.command == "spectrum":
         # without --nmax the basis is just large enough for --n
         n_max = args.n if args.nmax is None else args.nmax
@@ -829,7 +877,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     config = RunConfig(args.format, args.out, args.no_meta)
     try:
-        # overflow shows up as a non-finite result, reported by _emit
+        # overflow shows up as a non-finite result, reported by _emit, or
+        # by verify as soon as an operator or J^2 stores one
         with np.errstate(all="ignore"):
             (json_doc, csv_tables, checks), tol, flags = _dispatch(args)
             _emit(config, args.command, json_doc, csv_tables, flags)

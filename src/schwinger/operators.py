@@ -59,7 +59,9 @@ RowMap = tuple
 # offset -> complex array of length dim, as the module docstring says
 Band = dict
 
-# rows per window of ``row_windows``: a window's complex array is 128 KiB
+# rows per window of ``row_windows``: a window's complex array is 128 KiB.
+# ``cli._blocks`` reads the block table in groups of whole blocks of at
+# most this many rows
 WINDOW_ROWS = 8192
 
 

@@ -1,7 +1,7 @@
 """Spectral analysis of the angular-momentum blocks.
 
 Contains the table of every per-block value, read off the J_z diagonal
-and the Gershgorin discs of J^2 in one array pass with no eigensolve;
+and the Gershgorin discs of J^2 in array passes with no eigensolve;
 the exact half-integer sum rule; and the alignment angle between J_z
 and the total J together with its classical limits, elementwise over
 arrays of levels.
@@ -19,7 +19,11 @@ import numpy as np
 
 
 def block_table(two_js, hbar: float, jz_diag, cas_centres, cas_radii) -> dict:
-    """Every per-block value of consecutive blocks, in one array pass.
+    """Every per-block value of consecutive blocks, in one array pass over
+    them.  Each value, a block's level order included, depends on that
+    block's rows alone, so the blocks may come in groups: ``cli._blocks``
+    passes groups of whole blocks of at most ``WINDOW_ROWS`` rows, and
+    their tables hold the bits of one call over every block.
 
     ``two_js`` lists the blocks in row order, block two_j holding
     two_j + 1 rows; ``jz_diag`` is the J_z diagonal on those rows and

@@ -308,3 +308,30 @@ class TestOneExpression:
                 assert op.data.all(), (n_max, name)
                 assert identical(op, getattr(reference, name)), (n_max, name)
         assert build_set(build_basis(3), 5e-324).jx == {}
+
+    @pytest.mark.parametrize("hbar", [5e-324, 1e-320, 3e-310, 1e-150, 0.1, 0.3, 1.0, 2.0,
+                                      1e30, 1e200, 1e305, 1e308])
+    def test_matches_band_algebra(self, hbar):
+        # each array holds the bits of U + U^dag, U - U^dag and the
+        # occupations scaled in the band algebra, the zeros a stored offset
+        # holds included, with their signs; at 1e308 some entries overflow
+        for n_max in (0, 1, 2, 5, 12, 40, 127):
+            basis = build_basis(n_max)
+            u = operators.band({1: operators.row_product(
+                operators.creation(basis, 1),
+                operators.annihilation(basis, 2))[1].astype(np.complex128)})
+            u_dag = operators.adjoint(u)
+            n1, n2, total = basis.occupations()
+            with np.errstate(over="ignore"):
+                want = {
+                    "jx": operators.scaled(plus(u, u_dag), 0.5 * hbar),
+                    "jy": operators.scaled(operators.minus(u, u_dag), -0.5j * hbar),
+                    "jz": operators.band({0: ((n1 - n2) * (0.5 * hbar)).astype(np.complex128)}),
+                    "jtot": operators.band({0: (total * (0.5 * hbar)).astype(np.complex128)}),
+                }
+                amset = build_set(basis, hbar)
+            for name, band in want.items():
+                got = getattr(amset, name)
+                assert sorted(got) == sorted(band), (n_max, name)
+                for p, values in band.items():
+                    assert got[p].tobytes() == values.tobytes(), (n_max, name, p)

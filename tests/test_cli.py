@@ -218,6 +218,21 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"error: --nmax {N_MAX_LIMIT + 1} exceeds the limit {N_MAX_LIMIT}\n"
 
+    def test_peak_memory_near_the_kept_operators(self):
+        # what verify keeps at n_max 500: six operator arrays (J_x and J_y
+        # two offsets each, J_z and J one) and J^2's diagonal, complex, and
+        # the basis's three int64 occupations; the rest of the traced peak
+        # is the build's and the windows' temporaries
+        dim = build_basis(500).size
+        kept = (6 * 16 + 16 + 3 * 8) * dim
+        tracemalloc.start()
+        try:
+            cli.cmd_verify(500, 1.0, 1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * kept, peak / kept
+
     def test_guard_admits_the_cap_without_allocating(self):
         tracemalloc.start()
         try:
@@ -353,7 +368,7 @@ class TestVerify:
     def test_nan_entry_fails_checks(self, name, row, col, expected):
         amset = build_set(build_basis(3), 1.0)
         bad = cli._apply_corruption(amset, (name, row, col, np.nan))
-        checks, _ = cli.run_battery(bad, 1e-12)
+        checks, _ = cli.run_battery(bad, angular.casimir(bad), 1e-12)
         assert expected <= {c["name"] for c in checks if not c["pass"]}
 
     def test_casimir_built_once(self, capsys, monkeypatch):
@@ -401,14 +416,14 @@ class TestVerify:
         if directive:
             amset = cli._apply_corruption(amset, cli._parse_corruption(directive, amset.basis.size))
         calls = counting_constructions(monkeypatch)
-        cli.run_battery(amset, 1e-12)
+        cli.run_battery(amset, angular.casimir(amset), 1e-12)
         assert calls == []
 
     @pytest.mark.parametrize("hbar", [0.3, 1.0, 2.0, 1e-30])
     @pytest.mark.parametrize("n_max", [0, 1, 7, 40])
     def test_residuals_match_operator_algebra(self, n_max, hbar):
         amset = build_set(build_basis(n_max), hbar)
-        checks, _ = cli.run_battery(amset, 1e-12)
+        checks, _ = cli.run_battery(amset, angular.casimir(amset), 1e-12)
         got = {c["name"]: c["max_residual"] for c in checks}
         for name, want in algebra_residuals(amset).items():
             assert got[name] == want, name
@@ -451,7 +466,7 @@ class TestVerify:
         name, row, col, delta = directive.split(",")
         bad = cli._apply_corruption(amset, (name, int(row), int(col), float(delta)))
         with np.errstate(all="ignore"):
-            checks, _ = cli.run_battery(bad, 1e-12)
+            checks, _ = cli.run_battery(bad, angular.casimir(bad), 1e-12)
             want = algebra_residuals(bad)
         got = {c["name"]: c["max_residual"] for c in checks}
         for name, value in want.items():
@@ -461,7 +476,7 @@ class TestVerify:
         # J_x^2 overflows at hbar 1e160, so J^2 stores inf and NaN entries
         amset = build_set(build_basis(6), 1e160)
         with np.errstate(all="ignore"):
-            checks, _ = cli.run_battery(amset, 1e-12)
+            checks, _ = cli.run_battery(amset, angular.casimir(amset), 1e-12)
             want = algebra_residuals(amset)
         got = {c["name"]: c["max_residual"] for c in checks}
         assert not all(map(math.isfinite, got.values()))
@@ -506,10 +521,10 @@ class TestVerify:
         """``run_battery``'s 23 residuals over windows of ``rows`` rows are
         the residuals of one window to the bit."""
         with np.errstate(all="ignore"):
-            want, _ = cli.run_battery(amset, 1e-12)
+            want, _ = cli.run_battery(amset, angular.casimir(amset), 1e-12)
             with monkeypatch.context() as m:
                 m.setattr(operators, "WINDOW_ROWS", rows)
-                got, _ = cli.run_battery(amset, 1e-12)
+                got, _ = cli.run_battery(amset, angular.casimir(amset), 1e-12)
         assert len(got) == len(want) == 23
         for g, w in zip(got, want):
             assert g["name"] == w["name"]
@@ -1225,6 +1240,22 @@ class TestWriter:
         assert code == 2 and out == ""
         assert err == (f"error: --hbar 1.0 with --corrupt {directive}: "
                        "a result overflows to a non-finite value\n")
+
+    @pytest.mark.parametrize("corrupt", [[], ["--corrupt", "jx,0,5,1e-3"]])
+    @pytest.mark.parametrize("hbar", ["1e200", "1e308"])
+    def test_overflow_reported_before_the_battery(self, capsys, monkeypatch, hbar, corrupt):
+        # at 1e308 the operators store inf, at 1e200 only J^2 does: either
+        # way verify stops before its first window, with _emit's line
+        def unreachable(*args):
+            raise AssertionError("the battery ran")
+
+        monkeypatch.setattr(cli, "_window_residuals", unreachable)
+        monkeypatch.setattr(cli, "_blocks", unreachable)
+        code, out, err = run_cli(capsys, "verify", "--nmax", "200", "--hbar", hbar,
+                                 "--tol", "1e-6", "--no-meta", *corrupt)
+        flags = " ".join([f"--hbar {float(hbar)}", *(["with"] if corrupt else []), *corrupt])
+        assert (code, out) == (2, "")
+        assert err == f"error: {flags}: a result overflows to a non-finite value\n"
 
     def test_empty_table(self):
         doc = {"command": "x", "rows": cli.Table("row", {"a": []}), "ok": True}

@@ -322,6 +322,72 @@ class TestBlockTableOrder:
         assert levels.tobytes() == lexsorted_levels(range(7), jz).tobytes()
 
 
+def whole_range_table(amset, cas, first: int = 0) -> dict:
+    """One ``block_table`` call over blocks ``first`` .. n_max, the discs of
+    J^2 read off ``cas`` as ``cli._blocks`` reads them: each radius the sum
+    of the row's off-diagonal magnitudes, offsets ascending."""
+    rows = slice(amset.basis.block_range(first).start, None)
+    dim = amset.basis.size
+    radii = np.zeros(dim)
+    for p in sorted(cas):
+        if p:
+            radii += np.abs(cas[p])
+    jz, centres = (op.get(0, np.zeros(dim, dtype=complex)) for op in (amset.jz, cas))
+    return spectra.block_table(range(first, amset.basis.n_max + 1), amset.hbar,
+                               jz[rows], centres.real[rows], radii[rows])
+
+
+class TestBlockGroups:
+    """``cli._blocks`` runs ``block_table`` on groups of whole blocks of at
+    most ``WINDOW_ROWS`` rows; its table is that of one call over every
+    block, bit for bit on every key."""
+
+    @staticmethod
+    def assert_whole_range(amset, cas, first: int = 0):
+        with np.errstate(all="ignore"):
+            got, want = cli._blocks(amset, cas, first), whole_range_table(amset, cas, first)
+        assert got.keys() == want.keys()
+        for key, column in want.items():
+            assert got[key].dtype == column.dtype, key
+            assert got[key].tobytes() == column.tobytes(), key
+
+    @pytest.mark.parametrize("n_max, groups", [(126, 1), (127, 2), (200, 3), (1000, 64)])
+    def test_clean(self, n_max, groups):
+        # 126 is the last basis of one group of 8192 rows and 127 the first
+        # of two, its second group one block of 128 rows
+        assert len(cli._block_groups(0, n_max + 1)) == groups
+        for hbar in (0.3, 1.0):
+            amset = build_set(build_basis(n_max), hbar)
+            cas = angular.casimir(amset)
+            for first in (0, n_max // 2, n_max):
+                self.assert_whole_range(amset, cas, first)
+
+    @pytest.mark.parametrize("first", [0, 150])
+    def test_reordered_levels(self, first):
+        # a bump of 3.5 hbar lifts the m = 0 level of block 160 (rows 12880
+        # .. 13040, in the second group) past those of m = 1, 2 and 3, so
+        # the levels of that group go through the sort and the others' not
+        amset = build_set(build_basis(200), 0.3)
+        row = amset.basis.block_range(160).start + 80
+        bad = cli._apply_corruption(amset, ("jz", row, row, 1.05))
+        self.assert_whole_range(bad, angular.casimir(bad), first)
+        rows = amset.basis.block_range(160)
+        levels = cli._blocks(bad, angular.casimir(bad), 0)["levels"][rows.start:rows.stop]
+        assert levels.tobytes() != bad.jz[0].real[rows.start:rows.stop].tobytes()
+
+    @pytest.mark.parametrize("row, col", [(8127, 8128), (8128, 8127), (8200, 16383)])
+    def test_cross_shell_entries(self, row, col):
+        # a J_x entry between blocks 126 and 127, each side of the first
+        # group edge, and one from the second group into the third: J^2
+        # stores entries off its diagonal, so radii are not all 0
+        amset = build_set(build_basis(200), 1.0)
+        bad = cli._apply_corruption(amset, ("jx", row, col, 1e-3))
+        cas = angular.casimir(bad)
+        assert set(cas) - {0}
+        assert cli._blocks(bad, cas, 0)["spread"].max() > 1e-6
+        self.assert_whole_range(bad, cas)
+
+
 class TestSumRule:
     @pytest.mark.parametrize(
         "two_j, quarters",
