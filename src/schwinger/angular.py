@@ -69,7 +69,8 @@ def build_set(basis: FockBasis, hbar: float = 1.0) -> AngularMomentumSet:
     one row down.  The last state of every shell has U = 0, so its
     product is the 0 that U^dag leaves at row 0.  J_z and J are written
     straight from the occupations as (n1 -+ n2) hbar/2.  An offset that
-    the scaling leaves all zero (an underflowing hbar) is dropped.
+    the scaling leaves all zero (an underflowing hbar) is dropped, and
+    ``frozen`` raises OverflowError on an hbar that overflows an entry.
     """
     if not (math.isfinite(hbar) and hbar > 0):
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
@@ -102,7 +103,7 @@ def casimir(amset: AngularMomentumSet) -> Band:
     clean set.  It is summed over the ``row_windows`` of the basis, one
     window on a basis of at most ``WINDOW_ROWS`` rows, each written into
     the whole arrays as it is done, and returned ``frozen`` like the
-    operators."""
+    operators, which raises OverflowError when J^2 stores inf or NaN."""
     jx, jy, jz = amset.jx, amset.jy, amset.jz
     dim = amset.basis.size
     out = {}

@@ -40,8 +40,8 @@ from .fock import build_basis, position
 from .operators import (
     WINDOW_ROWS,
     Band,
-    Frozen,
     adjoint,
+    band,
     commutator,
     frozen,
     max_abs,
@@ -587,41 +587,41 @@ def _parse_corruption(directive: str, dim: int) -> tuple[str, int, int, float]:
 
 
 def _apply_corruption(amset: AngularMomentumSet, corruption) -> AngularMomentumSet:
-    """Test hook: add DELTA to entry (ROW, COL) of operator OP, whose
-    arrays stay read-only like those of ``build_set``."""
+    """Test hook: add DELTA to entry (ROW, COL) of operator OP.
+
+    Only the offset COL - ROW of OP is copied: its entries plus 0, DELTA
+    added at ROW, and the offset dropped if that leaves it all zero.  The
+    other offsets are shared.  The band is ``frozen`` like those of
+    ``build_set``, so an entry DELTA overflows raises OverflowError."""
     name, row, col, delta = corruption
-    bump = np.zeros(amset.basis.size, dtype=np.complex128)
-    bump[row] = delta
-    return dataclasses.replace(
-        amset, **{name: frozen(plus(getattr(amset, name), {col - row: bump}))})
+    op, p = getattr(amset, name), col - row
+    values = np.add(op[p], 0.0) if p in op else np.zeros(amset.basis.size, dtype=np.complex128)
+    values[row] += delta
+    return dataclasses.replace(amset, **{name: frozen(band({**op, p: values}))})
 
 
-def _stores_finite(*bands: Frozen) -> bool:
-    """Whether no array of the ``frozen`` bands stores inf or NaN, as the
-    facts ``frozen`` worked out say."""
-    return all(finite for op in bands for _, finite in op.facts.values())
+def _entry(op: Band, row: int, col: int) -> complex:
+    """Entry (row, col) of the band ``op``, 0 where it stores none."""
+    values = op.get(col - row)
+    return 0.0 if values is None else values[row]
 
 
 def cmd_verify(n_max: int, hbar: float, tol: float, corruption: tuple | None = None):
-    """The verify document.  Raises OverflowError as soon as an operator
-    or J^2 stores inf or NaN: such an entry reaches a residual of the
-    battery (a Hermiticity check's, or a quadratic identity's), which
-    ``_emit`` would refuse."""
+    """The verify document.  ``build_set``, ``_apply_corruption`` and
+    ``casimir`` raise OverflowError as soon as an operator or J^2
+    stores inf or NaN, before the battery runs."""
     amset = build_set(build_basis(n_max), hbar)
     if corruption:
-        # a DELTA the stored entry absorbs would run the clean battery
+        # a DELTA the stored entry absorbs would run the clean battery.  The
+        # entry is read through _entry, so no name here keeps the old
+        # operator's arrays alive through the battery
         name, row, col, delta = corruption
-        stored = getattr(amset, name).get(col - row)
-        value = 0.0 if stored is None else stored[row]
+        value = _entry(getattr(amset, name), row, col)
         if value + delta == value:
             raise UsageError(f"--corrupt DELTA {delta!r} leaves entry ({row},{col}) "
                              f"of {name} unchanged")
         amset = _apply_corruption(amset, corruption)
-    if not _stores_finite(amset.jx, amset.jy, amset.jz, amset.jtot):
-        raise OverflowError("an operator stores a non-finite entry")
     cas = casimir(amset)
-    if not _stores_finite(cas):
-        raise OverflowError("J^2 stores a non-finite entry")
     checks, blocks = run_battery(amset, cas, tol)
 
     check_table = _table("check", checks)
@@ -832,10 +832,7 @@ def _dispatch(args):
         if args.corrupt is not None:
             corruption = _parse_corruption(args.corrupt, build_basis(args.nmax).size)
             flags += f" with --corrupt {args.corrupt}"
-        try:
-            return cmd_verify(args.nmax, hbar, tol, corruption), tol, flags
-        except OverflowError:
-            raise _overflow(flags) from None
+        run = functools.partial(cmd_verify, args.nmax, hbar, tol, corruption)
     if args.command == "spectrum":
         # without --nmax the basis is just large enough for --n
         n_max = args.n if args.nmax is None else args.nmax
@@ -845,7 +842,13 @@ def _dispatch(args):
             raise UsageError(f"--n must be non-negative, got {args.n}")
         if args.n > n_max:
             raise UsageError(f"--n {args.n} exceeds --nmax {n_max}")
-        return cmd_spectrum(args.n, n_max, hbar, tol), tol, f"--hbar {hbar}"
+        run, flags = functools.partial(cmd_spectrum, args.n, n_max, hbar, tol), f"--hbar {hbar}"
+    if args.command in ("verify", "spectrum"):
+        # ``frozen`` refuses an operator or J^2 that stores inf or NaN
+        try:
+            return run(), tol, flags
+        except OverflowError:
+            raise _overflow(flags) from None
 
     # classical: the subparsers are required, so no other command is left
     _require_in_range("--count", args.count, COUNT_LIMIT, least=1)
@@ -877,8 +880,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     config = RunConfig(args.format, args.out, args.no_meta)
     try:
-        # overflow shows up as a non-finite result, reported by _emit, or
-        # by verify as soon as an operator or J^2 stores one
+        # overflow shows up as an operator or J^2 that frozen refuses, or
+        # as a non-finite result, which _emit refuses
         with np.errstate(all="ignore"):
             (json_doc, csv_tables, checks), tol, flags = _dispatch(args)
             _emit(config, args.command, json_doc, csv_tables, flags)

@@ -19,22 +19,17 @@ The band algebra equals scipy's arithmetic on the canonical CSR
 matrices (sorted, duplicates merged, exact zeros dropped) bit for bit.
 ``product`` adds the terms of each output entry onto a zero in scipy's
 column order, each term formed in one buffer and rounded as scipy's
-sparse product rounds it, and forms a term only where both factors
-store an entry, so NaN and inf spread as they do through scipy.
-``plus`` and ``minus`` work elementwise over the union of the offsets,
-``scaled`` multiplies as scipy's scalar product does, and ``adjoint``
-conjugates and shifts.
+sparse product rounds it.  ``plus`` and ``minus`` work elementwise over
+the union of the offsets, ``scaled`` multiplies as scipy's scalar
+product does, and ``adjoint`` conjugates and shifts.
 ``max_abs`` reads the largest magnitude among the stored entries.
 
-``product`` takes two facts about every factor from its whole array:
-whether every entry is real or every one imaginary (then numpy's
-complex multiply rounds as scipy's product does) and whether every
-entry is finite.  ``frozen`` works out the facts of a band's arrays as
-it makes them read-only and returns the band to use, a ``Frozen`` band
-holding them; ``product`` trusts them while an array stays read-only
-and owns its data, and probes any other array whole on every call.
-The reset that keeps a stored inf or NaN from meeting an unstored 0
-runs exactly for the terms of a factor that stores a non-finite entry.
+``product`` and ``commutator`` take ``Frozen`` factors only, the bands
+``frozen`` makes: every entry finite, every array read-only, and for
+each offset whether its whole array is plain, every entry real or every
+one imaginary (then numpy's complex multiply rounds as scipy's product
+does).  ``frozen`` refuses a band that stores inf or NaN with
+OverflowError, so a product never meets one.
 ``commutator`` drops the all-zero offsets of its result once, in its
 subtraction, not in each product.
 
@@ -126,22 +121,25 @@ def band(diagonals: dict) -> Band:
 
 
 class Frozen(dict):
-    """A band made by ``frozen``: its arrays read-only, and ``facts[p]`` the
-    ``_facts`` of its array at offset p, worked out as it was made."""
+    """A band made by ``frozen``: its arrays finite and read-only, and
+    ``plain[p]`` the ``_plain`` of its whole array at offset p."""
 
-    facts: dict
+    plain: dict
 
 
 def frozen(a: Band) -> Frozen:
-    """``a`` as a ``Frozen`` band, the one to use: its arrays made
-    read-only and their facts worked out once, for ``product`` to trust
-    while an array stays read-only and owns its data.  An array changed
-    after ``frozen`` must pass through it again."""
+    """``a`` as a ``Frozen`` band, the one ``product`` takes: its arrays
+    checked to be finite, then made read-only, and whether each is plain
+    worked out once.  Raises OverflowError, leaving every array as it
+    was, when one stores inf or NaN.  An array changed after ``frozen``
+    must pass through it again."""
+    if not all(np.isfinite(values).all() for values in a.values()):
+        raise OverflowError("a band stores a non-finite entry")
     out = Frozen(a)
-    out.facts = {}
+    out.plain = {}
     for p, values in out.items():
         values.flags.writeable = False
-        out.facts[p] = _facts(values)
+        out.plain[p] = _plain(values)
     return out
 
 
@@ -188,52 +186,34 @@ def _plain(x: np.ndarray) -> bool:
     return not x.imag.any() or not x.real.any()
 
 
-def _facts(x: np.ndarray) -> tuple[bool, bool]:
-    """(plain, finite) of the whole array ``x``: ``_plain(x)``, and whether
-    no entry is inf or NaN."""
-    return _plain(x), bool(np.isfinite(x).all())
-
-
-def _facts_in(a: Band, p: int) -> tuple[bool, bool]:
-    """The ``_facts`` of ``a[p]``: those ``frozen`` kept when ``a`` is
-    ``Frozen`` and the array is still read-only and owns its data, else
-    probed now, as a writable array or a view may have changed."""
-    x = a[p]
-    if isinstance(a, Frozen) and not x.flags.writeable and x.base is None:
-        return a.facts[p]
-    return _facts(x)
-
-
-def product(a: Band, b: Band, rows: slice = slice(None)) -> Band:
+def product(a: Frozen, b: Frozen, rows: slice = slice(None)) -> Band:
     """The band of the matrix product ab, over the row window ``rows``
-    (every row by default).
+    (every row by default); raises TypeError unless both factors are
+    ``Frozen``.
 
     Entry (i, i + p + q) gathers the terms a(i, i + p) b(i + p, i + p + q)
     with p ascending, scipy's column order, onto a sum that starts from
-    0.  A term is formed only where both factors store an entry: when
-    the terms of one (p, q) do not sum to a finite value, those with an
-    unstored factor are reset to 0, so a stored inf or NaN meets no
-    unstored 0.  Every step is elementwise, so a window's entries do not
-    depend on where the window lies.
+    0.  Every step is elementwise, so a window's entries do not depend
+    on where the window lies.
     """
     return band(_product(a, b, rows))
 
 
-def _product(a: Band, b: Band, rows: slice) -> dict:
+def _product(a: Frozen, b: Frozen, rows: slice) -> dict:
     """``product`` with the offsets that are all zero kept.
 
     Every output offset starts as +0, and each term is formed in one
     buffer and added onto it: a sum that starts from +0 never reads -0,
-    and the rows outside every term's range stay +0.  One shortcut keeps
-    its bits: a factor's plainness and finiteness are those of its whole
-    array (``_facts_in``), not of its window.  Every window of a plain
-    array is plain; where the window of an array that is not plain is
-    plain, ``_times`` runs in place of numpy's multiply, and both round as
-    scipy does there.  The reset runs exactly when a factor stores an inf or a
-    NaN anywhere: where both factors of a term are finite, an unstored
-    factor makes the term a zero, and the reset could only turn a -0
-    into +0, which a sum that starts from +0 cannot tell.
+    and the rows outside every term's range stay +0.  Where a factor
+    stores no entry the term is a finite zero, which a sum that starts
+    from +0 cannot tell from an unformed term.  One shortcut keeps its
+    bits: a factor's plainness is that of its whole array, not of its
+    window.  Every window of a plain array is plain; where the window of
+    an array that is not plain is plain, ``_times`` runs in place of
+    numpy's multiply, and both round as scipy does there.
     """
+    if not (isinstance(a, Frozen) and isinstance(b, Frozen)):
+        raise TypeError("product takes Frozen factors; pass each band through frozen")
     out = {}
     spare = None  # the term buffer
     for p, x in sorted(a.items()):
@@ -243,21 +223,17 @@ def _product(a: Band, b: Band, rows: slice) -> dict:
         if lo == hi:
             continue
         xs = x[lo:hi]
-        x_plain, x_finite = _facts_in(a, p)
         for q, y in b.items():
             ys = y[lo + p:hi + p]
-            y_plain, y_finite = _facts_in(b, q)
             if p + q not in out:
                 out[p + q] = np.zeros(r1 - r0, dtype=np.complex128)
             if spare is None:
                 spare = np.empty(r1 - r0, dtype=np.complex128)
             term = spare[lo - r0:hi - r0]
-            if x_plain or y_plain:
+            if a.plain[p] or b.plain[q]:
                 np.multiply(xs, ys, out=term)
             else:
                 _times(xs, ys, term)
-            if not (x_finite and y_finite):
-                term[(xs == 0) | (ys == 0)] = 0
             out[p + q][lo - r0:hi - r0] += term
     return out
 
@@ -305,8 +281,9 @@ def adjoint(a: Band, rows: slice = slice(None)) -> Band:
     return band(out)
 
 
-def commutator(a: Band, b: Band, rows: slice = slice(None)) -> Band:
-    """ab - ba, over the row window ``rows`` (every row by default).
+def commutator(a: Frozen, b: Frozen, rows: slice = slice(None)) -> Band:
+    """ab - ba, over the row window ``rows`` (every row by default), of
+    two ``Frozen`` bands.
 
     The products keep their offsets that are all zero, and the
     subtraction drops those of the difference: an all-zero offset of a

@@ -188,6 +188,14 @@ def counting_block_table(monkeypatch) -> list:
     return calls
 
 
+def casimir_is_finite(amset) -> bool:
+    """Whether scipy's J_x J_x + J_y J_y + J_z J_z over the matrices of
+    ``amset`` stores finite entries alone."""
+    m = csr_set(amset)
+    with np.errstate(all="ignore"):
+        return bool(np.isfinite((m.jx @ m.jx + m.jy @ m.jy + m.jz @ m.jz).data).all())
+
+
 class TestVerify:
     def test_small_basis_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--nmax", "6", "--no-meta")
@@ -232,6 +240,21 @@ class TestVerify:
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * kept, peak / kept
+
+    @pytest.mark.parametrize("directive", ["jx,1,2,1e-3", "jz,5,5,1e-3"])
+    def test_corruption_on_the_band_keeps_the_clean_peak(self, directive):
+        # a bump on a stored offset copies that offset alone, the old array
+        # freed before J^2 is built, and shares the others
+        corruption = cli._parse_corruption(directive, build_basis(500).size)
+        peaks = []
+        for args in ((), (corruption,)):
+            tracemalloc.start()
+            try:
+                cli.cmd_verify(500, 1.0, 1e-6, *args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], peaks[1] / peaks[0]
 
     def test_guard_admits_the_cap_without_allocating(self):
         tracemalloc.start()
@@ -355,6 +378,27 @@ class TestVerify:
         assert not equal(csr_set(bumped).jx, csr_set(amset).jx)
         assert csr_set(bumped).jx.toarray()[1, 3] == 1e-17
 
+    @pytest.mark.parametrize("corruptions", [
+        [("jx", 1, 2, 1e-3)], [("jz", 5, 5, -0.37)], [("jy", 0, 5, 1e-3)],
+        # the second bump cancels the first: offset 5 is all zero and dropped
+        [("jx", 0, 5, 1e-3), ("jx", 0, 5, -1e-3)],
+    ], ids=["jx-on-band", "jz-diagonal", "jy-new-offset", "cancelled"])
+    def test_corruption_copies_only_its_offset(self, corruptions):
+        # the bumped offset has the bits of adding a one-entry band, and
+        # every other offset is the operator's own array
+        amset = build_set(build_basis(4), 0.3)
+        for name, row, col, delta in corruptions:
+            op = getattr(amset, name)
+            bump = np.zeros(amset.basis.size, dtype=complex)
+            bump[row] = delta
+            want = operators.plus(op, {col - row: bump})
+            amset = cli._apply_corruption(amset, (name, row, col, delta))
+            got = getattr(amset, name)
+            assert sorted(got) == sorted(want)
+            for p, values in got.items():
+                assert values.tobytes() == want[p].tobytes()
+                assert (values is op.get(p)) == (p != col - row)
+
     @pytest.mark.parametrize(
         "name, row, col, expected",
         [
@@ -366,8 +410,12 @@ class TestVerify:
         ],
     )
     def test_nan_entry_fails_checks(self, name, row, col, expected):
+        # frozen refuses a NaN entry before any check reads it; a finite
+        # bump of the same entry fails the checks a NaN there failed
         amset = build_set(build_basis(3), 1.0)
-        bad = cli._apply_corruption(amset, (name, row, col, np.nan))
+        with pytest.raises(OverflowError):
+            cli._apply_corruption(amset, (name, row, col, np.nan))
+        bad = cli._apply_corruption(amset, (name, row, col, 1.0))
         checks, _ = cli.run_battery(bad, angular.casimir(bad), 1e-12)
         assert expected <= {c["name"] for c in checks if not c["pass"]}
 
@@ -447,16 +495,13 @@ class TestVerify:
         pytest.param(n_max, "jy,1,2,0.37", 0.3, id=f"{n_max}-jy,1,2,0.37-hbar0.3")
         for n_max in (1, 4, 7)
     ] + [
-        # a NaN entry, and an hbar at which J^2 overflows: a term is formed
-        # only where both factors store an entry, so NaN and inf spread
-        # exactly as through scipy
+        # a NaN or an infinite entry, which _apply_corruption refuses, and
+        # an hbar at which J^2 overflows, which casimir refuses
         pytest.param(n_max, directive, hbar, id=f"{n_max}-{directive}-hbar{hbar}")
         for n_max, directive, hbar in [
             (4, "jx,1,3,nan", 1.0), (4, "jz,4,4,nan", 0.3), (7, "jy,3,4,nan", 2.0),
             (4, "jtot,2,2,nan", 1.0), (6, "jx,1,2,1e-3", 1e160), (6, "jz,3,3,-1", 1e160),
             (23, "jy,80,8,1e-3", 1e160),
-            # an infinite entry: a product that met an unstored 0 would read
-            # NaN where scipy reads inf
             (4, "jx,1,2,inf", 1.0), (4, "jz,4,4,-inf", 0.3), (7, "jy,3,4,inf", 2.0),
             (4, "jtot,2,2,inf", 1.0), (4, "jx,1,3,inf", 0.3),
         ]
@@ -464,24 +509,28 @@ class TestVerify:
     def test_corrupted_residuals_match_operator_algebra(self, n_max, directive, hbar):
         amset = build_set(build_basis(n_max), hbar)
         name, row, col, delta = directive.split(",")
-        bad = cli._apply_corruption(amset, (name, int(row), int(col), float(delta)))
-        with np.errstate(all="ignore"):
-            checks, _ = cli.run_battery(bad, angular.casimir(bad), 1e-12)
-            want = algebra_residuals(bad)
+        corruption = (name, int(row), int(col), float(delta))
+        if not math.isfinite(corruption[3]):
+            with pytest.raises(OverflowError):
+                cli._apply_corruption(amset, corruption)
+            return
+        bad = cli._apply_corruption(amset, corruption)
+        if not casimir_is_finite(bad):
+            with np.errstate(all="ignore"), pytest.raises(OverflowError):
+                angular.casimir(bad)
+            return
+        checks, _ = cli.run_battery(bad, angular.casimir(bad), 1e-12)
         got = {c["name"]: c["max_residual"] for c in checks}
-        for name, value in want.items():
-            assert got[name] == value or (math.isnan(got[name]) and math.isnan(value)), name
+        for name, value in algebra_residuals(bad).items():
+            assert got[name] == value, name
 
     def test_overflowing_casimir_matches_operator_algebra(self):
-        # J_x^2 overflows at hbar 1e160, so J^2 stores inf and NaN entries
+        # J_x^2 overflows at hbar 1e160, where scipy's J^2 stores inf and
+        # NaN entries: casimir refuses it
         amset = build_set(build_basis(6), 1e160)
-        with np.errstate(all="ignore"):
-            checks, _ = cli.run_battery(amset, angular.casimir(amset), 1e-12)
-            want = algebra_residuals(amset)
-        got = {c["name"]: c["max_residual"] for c in checks}
-        assert not all(map(math.isfinite, got.values()))
-        for name, value in want.items():
-            assert got[name] == value or (math.isnan(got[name]) and math.isnan(value)), name
+        assert not casimir_is_finite(amset)
+        with np.errstate(all="ignore"), pytest.raises(OverflowError):
+            angular.casimir(amset)
 
     @pytest.mark.parametrize("rows", [1, 7, 64])
     @pytest.mark.parametrize("hbar", [1e-150, 1e-30, 0.3, 1.0, 1e30, 1e150])
@@ -511,9 +560,13 @@ class TestVerify:
         (4, "jtot,2,2,nan", 1.0),
     ])
     def test_windows_keep_infinite_residuals(self, monkeypatch, rows, n_max, directive, hbar):
+        # an inf or NaN entry is refused before any window reads it; a
+        # finite bump of the same entry keeps its residuals in windows
         name, row, col, delta = directive.split(",")
-        amset = cli._apply_corruption(build_set(build_basis(n_max), hbar),
-                                      (name, int(row), int(col), float(delta)))
+        amset = build_set(build_basis(n_max), hbar)
+        with pytest.raises(OverflowError):
+            cli._apply_corruption(amset, (name, int(row), int(col), float(delta)))
+        amset = cli._apply_corruption(amset, (name, int(row), int(col), 0.37))
         self.assert_windows_keep_residuals(monkeypatch, amset, rows)
 
     @staticmethod
@@ -663,8 +716,13 @@ class TestHermiticityResidual:
         ("jtot", 3, 4, 1e-3, False),
     ])
     def test_corrupted_operators(self, name, row, col, delta, same_offsets):
-        # same_offsets: the bumped operator stores the offsets it stored
+        # same_offsets: the bumped operator stores the offsets it stored;
+        # an inf or NaN entry is refused before any residual reads it
         amset = build_set(build_basis(4), 0.3)
+        if not math.isfinite(delta):
+            with pytest.raises(OverflowError):
+                cli._apply_corruption(amset, (name, row, col, delta))
+            return
         op = getattr(cli._apply_corruption(amset, (name, row, col, delta)), name)
         assert (set(op) == set(getattr(amset, name))) == same_offsets
         self.assert_same_bits(op, amset.basis.size)
@@ -1256,6 +1314,33 @@ class TestWriter:
         flags = " ".join([f"--hbar {float(hbar)}", *(["with"] if corrupt else []), *corrupt])
         assert (code, out) == (2, "")
         assert err == f"error: {flags}: a result overflows to a non-finite value\n"
+
+    @pytest.mark.parametrize("argv", [["--n", "1000", "--hbar", "1e308"],
+                                      ["--n", "200", "--hbar", "1e200"]])
+    def test_spectrum_overflow_reported_before_the_blocks(self, capsys, monkeypatch, argv):
+        # at 1e308 the operators store inf, at 1e200 only J^2 does: either
+        # way spectrum stops before its block table, with _emit's line
+        def unreachable(*args):
+            raise AssertionError("the block table was built")
+
+        monkeypatch.setattr(cli, "_blocks", unreachable)
+        code, out, err = run_cli(capsys, "spectrum", *argv, "--no-meta")
+        assert (code, out) == (2, "")
+        assert err == f"error: --hbar {float(argv[3])}: a result overflows to a non-finite value\n"
+
+    @pytest.mark.parametrize("argv", [
+        # the entry is inf: the DELTA cannot change it
+        ["--nmax", "3", "--hbar", "1.7e308", "--corrupt", "jz,6,6,1"],
+        # finite entries that absorb the DELTA, in sets that overflow
+        ["--nmax", "3", "--hbar", "1.7e308", "--corrupt", "jz,0,0,0"],
+        ["--nmax", "12", "--hbar", "1e308", "--corrupt", "jx,3,4,1e-3"],
+    ])
+    def test_overflowed_set_reported_before_the_corruption(self, capsys, argv):
+        # build_set refuses the set before --corrupt is checked against it
+        code, out, err = run_cli(capsys, "verify", *argv, "--no-meta")
+        assert (code, out) == (2, "")
+        assert err == (f"error: --hbar {float(argv[3])} with --corrupt {argv[5]}: "
+                       "a result overflows to a non-finite value\n")
 
     def test_empty_table(self):
         doc = {"command": "x", "rows": cli.Table("row", {"a": []}), "ok": True}

@@ -342,6 +342,9 @@ def set_operands(draw, count: int):
 
 # Each check holds a band operation, or a residual's form, to the bits of
 # its scipy expression; NaN and inf are drawn on purpose, so none warns.
+# A product takes only finite ``Frozen`` bands, so its checks read the
+# finite part of each operand, after checking that ``frozen`` refuses
+# the whole (``finite_operands``).
 
 def check_round_trip(m):
     """``band_of`` and ``to_csr`` carry ``m`` to its band and back to the
@@ -357,22 +360,38 @@ def check_round_trip(m):
     assert (main + 0).tobytes() == m.diagonal().tobytes()
 
 
-def bands_of(ms, frozen: bool) -> list:
-    """The bands of the matrices ``ms``; with ``frozen`` their arrays are
-    read-only, and ``product`` keeps the facts it works out about them."""
-    bands = [band_of(m) for m in ms]
-    return [operators.frozen(b) for b in bands] if frozen else bands
+def finite_operands(*ms) -> list:
+    """``ms`` with their inf and NaN entries dropped.  ``frozen`` refuses
+    the band of a matrix that stores one with OverflowError, and leaves
+    its arrays writable."""
+    out = []
+    for m in ms:
+        keep = np.isfinite(m.data)
+        if not keep.all():
+            b = band_of(m)
+            with pytest.raises(OverflowError, match="non-finite"):
+                operators.frozen(b)
+            assert all(x.flags.writeable for x in b.values())
+            m = from_entries(m.shape[0], row_indices(m)[keep], m.indices[keep], m.data[keep])
+        out.append(m)
+    return out
+
+
+def frozen_bands(*ms) -> list:
+    """The ``Frozen`` bands of the finite matrices ``ms``, the factors
+    ``product`` takes."""
+    return [operators.frozen(band_of(m)) for m in ms]
 
 
 @np.errstate(all="ignore")
 def check_product(a, b):
-    """ab of writable bands, which ``product`` probes on every call, and of
-    frozen ones, twice: the second call reads the facts the first kept."""
+    """ab of the frozen bands of a's and b's finite parts, twice over the
+    plainness ``frozen`` worked out once."""
+    a, b = finite_operands(a, b)
+    A, B = frozen_bands(a, b)
     want = canonical(a @ b)
-    for frozen in (False, True):
-        A, B = bands_of((a, b), frozen)
-        for _ in range(1 + frozen):
-            assert_band_of(operators.product(A, B), want)
+    for _ in range(2):
+        assert_band_of(operators.product(A, B), want)
 
 
 @np.errstate(all="ignore")
@@ -397,8 +416,10 @@ def check_adjoint(a):
 
 @np.errstate(all="ignore")
 def check_commutator(a, b):
-    """[a, b] and its largest entry, the battery's residual of it."""
-    got, want = operators.commutator(band_of(a), band_of(b)), canonical(a @ b - b @ a)
+    """[a, b] of a's and b's finite parts, and its largest entry, the
+    battery's residual of it."""
+    a, b = finite_operands(a, b)
+    got, want = operators.commutator(*frozen_bands(a, b)), canonical(a @ b - b @ a)
     assert_band_of(got, want)
     assert same_float(operators.max_abs(got), max_abs(want))
 
@@ -425,8 +446,9 @@ def check_norms(a):
 def check_commutator_plus_term(a, b, c, s):
     """The largest entry of ``plus(commutator(a, b), scaled(c, s))``, the
     form of the su(2) residuals, and of ``c * -s - [a, b]`` is that of
-    scipy's ``(ab - ba) + c * s``."""
-    ab = operators.commutator(band_of(a), band_of(b))
+    scipy's ``(ab - ba) + c * s``, with a's and b's finite parts."""
+    a, b = finite_operands(a, b)
+    ab = operators.commutator(*frozen_bands(a, b))
     got = operators.max_abs(operators.plus(ab, operators.scaled(band_of(c), s)))
     flipped = operators.max_abs(operators.minus(operators.scaled(band_of(c), -s), ab))
     want = max_abs(canonical(a @ b - b @ a + c * s))
@@ -436,8 +458,9 @@ def check_commutator_plus_term(a, b, c, s):
 @np.errstate(all="ignore")
 def check_square_sum(a, b, c):
     """``plus(plus(product(a, a), product(b, b)), product(c, c))``, the form
-    of J^2, is scipy's ``a @ a + b @ b + c @ c``."""
-    a_, b_, c_ = band_of(a), band_of(b), band_of(c)
+    of J^2, is scipy's ``a @ a + b @ b + c @ c``, with the finite parts."""
+    a, b, c = finite_operands(a, b, c)
+    a_, b_, c_ = frozen_bands(a, b, c)
     got = operators.plus(operators.plus(operators.product(a_, a_), operators.product(b_, b_)),
                          operators.product(c_, c_))
     assert_band_of(got, canonical(a @ a + b @ b + c @ c))
@@ -446,8 +469,10 @@ def check_square_sum(a, b, c):
 @np.errstate(all="ignore")
 def check_quadratic(c, t, s):
     """The battery's two groupings of J^2 - J J - hbar J are scipy's
-    ``max_abs(c - (t @ t + t * s))`` and ``max_abs((c - t @ t) - t * s)``."""
-    cb, tb = band_of(c), band_of(t)
+    ``max_abs(c - (t @ t + t * s))`` and ``max_abs((c - t @ t) - t * s)``,
+    with t's finite part."""
+    t, = finite_operands(t)
+    cb, tb = band_of(c), operators.frozen(band_of(t))
     tt, ts = operators.product(tb, tb), operators.scaled(tb, s)
     got = (operators.max_abs(operators.minus(cb, operators.plus(tt, ts))),
            operators.max_abs(operators.minus(operators.minus(cb, tt), ts)))
@@ -461,27 +486,28 @@ WINDOW_SIZES = (1, 2, 3, 7, 64, 10**6)
 
 @np.errstate(all="ignore")
 def check_windows(a, b, r0: int):
-    """``product``, ``adjoint`` and ``commutator`` of writable and of
-    frozen bands are scipy's, and over rows r0:r0 + size they are those
-    rows of the whole result bit for bit, for every size of
-    ``WINDOW_SIZES``, and over the last window of each size too."""
+    """``adjoint`` of a, and ``product`` and ``commutator`` of the frozen
+    bands of a's and b's finite parts, are scipy's, and over rows
+    r0:r0 + size they are those rows of the whole result bit for bit,
+    for every size of ``WINDOW_SIZES``, and over the last window of each
+    size too."""
     dim = a.shape[0]
-    for frozen in (False, True):
-        A, B = bands_of((a, b), frozen)
-        wholes = [(operators.product, (A, B), a @ b), (operators.product, (B, A), b @ a),
-                  (operators.adjoint, (A,), a.conj().T),
-                  (operators.commutator, (A, B), a @ b - b @ a)]
-        for op, args, matrix in wholes:
-            whole = op(*args)
-            assert_band_of(whole, canonical(matrix))
-            for size in WINDOW_SIZES:
-                for start in (r0, max(0, dim - size)):
-                    rows = slice(start, start + size)
-                    got = op(*args, rows=rows)
-                    want = operators.band(operators.window(whole, rows))
-                    assert got.keys() == want.keys(), (op.__name__, frozen, rows)
-                    for p, values in got.items():
-                        assert values.tobytes() == want[p].tobytes(), (op.__name__, frozen, rows, p)
+    fa, fb = finite_operands(a, b)
+    A, B = frozen_bands(fa, fb)
+    wholes = [(operators.product, (A, B), fa @ fb), (operators.product, (B, A), fb @ fa),
+              (operators.adjoint, (band_of(a),), a.conj().T),
+              (operators.commutator, (A, B), fa @ fb - fb @ fa)]
+    for op, args, matrix in wholes:
+        whole = op(*args)
+        assert_band_of(whole, canonical(matrix))
+        for size in WINDOW_SIZES:
+            for start in (r0, max(0, dim - size)):
+                rows = slice(start, start + size)
+                got = op(*args, rows=rows)
+                want = operators.band(operators.window(whole, rows))
+                assert got.keys() == want.keys(), (op.__name__, rows)
+                for p, values in got.items():
+                    assert values.tobytes() == want[p].tobytes(), (op.__name__, rows, p)
 
 
 def check_every_operation(ms):
@@ -525,8 +551,8 @@ def exact_zero_operands(seed: int) -> list:
 def non_finite_operands(seed: int) -> list:
     """J_x + J_y at n_max 10, scaled by 0.7, with an inf or a NaN at two
     random entries on or near its band, among exact zeros; and a
-    diagonal D of 0.3, 0.6, 0.9 or an exact 0.  In their products a
-    stored inf or NaN meets D's exact zeros and J's unstored entries."""
+    diagonal D of 0.3, 0.6, 0.9 or an exact 0.  ``frozen`` refuses J, and
+    the products of its finite part meet D's exact zeros."""
     rng = np.random.default_rng(seed)
     amset = csr_set(build_set(build_basis(10), 1.0))
     dim = amset.jx.shape[0]
@@ -539,12 +565,12 @@ def non_finite_operands(seed: int) -> list:
 
 
 def window_fact_operands(seed: int) -> list:
-    """Two bands at n_max 10 whose windows' facts are not their whole
+    """Two bands at n_max 10 whose windows' plainness is not their whole
     arrays': C stores real entries on and near its band up to row 40 and
     complex ones past it, so a window of the first 40 rows is plain while
     C is not; F stores complex entries, one of them an inf past row
-    60, at every other place of C's pattern, so a window that ends before
-    it is finite while F is not."""
+    60, at every other place of C's pattern, so ``frozen`` refuses F and
+    the products read its finite part."""
     rng = np.random.default_rng(seed)
     dim = build_basis(10).size
     rows = np.repeat(np.arange(dim), 3)
@@ -575,9 +601,11 @@ def magnitude_operands() -> list:
 
 class TestBandAlgebra:
     """Every band operation holds the bits of the scipy expression it
-    stands for over the canonical matrices, NaN and inf entries, exact
-    cancellations and entries far off the band included, on drawn
-    operands scaled by non-dyadic factors and on fixed ones."""
+    stands for over the canonical matrices, exact cancellations and
+    entries far off the band included, on drawn operands scaled by
+    non-dyadic factors and on fixed ones.  NaN and inf entries are drawn
+    too: ``frozen`` refuses them, so a product reads the finite part of
+    its operands, and the other operations take them whole."""
 
     @settings(deadline=None)
     @given(set_operands(1))
@@ -658,40 +686,37 @@ class TestBandAlgebra:
 
     @np.errstate(all="ignore")
     def test_product_reads_what_a_band_holds_now(self):
-        """A band's arrays change between two products: in place while
-        writable, and after being frozen, used and made writable again,
-        and then frozen once more.  Each product is that of the band's
-        contents at its call: no fact worked out before the change
-        survives it."""
+        """A frozen band's array is made writable, changed and frozen
+        again: the product is that of the band's contents after the
+        change, its plainness worked out afresh.  Frozen again after an
+        inf or a NaN is written, the band is refused, its arrays left
+        writable."""
         amset = csr_set(build_set(build_basis(6), 1.0))
-        a, b = canonical(amset.jx * 0.7), canonical(amset.jy * 0.1)
-        B = band_of(b)
-        for refreeze in (False, True):
-            A = band_of(a)
-            if refreeze:
-                A = operators.frozen(A)
-            assert_band_of(operators.product(A, B), canonical(a @ b))
+        a, b = canonical(amset.jx * 0.7), canonical(amset.jx * 0.3 + amset.jy * 0.1)
+        A, B = frozen_bands(a, b)
+        assert_band_of(operators.product(A, B), canonical(a @ b))
+        A[1].flags.writeable = True
+        # complex entries at rows where B stores entries and where it
+        # stores none, in a real array
+        A[1][2], A[1][3], A[1][5] = complex(0.3, 0.7), 0.9, complex(0, -0.1)
+        got = to_csr(A, a.shape[0])
+        A = operators.frozen(A)
+        assert_band_of(operators.product(A, B), canonical(got @ b))
+        for bad in (np.inf, np.nan):
             A[1].flags.writeable = True
-            # a complex entry next to an inf, at rows where J_y stores
-            # entries and where it stores none
-            A[1][2], A[1][3] = complex(0.3, 0.7), np.inf
-            A[1][5] = np.nan
-            got = to_csr(A, a.shape[0])
-            assert_band_of(operators.product(A, B), canonical(got @ b))
-            if refreeze:
-                A = operators.frozen(A)
-                assert_band_of(operators.product(A, B), canonical(got @ b))
+            A[1][3] = bad
+            with pytest.raises(OverflowError):
+                operators.frozen(A)
+            assert A[1].flags.writeable
 
     def test_frozen_facts_are_probed_once(self, monkeypatch):
         """``frozen`` probes each array of a band once, and products of the
-        ``Frozen`` band it returns probe nothing.  A writable band, a frozen
-        band of views and a frozen band whose array was made writable again
-        are probed on every call, on either side of the product."""
+        ``Frozen`` band it returns probe nothing."""
         amset = build_set(build_basis(6), 0.3)
         jx, jy = amset.jx, amset.jy
         probed = []
-        probe = operators._facts
-        monkeypatch.setattr(operators, "_facts", lambda x: probed.append(x) or probe(x))
+        probe = operators._plain
+        monkeypatch.setattr(operators, "_plain", lambda x: probed.append(x) or probe(x))
         for _ in range(3):
             operators.product(jx, jy)
             operators.commutator(jy, jx)
@@ -699,22 +724,37 @@ class TestBandAlgebra:
         fresh = operators.frozen({p: x.copy() for p, x in jx.items()})
         assert [id(x) for x in probed] == [id(x) for x in fresh.values()]
 
-        writable = {p: x.copy() for p, x in jx.items()}
-        views = operators.frozen({p: x[:] for p, x in jx.items()})
-        rewritten = operators.frozen({p: x.copy() for p, x in jx.items()})
-        rewritten[1].flags.writeable = True
-        for a, untrusted in ((writable, writable.values()), (views, views.values()),
-                             (rewritten, [rewritten[1]])):
-            for _ in range(2):
-                for left, right in ((a, jy), (jy, a)):
-                    probed.clear()
-                    operators.product(left, right)
-                    assert {id(x) for x in probed} == {id(x) for x in untrusted}
+    def test_products_take_frozen_factors_only(self):
+        """``product`` and ``commutator`` raise TypeError on a band that did
+        not pass through ``frozen``, on either side, writable or
+        read-only, whole or windowed."""
+        jx = build_set(build_basis(4), 0.3).jx
+        for unfrozen in ({p: x.copy() for p, x in jx.items()}, dict(jx), {}):
+            for op in (operators.product, operators.commutator):
+                for args in ((unfrozen, jx), (jx, unfrozen)):
+                    for rows in (slice(None), slice(2, 5)):
+                        with pytest.raises(TypeError, match="Frozen"):
+                            op(*args, rows=rows)
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(np.inf, 0),
+                                     complex(-np.inf, 1), complex(0, np.inf),
+                                     complex(0, np.nan)])
+    def test_frozen_refuses_non_finite_entries(self, bad):
+        """``frozen`` raises OverflowError on a band that stores inf or NaN in
+        any of its arrays, and makes none of them read-only."""
+        values = np.arange(1, 7, dtype=np.complex128)
+        for at in (0, 5):
+            band = {-1: values.copy(), 0: values.copy(), 2: values.copy()}
+            band[0][at] = bad
+            with pytest.raises(OverflowError, match="non-finite"):
+                operators.frozen(band)
+            assert all(x.flags.writeable for x in band.values())
 
     def test_empty_band(self):
         for dim in (0, 1, 6):
             assert identical(to_csr({}, dim), zero(dim))
-        assert operators.product({}, {}) == operators.plus({}, {}) == {}
+        empty = operators.frozen({})
+        assert operators.product(empty, empty) == operators.plus({}, {}) == {}
         assert operators.max_abs({}) == max_abs(zero(6)) == 0.0
 
     @pytest.mark.parametrize("seed", range(4))
@@ -788,8 +828,8 @@ def angular_momentum_sets(hbar: float):
     at (3, 8) or off J's diagonal at (3, 4)."""
     clean = build_set(build_basis(6), hbar)
     bump = np.where(np.arange(clean.basis.size) == 3, 1e-3 * hbar, 0j)
-    return (clean, dataclasses.replace(clean, jx={**clean.jx, 5: bump}),
-            dataclasses.replace(clean, jtot={**clean.jtot, 1: bump}))
+    return (clean, dataclasses.replace(clean, jx=operators.frozen({**clean.jx, 5: bump})),
+            dataclasses.replace(clean, jtot=operators.frozen({**clean.jtot, 1: bump})))
 
 
 def set_bands(amset) -> tuple:
@@ -873,7 +913,8 @@ class TestTransposeOrder:
 
 class TestCommutatorRule:
     """``commutator`` holds the bits of scipy's ab - ba, whether ``b`` is
-    diagonal or not, NaN and inf entries included."""
+    diagonal or not; an operand with a NaN or inf entry is refused by
+    ``frozen`` and its finite part taken."""
 
     @settings(deadline=None)
     @given(near_diagonal_operands((21, 0)))

@@ -316,9 +316,12 @@ class TestBlockTableOrder:
         amset = build_set(build_basis(6), 0.3)
         corrupted = cli._apply_corruption(amset, cli._parse_corruption(directive, amset.basis.size))
         jz = corrupted.jz[0]
-        # a level of 1e300 overflows J^2 and the table's sums, as verify allows
-        with np.errstate(all="ignore"):
-            levels = cli._blocks(corrupted, angular.casimir(corrupted), 0)["levels"]
+        if directive == "jz,0,0,1e300":
+            # a level of 1e300 overflows J^2, which casimir refuses
+            with np.errstate(all="ignore"), pytest.raises(OverflowError):
+                angular.casimir(corrupted)
+            return
+        levels = cli._blocks(corrupted, angular.casimir(corrupted), 0)["levels"]
         assert levels.tobytes() == lexsorted_levels(range(7), jz).tobytes()
 
 
