@@ -600,23 +600,17 @@ def _apply_corruption(amset: AngularMomentumSet, corruption) -> AngularMomentumS
     return dataclasses.replace(amset, **{name: frozen(band({**op, p: values}))})
 
 
-def _entry(op: Band, row: int, col: int) -> complex:
-    """Entry (row, col) of the band ``op``, 0 where it stores none."""
-    values = op.get(col - row)
-    return 0.0 if values is None else values[row]
-
-
 def cmd_verify(n_max: int, hbar: float, tol: float, corruption: tuple | None = None):
     """The verify document.  ``build_set``, ``_apply_corruption`` and
     ``casimir`` raise OverflowError as soon as an operator or J^2
     stores inf or NaN, before the battery runs."""
     amset = build_set(build_basis(n_max), hbar)
     if corruption:
-        # a DELTA the stored entry absorbs would run the clean battery.  The
-        # entry is read through _entry, so no name here keeps the old
-        # operator's arrays alive through the battery
+        # a DELTA the stored entry absorbs would run the clean battery
         name, row, col, delta = corruption
-        value = _entry(getattr(amset, name), row, col)
+        stored = getattr(amset, name).get(col - row)
+        value = 0.0 if stored is None else stored[row]
+        del stored  # the old array must not live through the battery
         if value + delta == value:
             raise UsageError(f"--corrupt DELTA {delta!r} leaves entry ({row},{col}) "
                              f"of {name} unchanged")
@@ -832,7 +826,11 @@ def _dispatch(args):
         if args.corrupt is not None:
             corruption = _parse_corruption(args.corrupt, build_basis(args.nmax).size)
             flags += f" with --corrupt {args.corrupt}"
-        run = functools.partial(cmd_verify, args.nmax, hbar, tol, corruption)
+        # ``frozen`` refuses an operator or J^2 that stores inf or NaN
+        try:
+            return cmd_verify(args.nmax, hbar, tol, corruption), tol, flags
+        except OverflowError:
+            raise _overflow(flags) from None
     if args.command == "spectrum":
         # without --nmax the basis is just large enough for --n
         n_max = args.n if args.nmax is None else args.nmax
@@ -842,13 +840,10 @@ def _dispatch(args):
             raise UsageError(f"--n must be non-negative, got {args.n}")
         if args.n > n_max:
             raise UsageError(f"--n {args.n} exceeds --nmax {n_max}")
-        run, flags = functools.partial(cmd_spectrum, args.n, n_max, hbar, tol), f"--hbar {hbar}"
-    if args.command in ("verify", "spectrum"):
-        # ``frozen`` refuses an operator or J^2 that stores inf or NaN
         try:
-            return run(), tol, flags
+            return cmd_spectrum(args.n, n_max, hbar, tol), tol, f"--hbar {hbar}"
         except OverflowError:
-            raise _overflow(flags) from None
+            raise _overflow(f"--hbar {hbar}") from None
 
     # classical: the subparsers are required, so no other command is left
     _require_in_range("--count", args.count, COUNT_LIMIT, least=1)

@@ -505,6 +505,14 @@ class TestVerify:
             (4, "jx,1,2,inf", 1.0), (4, "jz,4,4,-inf", 0.3), (7, "jy,3,4,inf", 2.0),
             (4, "jtot,2,2,inf", 1.0), (4, "jx,1,3,inf", 0.3),
         ]
+    ] + [
+        # finite operators and J^2 whose residuals overflow: [J^2, J_i] or
+        # J J reads inf, or inf - inf = NaN, exactly as through scipy
+        pytest.param(n_max, directive, hbar, id=f"{n_max}-{directive}-hbar{hbar}")
+        for n_max, directive, hbar in [
+            (4, "jz,4,4,0.37", 1e120), (4, "jx,0,3,1e110", 1e100), (7, "jy,11,12,1e160", 2.0),
+            (4, "jtot,1,12,1.5e308", 1.0), (12, "jtot,67,80,1.5e308", 1.0),
+        ]
     ])
     def test_corrupted_residuals_match_operator_algebra(self, n_max, directive, hbar):
         amset = build_set(build_basis(n_max), hbar)
@@ -519,10 +527,7 @@ class TestVerify:
             with np.errstate(all="ignore"), pytest.raises(OverflowError):
                 angular.casimir(bad)
             return
-        checks, _ = cli.run_battery(bad, angular.casimir(bad), 1e-12)
-        got = {c["name"]: c["max_residual"] for c in checks}
-        for name, value in algebra_residuals(bad).items():
-            assert got[name] == value, name
+        self.assert_residuals_match_operator_algebra(bad)
 
     def test_overflowing_casimir_matches_operator_algebra(self):
         # J_x^2 overflows at hbar 1e160, where scipy's J^2 stores inf and
@@ -531,6 +536,24 @@ class TestVerify:
         assert not casimir_is_finite(amset)
         with np.errstate(all="ignore"), pytest.raises(OverflowError):
             angular.casimir(amset)
+        # at 1e110 J^2 is finite, but [J^2, J_i] overflows in both orders
+        # and reads NaN
+        amset = build_set(build_basis(6), 1e110)
+        assert casimir_is_finite(amset)
+        got = self.assert_residuals_match_operator_algebra(amset)
+        assert all(math.isnan(got[f"casimir_commutes_{axis}"]) for axis in "xyz")
+
+    @staticmethod
+    def assert_residuals_match_operator_algebra(amset) -> dict:
+        """The battery's residuals of ``amset`` are scipy's, NaN for NaN;
+        returns them by check name."""
+        with np.errstate(all="ignore"):
+            checks, _ = cli.run_battery(amset, angular.casimir(amset), 1e-12)
+            want = algebra_residuals(amset)
+        got = {c["name"]: c["max_residual"] for c in checks}
+        for name, value in want.items():
+            assert got[name] == value or (math.isnan(got[name]) and math.isnan(value)), name
+        return got
 
     @pytest.mark.parametrize("rows", [1, 7, 64])
     @pytest.mark.parametrize("hbar", [1e-150, 1e-30, 0.3, 1.0, 1e30, 1e150])
@@ -554,8 +577,6 @@ class TestVerify:
     @pytest.mark.parametrize("n_max, directive, hbar", [
         (4, "jx,1,2,inf", 1.0), (4, "jz,4,4,-inf", 0.3), (7, "jy,3,4,inf", 2.0),
         (4, "jtot,2,2,inf", 1.0), (4, "jx,1,3,inf", 0.3),
-        # a NaN lands in a later window than finite ones, which a maximum
-        # through max or np.nanmax would drop
         (4, "jx,1,3,nan", 1.0), (4, "jz,4,4,nan", 0.3), (7, "jy,3,4,nan", 2.0),
         (4, "jtot,2,2,nan", 1.0),
     ])
@@ -569,10 +590,30 @@ class TestVerify:
         amset = cli._apply_corruption(amset, (name, int(row), int(col), 0.37))
         self.assert_windows_keep_residuals(monkeypatch, amset, rows)
 
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("n_max, corruption, hbar, non_finite", [
+        # finite operators and J^2 whose residuals read inf or NaN in a
+        # later window than finite ones, which a maximum through max or
+        # np.nanmax would drop: [J^2, J_i] is inf - inf past the vacuum row
+        (4, None, 1e120, {"casimir_commutes_x", "casimir_commutes_y", "casimir_commutes_z"}),
+        (7, ("jy", 11, 12, 1e160), 2.0, {"casimir_commutes_y"}),
+        # J J and [J_i, J] overflow in row 67, the second window of 64 rows
+        (12, ("jtot", 67, 80, 1.5e308), 1.0,
+         {"total_commutes_x", "total_commutes_y", "total_commutes_z",
+          "quadratic_identity_quantum", "quadratic_identity_classical_form"}),
+    ], ids=["4-hbar1e120", "7-jy,11,12,1e160-hbar2.0", "12-jtot,67,80,1.5e308-hbar1.0"])
+    def test_windows_keep_overflowing_residuals(self, monkeypatch, rows, n_max, corruption,
+                                                hbar, non_finite):
+        amset = build_set(build_basis(n_max), hbar)
+        if corruption:
+            amset = cli._apply_corruption(amset, corruption)
+        got = self.assert_windows_keep_residuals(monkeypatch, amset, rows)
+        assert {name for name, value in got.items() if not math.isfinite(value)} == non_finite
+
     @staticmethod
-    def assert_windows_keep_residuals(monkeypatch, amset, rows):
+    def assert_windows_keep_residuals(monkeypatch, amset, rows) -> dict:
         """``run_battery``'s 23 residuals over windows of ``rows`` rows are
-        the residuals of one window to the bit."""
+        the residuals of one window to the bit; returns them by name."""
         with np.errstate(all="ignore"):
             want, _ = cli.run_battery(amset, angular.casimir(amset), 1e-12)
             with monkeypatch.context() as m:
@@ -583,6 +624,7 @@ class TestVerify:
             assert g["name"] == w["name"]
             assert np.float64(g["max_residual"]).tobytes() == np.float64(w["max_residual"]).tobytes() \
                 or math.isnan(g["max_residual"]) and math.isnan(w["max_residual"]), g["name"]
+        return {g["name"]: g["max_residual"] for g in got}
 
     @pytest.mark.parametrize("directive, name", [
         # the mirror entry (8192, 8191) lies in the next window of 8192 rows
