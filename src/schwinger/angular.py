@@ -33,8 +33,8 @@ from .operators import (
     plus,
     product,
     row_product,
-    row_windows,
     scaled,
+    shell_windows,
 )
 
 
@@ -100,14 +100,14 @@ def _lowered(values: np.ndarray, c: complex) -> np.ndarray:
 
 def casimir(amset: AngularMomentumSet) -> Band:
     """J^2 = J_x^2 + J_y^2 + J_z^2 as a band: its main diagonal alone on a
-    clean set.  It is summed over the ``row_windows`` of the basis, one
+    clean set.  It is summed over the ``shell_windows`` of the basis, one
     window on a basis of at most ``WINDOW_ROWS`` rows, each written into
     the whole arrays as it is done, and returned ``frozen`` like the
     operators, which raises OverflowError when J^2 stores inf or NaN."""
     jx, jy, jz = amset.jx, amset.jy, amset.jz
     dim = amset.basis.size
     out = {}
-    for rows in row_windows(dim):
+    for _, rows in shell_windows(amset.basis.n_max):
         part = plus(plus(product(jx, jx, rows), product(jy, jy, rows)), product(jz, jz, rows))
         for p, values in part.items():
             if p not in out:

@@ -38,7 +38,6 @@ from .angular import AngularMomentumSet, build_set, casimir
 from .classical import sample_amplitudes
 from .fock import build_basis, position
 from .operators import (
-    WINDOW_ROWS,
     Band,
     adjoint,
     band,
@@ -48,9 +47,9 @@ from .operators import (
     minus,
     plus,
     product,
-    row_windows,
     rows_of,
     scaled,
+    shell_windows,
     window,
 )
 from .spectra import block_table, cos_theta, sum_rule_check
@@ -58,7 +57,8 @@ from .spectra import block_table, cos_theta, sum_rule_check
 # verify at n_max 1000 (dimension 501501) takes 0.4-0.6 s and 100 MB
 # from the shell, 68 MB of it the operators, J^2's diagonal and the
 # occupations it keeps, below the 5 s of classical at COUNT_LIMIT on 2
-# CPUs; at 1500 it took 9 s and 500 MB
+# CPUs.  At 1500 one cmd_verify in a fresh interpreter takes 0.61-0.83 s
+# with a 186 MB max RSS (5 runs, 2 CPUs, numpy 2.4)
 N_MAX_LIMIT = 1000
 
 # The cap on the table commands angle, limit and sumrule, each of which
@@ -442,24 +442,23 @@ def _blocks(amset: AngularMomentumSet, cas: Band, first: int) -> dict:
     blocks included, with the columns ascending.  A clean J^2 stores
     none, so every radius is 0.
 
-    ``block_table`` runs on groups of whole consecutive blocks of at most
-    ``WINDOW_ROWS`` rows, a block longer than that alone, and each
-    group's values are written into the whole table.  Every value of a
-    block, its level order included, depends only on its own rows, so
-    the table has the bits of one call over every block.
+    ``block_table`` runs on each of the ``shell_windows`` from block
+    ``first`` on, and each window's values are written into the whole
+    table.  Every value of a block, its level order included, depends
+    only on its own rows, so the table has the bits of one call over
+    every block.
     """
     n_max, hbar = amset.basis.n_max, amset.hbar
     top = position(first, 0)
     table = {}
-    for lo, hi in _block_groups(first, n_max + 1):
-        rows = slice(position(lo, 0), position(hi, 0))
+    for shells, rows in shell_windows(n_max, first):
         size = rows.stop - rows.start
         radii = np.zeros(size)
         for p in sorted(cas):
             if p:
                 radii += np.abs(cas[p][rows])
         jz, centres = (op[0][rows] if 0 in op else np.zeros(size) for op in (amset.jz, cas))
-        part = block_table(range(lo, hi), hbar, jz, np.real(centres), radii)
+        part = block_table(shells, hbar, jz, np.real(centres), radii)
         part["starts"] += rows.start - top
         if not table:
             table = {key: np.empty(position(n_max + 1, 0) - top if key == "levels"
@@ -467,21 +466,8 @@ def _blocks(amset: AngularMomentumSet, cas: Band, first: int) -> dict:
                      for key, values in part.items()}
         for key, values in part.items():
             table[key][slice(rows.start - top, rows.stop - top) if key == "levels"
-                       else slice(lo - first, hi - first)] = values
+                       else slice(shells.start - first, shells.stop - first)] = values
     return table
-
-
-def _block_groups(first: int, end: int) -> list:
-    """(lo, hi) pairs cutting blocks ``first`` .. end - 1, block n holding
-    n + 1 rows, into groups of consecutive blocks lo .. hi - 1 of at most
-    ``WINDOW_ROWS`` rows, a block longer than that alone."""
-    groups, lo, rows = [], first, 0
-    for n in range(first, end):
-        if rows + n + 1 > WINDOW_ROWS and n > lo:
-            groups.append((lo, n))
-            lo, rows = n, 0
-        rows += n + 1
-    return groups + [(lo, end)]
 
 
 def _verdict(checks: list[dict], tol: float) -> int:
@@ -532,13 +518,13 @@ def run_battery(amset: AngularMomentumSet, cas: Band, tol: float):
     Each check is {"name", "max_residual", "pass"}; pass means the
     residual is within tol.  ``blocks`` is the ``block`` Table, one
     record per block in the fixed report schema.  Each of the
-    ``row_windows`` of the basis is read once for every check of
+    ``shell_windows`` of the basis is read once for every check of
     ``_window_residuals``, and each such check reads the largest of its
     windows' values: NaN if any window holds a NaN, the bits of the
     whole-matrix residual's largest entry.
     """
     per_window = []
-    for rows in row_windows(amset.basis.size):
+    for _, rows in shell_windows(amset.basis.n_max):
         names, values = zip(*_window_residuals(amset, cas, rows))
         per_window.append(values)
     # np.max keeps a NaN of any window, which max and np.nanmax would drop

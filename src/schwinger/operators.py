@@ -38,9 +38,11 @@ one row window ``rows=slice(r0, r1)``, every row by default: a band
 whose arrays have length r1 - r0, entry k holding the element
 (r0 + k, r0 + k + p), read off the factors' whole arrays at the shifted
 rows.  Its rows equal rows r0:r1 of the whole result bit for bit.
-``row_windows`` cuts a basis into slices of ``WINDOW_ROWS`` rows, so
-the temporaries of a long chain of operations stay small and are
-reused, not faulted in afresh.
+``shell_windows`` cuts a basis into windows of whole shells, the
+constant-n blocks every J operator keeps, of at most ``WINDOW_ROWS``
+rows, so the temporaries of a long chain of operations stay small and
+are reused, not faulted in afresh.  It is the one windowing: J^2, the
+verify battery and the block table all run over its windows.
 """
 
 from __future__ import annotations
@@ -54,9 +56,8 @@ RowMap = tuple
 # offset -> complex array of length dim, as the module docstring says
 Band = dict
 
-# rows per window of ``row_windows``: a window's complex array is 128 KiB.
-# ``cli._blocks`` reads the block table in groups of whole blocks of at
-# most this many rows
+# the most rows a window of ``shell_windows`` holds unless one shell is
+# longer: a window's complex array is at most 128 KiB
 WINDOW_ROWS = 8192
 
 
@@ -153,11 +154,19 @@ def rows_of(p: int, dim: int, rows: slice = slice(None)) -> slice:
     return slice(start, max(start, min(r1, dim - p)))
 
 
-def row_windows(dim: int) -> list:
-    """Row windows of ``WINDOW_ROWS`` rows covering a dim x dim matrix in
-    order, each a slice; the last may reach past row dim, which cuts it
-    short, so a basis of at most ``WINDOW_ROWS`` rows is one window."""
-    return [slice(r, r + WINDOW_ROWS) for r in range(0, dim, WINDOW_ROWS)]
+def shell_windows(n_max: int, first: int = 0) -> list:
+    """(shells, rows) pairs cutting shells ``first`` .. n_max in order,
+    shell n holding the n + 1 rows from ``position(n, 0)``, into windows
+    of consecutive whole shells of at most ``WINDOW_ROWS`` rows, a shell
+    longer than that alone: ``shells`` is the range of their n and
+    ``rows`` the slice of their rows."""
+    windows, lo, size = [], first, 0
+    for n in range(first, n_max + 2):
+        if n > n_max or (size + n + 1 > WINDOW_ROWS and n > lo):
+            windows.append((range(lo, n), slice(position(lo, 0), position(n, 0))))
+            lo, size = n, 0
+        size += n + 1
+    return windows
 
 
 def window(a: Band, rows: slice) -> Band:

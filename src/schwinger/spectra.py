@@ -22,7 +22,7 @@ def block_table(two_js, hbar: float, jz_diag, cas_centres, cas_radii) -> dict:
     """Every per-block value of consecutive blocks, in one array pass over
     them.  Each value, a block's level order included, depends on that
     block's rows alone, so the blocks may come in groups: ``cli._blocks``
-    passes groups of whole blocks of at most ``WINDOW_ROWS`` rows, and
+    passes the blocks of each ``operators.shell_windows`` window, and
     their tables hold the bits of one call over every block.
 
     ``two_js`` lists the blocks in row order, block two_j holding

@@ -558,15 +558,14 @@ class TestVerify:
     @pytest.mark.parametrize("rows", [1, 7, 64])
     @pytest.mark.parametrize("hbar", [1e-150, 1e-30, 0.3, 1.0, 1e30, 1e150])
     def test_windows_keep_residuals(self, monkeypatch, rows, hbar):
-        # corruptions on and off the band, and far off it: one whose
-        # mirror and one whose row and column lie in other windows
+        # corruptions on and off the band, and far off it: two across the
+        # edge at row 55, between shells 9 and 10, which every window size
+        # here cuts, and one whose row and column lie in other windows
         sets = [(n_max, None) for n_max in (0, 1, 30)] + [
-            (4, ("jz", 4, 4, -1.0)), (12, ("jx", 20, 27, 1e-3)), (13, ("jtot", 63, 64, 0.37)),
-            (12, ("jx", 63, 64, 1e-3)), (30, ("jy", 400, 5, 1e-3)),
+            (4, ("jz", 4, 4, -1.0)), (12, ("jx", 20, 27, 1e-3)), (13, ("jtot", 55, 54, 0.37)),
+            (12, ("jx", 54, 55, 1e-3)), (30, ("jy", 400, 5, 1e-3)),
         ]
         for n_max, corruption in sets:
-            if rows == 1 and n_max > 13:
-                continue  # 496 one-row windows; the smaller sets cover that size
             amset = build_set(build_basis(n_max), hbar)
             if corruption:
                 name, row, col, delta = corruption
@@ -597,11 +596,17 @@ class TestVerify:
         # np.nanmax would drop: [J^2, J_i] is inf - inf past the vacuum row
         (4, None, 1e120, {"casimir_commutes_x", "casimir_commutes_y", "casimir_commutes_z"}),
         (7, ("jy", 11, 12, 1e160), 2.0, {"casimir_commutes_y"}),
-        # J J and [J_i, J] overflow in row 67, the second window of 64 rows
+        # J J and [J_i, J] overflow in row 67, inside the second window of
+        # 64 rows (shells 10 .. 12, rows 55 .. 90), and in row 55, its first
+        # row and the first of shell 10, which every window size here cuts
         (12, ("jtot", 67, 80, 1.5e308), 1.0,
          {"total_commutes_x", "total_commutes_y", "total_commutes_z",
           "quadratic_identity_quantum", "quadratic_identity_classical_form"}),
-    ], ids=["4-hbar1e120", "7-jy,11,12,1e160-hbar2.0", "12-jtot,67,80,1.5e308-hbar1.0"])
+        (12, ("jtot", 55, 80, 1.5e308), 1.0,
+         {"total_commutes_x", "total_commutes_y", "total_commutes_z",
+          "quadratic_identity_quantum", "quadratic_identity_classical_form"}),
+    ], ids=["4-hbar1e120", "7-jy,11,12,1e160-hbar2.0", "12-jtot,67,80,1.5e308-hbar1.0",
+            "12-jtot,55,80,1.5e308-hbar1.0"])
     def test_windows_keep_overflowing_residuals(self, monkeypatch, rows, n_max, corruption,
                                                 hbar, non_finite):
         amset = build_set(build_basis(n_max), hbar)
@@ -627,20 +632,24 @@ class TestVerify:
         return {g["name"]: g["max_residual"] for g in got}
 
     @pytest.mark.parametrize("directive, name", [
-        # the mirror entry (8192, 8191) lies in the next window of 8192 rows
+        # the entry (8127, 8128) ends shell 126 and its mirror starts shell
+        # 127, across the first window edge
+        ("jx,8127,8128,1e-3", "hermitian_jx"),
+        # an entry of shell 127 and its mirror, inside the second window
         ("jx,8191,8192,1e-3", "hermitian_jx"),
         # an offset of -19995, from the third window into the first
         ("jy,20000,5,1e-3", "hermitian_jy"),
     ])
     def test_corruption_across_windows_fails(self, capsys, directive, name):
-        assert operators.row_windows(build_basis(200).size)[2] == slice(16384, 24576)
+        assert [rows for _, rows in operators.shell_windows(200)] == [
+            slice(0, 8128), slice(8128, 16290), slice(16290, 20301)]
         code, _, err = run_cli(capsys, "verify", "--nmax", "200", "--tol", "1e-6", "--no-meta",
                                "--corrupt", directive)
         assert code == 1 and f"FAILED {name}:" in err
 
     def test_documented_cap_passes(self, capsys):
         # n_max 500 takes 16 windows
-        assert len(operators.row_windows(build_basis(500).size)) == 16
+        assert len(operators.shell_windows(500)) == 16
         code, _, err = run_cli(capsys, "verify", "--nmax", "500", "--tol", "1e-8", "--no-meta")
         assert (code, err) == (0, "")
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import schwinger.operators as operators
 from schwinger import annihilation, build_basis, build_set, casimir
+from schwinger.fock import position
 from schwinger.operators import creation, row_product
 
 from conftest import dense_annihilation, dense_number, max_entry_diff
@@ -666,18 +667,29 @@ class TestBandAlgebra:
             for a, b in itertools.permutations(ms):
                 check_windows(a, b, 5 + 9 * seed)
 
-    @pytest.mark.parametrize("dim", [1, 8128, 8192, 8256, 16385, 125751])
-    def test_row_windows_tile_the_rows(self, dim):
-        """``row_windows`` gives slices that start at row 0, follow on one
-        from the next, hold at most ``WINDOW_ROWS`` rows each and cover
-        every row of the basis exactly once."""
-        windows = operators.row_windows(dim)
-        assert all(isinstance(rows, slice) for rows in windows)
-        assert windows[0].start == 0
-        assert all(a.stop == b.start for a, b in zip(windows, windows[1:]))
-        covered = [range(dim)[rows] for rows in windows]
-        assert all(0 < len(r) <= operators.WINDOW_ROWS for r in covered)
-        assert [i for r in covered for i in r] == list(range(dim))
+    @pytest.mark.parametrize("n_max", [0, 126, 127, 200, 500, 1000])
+    def test_shell_windows_tile_the_rows(self, monkeypatch, n_max):
+        """``shell_windows`` from any first shell gives windows that start
+        at that shell's first row and follow on one from the next.  Each
+        holds consecutive whole shells, at most ``WINDOW_ROWS`` rows of
+        them or one shell, and stops only where the next shell would pass
+        that.  Together they cover every row from there exactly once."""
+        size = build_basis(n_max).size
+        for cap in (operators.WINDOW_ROWS, 64, 7, 1):
+            monkeypatch.setattr(operators, "WINDOW_ROWS", cap)
+            for first in sorted({0, 1, n_max // 2, n_max - 1, n_max} & set(range(n_max + 1))):
+                windows = operators.shell_windows(n_max, first)
+                assert [n for shells, _ in windows for n in shells] == list(range(first, n_max + 1))
+                assert windows[0][1].start == position(first, 0)
+                for shells, rows in windows:
+                    assert isinstance(shells, range) and isinstance(rows, slice)
+                    assert (rows.start, rows.stop) == (position(shells.start, 0),
+                                                       position(shells.stop, 0))
+                    assert rows.stop - rows.start <= cap or len(shells) == 1
+                for (_, rows), (after, _) in zip(windows, windows[1:]):
+                    assert rows.stop - rows.start + after.start + 1 > cap
+                covered = np.concatenate([np.arange(size)[rows] for _, rows in windows])
+                assert np.array_equal(covered, np.arange(position(first, 0), size))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_non_finite_entries_among_zeros(self, seed):

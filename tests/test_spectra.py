@@ -341,9 +341,10 @@ def whole_range_table(amset, cas, first: int = 0) -> dict:
 
 
 class TestBlockGroups:
-    """``cli._blocks`` runs ``block_table`` on groups of whole blocks of at
-    most ``WINDOW_ROWS`` rows; its table is that of one call over every
-    block, bit for bit on every key."""
+    """``cli._blocks`` runs ``block_table`` on each of the
+    ``operators.shell_windows``, groups of whole blocks of at most
+    ``WINDOW_ROWS`` rows; its table is that of one call over every block,
+    bit for bit on every key."""
 
     @staticmethod
     def assert_whole_range(amset, cas, first: int = 0):
@@ -356,9 +357,9 @@ class TestBlockGroups:
 
     @pytest.mark.parametrize("n_max, groups", [(126, 1), (127, 2), (200, 3), (1000, 64)])
     def test_clean(self, n_max, groups):
-        # 126 is the last basis of one group of 8192 rows and 127 the first
-        # of two, its second group one block of 128 rows
-        assert len(cli._block_groups(0, n_max + 1)) == groups
+        # 126 is the last basis of one window of 8192 rows and 127 the first
+        # of two, its second window one block of 128 rows
+        assert len(operators.shell_windows(n_max)) == groups
         for hbar in (0.3, 1.0):
             amset = build_set(build_basis(n_max), hbar)
             cas = angular.casimir(amset)
@@ -368,8 +369,8 @@ class TestBlockGroups:
     @pytest.mark.parametrize("first", [0, 150])
     def test_reordered_levels(self, first):
         # a bump of 3.5 hbar lifts the m = 0 level of block 160 (rows 12880
-        # .. 13040, in the second group) past those of m = 1, 2 and 3, so
-        # the levels of that group go through the sort and the others' not
+        # .. 13040, in the second window) past those of m = 1, 2 and 3, so
+        # the levels of that window go through the sort and the others' not
         amset = build_set(build_basis(200), 0.3)
         row = amset.basis.block_range(160).start + 80
         bad = cli._apply_corruption(amset, ("jz", row, row, 1.05))
@@ -381,7 +382,7 @@ class TestBlockGroups:
     @pytest.mark.parametrize("row, col", [(8127, 8128), (8128, 8127), (8200, 16383)])
     def test_cross_shell_entries(self, row, col):
         # a J_x entry between blocks 126 and 127, each side of the first
-        # group edge, and one from the second group into the third: J^2
+        # window edge, and one from the second window into the third: J^2
         # stores entries off its diagonal, so radii are not all 0
         amset = build_set(build_basis(200), 1.0)
         bad = cli._apply_corruption(amset, ("jx", row, col, 1e-3))
